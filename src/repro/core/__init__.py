@@ -34,7 +34,6 @@ from repro.core.pipeline import (
 from repro.core.pruning import (
     PruneStats,
     aggregate_surviving_fraction,
-    keep_ordering,
     prune_orderings,
 )
 from repro.core.signatures import (
@@ -81,7 +80,6 @@ __all__ = [
     "detect_address_acquires",
     "detect_control_acquires",
     "generate_orderings",
-    "keep_ordering",
     "logical_accesses",
     "place_fences",
     "plan_fences",

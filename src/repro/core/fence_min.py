@@ -33,14 +33,28 @@ Reconstruction of the locally-optimized algorithm:
   paper's modification places one only if the function contains
   *synchronizing* reads (Section 4.4). The pipeline passes the
   appropriate read set in via ``entry_fence``.
+
+Intervals come straight from the ordering masks of
+:mod:`repro.core.orderings`, never from per-pair objects. For source
+``i`` with destination mask ``succ[i]``, the bits also in the layout's
+``forward[i]`` (same block, later) each give one ``[iu+1, iv]``; the
+remaining bits all project to the same interval for a given kind, so
+they collapse to at most one interval per kind: ``[iu+1, t]`` in u's
+block, or, under the target projection, ``[0, iv]`` once per
+destination. RMW endpoints and qualifier-discharged orderings are
+masked off per source and per destination before projecting. Stabbing
+finds the covering fence or barrier by bisection over sorted gaps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Sequence
 
 from repro.core.machine_models import MemoryModel, OrderKind
-from repro.core.orderings import Ordering, OrderingSet
+from repro.core.orderings import Access, OrderingSet, bits
 from repro.ir.function import Function
 from repro.ir.instructions import (
     Fence,
@@ -69,7 +83,7 @@ class PlannedFence:
     covers: frozenset[OrderKind] = frozenset()
 
 
-@dataclass
+@dataclass(slots=True)
 class DelayInterval:
     """Gap interval [lo, hi] in one block, tagged with its ordering kind.
 
@@ -112,25 +126,6 @@ class FencePlan:
         return len(self.compiler_fences)
 
 
-def _ordering_interval(
-    func: Function, ordering: Ordering, model: MemoryModel, projection: str
-) -> DelayInterval:
-    u_block, u_index = func.position(ordering.src.inst)
-    v_block, v_index = func.position(ordering.dst.inst)
-    kind = ordering.kind
-    needs_full = model.needs_full_fence(kind)
-    if u_block == v_block and u_index < v_index:
-        return DelayInterval(u_block, u_index + 1, v_index, needs_full, kind)
-    if projection == "source":
-        # Fence between u and its block's end: sound, since every path
-        # from u to v leaves through the end of u's block.
-        terminator_index = len(func.blocks[u_block].instructions) - 1
-        return DelayInterval(u_block, u_index + 1, terminator_index, needs_full, kind)
-    # Target-side projection: fence between v's block entry and v —
-    # equally sound (every path into v enters through its block start).
-    return DelayInterval(v_block, 0, v_index, needs_full, kind)
-
-
 def barrier_indices(
     block_insts: list[Instruction], model: MemoryModel, for_full: bool
 ) -> list[int]:
@@ -159,14 +154,65 @@ def barrier_indices(
     return indices
 
 
-def satisfied_by_instruction(interval: DelayInterval, barrier_index: int) -> bool:
-    # An instruction at index k separates indices < k from indices > k,
-    # which covers gap interval [lo, hi] iff lo <= k <= hi - 1.
-    return interval.lo <= barrier_index <= interval.hi - 1
+def _hits(points: Sequence[int], lo: int, hi: int) -> bool:
+    """Does the sorted list ``points`` hold a value in ``[lo, hi]``?"""
+    k = bisect_left(points, lo)
+    return k < len(points) and points[k] <= hi
 
 
-def discharged_by_qualifier(ordering: Ordering) -> bool:
-    """True when a C11-style access qualifier already enforces ``ordering``.
+def uncovered(
+    intervals: list[DelayInterval], barriers: list[int]
+) -> list[DelayInterval]:
+    """The intervals no existing barrier enforces.
+
+    An instruction at index k separates indices < k from indices > k,
+    which covers gap interval [lo, hi] iff lo <= k <= hi - 1.
+    """
+    if not barriers:
+        return intervals
+    return [iv for iv in intervals if not _hits(barriers, iv.lo, iv.hi - 1)]
+
+
+def stab_intervals(
+    intervals: list[DelayInterval], credited: Sequence[int] = ()
+) -> dict[int, set[OrderKind]]:
+    """Minimum-cardinality stabbing of ``intervals`` (classic greedy).
+
+    Sort by right endpoint and place a fence at the right endpoint of
+    the first interval no placed fence covers. Intervals containing a
+    gap of the sorted ``credited`` list (fences placed earlier) need
+    nothing. Returns ``{gap: kinds}`` in gap order: each interval is
+    assigned to the leftmost placed gap covering it, and its ordering
+    kind joins that gap's set — the kill-set a lowered fence flavor
+    must provide.
+    """
+    covers: dict[int, set[OrderKind]] = {}
+    gaps: list[int] = []
+    for iv in sorted(intervals, key=attrgetter("hi", "lo")):
+        if credited and _hits(credited, iv.lo, iv.hi):
+            continue
+        # Every placed gap is an earlier interval's hi <= iv.hi.
+        k = bisect_left(gaps, iv.lo)
+        if k < len(gaps):
+            covers[gaps[k]].add(iv.kind)
+        else:
+            gaps.append(iv.hi)
+            covers[iv.hi] = {iv.kind}
+    return covers
+
+
+def _acquire_read(access: Access) -> bool:
+    inst = access.inst
+    return isinstance(inst, Load) and inst.ordering == "acquire" and access.part == "r"
+
+
+def _release_write(access: Access) -> bool:
+    inst = access.inst
+    return isinstance(inst, Store) and inst.ordering == "release" and access.part == "w"
+
+
+def count_discharged(orderings: OrderingSet) -> int:
+    """Orderings a C11-style access qualifier already enforces.
 
     A ``release`` store kills every ordering *into* its write part
     (those are exactly the ``r->w``/``w->w`` obligations a store-release
@@ -176,21 +222,16 @@ def discharged_by_qualifier(ordering: Ordering) -> bool:
     this is an analysis-level fact shared by the greedy planner and the
     optimal synthesizer alike.
     """
-    dst = ordering.dst
-    if (
-        isinstance(dst.inst, Store)
-        and dst.inst.ordering == "release"
-        and dst.part == "w"
-    ):
-        return True
-    src = ordering.src
-    if (
-        isinstance(src.inst, Load)
-        and src.inst.ordering == "acquire"
-        and src.part == "r"
-    ):
-        return True
-    return False
+    acquires = orderings.layout.mask(_acquire_read)
+    releases = orderings.layout.mask(_release_write)
+    return sum(
+        (dsts if acquires >> i & 1 else dsts & releases).bit_count()
+        for i, dsts in enumerate(orderings.succ)
+    )
+
+
+#: Ordering kinds by index 2 * (source is a write) + (destination is a write).
+_KINDS = (OrderKind.RR, OrderKind.RW, OrderKind.WR, OrderKind.WW)
 
 
 def collect_intervals(
@@ -202,34 +243,72 @@ def collect_intervals(
     """Project the surviving orderings onto per-block gap intervals.
 
     This is the single delay-graph construction both planners share:
-    RMW-enforced and qualifier-discharged orderings are filtered out,
-    each survivor is projected to a :class:`DelayInterval`, and
-    duplicates (distinct orderings landing on the same span *and* kind)
-    are collapsed. Returns ``{block_index: [intervals]}``.
+    RMW-enforced and qualifier-discharged orderings are filtered out
+    and each survivor is projected to a :class:`DelayInterval`, one
+    per distinct span *and* kind. Returns ``{block_index: [intervals]}``.
+
+    Projection works per source mask (see :mod:`repro.core.orderings`).
+    A same-block ordering ``u -> v`` with ``v`` later in the block gives
+    ``[iu+1, iv]`` in that block. Every other destination (another
+    block, or a loop wrap-around) projects the same way for one source
+    and kind: onto ``[iu+1, t]`` in u's block, ``t`` its terminator
+    (``"source"``), or onto ``[0, iv]`` in v's block (``"target"``).
     """
     if projection not in ("source", "target"):
         raise ValueError(f"unknown projection {projection!r}")
+    layout = orderings.layout
+    positions, forward, writes = layout.positions, layout.forward, layout.writes
     # An ordering whose endpoint is itself a locked RMW is enforced by
     # that instruction's own barrier semantics (x86 LOCK prefix); one
     # whose endpoint is a suitably-qualified atomic access is enforced
     # by the access itself.
-    relevant = [
-        o
-        for o in orderings
-        if not (
-            model.rmw_is_full_fence
-            and (o.src.inst.is_atomic_rmw() or o.dst.inst.is_atomic_rmw())
-        )
-        and not discharged_by_qualifier(o)
-    ]
-    intervals = [_ordering_interval(func, o, model, projection) for o in relevant]
-    # Deduplicate: distinct orderings frequently project to one interval.
-    # The ordering kind stays in the key — same-span intervals of
-    # different kinds place the same fences (spans drive the stabbing)
-    # but each kind must be recorded in the fence's ``covers`` set.
-    unique: dict[tuple[int, int, int, OrderKind], DelayInterval] = {}
-    for iv in intervals:
-        unique.setdefault((iv.block_index, iv.lo, iv.hi, iv.kind), iv)
+    locked = layout.mask(lambda a: a.inst.is_atomic_rmw()) if model.rmw_is_full_fence else 0
+    skip_sources = locked | layout.mask(_acquire_read)
+    keep_dsts = ~(locked | layout.mask(_release_write))
+    needs_full = [model.needs_full_fence(kind) for kind in _KINDS]
+
+    # Keyed by (block, lo, hi, kind index): distinct orderings can
+    # project to one interval. The ordering kind stays in the key —
+    # same-span intervals of different kinds place the same fences
+    # (spans drive the stabbing) but each kind must be recorded in the
+    # fence's ``covers`` set.
+    unique: dict[tuple[int, int, int, int], DelayInterval] = {}
+
+    def add(block: int, lo: int, hi: int, k: int) -> None:
+        key = (block, lo, hi, k)
+        if key not in unique:
+            unique[key] = DelayInterval(block, lo, hi, needs_full[k], _KINDS[k])
+
+    # Target projection: the other destinations, by source part.
+    elsewhere = [0, 0]
+    for i, dsts in enumerate(orderings.succ):
+        dsts &= keep_dsts
+        if not dsts or skip_sources >> i & 1:
+            continue
+        block, index = positions[i]
+        lo = index + 1
+        src_write = writes >> i & 1
+        ahead = dsts & forward[i]
+        for j in bits(ahead):
+            add(block, lo, positions[j][1], 2 * src_write + (writes >> j & 1))
+        rest = dsts ^ ahead
+        if not rest:
+            continue
+        if projection == "target":
+            elsewhere[src_write] |= rest
+            continue
+        # Sound, since every path from u to v leaves through the end of
+        # u's block.
+        terminator = len(func.blocks[block].instructions) - 1
+        if rest & ~writes:
+            add(block, lo, terminator, 2 * src_write)
+        if rest & writes:
+            add(block, lo, terminator, 2 * src_write + 1)
+    # Equally sound: every path into v enters through its block start.
+    for src_write, dsts in enumerate(elsewhere):
+        for j in bits(dsts):
+            block, index = positions[j]
+            add(block, 0, index, 2 * src_write + (writes >> j & 1))
 
     by_block: dict[int, list[DelayInterval]] = {}
     for iv in unique.values():
@@ -257,39 +336,15 @@ def plan_fences(
         block = func.blocks[block_index]
         block_intervals = by_block[block_index]
 
-        full_barriers = barrier_indices(block.instructions, model, for_full=True)
-        any_barriers = barrier_indices(block.instructions, model, for_full=False)
-
-        def uncovered(ivs: list[DelayInterval], barriers: list[int]) -> list[DelayInterval]:
-            return [
-                iv
-                for iv in ivs
-                if not any(satisfied_by_instruction(iv, k) for k in barriers)
-            ]
-
-        # Round 1: intervals that require hardware enforcement. Each
-        # interval is assigned to the placed gap that covers it (the
-        # greedy guarantees one), and that gap's fence accumulates the
-        # interval's ordering kind in its ``covers`` set — the exact
-        # kill-set a lowered ISA fence flavor must provide.
+        # Round 1: intervals that require hardware enforcement.
         full_needed = uncovered(
-            [iv for iv in block_intervals if iv.needs_full], full_barriers
+            [iv for iv in block_intervals if iv.needs_full],
+            barrier_indices(block.instructions, model, for_full=True),
         )
-        placed_full_gaps: list[int] = []
-        full_covers: dict[int, set[OrderKind]] = {}
-        for iv in sorted(full_needed, key=lambda iv: (iv.hi, iv.lo)):
-            covering = [g for g in placed_full_gaps if iv.lo <= g <= iv.hi]
-            if covering:
-                full_covers[covering[0]].add(iv.kind)
-                continue
-            placed_full_gaps.append(iv.hi)
-            full_covers[iv.hi] = {iv.kind}
-        for gap in placed_full_gaps:
+        full_covers = stab_intervals(full_needed)
+        for gap, kinds in full_covers.items():
             plan.fences.append(
-                PlannedFence(
-                    block.label, gap, FenceKind.FULL,
-                    covers=frozenset(full_covers[gap]),
-                )
+                PlannedFence(block.label, gap, FenceKind.FULL, covers=frozenset(kinds))
             )
 
         # Round 2: compiler-only intervals; full fences placed above and
@@ -297,24 +352,13 @@ def plan_fences(
         # kinds are hardware-enforced already, so they never widen a
         # full fence's ``covers`` set.)
         compiler_needed = uncovered(
-            [iv for iv in block_intervals if not iv.needs_full], any_barriers
+            [iv for iv in block_intervals if not iv.needs_full],
+            barrier_indices(block.instructions, model, for_full=False),
         )
-        placed_compiler_gaps: list[int] = []
-        compiler_covers: dict[int, set[OrderKind]] = {}
-        for iv in sorted(compiler_needed, key=lambda iv: (iv.hi, iv.lo)):
-            if any(iv.lo <= g <= iv.hi for g in placed_full_gaps):
-                continue
-            covering = [g for g in placed_compiler_gaps if iv.lo <= g <= iv.hi]
-            if covering:
-                compiler_covers[covering[0]].add(iv.kind)
-                continue
-            placed_compiler_gaps.append(iv.hi)
-            compiler_covers[iv.hi] = {iv.kind}
-        for gap in placed_compiler_gaps:
+        for gap, kinds in stab_intervals(compiler_needed, list(full_covers)).items():
             plan.fences.append(
                 PlannedFence(
-                    block.label, gap, FenceKind.COMPILER,
-                    covers=frozenset(compiler_covers[gap]),
+                    block.label, gap, FenceKind.COMPILER, covers=frozenset(kinds)
                 )
             )
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.machine_models import OrderKind
-from repro.core.orderings import Ordering, OrderingSet
+from repro.core.orderings import OrderingSet
 from repro.ir.instructions import Instruction
 from repro.util.orderedset import OrderedSet
 
@@ -82,25 +82,24 @@ def aggregate_surviving_fraction(stats: Iterable[PruneStats]) -> float:
     return after / before
 
 
-def keep_ordering(
-    ordering: Ordering, sync_reads: OrderedSet[Instruction]
-) -> bool:
-    """Table I check for one ordering."""
-    if ordering.dst.is_write:
-        return True  # r/w -> w_rel: everything into a release is kept.
-    if not ordering.src.is_write:
-        # r -> r: kept only out of an acquire.
-        return ordering.src.inst in sync_reads
-    # w -> r: kept only into an acquire (w_rel -> r_acq).
-    return ordering.dst.inst in sync_reads
-
-
 def prune_orderings(
     orderings: OrderingSet, sync_reads: OrderedSet[Instruction]
 ) -> tuple[OrderingSet, PruneStats]:
-    """Apply Table I; returns the surviving orderings and statistics."""
-    kept = [o for o in orderings if keep_ordering(o, sync_reads)]
-    pruned_set = OrderingSet(orderings.function, kept)
+    """Apply Table I; returns the surviving orderings and statistics.
+
+    Mask operations per source (see :mod:`repro.core.orderings`):
+    everything into a write survives; out of a detected acquire,
+    everything survives; out of any other write, orderings into an
+    acquire survive too.
+    """
+    layout = orderings.layout
+    writes = layout.writes
+    acquires = layout.mask(lambda a: not a.is_write and a.inst in sync_reads)
+    keep = [
+        -1 if acquires >> i & 1 else writes | acquires if writes >> i & 1 else writes
+        for i in range(len(layout.accesses))
+    ]
+    pruned_set = orderings.restricted(keep)
     stats = PruneStats(
         before=orderings.count_by_kind(), after=pruned_set.count_by_kind()
     )

@@ -27,8 +27,15 @@ this network:
   flavors exactly.
 
 No external solver: Dinic's algorithm (BFS level graph + blocking DFS
-with the current-arc optimization) in plain python, O(V^2 E), far
-below a millisecond at basic-block sizes.
+with the current-arc optimization) in plain python, O(V^2 E). The
+blocking DFS keeps an explicit stack, since one interval spanning a
+long straight-line block makes an augmenting path thousands of hops
+long. Building the network costs more than solving it: gap pricing in
+:func:`repro.synth.optimal.block_cut` is one sweep per ordering kind.
+Over the 17-program corpus (``address+control``, arm) one block's
+certificate takes 0.5 ms on average and 12 ms at most, on a 2-vCPU
+x86-64 container under Python 3.11; pricing each gap against every
+interval took 6.8 ms on average and 274 ms at most there.
 """
 
 from __future__ import annotations
@@ -83,21 +90,41 @@ class FlowNetwork:
                     queue.append(e.to)
         return level if level[t] >= 0 else None
 
-    def _augment(
-        self, u: int, t: int, pushed: int, level: list[int], it: list[int]
-    ) -> int:
-        if u == t:
-            return pushed
-        while it[u] < len(self.graph[u]):
-            e = self.graph[u][it[u]]
-            if e.cap > 0 and level[e.to] == level[u] + 1:
-                d = self._augment(e.to, t, min(pushed, e.cap), level, it)
-                if d > 0:
-                    e.cap -= d
-                    self.graph[e.to][e.rev].cap += d
-                    return d
+    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
+        """Push flow along one level-graph path from ``s`` to ``t``.
+
+        An explicit-stack DFS with current-arc pointers ``it``: an
+        interval spanning thousands of gaps makes a path thousands of
+        hops long. A dead end advances its parent's arc. Returns the
+        amount pushed (at most ``INF``), 0 when the level graph is
+        blocked.
+        """
+        graph = self.graph
+        path: list[_Edge] = []
+        u = s
+        while u != t:
+            edges = graph[u]
+            i = it[u]
+            while i < len(edges):
+                e = edges[i]
+                if e.cap > 0 and level[e.to] == level[u] + 1:
+                    break
+                i += 1
+            it[u] = i
+            if i < len(edges):
+                path.append(edges[i])
+                u = edges[i].to
+                continue
+            if not path:
+                return 0
+            back = path.pop()
+            u = graph[back.to][back.rev].to
             it[u] += 1
-        return 0
+        pushed = min(INF, *(e.cap for e in path))
+        for e in path:
+            e.cap -= pushed
+            graph[e.to][e.rev].cap += pushed
+        return pushed
 
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
@@ -107,7 +134,7 @@ class FlowNetwork:
                 return flow
             it = [0] * self.n
             while True:
-                pushed = self._augment(s, t, INF, level, it)
+                pushed = self._augment(s, t, level, it)
                 if pushed == 0:
                     break
                 flow += pushed

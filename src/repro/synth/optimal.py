@@ -49,7 +49,10 @@ oracle-gated tests assert across the whole corpus.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.arch.backend import ArchBackend, FenceFlavor
 from repro.arch.lowering import LoweredFence, LoweredPlan, lower_plan, summarize_lowerings
@@ -57,9 +60,10 @@ from repro.core.fence_min import (
     DelayInterval,
     barrier_indices,
     collect_intervals,
-    discharged_by_qualifier,
+    count_discharged,
     plan_fences,
-    satisfied_by_instruction,
+    stab_intervals,
+    uncovered,
 )
 from repro.core.machine_models import MemoryModel, OrderKind
 from repro.core.orderings import OrderingSet
@@ -136,10 +140,15 @@ def _solve_block(
     if not intervals:
         return 0, []
     options = _flavor_options(backend.flavors)
-    positions = sorted({iv.hi for iv in intervals})
-    deadlines: dict[int, list[DelayInterval]] = {}
+    # Per right endpoint, per kind: the largest lo among the intervals
+    # ending there. A state passes iff each kind's latest killing fence
+    # is at or after it (-1 never binds).
+    deadlines: dict[int, list[int]] = {}
     for iv in intervals:
-        deadlines.setdefault(iv.hi, []).append(iv)
+        need = deadlines.setdefault(iv.hi, [-1] * len(_KINDS))
+        k = _KIDX[iv.kind]
+        need[k] = max(need[k], iv.lo)
+    positions = sorted(deadlines)
 
     start = (-1,) * len(_KINDS)
     # Per position: state -> (cost, predecessor state, flavors placed).
@@ -152,7 +161,7 @@ def _solve_block(
         nxt: dict[tuple[int, ...], tuple[int, tuple[int, ...], tuple]] = {}
 
         def consider(state, cost, prev, placed):
-            if any(state[_KIDX[iv.kind]] < iv.lo for iv in due):
+            if any(r < lo for r, lo in zip(state, due)):
                 return
             cur = nxt.get(state)
             if cur is None or cost < cur[0]:
@@ -206,53 +215,51 @@ def block_cut(
     edges per gap priced at the cheapest flavor killing every kind
     crossing the gap, infinite interval bypasses — and returns
     ``(cut value, cut gaps)``.
+
+    Gap prices come from one sweep per kind over the interval
+    endpoints, O(gaps + intervals). Intervals sharing an endpoint share
+    one bypass edge with their summed capacity: parallel edges add up,
+    so every cut, the max-flow value and the residual source side (and
+    with it the witness) stay those of one edge per interval.
     """
     if not intervals:
         return 0, []
     lo = min(iv.lo for iv in intervals)
-    hi = max(iv.hi for iv in intervals)
+    span = max(iv.hi for iv in intervals) - lo + 1
+    # Per kind: intervals opening minus intervals closed, at each gap.
+    deltas: dict[OrderKind, list[int]] = {}
+    for iv in intervals:
+        delta = deltas.get(iv.kind)
+        if delta is None:
+            delta = deltas[iv.kind] = [0] * (span + 1)
+        delta[iv.lo - lo] += 1
+        delta[iv.hi + 1 - lo] -= 1
+    # Bit k of crossing[g] is set when some interval of _KINDS[k]
+    # contains gap lo + g.
+    crossing = [0] * span
+    for kind, delta in deltas.items():
+        bit = 1 << _KIDX[kind]
+        for g, depth in enumerate(accumulate(delta[:span])):
+            if depth:
+                crossing[g] |= bit
+    prices = {0: INF}
     net = FlowNetwork()
     s, t = net.add_node(), net.add_node()
     # Node per gap boundary: p[g] sits before gap ``lo + g``.
-    nodes = [net.add_node() for _ in range(hi - lo + 2)]
-    for gap in range(lo, hi + 1):
-        crossing = frozenset(
-            iv.kind for iv in intervals if iv.lo <= gap <= iv.hi
-        )
-        price = backend.cheapest_flavor(crossing).cost if crossing else INF
-        net.add_edge(nodes[gap - lo], nodes[gap - lo + 1], price, tag=gap)
-    for iv in intervals:
-        net.add_edge(s, nodes[iv.lo - lo], INF)
-        net.add_edge(nodes[iv.hi + 1 - lo], t, INF)
+    nodes = [net.add_node() for _ in range(span + 1)]
+    for g, kinds in enumerate(crossing):
+        price = prices.get(kinds)
+        if price is None:
+            price = prices[kinds] = backend.cheapest_flavor(
+                frozenset(k for k in _KINDS if kinds >> _KIDX[k] & 1)
+            ).cost
+        net.add_edge(nodes[g], nodes[g + 1], price, tag=lo + g)
+    for start, count in Counter(iv.lo for iv in intervals).items():
+        net.add_edge(s, nodes[start - lo], count * INF)
+    for end, count in Counter(iv.hi for iv in intervals).items():
+        net.add_edge(nodes[end + 1 - lo], t, count * INF)
     value, tags = net.min_cut(s, t)
     return value, sorted(tags)
-
-
-def _stab_compiler(
-    intervals: list[DelayInterval],
-    full_gaps: list[int],
-    any_barriers: list[int],
-) -> dict[int, set[OrderKind]]:
-    """Greedy (optimal-cardinality) stabbing of zero-cost intervals,
-    crediting placed full fences and existing barriers — the mirror of
-    the greedy planner's round 2."""
-    needed = [
-        iv
-        for iv in intervals
-        if not any(satisfied_by_instruction(iv, k) for k in any_barriers)
-    ]
-    placed: dict[int, set[OrderKind]] = {}
-    gaps: list[int] = []
-    for iv in sorted(needed, key=lambda iv: (iv.hi, iv.lo)):
-        if any(iv.lo <= g <= iv.hi for g in full_gaps):
-            continue
-        covering = [g for g in gaps if iv.lo <= g <= iv.hi]
-        if covering:
-            placed[covering[0]].add(iv.kind)
-            continue
-        gaps.append(iv.hi)
-        placed[iv.hi] = {iv.kind}
-    return placed
 
 
 def synthesize_plan(
@@ -271,7 +278,7 @@ def synthesize_plan(
     ``greedy_cost`` (the greedy plan lowered on the same backend).
     """
     plan = SynthesisPlan(func, backend.key)
-    plan.discharged = sum(1 for o in orderings if discharged_by_qualifier(o))
+    plan.discharged = count_discharged(orderings)
     by_block = collect_intervals(func, orderings, model, projection)
     witness: list[tuple[str, int]] = []
     dp_seconds = 0.0
@@ -283,14 +290,10 @@ def synthesize_plan(
         for block_index in sorted(by_block):
             block = func.blocks[block_index]
             ivs = by_block[block_index]
-            full_barriers = barrier_indices(block.instructions, model, for_full=True)
-            any_barriers = barrier_indices(block.instructions, model, for_full=False)
-            full_needed = [
-                iv
-                for iv in ivs
-                if iv.needs_full
-                and not any(satisfied_by_instruction(iv, k) for k in full_barriers)
-            ]
+            full_needed = uncovered(
+                [iv for iv in ivs if iv.needs_full],
+                barrier_indices(block.instructions, model, for_full=True),
+            )
             started = time.perf_counter()
             _cost, placements = _solve_block(full_needed, backend)
             dp_seconds += time.perf_counter() - started
@@ -302,12 +305,18 @@ def synthesize_plan(
 
             # Assign every interval to one placed fence that enforces it,
             # to report each fence's kill-set the same way greedy does.
+            # Placements are sorted by gap: start at the first one at or
+            # after the interval's lo.
             covers: dict[int, set[OrderKind]] = {}
             for gap, flavor in placements:
                 covers.setdefault(gap, set())
+            full_gaps = [gap for gap, _flavor in placements]
             for iv in full_needed:
-                for gap, flavor in placements:
-                    if iv.lo <= gap <= iv.hi and iv.kind in flavor.kills:
+                for k in range(bisect_left(full_gaps, iv.lo), len(placements)):
+                    gap, flavor = placements[k]
+                    if gap > iv.hi:
+                        break
+                    if iv.kind in flavor.kills:
                         covers[gap].add(iv.kind)
                         break
             for gap, flavor in placements:
@@ -324,11 +333,16 @@ def synthesize_plan(
                     )
                 )
 
-            full_gaps = [gap for gap, _flavor in placements]
-            compiler = _stab_compiler(
-                [iv for iv in ivs if not iv.needs_full], full_gaps, any_barriers
+            # Compiler-only intervals cost nothing, so greedy cardinality
+            # stabbing (the greedy planner's round 2) is optimal for them.
+            compiler = stab_intervals(
+                uncovered(
+                    [iv for iv in ivs if not iv.needs_full],
+                    barrier_indices(block.instructions, model, for_full=False),
+                ),
+                full_gaps,
             )
-            for gap in sorted(compiler):
+            for gap in compiler:
                 plan.fences.append(
                     LoweredFence(
                         block.label,

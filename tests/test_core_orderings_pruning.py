@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.escape import EscapeInfo
 from repro.core.machine_models import OrderKind
 from repro.core.orderings import Access, Ordering, generate_orderings, logical_accesses
-from repro.core.pruning import keep_ordering, prune_orderings
+from repro.core.pruning import prune_orderings
 from repro.core.signatures import Variant, detect_acquires
 from repro.frontend import compile_source
 from repro.util.orderedset import OrderedSet

@@ -16,10 +16,13 @@ Pins the three claims the synthesizer makes:
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import AnalyzeRequest, ProgramSpec, Session
 from repro.arch import backend_keys, get_backend
 from repro.arch.lowering import lower_plan
 from repro.core.fence_min import DelayInterval
@@ -209,3 +212,32 @@ def test_optimal_placements_pass_differential_oracle(model, name):
     assert report.complete, report.skipped
     assert report.violations == ()
     assert report.full_restores_sc
+
+
+# --- a pathological block ---------------------------------------------------
+
+
+def test_a_500_access_block_synthesizes_in_seconds():
+    """One straight-line block after a spin: 500 escaping accesses,
+    ~125k same-block delay intervals. Pinned to the cost the pairwise
+    planner computed for it, well inside a time budget that pairwise
+    pricing (O(gaps x intervals)) overran twice over."""
+    body = "\n".join(f"  a[{i % 7}] = r; r = b[{i % 5}];" for i in range(250))
+    source = (
+        "global int flag; global int a[7]; global int b[5];\n"
+        "fn f(tid) {\n  local r = 0;\n  while (flag == 0) { }\n"
+        f"{body}\n}}\nthread f(0);\nthread f(1);\n"
+    )
+    started = time.perf_counter()
+    report = Session().analyze(
+        AnalyzeRequest(
+            program=ProgramSpec.inline(source),
+            variant="address+control",
+            model="arm",
+            arch="arm",
+            synthesis="optimal",
+        )
+    )
+    elapsed = time.perf_counter() - started
+    assert report.fence_cost == report.greedy_cost == 12048
+    assert elapsed < 7.0
