@@ -14,6 +14,15 @@ accesses count as synchronization is supplied by the caller (ground
 truth or detected acquires + conservative releases), so the same
 machinery checks both "is this program well-synchronized under the
 intended marking" and "is the detected marking sufficient".
+
+That reachability is computed with vector clocks in one forward pass
+over the trace, as linear-time race predictors do. Each thread has a
+clock; each address keeps the join of the clocks of its sync writes;
+a sync read joins its address's clock into its thread's clock. Every
+action records its thread's clock, so ``u`` happens-before ``v`` iff
+``u`` precedes ``v`` and ``u``'s trace position is at most ``v``'s
+clock entry for ``u``'s thread. The marking predicate runs once per
+action.
 """
 
 from __future__ import annotations
@@ -61,70 +70,53 @@ class Race:
 
 
 class HappensBefore:
-    """Happens-before reachability for one trace under a sync marking."""
+    """Happens-before for one trace under a sync marking, by vector clocks.
+
+    One forward pass gives every action a clock: entry ``u`` of action
+    ``j``'s clock is the trace position of the last thread-``u`` action
+    that happens-before ``j`` (or is ``j``), or -1 if none does.
+    """
 
     def __init__(self, trace: Trace, is_sync: SyncPredicate) -> None:
         self.trace = trace
         self.is_sync = is_sync
         self.actions = trace.actions
-        n = len(self.actions)
-        # Adjacency as bitsets over action indices; n is trace length.
-        self._succ: list[int] = [0] * n
-        self._build_edges()
-        self._reach: list[int] | None = None
+        self._sync = [bool(is_sync(a)) for a in self.actions]
+        slots: dict[int, int] = {}
+        for a in self.actions:
+            slots.setdefault(a.tid, len(slots))
+        self._slot_of = [slots[a.tid] for a in self.actions]
+        self._clocks = self._build_clocks(len(slots))
 
-    def _build_edges(self) -> None:
-        actions = self.actions
-        # Program order: successive actions of the same thread.
-        last_of_thread: dict[int, int] = {}
-        for i, a in enumerate(actions):
-            prev = last_of_thread.get(a.tid)
-            if prev is not None:
-                self._succ[prev] |= 1 << i
-            last_of_thread[a.tid] = i
-        # Synchronization conflict edges: sync write -> later sync read,
-        # same address. (The paper's ordering chains run through
-        # synchronization operations: wi con ri links.)
-        for i, w in enumerate(actions):
-            if not w.is_write or not self.is_sync(w):
-                continue
-            for j in range(i + 1, len(actions)):
-                r = actions[j]
-                if (
-                    not r.is_write
-                    and r.addr == w.addr
-                    and r.tid != w.tid
-                    and self.is_sync(r)
-                ):
-                    self._succ[i] |= 1 << j
-
-    def _transitive_closure(self) -> list[int]:
-        if self._reach is not None:
-            return self._reach
-        n = len(self.actions)
-        reach = list(self._succ)
-        # Process in reverse trace order: edges always point forward in
-        # the trace, so one backward pass completes the closure.
-        for i in range(n - 1, -1, -1):
-            successors = reach[i]
-            combined = successors
-            j = 0
-            while successors:
-                if successors & 1:
-                    combined |= reach[j]
-                successors >>= 1
-                j += 1
-            reach[i] = combined
-        self._reach = reach
-        return reach
+    def _build_clocks(self, width: int) -> list[tuple[int, ...]]:
+        # Joining a same-thread write's clock adds nothing: program
+        # order already covers it.
+        thread_clock = [[-1] * width for _ in range(width)]
+        released: dict[int, list[int]] = {}
+        clocks: list[tuple[int, ...]] = []
+        for k, (a, sync, slot) in enumerate(
+            zip(self.actions, self._sync, self._slot_of)
+        ):
+            clock = thread_clock[slot]
+            clock[slot] = k
+            if sync:
+                writes = released.get(a.addr)
+                if a.is_write:
+                    released[a.addr] = (
+                        list(clock)
+                        if writes is None
+                        else [max(x, y) for x, y in zip(writes, clock)]
+                    )
+                elif writes is not None:
+                    clock[:] = [max(x, y) for x, y in zip(clock, writes)]
+            clocks.append(tuple(clock))
+        return clocks
 
     def happens_before(self, i: int, j: int) -> bool:
         """Does action ``i`` happen-before action ``j``?"""
-        if i == j:
-            return False
-        if i > j:
+        if i >= j:
             return False  # edges only point forward in an SC trace
-        return bool(self._transitive_closure()[i] & (1 << j))
+        return i <= self._clocks[j][self._slot_of[i]]
 
     def races(self) -> list[Race]:
         """All conflicting, hb-unordered pairs of *data* (non-sync) actions.
@@ -132,22 +124,31 @@ class HappensBefore:
         Following the paper's data-race definition: two accesses to the
         same address from different threads, at least one a write,
         neither ordered by happens-before, where both are data accesses
-        under the marking.
+        under the marking. Pairs come in ``(i, j)`` trace order.
         """
-        races: list[Race] = []
         actions = self.actions
-        for i, a in enumerate(actions):
-            if self.is_sync(a):
-                continue
-            for j in range(i + 1, len(actions)):
+        clocks = self._clocks
+        slot_of = self._slot_of
+        # Data actions grouped by address, each group in trace order;
+        # walking the data actions in order with a cursor per group
+        # yields the pairs in (i, j) order without sorting.
+        data: list[int] = []
+        groups: dict[int, list[int]] = {}
+        for k, a in enumerate(actions):
+            if not self._sync[k]:
+                data.append(k)
+                groups.setdefault(a.addr, []).append(k)
+        cursor = dict.fromkeys(groups, 0)
+        races: list[Race] = []
+        for i in data:
+            a = actions[i]
+            slot = slot_of[i]
+            after = cursor[a.addr] = cursor[a.addr] + 1
+            for j in groups[a.addr][after:]:
                 b = actions[j]
-                if self.is_sync(b):
+                if slot_of[j] == slot or not (a.is_write or b.is_write):
                     continue
-                if a.tid == b.tid or a.addr != b.addr:
-                    continue
-                if not (a.is_write or b.is_write):
-                    continue
-                if not self.happens_before(i, j):
+                if i > clocks[j][slot]:
                     races.append(Race(a, b))
         return races
 

@@ -9,8 +9,8 @@ behavior of the program [is] the set of data read actions of any
 possible sequentially consistent execution" — exposed here through
 ``observe`` results plus final global values.
 
-Also provides memoization-free bounded *trace* enumeration, which the
-happens-before/race machinery consumes.
+Also provides bounded *trace* enumeration without state merging, which
+the happens-before/race machinery consumes.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.memmodel.explore import LOCAL_FP, CoreExplorer, Transition
 from repro.memmodel.interpreter import (
     ExecutionError,
     GlobalLayout,
+    PendingAction,
     ThreadExecutor,
     ThreadState,
 )
@@ -148,7 +149,7 @@ class SCExplorer(CoreExplorer):
         return out
 
 
-# --- bounded trace enumeration (no memoization) -----------------------------
+# --- bounded trace enumeration (no state merging) ----------------------------
 
 
 @dataclass(frozen=True)
@@ -170,6 +171,48 @@ class Trace:
     complete: bool  # False if truncated by the depth bound
 
 
+class _Node:
+    """One DFS node of :func:`enumerate_sc_traces`, with its undo record."""
+
+    __slots__ = ("threads", "next", "progressed", "stepped", "depth", "saved")
+
+    def __init__(
+        self,
+        threads: tuple[ThreadState, ...],
+        depth: int,
+        stepped: Optional[ThreadState] = None,
+    ) -> None:
+        self.threads = threads
+        self.next = 0  # the next thread to try stepping
+        self.progressed = False
+        #: The state this node's step created, whose probe dies with it.
+        self.stepped = stepped
+        #: Action-list length before the step.
+        self.depth = depth
+        #: (address, value before the step, or None if it was unset).
+        self.saved: Optional[tuple[int, Optional[int]]] = None
+
+    def save(self, memory: dict[int, int], addr: int) -> None:
+        self.saved = (addr, memory.get(addr))
+
+    def undo(
+        self,
+        memory: dict[int, int],
+        actions: list[TraceAction],
+        probes: dict[int, tuple],
+    ) -> None:
+        """Take back the step that created this node."""
+        if self.saved is not None:
+            addr, old = self.saved
+            if old is None:
+                del memory[addr]
+            else:
+                memory[addr] = old
+        del actions[self.depth :]
+        if self.stepped is not None:
+            probes.pop(id(self.stepped), None)
+
+
 def enumerate_sc_traces(
     program: Program,
     max_traces: int = 2_000,
@@ -177,88 +220,106 @@ def enumerate_sc_traces(
     max_steps_per_thread: int = 100_000,
     schedule_filter: Optional[Callable[[int], bool]] = None,
 ) -> list[Trace]:
-    """Enumerate complete SC traces by DFS (no state merging).
+    """Enumerate SC traces by DFS (no state merging), at most ``max_traces``.
 
     Exponential in general — intended for litmus-scale programs. Each
     RMW contributes a read action then a write action (atomically
     adjacent), matching the paper's read-followed-by-write treatment.
+    A branch reaching ``max_actions`` actions ends in a trace marked
+    incomplete.
+
+    The DFS backtracks over one memory dict and one action list with an
+    explicit stack, so trace length is bounded by ``max_actions``, not
+    by the recursion limit. Stepping a thread clones only that thread:
+    a placed :class:`ThreadState` is never mutated, so siblings are
+    shared, and each one's next visible action is computed once per
+    call rather than at every node below it.
     """
     executor = ThreadExecutor(program)
     layout = executor.layout
     traces: list[Trace] = []
+    memory = layout.initial_memory()
+    actions: list[TraceAction] = []
+    #: id(state) -> (state, state run to its next visible action, action).
+    probes: dict[int, tuple[ThreadState, ThreadState, Optional[PendingAction]]] = {}
 
-    def dfs(
-        memory: dict[int, int],
-        threads: list[ThreadState],
-        actions: list[TraceAction],
-    ) -> None:
-        if len(traces) >= max_traces:
-            return
-        progressed = False
-        for i, ts in enumerate(threads):
-            if ts.done:
+    def probe(ts: ThreadState) -> tuple[ThreadState, Optional[PendingAction]]:
+        entry = probes.get(id(ts))
+        if entry is None:
+            clone = ts.clone()
+            entry = (ts, clone, executor.next_action(clone, max_steps_per_thread))
+            probes[id(ts)] = entry
+        return entry[1], entry[2]
+
+    root = _Node(tuple(executor.start_all()), 0)
+    if max_traces <= 0:
+        return traces
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        threads = node.threads
+        child: Optional[_Node] = None
+        while node.next < len(threads) and child is None:
+            i = node.next
+            node.next += 1
+            ts = threads[i]
+            if ts.done or (schedule_filter is not None and not schedule_filter(i)):
                 continue
-            if schedule_filter is not None and not schedule_filter(i):
-                continue
-            new_threads = [t.clone() for t in threads]
-            new_memory = dict(memory)
-            clone = new_threads[i]
-            pending = executor.next_action(clone, max_steps_per_thread)
-            if pending is None:
-                dfs(new_memory, new_threads, actions)
-                progressed = True
-                continue
-            new_actions = list(actions)
-            if len(new_actions) >= max_actions:
-                traces.append(
-                    Trace(
-                        new_actions,
-                        make_outcome(layout, new_memory, new_threads),
-                        complete=False,
+            ready, pending = probe(ts)
+            if pending is not None and len(actions) >= max_actions:
+                if len(traces) < max_traces:
+                    stepped = threads[:i] + (ready,) + threads[i + 1 :]
+                    traces.append(
+                        Trace(
+                            list(actions),
+                            make_outcome(layout, memory, stepped),
+                            complete=False,
+                        )
                     )
-                )
-                return
-            index = len(new_actions)
+                node.progressed = True  # no complete trace ends here
+                break
+            node.progressed = True
+            if len(traces) >= max_traces:
+                continue  # the child would end at once
+            if pending is None:
+                # The thread finished without another visible action.
+                child = _Node(threads[:i] + (ready,) + threads[i + 1 :], len(actions))
+                continue
+            clone = ready.clone()
+            child = _Node(threads[:i] + (clone,) + threads[i + 1 :], len(actions), clone)
+            index = len(actions)
+            addr = pending.addr
             if pending.kind == "load":
-                value = new_memory.get(pending.addr, 0)
-                new_actions.append(
-                    TraceAction(index, clone.tid, False, pending.addr, value, pending.inst)
-                )
+                value = memory.get(addr, 0)
+                actions.append(TraceAction(index, clone.tid, False, addr, value, pending.inst))
                 executor.commit(clone, pending, value)
             elif pending.kind == "store":
-                new_memory[pending.addr] = pending.value
-                new_actions.append(
-                    TraceAction(
-                        index, clone.tid, True, pending.addr, pending.value, pending.inst
-                    )
+                child.save(memory, addr)
+                memory[addr] = pending.value
+                actions.append(
+                    TraceAction(index, clone.tid, True, addr, pending.value, pending.inst)
                 )
                 executor.commit(clone, pending)
             elif pending.kind == "rmw":
-                old = new_memory.get(pending.addr, 0)
+                old = memory.get(addr, 0)
                 result, new = pending.rmw_result(old)
-                new_actions.append(
-                    TraceAction(index, clone.tid, False, pending.addr, old, pending.inst)
-                )
+                actions.append(TraceAction(index, clone.tid, False, addr, old, pending.inst))
                 if new is not None:
-                    new_memory[pending.addr] = new
-                    new_actions.append(
-                        TraceAction(
-                            index + 1, clone.tid, True, pending.addr, new, pending.inst
-                        )
+                    child.save(memory, addr)
+                    memory[addr] = new
+                    actions.append(
+                        TraceAction(index + 1, clone.tid, True, addr, new, pending.inst)
                     )
                 executor.commit(clone, pending, result)
             else:  # fence
                 executor.commit(clone, pending)
-            dfs(new_memory, new_threads, new_actions)
-            progressed = True
-        if not progressed and len(traces) < max_traces:
+        if child is not None:
+            stack.append(child)
+            continue
+        if not node.progressed and len(traces) < max_traces:
             traces.append(
-                Trace(
-                    list(actions),
-                    make_outcome(layout, memory, threads),
-                    complete=True,
-                )
+                Trace(list(actions), make_outcome(layout, memory, threads), complete=True)
             )
-
-    dfs(layout.initial_memory(), executor.start_all(), [])
+        stack.pop()
+        node.undo(memory, actions, probes)
     return traces

@@ -7,6 +7,7 @@ dispatch table, and the ``repro lint`` exit-code gate.
 """
 
 import json
+import time
 
 import pytest
 
@@ -118,6 +119,16 @@ def test_lint_detector_gap_records_fuzz_seed(session):
     session.lint(LintRequest(program=spec))
     assert seed_count() == 1
     clear_seeds()
+
+
+def test_lint_confirms_along_a_trace_longer_than_the_recursion_limit(session):
+    started = time.perf_counter()
+    report = session.lint(
+        LintRequest(program=ProgramSpec.corpus("fft"), max_traces=1, max_actions=3000)
+    )
+    assert time.perf_counter() - started < 30
+    assert report.traces_checked == 1
+    assert report.explorer_complete is False
 
 
 def test_lint_report_wire_round_trip(session):
