@@ -1,17 +1,17 @@
-"""Serving-layer load benchmark: threaded daemon vs worker cluster.
+"""Serving-layer load benchmark: one worker vs a worker cluster.
 
 Drives ``repro serve`` the way a fleet would: N concurrent JSON-lines
 clients, each cycling through M corpus programs with a warm-edit mix
 (steady-state repeats plus periodic inline source edits under the same
 program name, so requests stay pinned to their warm shard). The same
-load runs against both serving modes —
+load runs against two cluster sizes —
 
-* ``--workers 0``: the single-process threaded daemon (baseline; every
-  request contends for one GIL), and
+* ``--workers 1``: a single analysis process (baseline; every request
+  queues behind one worker), and
 * ``--workers N``: the sharded multi-process cluster,
 
-and the artifact records per-mode throughput and latency percentiles
-(p50/p95/p99) plus the cluster/threaded speedup. Timings are
+and the artifact records per-size throughput and latency percentiles
+(p50/p95/p99) plus the N-worker/1-worker speedup. Timings are
 machine-dependent, so the committed ``BENCH_serve.json`` is a record,
 not a replay gate; CI regenerates it on a fixed budget and enforces
 ``--min-speedup`` on a known multi-core runner::
@@ -181,15 +181,15 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the JSON artifact here")
     parser.add_argument("--min-speedup", type=float, default=0.0,
                         help="fail unless cluster throughput is at least "
-                             "this multiple of the threaded baseline")
+                             "this multiple of the one-worker baseline")
     args = parser.parse_args(argv)
 
     programs = tuple(args.programs)
-    threaded = run_load(0, args.clients, args.requests, programs)
+    single = run_load(1, args.clients, args.requests, programs)
     cluster = run_load(args.workers, args.clients, args.requests, programs)
     speedup = (
-        cluster["throughput_rps"] / threaded["throughput_rps"]
-        if threaded["throughput_rps"] else 0.0
+        cluster["throughput_rps"] / single["throughput_rps"]
+        if single["throughput_rps"] else 0.0
     )
     report = {
         "config": {
@@ -200,14 +200,14 @@ def main(argv: list[str] | None = None) -> int:
             "cpus": os.cpu_count(),
             "python": sys.version.split()[0],
         },
-        "modes": {"threaded": threaded, "cluster": cluster},
+        "modes": {"single": single, "cluster": cluster},
         "speedup": round(speedup, 2),
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
-    if threaded["errors"] or cluster["errors"]:
+    if single["errors"] or cluster["errors"]:
         print("FAIL: load run answered errors", file=sys.stderr)
         return 1
     if args.min_speedup and speedup < args.min_speedup:

@@ -21,9 +21,7 @@ The stable public surface is :mod:`repro.api`::
     artifact = report.to_json()   # schema-versioned, round-trips exactly
 
 See ``examples/quickstart.py`` for the runnable walkthrough and
-``repro.experiments`` for the paper's tables and figures. The
-pre-facade conveniences ``repro.analyze_program`` / ``repro.place_fences``
-still work but are deprecated shims that warn once.
+``repro.experiments`` for the paper's tables and figures.
 """
 
 from repro.api import ProgramSpec, Session
@@ -69,21 +67,9 @@ __all__ = [
     "TSOSimulator",
     "Variant",
     "X86_TSO",
-    "analyze_program",
     "compile_source",
     "detect_acquires",
     "detect_acquires_interprocedural",
-    "place_fences",
     "signature_breakdown",
     "simulate",
 ]
-
-
-def __getattr__(name: str):
-    # Deprecated one-call conveniences: kept as warn-once shims that
-    # delegate to exactly what the repro.api facade runs.
-    if name in ("analyze_program", "place_fences"):
-        from repro.api import _compat
-
-        return getattr(_compat, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,12 +20,17 @@ Two API levels:
   ``timed_simulation`` operate on IR ``Program`` objects with the
   session's shared analysis context; the experiments and examples use
   these for in-process composition.
+
+A session belongs to one thread: it holds no locks, and nothing in it
+is safe to share across threads. Serving concurrency comes from worker
+processes instead — ``repro serve --workers N`` gives each worker its
+own session (see :mod:`repro.cluster`).
 """
 
 from __future__ import annotations
 
-import threading
 import time
+from typing import NamedTuple
 
 from repro.core.machine_models import MemoryModel
 from repro.core.pipeline import PipelineVariant, ProgramAnalysis
@@ -58,11 +63,23 @@ from repro.api.reports import (
 )
 
 
+class _Cached(NamedTuple):
+    """One session cache entry: a program's analysis context, plus the
+    ``(name, manual_fences)`` key and source a wire-loaded program was
+    compiled from (both ``None`` for an ad-hoc :meth:`Session.context`
+    program)."""
+
+    context: AnalysisContext
+    key: tuple[str, bool] | None = None
+    source: str | None = None
+
+
 class Session:
     """A configured analysis session (see module docstring).
 
     ``variant`` and ``model`` are the registry-key defaults used when a
     mid-level call does not name one; requests always carry their own.
+    A session is single-threaded: use one per thread or process.
     """
 
     def __init__(
@@ -88,31 +105,21 @@ class Session:
         #: Directory for the engine's persistent query cache (fact
         #: results keyed by content fingerprint survive the session).
         self.query_cache_dir = query_cache_dir
-        # Identity-keyed per-program fact cache, LRU-bounded so a
-        # long-lived session serving many one-shot requests does not
-        # retain every compiled program it ever saw. The lock makes
-        # insert/evict/forget safe under concurrent `serve` requests.
-        self._contexts: dict[Program, AnalysisContext] = {}
+        # One identity-keyed, LRU-bounded cache of compiled programs
+        # and their contexts, so a long-lived session serving many
+        # one-shot requests does not retain every program it ever saw.
+        # Wire requests for the same (name, manual_fences) resolve to
+        # the *same* Program object — and therefore the same warm
+        # context. An edited source is spliced function-by-function
+        # (see _adopt_source), so re-analysis over the wire touches
+        # only the changed functions' query subgraphs.
+        self._contexts: dict[Program, _Cached] = {}
         self._context_cap = 32
-        # Compiled-program cache keyed by (name, manual_fences): wire
-        # requests for the same program resolve to the *same* Program
-        # object — and therefore the same warm context. An edited
-        # source is spliced function-by-function (see _adopt_source),
-        # so re-analysis over the wire touches only the changed
-        # functions' query subgraphs.
-        self._programs: dict[
-            tuple[str, bool], tuple[str, Program, AnalysisContext]
-        ] = {}
         self._batch_runner = None
-        self._lock = threading.RLock()
-        # Batch runs share one BatchRunner (whose used_pool flag and
-        # result cache are per-run state): serialize them.
-        self._batch_lock = threading.Lock()
         self._requests: dict[str, int] = {}
 
     def _count(self, kind: str) -> None:
-        with self._lock:
-            self._requests[kind] = self._requests.get(kind, 0) + 1
+        self._requests[kind] = self._requests.get(kind, 0) + 1
 
     # --- program loading --------------------------------------------------
     def load(self, program: ProgramSpec | Program, reuse: bool = True) -> Program:
@@ -133,81 +140,34 @@ class Session:
     def _load_spec(
         self, spec: ProgramSpec, reuse: bool
     ) -> tuple[Program, AnalysisContext, str]:
-        """Resolve/compile ``spec``; returns (program, its *pinned*
-        context, resolved source). The context is the one stored with
-        the cache entry, so request-span locking stays meaningful even
-        if the context LRU churns meanwhile."""
+        """Resolve/compile ``spec``; returns (program, its context,
+        resolved source)."""
         resolved = resolve_spec(spec)
-        if not reuse:
-            ir = compile_source(
+
+        def compile_fresh() -> Program:
+            return compile_source(
                 resolved.source, resolved.name,
                 include_manual_fences=spec.manual_fences,
             )
+
+        if not reuse:
+            ir = compile_fresh()
             return ir, self.context(ir), resolved.source
         key = (resolved.name, spec.manual_fences)
-        with self._lock:
-            cached = self._programs.get(key)
-            if cached is not None and cached[0] == resolved.source:
-                self._programs.pop(key)
-                self._programs[key] = cached  # LRU re-insert
-                self.context(cached[1])
-                return cached[1], cached[2], resolved.source
-        # Compile outside the lock: one client loading a large program
-        # must not stall every other client's requests.
-        fresh = compile_source(
-            resolved.source, resolved.name,
-            include_manual_fences=spec.manual_fences,
+        program = next(
+            (ir for ir, cached in self._contexts.items() if cached.key == key),
+            None,
         )
-        with self._lock:
-            cached = self._programs.get(key)
-            if cached is not None and cached[0] == resolved.source:
-                self.context(cached[1])  # another thread won the race
-                return cached[1], cached[2], resolved.source
-            if cached is not None:
-                # Pull the entry out before splicing: threads loading
-                # the same name meanwhile fall back to fresh compiles.
-                del self._programs[key]
-            else:
-                ctx = self._store_program(key, resolved.source, fresh)
-                return fresh, ctx, resolved.source
-        # Splice outside the session lock, but under the program's
-        # pinned request lock so no in-flight analysis sees a half-edit.
-        target_ctx = cached[2]
-        with target_ctx.request_lock:
-            ir = self._adopt_source(target_ctx, cached[1], fresh)
-        with self._lock:
-            self._store_program(key, resolved.source, ir, ctx=target_ctx)
-        return ir, target_ctx, resolved.source
-
-    def _store_program(
-        self,
-        key,
-        source: str,
-        ir: Program,
-        ctx: AnalysisContext | None = None,
-    ) -> AnalysisContext:
-        """LRU-insert under the already-held session lock. Pass ``ctx``
-        when the caller already owns the program's live context (the
-        splice path) — looking it up again could mint a *second*
-        context if the LRU churned the old one out meanwhile."""
-        if ctx is None:
-            ctx = self.context(ir)
+        if program is None:
+            program = compile_fresh()
+            context = AnalysisContext(program, cache_dir=self.query_cache_dir)
+            entry = _Cached(context, key, resolved.source)
         else:
-            self._insert_context(ir, ctx)
-        self._programs.pop(key, None)
-        while len(self._programs) >= self._context_cap:
-            self._programs.pop(next(iter(self._programs)))
-        self._programs[key] = (source, ir, ctx)
-        return ctx
-
-    def _still_cached(self, program: Program, source: str) -> bool:
-        """Is ``program`` still the cache's compile of ``source``?
-        (False when a concurrent edit spliced or evicted it.)"""
-        with self._lock:
-            for cached_source, ir, _ in self._programs.values():
-                if ir is program:
-                    return cached_source == source
-        return False
+            entry = self._contexts[program]
+            if entry.source != resolved.source:
+                self._adopt_source(entry.context, program, compile_fresh())
+                entry = entry._replace(source=resolved.source)
+        return program, self._insert(program, entry), resolved.source
 
     def _adopt_source(
         self, context: AnalysisContext, cached: Program, fresh: Program
@@ -248,40 +208,32 @@ class Session:
 
     def context(self, program: Program) -> AnalysisContext:
         """The session's shared (memoized) facts for ``program``."""
-        with self._lock:
-            ctx = self._contexts.pop(program, None)
-            if ctx is None:
-                # A source-cached program keeps its pinned context even
-                # after LRU churn: an in-flight request's locks and
-                # collectors must keep pointing at the live one.
-                for _, ir, pinned in self._programs.values():
-                    if ir is program:
-                        ctx = pinned
-                        break
-            if ctx is None:
-                ctx = AnalysisContext(program, cache_dir=self.query_cache_dir)
-            return self._insert_context(program, ctx)
+        entry = self._contexts.get(program)
+        if entry is None:
+            entry = _Cached(
+                AnalysisContext(program, cache_dir=self.query_cache_dir)
+            )
+        return self._insert(program, entry)
 
-    def _insert_context(self, program: Program, ctx: AnalysisContext) -> AnalysisContext:
-        """(Re)insert as most recent; caller holds the session lock."""
+    def _insert(self, program: Program, entry: _Cached) -> AnalysisContext:
+        """(Re)insert ``entry`` as the most recent, evicting down to the
+        cap. Ad-hoc contexts are evicted first, so churn through
+        :meth:`context` never cools a wire-loaded program."""
         self._contexts.pop(program, None)
         while len(self._contexts) >= self._context_cap:
-            self._contexts.pop(next(iter(self._contexts)))
-        self._contexts[program] = ctx
-        return ctx
+            victim = next(
+                (ir for ir, cached in self._contexts.items() if cached.key is None),
+                next(iter(self._contexts)),
+            )
+            del self._contexts[victim]
+        self._contexts[program] = entry
+        return entry.context
 
     def forget(self, program: Program) -> None:
-        """Drop the context for ``program`` (stale after IR mutation).
-
-        Also evicts any source-cache entry pinning it, so the next
-        ``context()``/``load()`` really starts fresh. (For in-place
-        edits, :meth:`refresh` is the cheaper, incremental choice.)
-        """
-        with self._lock:
-            self._contexts.pop(program, None)
-            for key, (_, ir, _ctx) in list(self._programs.items()):
-                if ir is program:
-                    del self._programs[key]
+        """Drop ``program``'s context (stale after IR mutation), so the
+        next ``context()``/``load()`` really starts fresh. (For in-place
+        edits, :meth:`refresh` is the cheaper, incremental choice.)"""
+        self._contexts.pop(program, None)
 
     def refresh(self, program: Program) -> tuple[str, ...]:
         """Revalidate ``program``'s facts after in-place IR edits: the
@@ -299,13 +251,10 @@ class Session:
         maps the observability layer samples) key-wise; v1 dropped
         every non-int entry.
         """
-        with self._lock:
-            contexts = list(self._contexts.values())
-            requests = dict(self._requests)
+        contexts = [entry.context for entry in self._contexts.values()]
         query_totals: dict[str, object] = {}
         for ctx in contexts:
-            with ctx.engine.lock:  # stable copy under concurrent writers
-                payload = ctx.engine.stats.to_payload()
+            payload = ctx.engine.stats.to_payload()
             for name, value in payload.items():
                 if isinstance(value, int):
                     query_totals[name] = query_totals.get(name, 0) + value
@@ -321,7 +270,7 @@ class Session:
         attempts = restored + computes
         return {
             "stats_version": 2,
-            "requests": requests,
+            "requests": dict(self._requests),
             "contexts": len(contexts),
             "context_cap": self._context_cap,
             "context_stats": {
@@ -356,9 +305,8 @@ class Session:
         context: AnalysisContext | None = None,
     ) -> ProgramAnalysis:
         """Run a variant's pipeline on ``program`` (no IR mutation),
-        sharing the session's analysis context. Callers holding a
-        pinned context (the wire layer) pass it explicitly so a cache
-        churn mid-request cannot swap it out underneath them."""
+        sharing the session's analysis context (or ``context``, when
+        the caller already holds it)."""
         entry = get_variant(self._variant_key(variant))
         inter = self.interprocedural if interprocedural is None else interprocedural
         ctx = context if context is not None else self.context(program)
@@ -386,20 +334,17 @@ class Session:
         inter = self.interprocedural if interprocedural is None else interprocedural
         if context is None:
             context = self.context(program)
-        # Exclude concurrent requests on this program for the whole
-        # mutation, and evict it from the source-keyed cache *before*
-        # inserting fences — a parallel load() of the same source must
-        # compile clean IR, never see the half-fenced shared program.
-        with context.request_lock:
-            with self._lock:
-                for key, (_, cached, _ctx) in list(self._programs.items()):
-                    if cached is program:
-                        del self._programs[key]
-            return entry.place(
-                program, self._machine(model),
-                context=context, interprocedural=inter, backend=backend,
-                synthesis=synthesis,
-            )
+        # Fence insertion mutates ``program``: demote a wire-loaded
+        # entry to an ad-hoc one (its context stays valid), so a later
+        # load() of the same source compiles clean IR.
+        cached = self._contexts.get(program)
+        if cached is not None and cached.key is not None:
+            self._contexts[program] = _Cached(cached.context)
+        return entry.place(
+            program, self._machine(model),
+            context=context, interprocedural=inter, backend=backend,
+            synthesis=synthesis,
+        )
 
     def explore(
         self,
@@ -457,32 +402,22 @@ class Session:
             else self.interprocedural
         )
         # emit_ir inserts fences: a private compile (reuse=False) keeps
-        # the shared warm program unmutated. Warm loads re-validate
-        # under the program's pinned request lock: a concurrent edit of
-        # the same program name splices the shared IR, and this request
-        # must not answer with the other client's source.
+        # the shared warm program unmutated.
         reuse = not request.emit_ir
-        attempts = 0
-        while True:
-            attempts += 1
-            if attempts > 4:
-                reuse = False  # racing edits: fall back to private IR
-            program, context, source = self._load_spec(request.program, reuse)
-            with context.request_lock, context.collect_stats() as recorded:
-                if reuse and not self._still_cached(program, source):
-                    continue
-                if request.emit_ir:
-                    analysis = self.place(
-                        program, request.variant, request.model,
-                        interprocedural=interprocedural, context=context,
-                        backend=backend, synthesis=synthesis,
-                    )
-                else:
-                    analysis = self.analysis(
-                        program, request.variant, request.model,
-                        interprocedural=interprocedural, context=context,
-                    )
-                break
+        program, context, _ = self._load_spec(request.program, reuse)
+        before = context.stats.snapshot()
+        if request.emit_ir:
+            analysis = self.place(
+                program, request.variant, request.model,
+                interprocedural=interprocedural, context=context,
+                backend=backend, synthesis=synthesis,
+            )
+        else:
+            analysis = self.analysis(
+                program, request.variant, request.model,
+                interprocedural=interprocedural, context=context,
+            )
+        recorded = context.stats.since(before)
         annotations = None
         if request.annotations:
             from repro.core.annotations import (
@@ -502,13 +437,13 @@ class Session:
             self.forget(program)
         cache_stats = None
         if request.stats:
-            # This request's own counters (thread-local collector): a
-            # warm shared context shows up as all-hits, a cold one as
-            # the full fact-construction bill.
+            # This request's own counters: a warm shared context shows
+            # up as all-hits, a cold one as the full fact-construction
+            # bill.
             cache_stats = CacheStats(
                 hits=recorded.hits,
                 misses=recorded.misses,
-                by_fact=dict(recorded.by_fact),
+                by_fact=recorded.by_fact,
             )
         fence_cost = None
         flavors = None
@@ -580,35 +515,24 @@ class Session:
         backend = self._backend(request.arch)
         # Lint never mutates the IR, so it always runs on the shared
         # warm program: a re-lint after an edit recomputes only the
-        # spliced functions' query subgraphs. Same retry discipline as
-        # analyze() against concurrent edits of the same program name.
-        attempts = 0
-        while True:
-            attempts += 1
-            reuse = attempts <= 4
-            program, context, source = self._load_spec(request.program, reuse)
-            with context.request_lock:
-                if reuse and not self._still_cached(program, source):
-                    continue
-                # Lint facts flow through engine.get (not the context's
-                # _fact recorder), so meter the query engine itself:
-                # hits = memo hits, misses = real recomputes.
-                before = context.engine.stats.to_payload()
-                result = run_lint(
-                    program,
-                    context,
-                    variant=request.variant,
-                    model=machine,
-                    arch=backend,
-                    passes=tuple(request.passes),
-                    confirm=request.confirm,
-                    max_traces=request.max_traces,
-                    max_actions=request.max_actions,
-                )
-                after = context.engine.stats.to_payload()
-                break
-        if not reuse:
-            self.forget(program)
+        # spliced functions' query subgraphs.
+        program, context, source = self._load_spec(request.program, reuse=True)
+        # Lint facts flow through engine.get (not the context's _fact
+        # recorder), so meter the query engine itself: hits = memo
+        # hits, misses = real recomputes.
+        before = context.engine.stats.to_payload()
+        result = run_lint(
+            program,
+            context,
+            variant=request.variant,
+            model=machine,
+            arch=backend,
+            passes=tuple(request.passes),
+            confirm=request.confirm,
+            max_traces=request.max_traces,
+            max_actions=request.max_actions,
+        )
+        after = context.engine.stats.to_payload()
         fuzz_seed = None
         if result.fuzz_seed:
             from repro.validate.seeds import record_seed
@@ -813,24 +737,22 @@ class Session:
             get_program(name)  # KeyError("unknown program ...") early
         variants = list(request.variants) if request.variants else None
         models = list(request.models) if request.models else None
-        with self._lock:
-            if self._batch_runner is None:
-                cache = ResultCache(self.cache_dir) if self.cache_dir else None
-                self._batch_runner = BatchRunner(
-                    max_workers=self.jobs, parallel=self.parallel, cache=cache
-                )
-            runner = self._batch_runner
+        if self._batch_runner is None:
+            cache = ResultCache(self.cache_dir) if self.cache_dir else None
+            self._batch_runner = BatchRunner(
+                max_workers=self.jobs, parallel=self.parallel, cache=cache
+            )
+        runner = self._batch_runner
         if request.arch is not None:
             self._backend(request.arch)  # unknown arch: KeyError early
         synthesis = self._check_synthesis(request.synthesis)
-        with self._batch_lock:
-            start = time.perf_counter()
-            results = runner.run_matrix(
-                programs, variants, models, arch=request.arch,
-                synthesis=synthesis,
-            )
-            wall = time.perf_counter() - start
-            used_pool = runner.used_pool
+        start = time.perf_counter()
+        results = runner.run_matrix(
+            programs, variants, models, arch=request.arch,
+            synthesis=synthesis,
+        )
+        wall = time.perf_counter() - start
+        used_pool = runner.used_pool
         cache_stats = None
         if request.stats:
             # Only cells analyzed *this run*: result-cache replays kept

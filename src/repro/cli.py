@@ -25,11 +25,11 @@ Commands:
 * ``models``           — list the memory-model registry (key, display,
   checkable, arch backend)
 * ``report FILE``      — pretty-print or diff any serialized report
-* ``serve``            — long-lived JSON-lines analysis service: with
-  ``--workers N`` a sharded multi-process cluster (consistent-hash
-  routing, shared artifact store, backpressure + deadlines), with
-  ``--workers 0`` the single-process threaded daemon, with ``--stdio``
-  a one-client subprocess loop — all answering byte-identical reports
+* ``serve``            — long-lived JSON-lines analysis service: a
+  sharded cluster of ``--workers N`` (N >= 1) analysis processes
+  (consistent-hash routing, shared artifact store, backpressure +
+  deadlines), or with ``--stdio`` a one-client in-process loop — both
+  answering byte-identical reports
 """
 
 from __future__ import annotations
@@ -358,10 +358,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
     import json
     import os
-    import signal
-    import threading
+
+    from repro.cluster import ClusterConfig, ClusterServer
 
     session_config = {
         "jobs": args.jobs,
@@ -380,95 +381,56 @@ def cmd_serve(args: argparse.Namespace) -> int:
         with _tracing(args.trace):
             return serve_stdio(Session(**session_config))
 
-    workers = args.workers
-    if workers is None:
-        workers = os.cpu_count() or 1
+    workers = args.workers if args.workers is not None else os.cpu_count() or 1
+    config = ClusterConfig(
+        workers=workers,
+        queue_limit=args.queue_limit,
+        request_timeout=args.request_timeout or None,
+        drain_timeout=args.drain_timeout,
+        artifact_dir=args.query_cache_dir,
+        session=session_config,
+        trace=args.trace is not None,
+        slow_query=args.slow_query,
+    )
+    cluster = ClusterServer(host=args.host, port=args.port, config=config)
 
-    if workers > 0:
-        import asyncio
-
-        from repro.cluster import ClusterConfig, ClusterServer
-
-        config = ClusterConfig(
-            workers=workers,
-            queue_limit=args.queue_limit,
-            request_timeout=args.request_timeout or None,
-            drain_timeout=args.drain_timeout,
-            artifact_dir=args.query_cache_dir,
-            session=session_config,
-            trace=args.trace is not None,
-            slow_query=args.slow_query,
-        )
-        cluster = ClusterServer(host=args.host, port=args.port, config=config)
-
-        def announce(server) -> None:
-            # The announcement is itself a protocol line, so scripted
-            # clients read the ephemeral port without parsing prose.
-            print(
-                json.dumps(
-                    {
-                        "ok": True,
-                        "serving": {
-                            "host": server.host,
-                            "port": server.port,
-                            "workers": workers,
-                        },
+    def announce(server) -> None:
+        # The announcement is itself a protocol line, so scripted
+        # clients read the ephemeral port without parsing prose.
+        print(
+            json.dumps(
+                {
+                    "ok": True,
+                    "serving": {
+                        "host": server.host,
+                        "port": server.port,
+                        "workers": workers,
                     },
-                    sort_keys=True,
-                ),
-                flush=True,
-            )
-
-        with _tracing(args.trace):
-            try:
-                return asyncio.run(
-                    cluster.run(on_ready=announce, install_signals=True)
-                )
-            except KeyboardInterrupt:  # pragma: no cover - signal race
-                return 0
-
-    from repro.serve import ReproServer
-
-    if args.trace is not None:
-        from repro.obs import trace as obs_trace
-
-        obs_trace.enable()
-    server = ReproServer(
-        Session(**session_config), host=args.host, port=args.port
-    )
-    if threading.current_thread() is threading.main_thread():
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(signum, lambda *_: server.request_drain())
-    print(
-        json.dumps(
-            {
-                "ok": True,
-                "serving": {
-                    "host": server.host,
-                    "port": server.port,
-                    "workers": 0,
                 },
-            },
-            sort_keys=True,
-        ),
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - pre-handler race
-        server.request_drain()
-    finally:
-        # In-flight requests finish answering (bounded) before exit 0.
-        server.drain(args.drain_timeout)
-        server.close()
-        if args.trace is not None:
-            from repro.obs import trace as obs_trace
+                sort_keys=True,
+            ),
+            flush=True,
+        )
 
-            tracer = obs_trace.disable()
-            if tracer is not None:
-                obs_trace.export_chrome(args.trace, tracer.events())
-                print(f"trace written to {args.trace}", file=sys.stderr)
-    return 0
+    with _tracing(args.trace):
+        try:
+            return asyncio.run(cluster.run(on_ready=announce, install_signals=True))
+        except KeyboardInterrupt:  # pragma: no cover - signal race
+            return 0
+
+
+def _worker_count(text: str) -> int:
+    """``serve --workers``: a cluster size, at least one process."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}; "
+            "use --stdio to serve in-process"
+        )
+    return count
 
 
 def cmd_obs(args: argparse.Namespace) -> int:
@@ -724,10 +686,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stdio", action="store_true",
                    help="serve a single client over stdin/stdout instead "
                         "of a socket (for subprocess embedding)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="analysis worker processes: N>0 runs the sharded "
-                        "multi-process cluster, 0 the single-process "
-                        "threaded daemon (default: the CPU count)")
+    p.add_argument("--workers", type=_worker_count, default=None,
+                   help="analysis worker processes in the sharded cluster, "
+                        "at least 1 (default: the CPU count); --stdio "
+                        "serves in-process instead")
     p.add_argument("--queue-limit", type=int, default=64,
                    help="max outstanding requests per worker before new "
                         "ones are refused with an 'overloaded' error")

@@ -23,8 +23,8 @@ schema-versioned ``*Request`` envelopes, unchanged), and a pool of
   closes the worker links (EOF is the workers' shutdown signal), and
   exits 0.
 
-Responses are byte-identical to the threaded daemon and one-shot CLI:
-workers run the very same ``ServeDispatcher``.
+Responses are byte-identical to ``repro serve --stdio`` and the
+one-shot CLI: workers run the very same ``ServeDispatcher``.
 """
 
 from __future__ import annotations

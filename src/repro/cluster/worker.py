@@ -1,4 +1,4 @@
-"""One analysis worker: a process owning a warm, thread-safe Session.
+"""One analysis worker: a process owning one warm, single-threaded Session.
 
 A worker dials the frontend's internal listener, introduces itself
 with a ``hello`` frame (worker id + shared-secret token + pid), then
@@ -9,9 +9,9 @@ own interpreter.
 
 Request frames carry the exact JSON-lines payloads clients send, and
 responses are produced by the same
-:class:`~repro.serve.server.ServeDispatcher` the threaded daemon uses
-— so cluster-path reports are byte-identical to one-shot CLI reports
-by construction, not by re-implementation.
+:class:`~repro.serve.server.ServeDispatcher` that ``repro serve
+--stdio`` drives — so cluster-path reports are byte-identical to
+one-shot CLI reports by construction, not by re-implementation.
 
 ``run_worker`` is transport-agnostic (any connected socket), so tests
 drive a worker in-process over a socketpair; ``worker_main`` is the

@@ -43,16 +43,6 @@ class PipelineVariant(enum.Enum):
     ADDRESS_CONTROL = "address+control"
 
 
-def __getattr__(name: str):
-    # Deprecated: the CLI-facing name -> variant dict moved into the
-    # detection-variant registry (repro.registry.variants).
-    if name == "VARIANTS_BY_VALUE":
-        from repro.api._compat import variants_by_value
-
-        return variants_by_value()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass
 class FunctionAnalysis:
     """Everything the pipeline computed for one function."""

@@ -217,18 +217,11 @@ def _execute_cell(job: BatchJob, ir, context) -> BatchResult:
 
 
 def _run_cell(job: BatchJob, ir, context, start: float) -> BatchResult:
-    from contextlib import nullcontext
-
-    recording = (
-        context.collect_stats() if context is not None else nullcontext(None)
+    before = context.stats.snapshot()
+    analysis = get_variant(job.variant).analyze(
+        ir, get_model(job.model).model, context=context
     )
-    with recording as recorded:
-        analysis = get_variant(job.variant).analyze(
-            ir, get_model(job.model).model, context=context
-        )
-    context_hits = recorded.hits if recorded is not None else 0
-    context_misses = recorded.misses if recorded is not None else 0
-    context_by_fact = dict(recorded.by_fact) if recorded is not None else {}
+    recorded = context.stats.since(before)
     functions = tuple(
         FunctionResult(
             name=name,
@@ -280,9 +273,9 @@ def _run_cell(job: BatchJob, ir, context, start: float) -> BatchResult:
         functions=functions,
         ordering_kinds=kinds,
         elapsed=elapsed,
-        context_hits=context_hits,
-        context_misses=context_misses,
-        context_by_fact=context_by_fact,
+        context_hits=recorded.hits,
+        context_misses=recorded.misses,
+        context_by_fact=recorded.by_fact,
         fence_cost=fence_cost,
         flavors=flavors,
         greedy_cost=greedy_cost,

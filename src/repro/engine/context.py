@@ -29,8 +29,6 @@ Table-II kernels) work too, but whole-program facts require a program.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -62,6 +60,22 @@ class ContextStats:
             self.misses += 1
             self.by_fact[fact] = self.by_fact.get(fact, 0) + 1
 
+    def snapshot(self) -> "ContextStats":
+        return ContextStats(self.hits, self.misses, dict(self.by_fact))
+
+    def since(self, before: "ContextStats") -> "ContextStats":
+        """What was recorded after ``before`` (an earlier
+        :meth:`snapshot`): one request's own counters."""
+        return ContextStats(
+            self.hits - before.hits,
+            self.misses - before.misses,
+            {
+                fact: count - before.by_fact.get(fact, 0)
+                for fact, count in self.by_fact.items()
+                if count != before.by_fact.get(fact, 0)
+            },
+        )
+
 
 class AnalysisContext:
     """Lazily computed, memoized per-function analysis facts.
@@ -80,33 +94,13 @@ class AnalysisContext:
         self.stats = ContextStats()
         self.engine = QueryEngine(program=program, cache_dir=cache_dir)
         self.engine.context = self
-        self._local = threading.local()
-        # Request-span exclusion: a whole analysis holds this while
-        # structural edits (program splicing) also take it, so an
-        # in-flight request never observes a half-spliced program.
-        self.request_lock = threading.RLock()
 
     def adopt_engine(self, engine: QueryEngine) -> "AnalysisContext":
         """Wire this (possibly bare) facade onto an existing engine."""
         self.stats = ContextStats()
         self.engine = engine
         engine.context = self
-        self._local = threading.local()
-        self.request_lock = threading.RLock()
         return self
-
-    @contextmanager
-    def collect_stats(self):
-        """Record this thread's fact hits/misses into a private
-        :class:`ContextStats` for the duration — exact per-request
-        counters even while other threads share the context."""
-        previous = getattr(self._local, "collector", None)
-        collector = ContextStats()
-        self._local.collector = collector
-        try:
-            yield collector
-        finally:
-            self._local.collector = previous
 
     @property
     def program(self) -> Program | None:
@@ -118,11 +112,7 @@ class AnalysisContext:
 
     def _fact(self, name: str, key) -> object:
         value, hit = self.engine.lookup(name, key)
-        with self.engine.lock:  # shared counters: no torn increments
-            self.stats.record(name, hit)
-            collector = getattr(self._local, "collector", None)
-            if collector is not None:
-                collector.record(name, hit)
+        self.stats.record(name, hit)
         return value
 
     # --- per-function facts ----------------------------------------------

@@ -1,10 +1,9 @@
 """``repro obs top`` / ``repro obs metrics``: live views over the wire.
 
-Both commands speak the servers' JSON-lines protocol — one ``{"op":
-"metrics"}`` (and, for ``top``, one ``{"op": "stats"}``) per refresh —
-so they work unchanged against the threaded daemon and the cluster
-frontend; the cluster answers with cross-worker-aggregated metrics
-plus per-worker rows.
+Both commands speak ``repro serve``'s JSON-lines protocol — one
+``{"op": "metrics"}`` (and, for ``top``, one ``{"op": "stats"}``) per
+refresh — and the cluster frontend answers with cross-worker-aggregated
+metrics plus per-worker rows.
 
 ``top`` renders a per-op latency table (count, error count, p50/p95/
 p99 from the fixed-bucket histograms) and, against a cluster, a
@@ -61,7 +60,7 @@ def render_ops_table(metrics_payload: dict) -> str | None:
     the frontend's ``repro_cluster_*`` (client-perceived, includes
     queueing) and the workers' ``repro_serve_*`` (dispatch only) — so
     prefer the client-facing family and only fall back to the serve
-    family against the threaded daemon.
+    family for a payload without it (one dispatcher's own registry).
     """
     histograms = metrics_payload.get("histograms") or {}
     counters = metrics_payload.get("counters") or {}

@@ -7,7 +7,7 @@ and monotonic-measured ``dur`` (both in microseconds, the trace_event
 convention). Nesting falls out of the format: Chrome's viewer stacks
 events whose ``ts``/``dur`` ranges contain each other on the same
 ``pid``/``tid`` row, so spans opened inside the query engine's
-thread-local dependency frames nest without any explicit parent ids.
+dependency frames nest without any explicit parent ids.
 
 Disabled — the default — the whole layer is a deterministic no-op:
 :func:`span` reads one module global and returns one shared singleton
@@ -16,9 +16,8 @@ timestamp, no lock. ``tools/check_obs_overhead.py`` holds this path to
 <2% of a cold ``bench_query`` run.
 
 A **trace id** rides a :class:`contextvars.ContextVar`, so it scopes
-correctly under both the threaded server (each request thread has its
-own context) and the asyncio cluster frontend (each task does). The
-frontend stamps the id into the worker request frame; the worker sets
+correctly per task on the asyncio cluster frontend and per request in
+a worker's single-threaded loop. The frontend stamps the id into the worker request frame; the worker sets
 it around dispatch and ships its buffered spans back in the response
 frame, so one client request yields a single coherent flame across
 processes.

@@ -21,10 +21,11 @@ not:
   fingerprint, so a *new* engine (even a new process) restores it
   without recomputing, as long as the input text is unchanged.
 
-The engine is thread-safe: one re-entrant lock serializes evaluation
-(the workload is GIL-bound pure Python, so finer locking buys
-nothing), and the in-flight evaluation stack is thread-local so
-concurrent requests cannot corrupt each other's dependency frames.
+An engine belongs to one thread, like the
+:class:`~repro.api.session.Session` that owns it: the in-flight
+evaluation stack is a plain list, and serving concurrency comes from
+worker processes, each with its own engine (they share only the
+on-disk cache, whose writes are atomic).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import hashlib
 import itertools
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -269,47 +269,31 @@ class QueryEngine:
         #: Back-reference set by the owning AnalysisContext so query
         #: computes can hand consumers the facade they expect.
         self.context: "AnalysisContext | None" = None
-        self._lock = threading.RLock()
-        self._local = threading.local()
+        #: In-flight evaluations, innermost last: (node, deps read so far).
+        self._frames: list[tuple[Node, set]] = []
         self._values: dict[tuple, Any] = {}
         self._deps: dict[tuple, frozenset] = {}
         self._rdeps: dict[Node, set] = {}
         self._fingerprints: dict[Function, str] = {}
         self._shape: str | None = None
 
-    @property
-    def lock(self) -> threading.RLock:
-        """The engine's re-entrant evaluation lock. Hold it across a
-        multi-query span (e.g. one request's whole analysis) when the
-        span's view of the memo counters must be contamination-free."""
-        return self._lock
-
-    # --- dependency frames (thread-local) ---------------------------------
-    def _frames(self) -> list:
-        frames = getattr(self._local, "frames", None)
-        if frames is None:
-            frames = self._local.frames = []
-        return frames
-
+    # --- dependency frames ------------------------------------------------
     def _note(self, node: Node) -> None:
-        frames = self._frames()
-        if frames:
-            frames[-1][1].add(node)
+        if self._frames:
+            self._frames[-1][1].add(node)
 
     def touch_input(self, func: Function) -> None:
         """Record that the in-flight query read ``func``'s content,
         fingerprinting it on first sight."""
-        with self._lock:
-            if func not in self._fingerprints:
-                self._fingerprints[func] = fingerprint_function(func)
-            self._note(("fn", func))
+        if func not in self._fingerprints:
+            self._fingerprints[func] = fingerprint_function(func)
+        self._note(("fn", func))
 
     def touch_shape(self) -> None:
         """Record a read of the program's cross-function structure."""
-        with self._lock:
-            if self._shape is None and self.program is not None:
-                self._shape = fingerprint_program_shape(self.program)
-            self._note(("shape",))
+        if self._shape is None and self.program is not None:
+            self._shape = fingerprint_program_shape(self.program)
+        self._note(("shape",))
 
     # --- evaluation -------------------------------------------------------
     def get(self, name: str, key: Hashable) -> Any:
@@ -322,60 +306,57 @@ class QueryEngine:
         fresh computes both count as misses (they do input work).
         """
         node = (name, key)
-        with self._lock:
-            self.stats.lookups += 1
-            self._note(node)
-            if node in self._values:
-                self.stats.record_hit(name)
-                return self._values[node], True
-            self.stats.record_miss(name)
-            spec = self.registry.get(name)
-            frames = self._frames()
-            if any(frame_node == node for frame_node, _ in frames):
-                raise RuntimeError(f"query cycle at {name!r}")
-            frames.append((node, set()))
-            # The span opens inside this thread's dependency frame, so
-            # nested sub-query spans stack under it in the trace; the
-            # miss path always times itself (the slow-query log works
-            # with tracing off), but key description is skipped unless
-            # someone will read it.
-            eval_span = (
-                obs_trace.span(
-                    "query.eval", cat="query",
-                    query=name, key=describe_key(key),
-                )
-                if obs_trace.enabled()
-                else obs_trace.NOOP_SPAN
+        self.stats.lookups += 1
+        self._note(node)
+        if node in self._values:
+            self.stats.record_hit(name)
+            return self._values[node], True
+        self.stats.record_miss(name)
+        spec = self.registry.get(name)
+        frames = self._frames
+        if any(frame_node == node for frame_node, _ in frames):
+            raise RuntimeError(f"query cycle at {name!r}")
+        frames.append((node, set()))
+        # The span opens inside this query's dependency frame, so
+        # nested sub-query spans stack under it in the trace; the miss
+        # path always times itself (the slow-query log works with
+        # tracing off), but key description is skipped unless someone
+        # will read it.
+        eval_span = (
+            obs_trace.span(
+                "query.eval", cat="query",
+                query=name, key=describe_key(key),
             )
-            started = time.perf_counter()
-            try:
-                with eval_span:
-                    value, restored = self._evaluate(spec, key)
-            finally:
-                _, deps = frames.pop()
-            elapsed = time.perf_counter() - started
-            threshold = obs_trace.SLOW_QUERIES.threshold
-            if threshold is not None and elapsed >= threshold:
-                fingerprint = None
-                if spec.input_of is not None:
-                    with contextlib.suppress(Exception):
-                        fingerprint = self._fingerprints.get(
-                            spec.input_of(key)
-                        )
-                obs_trace.SLOW_QUERIES.note(
-                    query=name, key=describe_key(key),
-                    fingerprint=fingerprint, seconds=elapsed,
-                )
-            self._values[node] = value
-            self._deps[node] = frozenset(deps)
-            for dep in deps:
-                self._rdeps.setdefault(dep, set()).add(node)
-            if restored:
-                self.stats.restored += 1
-            else:
-                self.stats.record_compute(name)
-                self._persist(spec, key, value)
-            return value, False
+            if obs_trace.enabled()
+            else obs_trace.NOOP_SPAN
+        )
+        started = time.perf_counter()
+        try:
+            with eval_span:
+                value, restored = self._evaluate(spec, key)
+        finally:
+            _, deps = frames.pop()
+        elapsed = time.perf_counter() - started
+        threshold = obs_trace.SLOW_QUERIES.threshold
+        if threshold is not None and elapsed >= threshold:
+            fingerprint = None
+            if spec.input_of is not None:
+                with contextlib.suppress(Exception):
+                    fingerprint = self._fingerprints.get(spec.input_of(key))
+            obs_trace.SLOW_QUERIES.note(
+                query=name, key=describe_key(key),
+                fingerprint=fingerprint, seconds=elapsed,
+            )
+        self._values[node] = value
+        self._deps[node] = frozenset(deps)
+        for dep in deps:
+            self._rdeps.setdefault(dep, set()).add(node)
+        if restored:
+            self.stats.restored += 1
+        else:
+            self.stats.record_compute(name)
+            self._persist(spec, key, value)
+        return value, False
 
     def _evaluate(self, spec: QuerySpec, key: Hashable) -> tuple[Any, bool]:
         if self.persistent is not None and spec.persistable:
@@ -406,74 +387,65 @@ class QueryEngine:
 
     # --- introspection ----------------------------------------------------
     def cached(self, name: str, key: Hashable) -> bool:
-        with self._lock:
-            return (name, key) in self._values
+        return (name, key) in self._values
 
     def deps_of(self, name: str, key: Hashable) -> frozenset:
-        with self._lock:
-            return self._deps.get((name, key), frozenset())
+        return self._deps.get((name, key), frozenset())
 
     def known_functions(self) -> tuple[Function, ...]:
-        with self._lock:
-            return tuple(self._fingerprints)
+        return tuple(self._fingerprints)
 
     def fingerprint_of(self, func: Function) -> str | None:
         """The stored input fingerprint, if ``func`` has been queried."""
-        with self._lock:
-            return self._fingerprints.get(func)
+        return self._fingerprints.get(func)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._values)
+        return len(self._values)
 
     # --- invalidation -----------------------------------------------------
     def refresh(self) -> tuple[str, ...]:
         """Re-fingerprint every known input; evict the query subgraph
         of each changed one. Returns the changed functions' names
         (``"<program>"`` for a structure change)."""
-        with self._lock:
-            dirty: list[Node] = []
-            changed: list[str] = []
-            for func, old in list(self._fingerprints.items()):
-                new = fingerprint_function(func)
-                if new != old:
-                    self._fingerprints[func] = new
-                    dirty.append(("fn", func))
-                    changed.append(func.name)
-            if self._shape is not None and self.program is not None:
-                new = fingerprint_program_shape(self.program)
-                if new != self._shape:
-                    self._shape = new
-                    dirty.append(("shape",))
-                    changed.append("<program>")
-            self._evict_from(dirty)
-            return tuple(changed)
+        dirty: list[Node] = []
+        changed: list[str] = []
+        for func, old in list(self._fingerprints.items()):
+            new = fingerprint_function(func)
+            if new != old:
+                self._fingerprints[func] = new
+                dirty.append(("fn", func))
+                changed.append(func.name)
+        if self._shape is not None and self.program is not None:
+            new = fingerprint_program_shape(self.program)
+            if new != self._shape:
+                self._shape = new
+                dirty.append(("shape",))
+                changed.append("<program>")
+        self._evict_from(dirty)
+        return tuple(changed)
 
     def invalidate_function(self, func: Function) -> None:
         """Force-evict everything derived from ``func`` (and refresh
         its stored fingerprint)."""
-        with self._lock:
-            if func in self._fingerprints:
-                self._fingerprints[func] = fingerprint_function(func)
-            self._evict_from([("fn", func)])
+        if func in self._fingerprints:
+            self._fingerprints[func] = fingerprint_function(func)
+        self._evict_from([("fn", func)])
 
     def discard_input(self, func: Function) -> None:
         """Drop ``func`` as an input entirely: evict its subgraph and
         forget its fingerprint (the function left the program)."""
-        with self._lock:
-            self._fingerprints.pop(func, None)
-            self._evict_from([("fn", func)])
-            self._rdeps.pop(("fn", func), None)
+        self._fingerprints.pop(func, None)
+        self._evict_from([("fn", func)])
+        self._rdeps.pop(("fn", func), None)
 
     def clear(self) -> None:
-        with self._lock:
-            for node in self._values:
-                self.stats.record_eviction(node[0])
-            self._values.clear()
-            self._deps.clear()
-            self._rdeps.clear()
-            self._fingerprints.clear()
-            self._shape = None
+        for node in self._values:
+            self.stats.record_eviction(node[0])
+        self._values.clear()
+        self._deps.clear()
+        self._rdeps.clear()
+        self._fingerprints.clear()
+        self._shape = None
 
     def _evict_from(self, dirty: list[Node]) -> None:
         doomed: set[tuple] = set()

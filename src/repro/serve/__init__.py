@@ -1,13 +1,15 @@
-"""`repro.serve` — the long-lived JSON-lines analysis daemon.
+"""`repro.serve` — the JSON-lines request dispatcher and its stdio loop.
 
-``repro serve`` keeps one thread-safe :class:`~repro.api.Session` (and
-therefore one warm query cache) alive across many requests and many
-concurrent clients; see :mod:`repro.serve.server` for the protocol.
+A :class:`ServeDispatcher` keeps one single-threaded
+:class:`~repro.api.Session` (and therefore one warm query cache) alive
+across many requests. ``repro serve --stdio`` drives one in-process
+via :func:`serve_stdio`; ``repro serve --workers N`` runs one in each
+:mod:`repro.cluster` worker process. See :mod:`repro.serve.server` for
+the protocol.
 """
 
 from repro.serve.server import (
     REQUEST_DISPATCH,
-    ReproServer,
     ServeDispatcher,
     encode_response,
     serve_stdio,
@@ -15,7 +17,6 @@ from repro.serve.server import (
 
 __all__ = [
     "REQUEST_DISPATCH",
-    "ReproServer",
     "ServeDispatcher",
     "encode_response",
     "serve_stdio",

@@ -1,9 +1,10 @@
-"""The long-lived analysis daemon behind ``repro serve``.
+"""The request dispatcher behind ``repro serve``.
 
-One :class:`~repro.api.session.Session` serves every client, so the
-shared query cache stays warm across requests: re-analyzing an edited
-program touches only the changed functions' query subgraph. The wire
-protocol is JSON lines — one request per line, one response per line:
+A :class:`ServeDispatcher` answers one request line at a time against
+one warm :class:`~repro.api.session.Session`, so the query cache stays
+hot across requests: re-analyzing an edited program touches only the
+changed functions' query subgraph. The wire protocol is JSON lines —
+one request per line, one response per line:
 
 * a bare schema-versioned request payload (any ``*-request`` kind from
   :mod:`repro.api.reports`), or an envelope ``{"id": ..., "request":
@@ -14,19 +15,16 @@ protocol is JSON lines — one request per line, one response per line:
   the *identical* payload the one-shot CLI would serialize, or
   ``{"ok": false, "id": ..., "error": "..."}``.
 
-Two transports share one dispatcher: a threading TCP server (each
-connection gets a thread; concurrent requests interleave through the
-thread-safe session) and a stdio loop for subprocess embedding.
+Two transports drive the dispatcher, both single-threaded: each
+:mod:`repro.cluster` worker process runs one behind its framed link
+(``repro serve --workers N``), and :func:`serve_stdio` runs one
+in-process for subprocess embedding (``repro serve --stdio``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import socket
-import socketserver
 import sys
-import threading
 import time
 from typing import IO
 
@@ -64,19 +62,17 @@ def encode_response(response: dict) -> str:
 class ServeDispatcher:
     """Maps one decoded request line to one response dict.
 
-    Stateless apart from served/error counters; safe to share across
-    handler threads because the session itself is thread-safe.
+    Stateless apart from served/error counters; like its session, it
+    belongs to one thread.
     """
 
     def __init__(self, session: Session) -> None:
         self.session = session
-        self._lock = threading.Lock()
         self.served = 0
         self.errors = 0
 
     def _error(self, message: str, req_id=None) -> dict:
-        with self._lock:
-            self.errors += 1
+        self.errors += 1
         return {"ok": False, "id": req_id, "error": message}
 
     def handle_line(self, line: str) -> tuple[dict, bool]:
@@ -114,13 +110,12 @@ class ServeDispatcher:
             except Exception as exc:  # noqa: BLE001 - daemon boundary: a
                 # bad request (e.g. type-confused field values that pass
                 # the name-level schema gate) must answer {"ok": false},
-                # never kill the handler thread or the stdio loop.
+                # never kill the worker or the stdio loop.
                 request_span.set(ok=False)
                 self._observe_request(kind, started, ok=False)
                 detail = exc.args[0] if exc.args else exc
                 return self._error(f"{type(exc).__name__}: {detail}", req_id), False
-        with self._lock:
-            self.served += 1
+        self.served += 1
         self._observe_request(kind, started, ok=True)
         return {"ok": True, "id": req_id, "report": report.to_payload()}, False
 
@@ -153,8 +148,7 @@ class ServeDispatcher:
                 "version": repro.__version__,
             }, False
         if op == "stats":
-            with self._lock:
-                counters = {"served": self.served, "errors": self.errors}
+            counters = {"served": self.served, "errors": self.errors}
             try:
                 session_stats = self.session.stats()
             except Exception as exc:  # noqa: BLE001 - same daemon
@@ -184,162 +178,48 @@ class ServeDispatcher:
         return self._error(f"unknown op {op!r}", req_id), False
 
 
-class _LineHandler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:  # pragma: no cover - exercised via sockets
-        self.server.track_handler(self)
-        self.busy = False
-        try:
-            for raw in self.rfile:
-                if len(raw) > self.server.max_line:
-                    # The line-buffered reader cannot resynchronize
-                    # after an over-long line: answer, then close.
-                    self._reply(self.server.dispatcher._error(
-                        f"request line exceeds {self.server.max_line} bytes"
-                    ))
-                    return
-                line = raw.decode("utf-8", "replace").strip()
-                if not line:
-                    continue
-                self.busy = True
-                try:
-                    response, stop = self.server.dispatcher.handle_line(line)
-                finally:
-                    self.busy = False
-                if not self._reply(response):
-                    return  # client went away mid-response
-                if stop:
-                    self.server.request_drain()
-                    return
-                if self.server.draining:
-                    return
-        finally:
-            self.server.forget_handler(self)
-
-    def _reply(self, response: dict) -> bool:  # pragma: no cover - above
-        try:
-            self.wfile.write((encode_response(response) + "\n").encode("utf-8"))
-            self.wfile.flush()
-        except OSError:
-            return False
-        return True
-
-
-class ReproServer(socketserver.ThreadingTCPServer):
-    """Threaded JSON-lines analysis server over TCP.
-
-    ``port=0`` binds an ephemeral port; read the chosen one back from
-    :attr:`port`. Every connection is handled in its own thread, so
-    N clients analyze concurrently against the shared warm session.
-
-    Shutdown is graceful: :meth:`request_drain` stops the accept loop
-    and nudges idle connections closed, then :meth:`drain` waits (with
-    a bounded deadline) for in-flight requests to finish answering
-    before force-closing whatever remains.
-    """
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    #: Longest accepted request line, in bytes.
-    max_line = 8 * 1024 * 1024
-
-    def __init__(
-        self,
-        session: Session | None = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self.dispatcher = ServeDispatcher(
-            session if session is not None else Session()
-        )
-        self.draining = False
-        self._handlers: set[_LineHandler] = set()
-        self._handlers_lock = threading.Lock()
-        super().__init__((host, port), _LineHandler)
-
-    @property
-    def host(self) -> str:
-        return self.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    # --- connection tracking (for drain) ---------------------------------
-    def track_handler(self, handler: _LineHandler) -> None:
-        with self._handlers_lock:
-            self._handlers.add(handler)
-
-    def forget_handler(self, handler: _LineHandler) -> None:
-        with self._handlers_lock:
-            self._handlers.discard(handler)
-
-    def begin_shutdown(self) -> None:
-        """Stop ``serve_forever`` without deadlocking a handler thread."""
-        threading.Thread(target=self.shutdown, daemon=True).start()
-
-    def request_drain(self) -> None:
-        """Begin graceful shutdown: stop accepting and wake idle
-        connections (idempotent; safe from signal handlers and handler
-        threads alike)."""
-        if self.draining:
-            return
-        self.draining = True
-        self.begin_shutdown()
-        with self._handlers_lock:
-            handlers = list(self._handlers)
-        for handler in handlers:
-            # An idle handler is blocked reading; shutting down the read
-            # side delivers EOF so its loop exits. Busy handlers keep
-            # their sockets: they still owe the client a response.
-            if not getattr(handler, "busy", False):
-                with contextlib.suppress(OSError):  # already closing
-                    handler.connection.shutdown(socket.SHUT_RD)
-
-    def drain(self, timeout: float = 10.0) -> bool:
-        """Wait for in-flight requests to finish after
-        :meth:`request_drain`; force-close stragglers past ``timeout``.
-        Returns ``True`` when everything finished in time."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._handlers_lock:
-                if not self._handlers:
-                    return True
-            time.sleep(0.02)
-        with self._handlers_lock:
-            stragglers = list(self._handlers)
-        for handler in stragglers:  # pragma: no cover - deadline overrun
-            with contextlib.suppress(OSError):
-                handler.connection.close()
-        return not stragglers
-
-    def close(self) -> None:
-        self.server_close()
-
-
 def serve_stdio(
     session: Session | None = None,
-    stdin: IO[str] | None = None,
+    stdin: IO | None = None,
     stdout: IO[str] | None = None,
 ) -> int:
     """Serve one client over stdin/stdout (for subprocess embedding).
 
     Requests are answered in arrival order; the loop ends on EOF or a
-    ``shutdown`` op. Returns a process exit code.
+    ``shutdown`` op (exit code 0). A request line longer than
+    ``ClusterConfig.max_line`` bytes is answered with an error and ends
+    the loop (exit code 1), as on the socket transport: the reader
+    cannot resynchronize. ``stdin`` may be a binary or a text stream.
     """
+    from repro.cluster.frontend import ClusterConfig
+
+    limit = ClusterConfig.max_line
     dispatcher = ServeDispatcher(session if session is not None else Session())
-    inp = stdin if stdin is not None else sys.stdin
+    # Read bytes where the stream has them, so the bound counts bytes.
+    inp = stdin if stdin is not None else getattr(sys.stdin, "buffer", sys.stdin)
     out = stdout if stdout is not None else sys.stdout
-    for raw in inp:
-        line = raw.strip()
-        if not line:
-            continue
-        response, stop = dispatcher.handle_line(line)
+
+    def reply(response: dict) -> bool:
         try:
             out.write(encode_response(response) + "\n")
             out.flush()
         except OSError:
+            return False
+        return True
+
+    while True:
+        raw = inp.readline(limit + 1)
+        if not raw:
+            return 0
+        text = raw.decode("utf-8", "replace") if isinstance(raw, bytes) else raw
+        if len(raw) > limit and not text.endswith("\n"):
+            reply(dispatcher._error(f"request line exceeds {limit} bytes"))
+            return 1
+        line = text.strip()
+        if not line:
+            continue
+        response, stop = dispatcher.handle_line(line)
+        if not reply(response):
             return 1
         if stop:
-            break
-    return 0
+            return 0

@@ -54,11 +54,6 @@ def __getattr__(name: str):
         return detection_variant_keys()
     if name == "TRUSTED_VARIANTS":
         return trusted_variant_keys()
-    # Deprecated: the weak-explorer dict moved into the model registry.
-    if name == "WEAK_EXPLORERS":
-        from repro.api._compat import weak_explorers
-
-        return weak_explorers()
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

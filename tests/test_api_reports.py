@@ -2,12 +2,10 @@
 
 Covers: byte-identical JSON round-trips for every registered wire
 type, golden-file schema stability, schema_version/kind gating,
-unknown/missing field rejection, kind dispatch, payload diffing, and
-the warn-once deprecation shims.
+unknown/missing field rejection, kind dispatch, and payload diffing.
 """
 
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -19,27 +17,10 @@ from repro.api import (
     diff_payloads,
     load_report,
 )
-from repro.frontend import compile_source
 
 from _report_fixtures import sample_payloads
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "reports"
-
-MP = """
-global int flag;
-global int data;
-
-fn producer(tid) { data = 1; flag = 1; }
-fn consumer(tid) {
-  local r = 0;
-  while (flag == 0) { }
-  r = data;
-  observe("r", r);
-}
-
-thread producer(0);
-thread consumer(1);
-"""
 
 
 @pytest.fixture(scope="module")
@@ -161,90 +142,3 @@ def test_diff_payloads_reports_scalar_list_and_nested_changes(samples):
 def test_reports_render_without_registry_lookups_failing(samples):
     for sample in samples.values():
         assert isinstance(sample.render(), str)
-
-
-# --- deprecation shims ------------------------------------------------------
-
-
-def _collect_deprecations(fn):
-    from repro.util.deprecation import reset_warned
-
-    reset_warned()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = fn()
-    reset_warned()
-    return result, [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-
-
-def test_analyze_program_shim_warns_once_and_matches_facade():
-    import repro
-    from repro.api import Session
-
-    program = compile_source(MP, "mp")
-
-    def call_twice():
-        first = repro.analyze_program(program)
-        second = repro.analyze_program(program)
-        return first, second
-
-    (first, second), warned = _collect_deprecations(call_twice)
-    assert len(warned) == 1
-    assert "deprecated" in str(warned[0].message)
-
-    facade = Session().analysis(compile_source(MP, "mp"), "control")
-    for shim in (first, second):
-        assert shim.full_fence_count == facade.full_fence_count
-        assert shim.compiler_fence_count == facade.compiler_fence_count
-        assert shim.total_sync_reads == facade.total_sync_reads
-
-
-def test_place_fences_shim_warns_once_and_matches_facade():
-    import repro
-    from repro.api import Session
-
-    def call_twice():
-        a = repro.place_fences(compile_source(MP, "mp"))
-        b = repro.place_fences(compile_source(MP, "mp"))
-        return a, b
-
-    (first, _), warned = _collect_deprecations(call_twice)
-    assert len(warned) == 1
-
-    fenced = compile_source(MP, "mp")
-    facade = Session().place(fenced, "control")
-    assert first.full_fence_count == facade.full_fence_count
-
-
-def test_variants_by_value_shim_warns_once():
-    from repro.core import pipeline
-
-    def access_twice():
-        return pipeline.VARIANTS_BY_VALUE, pipeline.VARIANTS_BY_VALUE
-
-    (first, second), warned = _collect_deprecations(access_twice)
-    assert len(warned) == 1
-    assert first == second
-    assert set(first) == {"pensieve", "control", "address+control"}
-
-
-def test_weak_explorers_shim_warns_once():
-    from repro.memmodel.pso import PSOExplorer
-    from repro.memmodel.relaxed import ARMExplorer, POWERExplorer
-    from repro.memmodel.tso import TSOExplorer
-    from repro.validate import oracle
-
-    (value, _), warned = _collect_deprecations(
-        lambda: (oracle.WEAK_EXPLORERS, oracle.WEAK_EXPLORERS)
-    )
-    assert len(warned) == 1
-    # The shim mirrors the live registry, so backend-registered models
-    # (arm/power) show up here exactly like the built-ins.
-    assert value == {
-        "x86-tso": TSOExplorer,
-        "pso": PSOExplorer,
-        "arm": ARMExplorer,
-        "power": POWERExplorer,
-    }

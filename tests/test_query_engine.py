@@ -1,6 +1,5 @@
 """Tests for the demand-driven query engine (repro.query)."""
 
-import threading
 
 import pytest
 
@@ -203,34 +202,6 @@ def test_query_cycle_detected():
     engine = QueryEngine(registry=registry)
     with pytest.raises(RuntimeError, match="cycle"):
         engine.get("loop", 0)
-
-
-def test_concurrent_lookups_compute_each_fact_once(program):
-    ctx = AnalysisContext(program)
-    funcs = list(program.functions.values())
-    barrier = threading.Barrier(8)
-    errors = []
-
-    def worker():
-        try:
-            barrier.wait(timeout=10)
-            for func in funcs:
-                ctx.escape_info(func)
-                ctx.acquires(func, Variant.ADDRESS_CONTROL)
-        except Exception as exc:  # pragma: no cover - failure path
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert errors == []
-    stats = ctx.engine.stats
-    # One compute per (query, key); everything else hit the memo.
-    assert stats.by_query["points_to"] == len(funcs)
-    assert stats.by_query["escape_info"] == len(funcs)
-    assert stats.by_query["acquires"] == len(funcs)
 
 
 def test_engine_len_and_known_functions(program):

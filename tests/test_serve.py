@@ -1,4 +1,4 @@
-"""Tests for the long-lived analysis daemon (repro.serve)."""
+"""Tests for the request dispatcher, its stdio loop and `repro serve`."""
 
 import io
 import json
@@ -8,8 +8,8 @@ import time
 
 import pytest
 
-from repro.api import AnalyzeRequest, CheckRequest, ProgramSpec, Session
-from repro.serve import REQUEST_DISPATCH, ReproServer, ServeDispatcher, serve_stdio
+from repro.api import AnalyzeRequest, FuzzRequest, ProgramSpec, Session
+from repro.serve import REQUEST_DISPATCH, ServeDispatcher, serve_stdio
 
 MP = """
 global int flag;
@@ -159,88 +159,6 @@ def test_dispatcher_counts_and_session_stats(dispatcher):
     assert stats["query_stats"]["computes"] > 0
 
 
-# --- socket transport --------------------------------------------------------
-
-
-@pytest.fixture
-def server():
-    srv = ReproServer(Session(parallel=False))
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    yield srv
-    srv.shutdown()
-    srv.close()
-    thread.join(timeout=10)
-
-
-def _roundtrip(server, lines):
-    with socket.create_connection((server.host, server.port), timeout=30) as sock:
-        stream = sock.makefile("rw", encoding="utf-8", newline="\n")
-        responses = []
-        for line in lines:
-            stream.write(line + "\n")
-            stream.flush()
-            responses.append(json.loads(stream.readline()))
-        return responses
-
-
-def test_server_round_trips_analyze_and_check(server):
-    analyze = AnalyzeRequest(program=SPEC)
-    check = CheckRequest(program=SPEC, max_states=200_000)
-    responses = _roundtrip(
-        server,
-        [json.dumps(analyze.to_payload()), json.dumps(check.to_payload())],
-    )
-    assert all(r["ok"] for r in responses)
-    one_shot = Session()
-    assert responses[0]["report"] == one_shot.analyze(analyze).to_payload()
-    assert responses[1]["report"] == one_shot.check(check).to_payload()
-
-
-def test_server_handles_concurrent_clients_byte_identically(server):
-    request = AnalyzeRequest(program=SPEC, stats=False)
-    expected = json.dumps(
-        Session().analyze(request).to_payload(), indent=2, sort_keys=True
-    )
-    clients = 3
-    barrier = threading.Barrier(clients)
-    results: list = [None] * clients
-
-    def client(slot):
-        barrier.wait(timeout=10)
-        responses = _roundtrip(
-            server, [json.dumps({"id": slot, "request": request.to_payload()})]
-        )
-        results[slot] = responses[0]
-
-    threads = [threading.Thread(target=client, args=(i,)) for i in range(clients)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-    for slot, response in enumerate(results):
-        assert response is not None and response["ok"]
-        assert response["id"] == slot
-        assert json.dumps(response["report"], indent=2, sort_keys=True) == expected
-
-
-def test_server_warm_requests_stay_deterministic(server):
-    line = json.dumps(AnalyzeRequest(program=SPEC).to_payload())
-    first, second = (_roundtrip(server, [line])[0] for _ in range(2))
-    assert first == second
-
-
-def test_server_shutdown_op_stops_serve_forever():
-    srv = ReproServer(Session(parallel=False))
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
-    responses = _roundtrip(srv, ['{"op": "shutdown"}'])
-    assert responses[0]["ok"] and responses[0]["bye"]
-    thread.join(timeout=10)
-    assert not thread.is_alive()
-    srv.close()
-
-
 # --- stdio transport ---------------------------------------------------------
 
 
@@ -262,10 +180,45 @@ def test_serve_stdio_round_trip_and_clean_shutdown():
     assert lines[1]["bye"]
 
 
+def test_server_warm_requests_stay_deterministic():
+    line = json.dumps(AnalyzeRequest(program=SPEC).to_payload())
+    stdout = io.StringIO()
+    stdin = io.StringIO(f"{line}\n{line}\n")
+    assert serve_stdio(Session(parallel=False), stdin, stdout) == 0
+    first, second = stdout.getvalue().splitlines()
+    assert first == second
+
+
 def test_serve_stdio_stops_on_eof():
     stdout = io.StringIO()
     assert serve_stdio(Session(parallel=False), io.StringIO(""), stdout) == 0
     assert stdout.getvalue() == ""
+
+
+def test_serve_stdio_over_long_line_is_answered_then_ends(monkeypatch):
+    from repro.cluster import ClusterConfig
+
+    monkeypatch.setattr(ClusterConfig, "max_line", 1024)
+    ping = b'{"op": "ping"}\n'
+    stdin = io.BytesIO(b'{"pad": "' + b"x" * 4096 + b'"}\n' + ping)
+    stdout = io.StringIO()
+    assert serve_stdio(Session(parallel=False), stdin, stdout) == 1
+    lines = [json.loads(l) for l in stdout.getvalue().splitlines()]
+    # One error answer, then nothing: the ping after it is never read.
+    assert len(lines) == 1
+    assert not lines[0]["ok"] and "exceeds 1024 bytes" in lines[0]["error"]
+
+
+def test_serve_stdio_accepts_a_line_of_exactly_the_limit(monkeypatch):
+    from repro.cluster import ClusterConfig
+
+    ping = b'{"op": "ping"}'
+    monkeypatch.setattr(ClusterConfig, "max_line", len(ping))
+    stdout = io.StringIO()
+    stdin = io.BytesIO(ping + b"\n" + ping)  # the last line has no newline
+    assert serve_stdio(Session(parallel=False), stdin, stdout) == 0
+    pongs = [json.loads(l)["pong"] for l in stdout.getvalue().splitlines()]
+    assert pongs == [True, True]
 
 
 def test_cli_serve_stdio_smoke(monkeypatch, capsys):
@@ -283,76 +236,6 @@ def test_cli_serve_stdio_smoke(monkeypatch, capsys):
     assert out_lines[1]["bye"]
 
 
-# --- graceful drain ----------------------------------------------------------
-
-
-def test_server_drain_waits_for_inflight_requests():
-    srv = ReproServer(Session(parallel=False))
-    original = srv.dispatcher.handle_line
-    started = threading.Event()
-
-    def slow(line):
-        started.set()
-        time.sleep(0.4)  # hold the request in flight across the drain
-        return original(line)
-
-    srv.dispatcher.handle_line = slow
-    server_thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    server_thread.start()
-    result: dict = {}
-
-    def client():
-        result["response"] = _roundtrip(srv, ['{"op": "ping"}'])[0]
-
-    client_thread = threading.Thread(target=client, daemon=True)
-    client_thread.start()
-    assert started.wait(timeout=10)
-    srv.request_drain()
-    # Drain lets the in-flight request finish answering...
-    assert srv.drain(timeout=10)
-    client_thread.join(timeout=10)
-    assert result["response"]["ok"] and result["response"]["pong"]
-    # ...and the accept loop has stopped.
-    server_thread.join(timeout=10)
-    assert not server_thread.is_alive()
-    srv.close()
-
-
-def test_server_drain_closes_idle_connections():
-    srv = ReproServer(Session(parallel=False))
-    server_thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    server_thread.start()
-    with socket.create_connection((srv.host, srv.port), timeout=10) as sock:
-        stream = sock.makefile("r", encoding="utf-8")
-        deadline = time.time() + 10
-        while not srv._handlers and time.time() < deadline:
-            time.sleep(0.01)  # let the handler thread park in its read
-        srv.request_drain()
-        assert srv.request_drain() is None  # idempotent
-        assert stream.readline() == ""  # idle client sees EOF, not a hang
-    assert srv.drain(timeout=10)
-    server_thread.join(timeout=10)
-    srv.close()
-
-
-def test_server_oversized_line_is_answered_then_closed():
-    srv = ReproServer(Session(parallel=False))
-    srv.max_line = 1024
-    server_thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    server_thread.start()
-    try:
-        with socket.create_connection((srv.host, srv.port), timeout=10) as sock:
-            sock.sendall(b'{"pad": "' + b"x" * 4096 + b'"}\n')
-            stream = sock.makefile("r", encoding="utf-8")
-            response = json.loads(stream.readline())
-            assert not response["ok"] and "exceeds" in response["error"]
-            assert stream.readline() == ""  # line reader cannot resync
-    finally:
-        srv.shutdown()
-        srv.close()
-        server_thread.join(timeout=10)
-
-
 def test_cli_serve_sigterm_drains_and_exits_zero():
     import os
     import signal
@@ -364,25 +247,34 @@ def test_cli_serve_sigterm_drains_and_exits_zero():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(root / "src")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--workers", "0", "--serial"],
+        [sys.executable, "-m", "repro", "serve", "--workers", "1", "--serial"],
         stdout=subprocess.PIPE,
         cwd=root,
         env=env,
     )
     try:
         serving = json.loads(proc.stdout.readline())["serving"]
-        assert serving["workers"] == 0
-        with socket.create_connection(
-            (serving["host"], serving["port"]), timeout=30
-        ) as sock:
-            line = json.dumps(AnalyzeRequest(program=SPEC).to_payload())
-            sock.sendall((line + "\n").encode("utf-8"))
-            time.sleep(0.3)  # let the handler pick the request up, so
-            # the drain sees it in flight rather than still buffered
+        assert serving["workers"] == 1
+        address = (serving["host"], serving["port"])
+        with socket.create_connection(address, timeout=30) as idle, \
+                socket.create_connection(address, timeout=30) as busy:
+            idle_stream = idle.makefile("rw", encoding="utf-8", newline="\n")
+            idle_stream.write('{"op": "ping"}\n')
+            idle_stream.flush()
+            assert json.loads(idle_stream.readline())["pong"]
+            # A fuzz sweep keeps the worker busy for about a second.
+            line = json.dumps(FuzzRequest(seeds=4, shrink=False).to_payload())
+            busy.sendall((line + "\n").encode("utf-8"))
+            time.sleep(0.3)  # let the frontend hand the request to the
+            # worker, so the drain sees it in flight
             proc.send_signal(signal.SIGTERM)
-            # The in-flight request is still answered before exit.
-            stream = sock.makefile("r", encoding="utf-8")
-            assert json.loads(stream.readline())["ok"]
+            # The idle client sees EOF, not a hang...
+            assert idle_stream.readline() == ""
+            # ...and the in-flight request is still answered before exit.
+            stream = busy.makefile("r", encoding="utf-8")
+            response = json.loads(stream.readline())
+            assert response["ok"] and response["report"]["kind"] == "fuzz-report"
+            assert stream.readline() == ""  # then the frontend hangs up
         assert proc.wait(timeout=30) == 0
     finally:
         proc.kill()
@@ -390,7 +282,7 @@ def test_cli_serve_sigterm_drains_and_exits_zero():
         proc.wait(timeout=10)
 
 
-# --- CLI front door for both serving modes -----------------------------------
+# --- CLI front door -----------------------------------
 
 
 def _cli_serve_in_thread(capsys, argv):
@@ -443,11 +335,11 @@ def test_cli_serve_cluster_end_to_end(capsys):
     assert result.get("code") == 0
 
 
-def test_cli_serve_threaded_mode_shutdown_op(capsys):
+def test_cli_serve_single_worker_answers_pipelined_ping_and_shutdown(capsys):
     result, serving = _cli_serve_in_thread(
-        capsys, ["serve", "--workers", "0", "--serial"]
+        capsys, ["serve", "--workers", "1", "--serial"]
     )
-    assert serving["workers"] == 0
+    assert serving["workers"] == 1
     with socket.create_connection(
         (serving["host"], serving["port"]), timeout=30
     ) as sock:
@@ -458,3 +350,14 @@ def test_cli_serve_threaded_mode_shutdown_op(capsys):
         assert json.loads(stream.readline())["bye"]
     result["thread"].join(timeout=60)
     assert result.get("code") == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_cli_serve_rejects_non_positive_workers(value, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--workers", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--workers" in err and "--stdio" in err
