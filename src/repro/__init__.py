@@ -40,9 +40,8 @@ from repro.core.signatures import (
 from repro.frontend import compile_source
 from repro.ir.function import Program
 from repro.core.interprocedural import detect_acquires_interprocedural
-from repro.memmodel.pso import PSOExplorer
 from repro.memmodel.sc import SCExplorer
-from repro.memmodel.tso import TSOExplorer
+from repro.memmodel.storebuf import PSOExplorer, TSOExplorer
 from repro.simulator.machine import TSOSimulator, simulate
 
 __version__ = "2.0.0"

@@ -11,7 +11,8 @@ Commands:
 
 * ``analyze FILE``     — run the fence-placement pipeline on a mini-C file
 * ``check FILE``       — exhaustively model-check SC vs a weak model
-  (``--model x86-tso|pso``), unfenced and with each variant's fences
+  (``--model x86-tso|pso|arm|power``), unfenced and with each
+  variant's fences
 * ``simulate FILE``    — run the timed TSO simulator and report cycles
 * ``lint PROGRAM...``  — static DRF race detection plus fence-hygiene
   lint passes, each race candidate audited against the SC explorer
@@ -53,6 +54,7 @@ from repro.api import (
     load_report,
 )
 from repro.arch import backend_keys, get_backend
+from repro.frontend import LexError, LoweringError, ParseError
 from repro.registry import (
     MODELS,
     model_keys,
@@ -70,6 +72,17 @@ def _resolve_model(args: argparse.Namespace, fallback: str = "x86-tso") -> str:
     if getattr(args, "arch", None) is not None:
         return get_backend(args.arch).model_key
     return fallback
+
+
+#: Errors in a mini-C source file. Their messages start with
+#: ``line N:``; the commands report them as ``FILE: line N: ...`` and
+#: exit 2, like any other bad input.
+_SOURCE_ERRORS = (LexError, ParseError, LoweringError)
+
+
+def _source_error(path: str, exc: Exception) -> int:
+    print(f"{path}: {exc}", file=sys.stderr)
+    return 2
 
 
 @contextlib.contextmanager
@@ -94,20 +107,22 @@ def _tracing(path: str | None):
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    with _tracing(args.trace):
-        session = Session()
-        report = session.analyze(
-            AnalyzeRequest(
-                program=ProgramSpec.file(args.file),
-                variant=args.variant,
-                model=_resolve_model(args),
-                interprocedural=args.interprocedural,
-                annotations=args.annotations,
-                emit_ir=args.emit_ir,
-                arch=args.arch,
-                synthesis=args.synthesis,
+    try:
+        with _tracing(args.trace):
+            report = Session().analyze(
+                AnalyzeRequest(
+                    program=ProgramSpec.file(args.file),
+                    variant=args.variant,
+                    model=_resolve_model(args),
+                    interprocedural=args.interprocedural,
+                    annotations=args.annotations,
+                    emit_ir=args.emit_ir,
+                    arch=args.arch,
+                    synthesis=args.synthesis,
+                )
             )
-        )
+    except _SOURCE_ERRORS as exc:
+        return _source_error(args.file, exc)
     print(report.to_json() if args.json else report.render())
     return 0
 
@@ -126,6 +141,8 @@ def cmd_check(args: argparse.Namespace) -> int:
                     synthesis=args.synthesis,
                 )
             )
+    except _SOURCE_ERRORS as exc:
+        return _source_error(args.file, exc)
     except ValueError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -137,16 +154,19 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    report = Session().simulate(
-        SimulateRequest(
-            program=ProgramSpec.file(args.file),
-            placement=args.variant,
-            model=_resolve_model(args),
-            observe_globals=tuple(args.globals),
-            arch=args.arch,
-            synthesis=args.synthesis,
+    try:
+        report = Session().simulate(
+            SimulateRequest(
+                program=ProgramSpec.file(args.file),
+                placement=args.variant,
+                model=_resolve_model(args),
+                observe_globals=tuple(args.globals),
+                arch=args.arch,
+                synthesis=args.synthesis,
+            )
         )
-    )
+    except _SOURCE_ERRORS as exc:
+        return _source_error(args.file, exc)
     print(report.to_json() if args.json else report.render())
     return 0
 

@@ -278,19 +278,29 @@ class FunctionLowerer:
         raise LoweringError(f"unknown expression {type(expr).__name__}")
 
     def _lower_binary(self, expr: ast.Binary) -> Value:
+        # ``a + b + c + ...`` parses left-deep with no nesting limit:
+        # walk the left spine in a loop, emitting the same instructions
+        # in the same order as recursing on ``lhs`` would.
+        spine = [expr]
+        while isinstance(spine[-1].lhs, ast.Binary):
+            spine.append(spine[-1].lhs)
+        value = self.lower_expr(spine[-1].lhs)
+        for node in reversed(spine):
+            value = self._combine(node.op, value, self.lower_expr(node.rhs))
+        return value
+
+    def _combine(self, op: str, lhs: Value, rhs: Value) -> Value:
         b = self.builder
-        lhs = self.lower_expr(expr.lhs)
-        rhs = self.lower_expr(expr.rhs)
-        if expr.op in ("&&", "||"):
+        if op in ("&&", "||"):
             # Non-short-circuit logical ops: normalize to 0/1 and combine.
             # Sufficient for the workloads (conditions are side-effect
             # free) and keeps the CFG simple for the analyses.
             lhs_bool = b.cmp("!=", lhs, Constant(0))
             rhs_bool = b.cmp("!=", rhs, Constant(0))
-            return b.binop("&" if expr.op == "&&" else "|", lhs_bool, rhs_bool)
-        if expr.op in ("==", "!=", "<", "<=", ">", ">="):
-            return b.cmp(expr.op, lhs, rhs)
-        return b.binop(expr.op, lhs, rhs)
+            return b.binop("&" if op == "&&" else "|", lhs_bool, rhs_bool)
+        if op in ("==", "!=", "<", "<=", ">", ">="):
+            return b.cmp(op, lhs, rhs)
+        return b.binop(op, lhs, rhs)
 
 
 def lower_module(

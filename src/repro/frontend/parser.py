@@ -27,6 +27,15 @@ class ParseError(Exception):
     """Raised on malformed source."""
 
 
+#: Deepest nesting of blocks, control statements, parenthesised or
+#: nested expressions and prefix operators the parser accepts. Parsing
+#: and lowering recurse a few Python frames per level, so this keeps any
+#: source well inside the interpreter's recursion limit: deeper source
+#: is a ParseError, never a RecursionError.
+MAX_NESTING = 200
+
+_PREFIX_OPS = ("-", "!", "*", "&")
+
 _LOAD_QUALIFIERS = ("acquire", "relaxed")
 _STORE_QUALIFIERS = ("release", "relaxed")
 
@@ -57,6 +66,7 @@ class Parser:
     def __init__(self, source: str) -> None:
         self.tokens = tokenize(source)
         self.pos = 0
+        self.depth = 0  # current nesting, bounded by MAX_NESTING
 
     # --- token helpers -------------------------------------------------
     def peek(self, offset: int = 0) -> Token:
@@ -83,6 +93,16 @@ class Parser:
             want = text or kind
             raise ParseError(f"line {tok.line}: expected {want!r}, got {tok.text!r}")
         return self.advance()
+
+    def enter(self) -> None:
+        """Open one nesting level (callers close it with
+        ``self.depth -= 1``)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"line {self.peek().line}: nesting deeper than "
+                f"{MAX_NESTING} levels"
+            )
 
     # --- top level --------------------------------------------------------
     def parse_module(self) -> ast.Module:
@@ -178,12 +198,14 @@ class Parser:
 
     # --- statements --------------------------------------------------------
     def parse_block(self) -> ast.Block:
-        line = self.expect("op", "{").line
+        tok = self.expect("op", "{")
+        self.enter()
         stmts: list[ast.Stmt] = []
         while not self.check("op", "}"):
             stmts.append(self.parse_statement())
         self.expect("op", "}")
-        return ast.Block(line, tuple(stmts))
+        self.depth -= 1
+        return ast.Block(tok.line, tuple(stmts))
 
     def parse_statement(self) -> ast.Stmt:
         tok = self.peek()
@@ -270,7 +292,8 @@ class Parser:
         return ast.LocalDecl(line, name, size, init)
 
     def parse_if(self) -> ast.If:
-        line = self.expect("kw", "if").line
+        tok = self.expect("kw", "if")
+        self.enter()
         self.expect("op", "(")
         cond = self.parse_expression()
         self.expect("op", ")")
@@ -282,21 +305,25 @@ class Parser:
                 els = ast.Block(nested.line, (nested,))
             else:
                 els = self._block_or_single()
-        return ast.If(line, cond, then, els)
+        self.depth -= 1
+        return ast.If(tok.line, cond, then, els)
 
     def parse_while(self) -> ast.While:
-        line = self.expect("kw", "while").line
+        tok = self.expect("kw", "while")
+        self.enter()
         self.expect("op", "(")
         cond = self.parse_expression()
         self.expect("op", ")")
         if self.accept("op", ";"):  # busy-wait: while (e);
-            body = ast.Block(line, ())
+            body = ast.Block(tok.line, ())
         else:
             body = self._block_or_single()
-        return ast.While(line, cond, body)
+        self.depth -= 1
+        return ast.While(tok.line, cond, body)
 
     def parse_for(self) -> ast.For:
-        line = self.expect("kw", "for").line
+        tok = self.expect("kw", "for")
+        self.enter()
         self.expect("op", "(")
         init: Optional[ast.Stmt] = None
         if not self.check("op", ";"):
@@ -311,7 +338,8 @@ class Parser:
             step = self._parse_assign_or_expr(consume_semi=False)
         self.expect("op", ")")
         body = self._block_or_single()
-        return ast.For(line, init, cond, step, body)
+        self.depth -= 1
+        return ast.For(tok.line, init, cond, step, body)
 
     def _block_or_single(self) -> ast.Block:
         if self.check("op", "{"):
@@ -340,6 +368,7 @@ class Parser:
 
     # --- expressions -----------------------------------------------------------
     def parse_expression(self, min_prec: int = 1) -> ast.Expr:
+        self.enter()
         lhs = self.parse_unary()
         while True:
             tok = self.peek()
@@ -351,25 +380,23 @@ class Parser:
             self.advance()
             rhs = self.parse_expression(prec + 1)
             lhs = ast.Binary(tok.line, tok.text, lhs, rhs)
+        self.depth -= 1
         return lhs
 
     def parse_unary(self) -> ast.Expr:
+        """Prefix operators, then a primary with postfix indexing."""
         tok = self.peek()
-        if tok.kind == "op" and tok.text in ("-", "!", "*", "&"):
+        if tok.kind == "op" and tok.text in _PREFIX_OPS:
             self.advance()
+            self.enter()
             operand = self.parse_unary()
+            self.depth -= 1
             return ast.Unary(tok.line, tok.text, operand)
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> ast.Expr:
         expr = self.parse_primary()
-        while True:
-            if self.accept("op", "["):
-                index = self.parse_expression()
-                self.expect("op", "]")
-                expr = ast.Index(self.peek().line, expr, index)
-            else:
-                break
+        while self.accept("op", "["):
+            index = self.parse_expression()
+            self.expect("op", "]")
+            expr = ast.Index(self.peek().line, expr, index)
         return expr
 
     def parse_primary(self) -> ast.Expr:

@@ -1,9 +1,10 @@
-"""Formal memory-model substrate: SC & x86-TSO explorers, HB, DRF.
+"""Formal memory-model substrate: SC and weak-model explorers, HB, DRF.
 
 This package verifies — rather than assumes — the paper's correctness
-claims: SC exploration defines intended behaviour, TSO exploration
-models the relaxed hardware, happens-before (Section 3's definitions)
-detects data races, and the DRF checker validates markings.
+claims: SC exploration defines intended behaviour, the store-buffer
+explorer (x86-TSO, PSO) and the relaxed explorer (ARM, POWER) model the
+weak hardware, happens-before (Section 3's definitions) detects data
+races, and the DRF checker validates markings.
 """
 
 from repro.memmodel.drf import DRFReport, check_drf, check_drf_with_detected_acquires
@@ -22,7 +23,6 @@ from repro.memmodel.interpreter import (
     ThreadState,
 )
 from repro.memmodel.litmus import LITMUS_TESTS, LitmusTest, sync_marking_for
-from repro.memmodel.pso import PSOExplorer
 from repro.memmodel.sc import (
     ExplorationResult,
     Outcome,
@@ -31,7 +31,11 @@ from repro.memmodel.sc import (
     TraceAction,
     enumerate_sc_traces,
 )
-from repro.memmodel.tso import TSOExplorer, tso_equals_sc_for_observations
+from repro.memmodel.storebuf import (
+    PSOExplorer,
+    TSOExplorer,
+    tso_equals_sc_for_observations,
+)
 
 __all__ = [
     "DRFReport",

@@ -1,8 +1,9 @@
 """Shared dynamic partial-order-reduction core for the explorers.
 
-The SC, TSO, PSO, and relaxed (ARM/POWER) explorers all walk the same
-shape of state graph: per-state they enumerate *transitions* (thread
-steps and store-buffer flushes) and DFS with memoization. Historically
+The SC, store-buffer (TSO/PSO), and relaxed (ARM/POWER) explorers
+all walk the same shape of state graph: per-state they enumerate
+*transitions* (thread steps and store-buffer flushes) and DFS with
+memoization. Historically
 each did so naively — every interleaving of independent actions was
 enumerated, so k commuting actions cost 2^k visited states (the full
 hypercube of intermediate states, even though the endpoints merge).

@@ -1,19 +1,20 @@
 """Exhaustive exploration of ARM/POWER-style relaxed memory models.
 
-The TSO/PSO explorers model store-side relaxation only (FIFO /
-per-address store buffers). ARMv7 and POWER additionally reorder the
-*load* side: a later load may be satisfied before an earlier one
-(``r->r``), which is what makes unfenced message passing break on real
-hardware even though it is TSO-safe. This explorer composes two
-bounded mechanisms:
+The TSO/PSO explorer (:mod:`repro.memmodel.storebuf`) models
+store-side relaxation only (FIFO / per-address store buffers). ARMv7
+and POWER additionally reorder the *load* side: a later load may be
+satisfied before an earlier one (``r->r``), which is what makes
+unfenced message passing break on real hardware even though it is
+TSO-safe. This explorer composes two bounded mechanisms:
 
-* **Grouped per-address store buffers** (``w->w`` / ``w->r``): like
-  PSO, each thread buffers stores per address; differently-addressed
-  stores drain in any order *within a group*. A store-ordering fence
-  flavor (``lwsync``, ``dmbst``, ``eieio``) seals the current group —
-  groups drain oldest-first, so pre-fence stores reach memory before
-  post-fence stores — without waiting for a drain the way a full fence
-  (``sync``, ``dmb``, generic FULL) must.
+* **Grouped per-address store buffers** (``w->w`` / ``w->r``): the
+  buffers of :mod:`repro.memmodel.storebuf`, shared with TSO/PSO. Like
+  PSO, differently-addressed stores drain in any order *within a
+  group*. A store-ordering fence flavor (``lwsync``, ``dmbst``,
+  ``eieio``) seals the current group — groups drain oldest-first, so
+  pre-fence stores reach memory before post-fence stores — without
+  waiting for a drain the way a full fence (``sync``, ``dmb``, generic
+  FULL) must.
 * **Bounded stale reads** (``r->r`` / ``r->w``): memory keeps one
   previous value per address, and each thread tracks the addresses it
   has observed at their current version. A load of an unobserved
@@ -51,6 +52,7 @@ from repro.arch.backend import ALL_KINDS, get_backend
 from repro.core.machine_models import OrderKind
 from repro.ir.function import Program
 from repro.ir.instructions import Fence, FenceKind
+from repro.memmodel import storebuf
 from repro.memmodel.explore import (
     LOCAL_FP,
     CoreExplorer,
@@ -59,51 +61,6 @@ from repro.memmodel.explore import (
 )
 from repro.memmodel.interpreter import ExecutionError, ThreadState
 from repro.memmodel.sc import Outcome, make_outcome
-
-from repro.memmodel.storebuf import AddrFifoMap, fifo_get, fifo_set
-
-# One group: address -> FIFO of pending values (oldest first), sorted
-# by address for hashability (the shared per-address FIFO-map shape of
-# repro.memmodel.storebuf, which PSO uses as its whole buffer). A
-# thread's buffer is a tuple of groups, oldest group first; only the
-# oldest group drains.
-Group = AddrFifoMap
-GroupedBuffer = tuple[Group, ...]
-
-_group_get = fifo_get
-_group_set = fifo_set
-
-
-def _buffer_lookup(buffer: GroupedBuffer, addr: int) -> Optional[int]:
-    """Newest own-buffered value for ``addr`` (store forwarding)."""
-    for group in reversed(buffer):
-        values = _group_get(group, addr)
-        if values:
-            return values[-1]
-    return None
-
-
-def _buffer_has(buffer: GroupedBuffer, addr: int) -> bool:
-    return any(_group_get(group, addr) for group in buffer)
-
-
-def _buffer_append(buffer: GroupedBuffer, addr: int, value: int) -> GroupedBuffer:
-    if not buffer:
-        buffer = ((),)
-    newest = buffer[-1]
-    newest = _group_set(newest, addr, _group_get(newest, addr) + (value,))
-    return buffer[:-1] + (newest,)
-
-
-def _buffer_empty(buffer: GroupedBuffer) -> bool:
-    return all(not group for group in buffer)
-
-
-def _seal(buffer: GroupedBuffer) -> GroupedBuffer:
-    """Start a new store group (no-op when nothing is buffered)."""
-    if not buffer or not buffer[-1]:
-        return buffer
-    return buffer + ((),)
 
 
 class RelaxedExplorer(CoreExplorer):
@@ -174,19 +131,14 @@ class RelaxedExplorer(CoreExplorer):
         return shared, parts
 
     def buffered_addrs(self, state: tuple, tid: int) -> frozenset[int]:
-        return frozenset(
-            addr
-            for group in state[3][tid]
-            for addr, values in group
-            if values
-        )
+        return storebuf.addresses(state[3][tid])
 
     def outcome_of(self, state: tuple) -> Outcome:
         memory, _prev, threads, _buffers, _fresh = state
         return make_outcome(self.layout, memory, threads, self.observe_globals)
 
     def check_final(self, state: tuple) -> None:
-        if any(not _buffer_empty(b) for b in state[3]):  # pragma: no cover
+        if not all(storebuf.empty(b) for b in state[3]):  # pragma: no cover
             raise ExecutionError("deadlock with non-empty buffer")
 
     @staticmethod
@@ -216,26 +168,15 @@ class RelaxedExplorer(CoreExplorer):
         memory, prev, threads, buffers, fresh = state
         out: list[Transition] = []
 
-        # (a) drain the head of any per-address queue of the OLDEST
-        # group — addresses drain independently (PSO-style), groups
-        # drain in order (store-fence seals).
+        # (a) drains: addresses drain independently (PSO-style),
+        # groups in order (store-fence seals).
         for i, buffer in enumerate(buffers):
-            if not buffer:
-                continue
-            oldest = buffer[0]
-            for addr, values in oldest:
+            for addr, value, after in storebuf.drains(buffer):
                 new_memory = dict(memory)
                 new_prev = dict(prev)
                 new_fresh = list(fresh)
-                self._publish(new_prev, new_memory, new_fresh, i, addr, values[0])
-                new_group = _group_set(oldest, addr, values[1:])
-                rest = buffer[1:]
-                new_buffer = ((new_group,) + rest) if new_group else rest
-                # Dropping an emptied oldest group may expose an
-                # empty sealed group; drop those too.
-                while new_buffer and not new_buffer[0]:
-                    new_buffer = new_buffer[1:]
-                new_buffers = buffers[:i] + (new_buffer,) + buffers[i + 1 :]
+                self._publish(new_prev, new_memory, new_fresh, i, addr, value)
+                new_buffers = buffers[:i] + (after,) + buffers[i + 1 :]
                 out.append(
                     Transition(
                         ("f", i, addr),
@@ -289,7 +230,7 @@ class RelaxedExplorer(CoreExplorer):
             # (r->r / r->w killed). The acquire itself may still read
             # the stale value — acquire means "ordered", not "latest".
             acquire = pending.inst.ordering == "acquire"  # type: ignore[union-attr]
-            forwarded = _buffer_lookup(buffer, addr)
+            forwarded = storebuf.forward(buffer, addr)
             choices: list[tuple[int, bool]] = []  # (value, marks_fresh)
             if forwarded is not None:
                 choices.append((forwarded, False))
@@ -340,10 +281,10 @@ class RelaxedExplorer(CoreExplorer):
             # LB note above) — so sealing is the entire obligation; the
             # release itself stays buffered (w->r remains relaxed).
             if pending.inst.ordering == "release":  # type: ignore[union-attr]
-                buffer = _seal(buffer)
+                buffer = storebuf.seal(buffer)
             new_buffers = (
                 buffers[:i]
-                + (_buffer_append(buffer, pending.addr, pending.value),)
+                + (storebuf.append(buffer, pending.addr, pending.value),)
                 + buffers[i + 1 :]
             )
             self.executor.commit(clone, pending)
@@ -359,7 +300,7 @@ class RelaxedExplorer(CoreExplorer):
             # LL/SC-style: needs the coherent current value, so own
             # buffered stores to this address must drain first — but no
             # implicit barrier: the rest of the buffer stays put.
-            if _buffer_has(buffer, pending.addr):
+            if storebuf.holds(buffer, pending.addr):
                 return None
             new_memory = dict(memory)
             new_prev = dict(prev)
@@ -383,11 +324,11 @@ class RelaxedExplorer(CoreExplorer):
 
         if pending.kind == "fence":
             kills = self._fence_kills(pending.inst)  # type: ignore[arg-type]
-            if OrderKind.WR in kills and not _buffer_empty(buffer):
+            if OrderKind.WR in kills and not storebuf.empty(buffer):
                 return None  # full fence: wait for the buffer to drain
             new_buffers = buffers
             if OrderKind.WW in kills and OrderKind.WR not in kills:
-                new_buffers = buffers[:i] + (_seal(buffer),) + buffers[i + 1 :]
+                new_buffers = buffers[:i] + (storebuf.seal(buffer),) + buffers[i + 1 :]
             new_fresh = fresh
             stale_kill = OrderKind.RR in kills or OrderKind.RW in kills
             if stale_kill:

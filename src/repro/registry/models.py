@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.machine_models import MODELS as _MACHINE_MODELS, MemoryModel
-from repro.memmodel.pso import PSOExplorer
 from repro.memmodel.relaxed import ARMExplorer, POWERExplorer
 from repro.memmodel.sc import SCExplorer
-from repro.memmodel.tso import TSOExplorer
+from repro.memmodel.storebuf import PSOExplorer, TSOExplorer
 from repro.registry.core import Registry
 
 #: Exhaustive state-space explorers by machine key. ``sc`` is the

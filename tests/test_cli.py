@@ -113,6 +113,30 @@ def test_simulate_globals_filter(mp_file, capsys):
     assert "data = 1" in out
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("global x;\nfn t() {\n  x = ;\n}\nthread t();\n",
+         "line 3: unexpected token ';'"),
+        ("global x;\nfn t() { x = 1 $ 2; }\nthread t();\n",
+         "line 2: unexpected character '$'"),
+        ("global x;\nfn t() { y = 1; }\nthread t();\n",
+         "line 2: undefined variable 'y'"),
+    ],
+    ids=["parse", "lex", "lowering"],
+)
+@pytest.mark.parametrize("command", ["analyze", "check", "simulate"])
+def test_source_errors_exit_2_with_one_line(
+    tmp_path, capsys, command, source, message
+):
+    path = tmp_path / "bad.mc"
+    path.write_text(source)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: {message}\n"
+
+
 def test_experiments_quick(capsys):
     assert main(["experiments", "--quick"]) == 0
     out = capsys.readouterr().out

@@ -11,7 +11,7 @@ from repro.frontend import compile_source
 from repro.ir import Fence, FenceKind
 from repro.memmodel.litmus import LITMUS_TESTS
 from repro.memmodel.sc import SCExplorer
-from repro.memmodel.tso import TSOExplorer
+from repro.memmodel.storebuf import TSOExplorer
 
 CROSS_BLOCK = """
 global a; global b; global c;

@@ -211,7 +211,7 @@ def test_pipeline_interprocedural_fences_split_acquire():
     SC data-read behaviour under TSO."""
     from repro.core.pipeline import FencePlacer, PipelineVariant
     from repro.memmodel.sc import SCExplorer
-    from repro.memmodel.tso import TSOExplorer
+    from repro.memmodel.storebuf import TSOExplorer
 
     src = """
     global int turnA;

@@ -177,3 +177,34 @@ def test_parse_logical_ops():
     mod = parse("global x; global y; fn f() { if (x && y || !x) { } }")
     cond = mod.functions[0].body.stmts[0].cond
     assert isinstance(cond, ast.Binary) and cond.op == "||"
+
+
+# --- nesting depth -----------------------------------------------------------
+
+#: One statement with ``n`` levels of a construct; it sits on line 3.
+NESTED = {
+    "parens": lambda n: "x = " + "(" * n + "1" + ")" * n + ";",
+    "unary": lambda n: "x = " + "-" * n + "1;",
+    "blocks": lambda n: "{" * n + "x = 1;" + "}" * n,
+    "ifs": lambda n: "if (x) " * n + "x = 1;",
+    "sum": lambda n: "x = " + "+".join(["1"] * n) + ";",
+}
+
+
+def _nested(shape, n):
+    return "global x;\nfn t() {\n  " + NESTED[shape](n) + "\n}\nthread t();\n"
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_deep_nesting_compiles_or_is_a_parse_error(shape):
+    from repro.frontend import compile_source
+    from repro.frontend.parser import MAX_NESTING
+
+    compile_source(_nested(shape, MAX_NESTING - 10))
+    deep = _nested(shape, 3000)
+    if shape == "sum":  # left-deep, not nested: lowered in a loop
+        program = compile_source(deep)
+        assert sum(1 for _ in program.functions["t"].instructions()) > 3000
+    else:
+        with pytest.raises(ParseError, match=r"^line 3: nesting deeper than"):
+            compile_source(deep)

@@ -13,7 +13,7 @@ from repro.core.pipeline import PipelineVariant, place_fences
 from repro.frontend import compile_source
 from repro.memmodel.litmus import LITMUS_TESTS
 from repro.memmodel.sc import SCExplorer
-from repro.memmodel.tso import TSOExplorer
+from repro.memmodel.storebuf import TSOExplorer
 
 ALL_VARIANTS = list(PipelineVariant)
 

@@ -6,7 +6,7 @@ from repro.core.pipeline import PipelineVariant, place_fences
 from repro.frontend import compile_source
 from repro.memmodel.litmus import LITMUS_TESTS
 from repro.memmodel.sc import SCExplorer, enumerate_sc_traces
-from repro.memmodel.tso import TSOExplorer, tso_equals_sc_for_observations
+from repro.memmodel.storebuf import TSOExplorer, tso_equals_sc_for_observations
 
 
 def _obs(result):

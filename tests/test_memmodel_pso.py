@@ -11,9 +11,8 @@ from repro.core.machine_models import PSO
 from repro.core.pipeline import FencePlacer, PipelineVariant
 from repro.frontend import compile_source
 from repro.memmodel.litmus import LITMUS_TESTS
-from repro.memmodel.pso import PSOExplorer
 from repro.memmodel.sc import SCExplorer
-from repro.memmodel.tso import TSOExplorer
+from repro.memmodel.storebuf import PSOExplorer, TSOExplorer
 
 
 def test_mp_breaks_under_pso():

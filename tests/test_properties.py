@@ -28,7 +28,7 @@ from repro.core.signatures import Variant, detect_acquires
 from repro.frontend import compile_source
 from repro.ir import Fence, FenceKind
 from repro.memmodel.sc import SCExplorer
-from repro.memmodel.tso import TSOExplorer
+from repro.memmodel.storebuf import TSOExplorer
 
 VARS = ("x", "y", "z")
 
@@ -264,7 +264,7 @@ def test_simulator_outcome_is_tso_reachable(ops_pair):
 @settings(max_examples=15, deadline=None)
 def test_model_hierarchy_sc_tso_pso(ops_pair):
     # Relaxation hierarchy on random programs: SC ⊆ TSO ⊆ PSO outcomes.
-    from repro.memmodel.pso import PSOExplorer
+    from repro.memmodel.storebuf import PSOExplorer
 
     src = _build(ops_pair, fences=False)
     sc = SCExplorer(compile_source(src, "p")).explore()
@@ -280,7 +280,7 @@ def test_pso_pipeline_restores_sc(ops_pair):
     # Pensieve-marked placement targeted at PSO repairs PSO executions.
     from repro.core.machine_models import PSO as PSO_MODEL
     from repro.core.pipeline import FencePlacer
-    from repro.memmodel.pso import PSOExplorer
+    from repro.memmodel.storebuf import PSOExplorer
 
     src = _build(ops_pair, fences=False)
     fenced = compile_source(src, "p")

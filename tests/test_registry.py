@@ -5,9 +5,8 @@ import pytest
 from repro.core.machine_models import PSO, X86_TSO
 from repro.core.pipeline import PipelineVariant, analyze_program
 from repro.frontend import compile_source
-from repro.memmodel.pso import PSOExplorer
 from repro.memmodel.sc import SCExplorer
-from repro.memmodel.tso import TSOExplorer
+from repro.memmodel.storebuf import PSOExplorer, TSOExplorer
 from repro.registry import (
     EXPLORERS,
     MODELS,

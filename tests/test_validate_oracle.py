@@ -18,7 +18,7 @@ from repro.core.machine_models import MODELS
 from repro.frontend import compile_source
 from repro.memmodel.litmus import LITMUS_TESTS
 from repro.memmodel.sc import SCExplorer
-from repro.memmodel.tso import TSOExplorer
+from repro.memmodel.storebuf import TSOExplorer
 from repro.validate.generator import SHAPES, generate_program
 from repro.validate.oracle import (
     DETECTION_VARIANTS,
