@@ -55,6 +55,7 @@ from repro.api import (
 )
 from repro.arch import backend_keys, get_backend
 from repro.frontend import LexError, LoweringError, ParseError
+from repro.memmodel.interpreter import ExecutionError
 from repro.registry import (
     MODELS,
     model_keys,
@@ -80,9 +81,24 @@ def _resolve_model(args: argparse.Namespace, fallback: str = "x86-tso") -> str:
 _SOURCE_ERRORS = (LexError, ParseError, LoweringError)
 
 
-def _source_error(path: str, exc: Exception) -> int:
+def _file_error(path: str, exc: Exception) -> int:
+    """Report a bad input file as one ``FILE: message`` line; exit 2.
+    Also used for :class:`ExecutionError` — a program that fails at
+    run time (a runaway loop past the step bound, a division by zero)
+    when ``check`` explores or ``simulate`` runs it."""
     print(f"{path}: {exc}", file=sys.stderr)
     return 2
+
+
+def _positive_int(text: str) -> int:
+    """An integer >= 1 (``check --max-states``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 @contextlib.contextmanager
@@ -122,7 +138,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 )
             )
     except _SOURCE_ERRORS as exc:
-        return _source_error(args.file, exc)
+        return _file_error(args.file, exc)
     print(report.to_json() if args.json else report.render())
     return 0
 
@@ -141,8 +157,8 @@ def cmd_check(args: argparse.Namespace) -> int:
                     synthesis=args.synthesis,
                 )
             )
-    except _SOURCE_ERRORS as exc:
-        return _source_error(args.file, exc)
+    except (*_SOURCE_ERRORS, ExecutionError) as exc:
+        return _file_error(args.file, exc)
     except ValueError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -165,8 +181,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 synthesis=args.synthesis,
             )
         )
-    except _SOURCE_ERRORS as exc:
-        return _source_error(args.file, exc)
+    except (*_SOURCE_ERRORS, ExecutionError) as exc:
+        return _file_error(args.file, exc)
     print(report.to_json() if args.json else report.render())
     return 0
 
@@ -545,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="greedy",
                    help="fence synthesis strategy the checked placements "
                         "use (optimal differs only on flavored backends)")
-    p.add_argument("--max-states", type=int, default=1_000_000)
+    p.add_argument("--max-states", type=_positive_int, default=1_000_000,
+                   help="per-exploration state bound, at least 1")
     p.add_argument("--json", action="store_true",
                    help="emit the serialized report instead of text")
     p.add_argument("--trace", metavar="PATH", default=None,

@@ -38,6 +38,17 @@ reductions, each sound with respect to the final-outcome semantics
   by a permutation of identical threads; collected outcomes are closed
   under the class permutations afterwards.
 
+Explorer states are immutable once placed on the DFS stack: a step
+builds a new state tuple and shares every part it did not change.
+That lets each object carry its derived facts and compute them once:
+a :class:`~repro.memmodel.interpreter.ThreadState` caches its key,
+symmetry key, future footprint and probe (its next visible action),
+and a :class:`SharedMap` (memory, the relaxed previous-value map)
+caches its sorted items. A :class:`Transition` carries a builder
+rather than its successor states, so only the transitions the DFS
+takes — the safe singleton, or the ones sleep sets leave explorable —
+cost a clone and a commit.
+
 Budgets are explicit: plain mode stops at ``max_states`` exactly like
 the pre-DPOR explorers, and the opt-in *iterative deepening* mode
 re-runs with a doubling depth limit until a pass finishes inside both
@@ -57,7 +68,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.analysis.aliasing import UNKNOWN, AllocaObj, GlobalObj, PointsTo
 from repro.ir.function import Program
@@ -77,6 +88,7 @@ from repro.ir.instructions import (
 from repro.memmodel.interpreter import (
     STACK_BASE,
     GlobalLayout,
+    PendingAction,
     ThreadExecutor,
     ThreadState,
     stack_range,
@@ -128,17 +140,34 @@ def footprints_conflict(a: Footprint, b: Footprint) -> bool:
     return bool(a.writes & (b.reads | b.writes)) or bool(b.writes & a.reads)
 
 
+class SharedMap(dict):
+    """An address -> value map placed in explorer states: memory, and
+    the relaxed explorer's previous-value map. Explorers copy it on
+    write (``SharedMap(old)``) and never mutate a placed one, so its
+    sorted items — its part of the state key — are computed once."""
+
+    __slots__ = ("_items",)
+
+    def sorted_items(self) -> tuple[tuple[int, int], ...]:
+        try:
+            return self._items
+        except AttributeError:
+            items = self._items = tuple(sorted(self.items()))
+            return items
+
+
 @dataclass(slots=True)
 class Transition:
     """One enabled transition: identity key, owning thread, footprint,
-    and the eagerly-built successor states (several for a relaxed load
-    with a stale-value choice)."""
+    and a zero-argument ``build`` returning its successor states
+    (several for a relaxed load with a stale-value choice). Only the
+    transitions the DFS explores are built."""
 
     key: tuple
     tid: int
     is_step: bool  # thread step (program-ordered) vs buffer flush
     fp: Footprint
-    successors: tuple
+    build: Callable[[], tuple]
 
 
 # One sleep entry: (key, tid, is_step, footprint) of an explored sibling.
@@ -318,7 +347,14 @@ class FutureFootprints:
 
     def thread_future(self, ts: ThreadState) -> Optional[tuple]:
         """(reads, writes) thread ``ts`` may still perform, or None if
-        unbounded. Caller frames resume *after* their call site."""
+        unbounded. Caller frames resume *after* their call site.
+        Cached on ``ts``, which only ever meets this oracle."""
+        fut = ts._future
+        if fut is None:
+            fut = ts._future = (self._thread_future(ts),)
+        return fut[0]
+
+    def _thread_future(self, ts: ThreadState) -> Optional[tuple]:
         if ts.done or not ts.frames:
             return (_EMPTY, _EMPTY)
         pcs = tuple(
@@ -405,9 +441,22 @@ class _CanonBail(Exception):
     raw (non-symmetric) key."""
 
 
-def _norm_thread_key(ts: ThreadState) -> tuple:
+def _norm_thread_key(ts: ThreadState) -> Optional[tuple]:
     """``ThreadState.key()`` with the thread identity removed: stack
-    addresses rebased to the window start and the tid dropped."""
+    addresses rebased to the window start and the tid dropped. None
+    when a value lies outside the thread's own stack window. Computed
+    once per state."""
+    norm = ts._norm
+    if norm is None:
+        try:
+            norm = _compute_norm_key(ts)
+        except _CanonBail:
+            norm = False
+        ts._norm = norm
+    return norm or None
+
+
+def _compute_norm_key(ts: ThreadState) -> tuple:
     lo, hi = stack_range(ts.tid)
 
     def nv(v: int) -> object:
@@ -510,6 +559,8 @@ class CoreExplorer:
         self.initial_depth = initial_depth
         self.sleep_blocked = 0
         self.pruned_transitions = 0
+        self.successors_built = 0
+        self._fp_memo: dict[tuple[int, bool, bool], Footprint] = {}
 
     # --- semantics hooks (subclass responsibility) -----------------------
     def initial_state(self) -> tuple:
@@ -538,22 +589,34 @@ class CoreExplorer:
     def _addr_fp(
         self, addr: int, *, reads: bool = False, writes: bool = False
     ) -> Footprint:
-        if not self.layout.is_global(addr):
-            return TOP_FP  # cross-thread stack access: unanalyzable
-        a = frozenset((addr,))
-        return Footprint(
-            reads=a if reads else _EMPTY, writes=a if writes else _EMPTY
-        )
+        memo_key = (addr, reads, writes)
+        fp = self._fp_memo.get(memo_key)
+        if fp is None:
+            if not self.layout.is_global(addr):
+                fp = TOP_FP  # cross-thread stack access: unanalyzable
+            else:
+                a = frozenset((addr,))
+                fp = Footprint(
+                    reads=a if reads else _EMPTY, writes=a if writes else _EMPTY
+                )
+            self._fp_memo[memo_key] = fp
+        return fp
 
-    def _advance(self, threads: tuple[ThreadState, ...], i: int):
-        """Clone thread ``i`` only and run it to its next visible
-        action; siblings are shared structurally (states never mutate
-        a thread in place)."""
-        new_threads = list(threads)
-        clone = threads[i].clone()
-        new_threads[i] = clone
-        pending = self.executor.next_action(clone, self.max_steps)
-        return tuple(new_threads), clone, pending
+    def _commit(
+        self,
+        threads: tuple[ThreadState, ...],
+        i: int,
+        ready: ThreadState,
+        pending: Optional[PendingAction],
+        load_result: Optional[int] = None,
+    ) -> tuple[ThreadState, ...]:
+        """``threads`` after thread ``i`` performs ``pending`` from its
+        probe's ``ready`` state: committed on a fresh clone, or, for a
+        finished thread, the ready state itself. Siblings are shared."""
+        if pending is not None:
+            ready = ready.clone()
+            self.executor.commit(ready, pending, load_result)
+        return threads[:i] + (ready,) + threads[i + 1 :]
 
     # --- exploration ------------------------------------------------------
     def explore(self) -> "ExplorationResult":
@@ -567,6 +630,8 @@ class CoreExplorer:
         # registry once at the end (the DFS itself stays metric-free).
         self.sleep_blocked = 0
         self.pruned_transitions = 0
+        self.successors_built = 0
+        self.executor.probes = 0
 
         with obs_trace.span(
             "explore.run", cat="explore",
@@ -610,6 +675,14 @@ class CoreExplorer:
             "repro_explore_pruned_total",
             self.pruned_transitions, model=self.MODEL_KEY,
         )
+        registry.inc(
+            "repro_explore_successors_total",
+            self.successors_built, model=self.MODEL_KEY,
+        )
+        registry.inc(
+            "repro_explore_probes_total",
+            self.executor.probes, model=self.MODEL_KEY,
+        )
         if classes:
             outcomes = close_outcomes(outcomes, classes)
         return ExplorationResult(
@@ -626,12 +699,12 @@ class CoreExplorer:
     ) -> tuple[tuple, Optional[list[int]]]:
         shared, parts = self.state_parts(state)
         threads = self.threads_of(state)
-        if not classes:
-            return ("raw", shared, tuple(ts.key() for ts in threads), parts), None
-        try:
+        if classes:
             norm = [_norm_thread_key(ts) for ts in threads]
-        except _CanonBail:
-            return ("raw", shared, tuple(ts.key() for ts in threads), parts), None
+            if None in norm:
+                classes = ()
+        if not classes:
+            return ("raw", shared, tuple([ts.key() for ts in threads]), parts), None
         entries = [(norm[i], parts[i]) for i in range(len(threads))]
         perm = list(range(len(threads)))
         for cls in classes:
@@ -660,7 +733,7 @@ class CoreExplorer:
             if t.fp.local and t.is_step:
                 return t  # invisible: commutes with everything
         threads = self.threads_of(state)
-        futures: dict[int, Optional[tuple]] = {}
+        pending_addrs: dict[int, frozenset[int]] = {}
         for t in explorable:
             fp = t.fp
             if fp.top or fp.local:
@@ -669,13 +742,10 @@ class CoreExplorer:
             for j, ts in enumerate(threads):
                 if j == t.tid:
                     continue
-                pend = self.buffered_addrs(state, j)
-                if ts.done:
-                    fut: Optional[tuple] = (_EMPTY, _EMPTY)
-                else:
-                    if j not in futures:
-                        futures[j] = oracle.thread_future(ts)
-                    fut = futures[j]
+                pend = pending_addrs.get(j)
+                if pend is None:
+                    pend = pending_addrs[j] = self.buffered_addrs(state, j)
+                fut = oracle.thread_future(ts)
                 if fut is None:
                     ok = False
                     break
@@ -693,6 +763,15 @@ class CoreExplorer:
             if ok:
                 return t
         return None
+
+    def _push(
+        self, stack: list, t: Transition, sleep: tuple[_SleepEntry, ...], depth: int
+    ) -> None:
+        """Build ``t``'s successor states and push them for the DFS."""
+        succs = t.build()
+        self.successors_built += len(succs)
+        for succ in succs:
+            stack.append((succ, sleep, depth))
 
     def _run(
         self,
@@ -757,23 +836,20 @@ class CoreExplorer:
 
             if oracle is None:
                 for t in explorable:
-                    for succ in t.successors:
-                        stack.append((succ, (), ndepth))
+                    self._push(stack, t, (), ndepth)
                 continue
 
             safe = self._pick_safe(state, explorable, oracle)
             if safe is not None:
                 self.pruned_transitions += len(explorable) - 1
                 new_sleep = tuple(e for e in sleep if not _dependent(e, safe))
-                for succ in safe.successors:
-                    stack.append((succ, new_sleep, ndepth))
+                self._push(stack, safe, new_sleep, ndepth)
                 continue
 
             slept = list(sleep)
             for t in explorable:
                 new_sleep = tuple(e for e in slept if not _dependent(e, t))
-                for succ in t.successors:
-                    stack.append((succ, new_sleep, ndepth))
+                self._push(stack, t, new_sleep, ndepth)
                 slept.append((t.key, t.tid, t.is_step, t.fp))
 
         return outcomes, states, hit_states, hit_depth

@@ -1,9 +1,10 @@
 """Single-thread IR execution machinery shared by all executors.
 
-The SC explorer, the x86-TSO explorer, and the timed performance
-simulator all need to run threads instruction by instruction while
-owning shared memory themselves. The :class:`ThreadExecutor` therefore
-uses a two-phase protocol:
+The explorers (SC, store-buffer TSO/PSO, relaxed ARM/POWER), SC trace
+enumeration, and the timed performance simulator all need to run
+threads instruction by instruction while owning shared memory
+themselves. The :class:`ThreadExecutor` therefore uses a two-phase
+protocol:
 
 1. ``next_action(state)`` advances the thread through *invisible*
    instructions (arithmetic, branches, calls, accesses to the thread's
@@ -13,6 +14,15 @@ uses a two-phase protocol:
 2. The caller performs the memory side per its own model (SC memory,
    TSO store buffer, timed machine) and calls ``commit`` with the load
    result, which completes the instruction and advances the thread.
+
+The explorers add one invariant on top: a :class:`ThreadState` placed
+in an explorer state is immutable. Siblings share it, and it carries
+its derived facts — its key, its symmetry key, its future footprint and
+its *probe* (a clone run to the next visible action, see
+:meth:`ThreadExecutor.probe`) — computed at most once, on first use.
+A step never touches a placed state: it commits on a fresh clone of
+the probe's ready state. ``clone()`` starts without cached facts. The
+simulator mutates its threads in place and reads none of them.
 
 Addresses are word-granular integers. Globals live at ``GLOBAL_BASE``;
 each thread's stack occupies a disjoint window, so "own stack" checks
@@ -183,6 +193,14 @@ class ThreadState:
     observations: tuple[tuple[str, int], ...] = ()
     done: bool = False
     steps: int = 0
+    # Derived facts, cached on first use; valid only because a placed
+    # state is never mutated (see the module docstring).
+    _key: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    #: Symmetry key (``repro.memmodel.explore``), or its bail-out marker.
+    _norm: object = field(default=None, init=False, repr=False, compare=False)
+    #: Future footprint (``repro.memmodel.explore.FutureFootprints``).
+    _future: object = field(default=None, init=False, repr=False, compare=False)
+    _probe: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def clone(self) -> "ThreadState":
         return ThreadState(
@@ -196,7 +214,14 @@ class ThreadState:
         )
 
     def key(self) -> tuple:
-        """Hashable state fingerprint (for explorer memoization)."""
+        """Hashable state fingerprint (for explorer memoization),
+        computed once per state."""
+        key = self._key
+        if key is None:
+            key = self._key = self._compute_key()
+        return key
+
+    def _compute_key(self) -> tuple:
         return (
             self.tid,
             tuple(
@@ -253,6 +278,8 @@ class ThreadExecutor:
     def __init__(self, program: Program, layout: GlobalLayout | None = None) -> None:
         self.program = program
         self.layout = layout if layout is not None else GlobalLayout(program)
+        #: Probes computed (threads run to their next visible action).
+        self.probes = 0
 
     # --- thread setup ------------------------------------------------------
     def start_thread(self, tid: int, spec: ThreadSpec) -> ThreadState:
@@ -345,6 +372,20 @@ class ThreadExecutor:
                 return PendingAction("fence", inst, fence_kind=inst.kind)
 
             self._execute_invisible(ts, frame, inst)
+
+    def probe(
+        self, ts: ThreadState, max_steps: int = 1_000_000
+    ) -> tuple[ThreadState, Optional[PendingAction]]:
+        """``(ready, pending)``: a clone of ``ts`` run to its next
+        visible action, and that action (None once finished). Computed
+        once per state object and cached on it; ``ts`` is not mutated.
+        The ready clone is shared too: commit on ``ready.clone()``."""
+        probe = ts._probe
+        if probe is None:
+            ready = ts.clone()
+            probe = ts._probe = (ready, self.next_action(ready, max_steps))
+            self.probes += 1
+        return probe
 
     def commit(
         self,

@@ -46,7 +46,8 @@ and the stale dimension holds at most one old value per address.
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
+from typing import Iterable, Optional
 
 from repro.arch.backend import ALL_KINDS, get_backend
 from repro.core.machine_models import OrderKind
@@ -57,10 +58,32 @@ from repro.memmodel.explore import (
     LOCAL_FP,
     CoreExplorer,
     Footprint,
+    SharedMap,
     Transition,
 )
-from repro.memmodel.interpreter import ExecutionError, ThreadState
+from repro.memmodel.interpreter import ExecutionError, PendingAction, ThreadState
 from repro.memmodel.sc import Outcome, make_outcome
+
+#: A thread's has-seen-current marks: the addresses it has observed at
+#: their current version, kept sorted so the tuple is its state-key part.
+Marks = tuple[int, ...]
+
+
+def _mark(marks: Marks, addrs: Iterable[int]) -> Marks:
+    """``marks`` plus ``addrs`` (distinct addresses)."""
+    added = tuple(a for a in addrs if a not in marks)
+    return tuple(sorted(marks + added)) if added else marks
+
+
+def _unmark(marks: Marks, addr: int) -> Marks:
+    return tuple(a for a in marks if a != addr) if addr in marks else marks
+
+
+def _replace(parts: tuple, i: int, part) -> tuple:
+    """``parts`` with entry ``i`` set to ``part`` (shared if unchanged)."""
+    if parts[i] is part:
+        return parts
+    return parts[:i] + (part,) + parts[i + 1 :]
 
 
 class RelaxedExplorer(CoreExplorer):
@@ -94,26 +117,33 @@ class RelaxedExplorer(CoreExplorer):
             **core_opts,
         )
         self.backend = get_backend(self.arch)
+        self._kills_memo: dict[tuple, frozenset[OrderKind]] = {}
 
     # --- fence semantics --------------------------------------------------
     def _fence_kills(self, inst: Fence) -> frozenset[OrderKind]:
-        if inst.kind is not FenceKind.FULL:
-            return frozenset()
-        if inst.flavor is None:
-            return ALL_KINDS
-        if self.backend.has_flavor(inst.flavor):
-            return self.backend.flavor(inst.flavor).kills
-        return ALL_KINDS  # foreign flavor: act as a full fence
+        memo_key = (inst.kind, inst.flavor)
+        kills = self._kills_memo.get(memo_key)
+        if kills is None:
+            if inst.kind is not FenceKind.FULL:
+                kills = frozenset()
+            elif inst.flavor is None:
+                kills = ALL_KINDS
+            elif self.backend.has_flavor(inst.flavor):
+                kills = self.backend.flavor(inst.flavor).kills
+            else:
+                kills = ALL_KINDS  # foreign flavor: act as a full fence
+            self._kills_memo[memo_key] = kills
+        return kills
 
     # --- state plumbing ---------------------------------------------------
     def initial_state(self) -> tuple:
         threads = tuple(self.executor.start_all())
         return (
-            self.layout.initial_memory(),
-            {},  # prev: one stale candidate value per address
+            SharedMap(self.layout.initial_memory()),
+            SharedMap(),  # prev: one stale candidate value per address
             threads,
             tuple(() for _ in threads),
-            tuple(frozenset() for _ in threads),
+            tuple(() for _ in threads),  # fresh: sorted address tuples
         )
 
     def threads_of(self, state: tuple) -> tuple[ThreadState, ...]:
@@ -121,14 +151,7 @@ class RelaxedExplorer(CoreExplorer):
 
     def state_parts(self, state: tuple) -> tuple[tuple, tuple]:
         memory, prev, _threads, buffers, fresh = state
-        shared = (
-            tuple(sorted(memory.items())),
-            tuple(sorted(prev.items())),
-        )
-        parts = tuple(
-            (buffers[i], tuple(sorted(fresh[i]))) for i in range(len(buffers))
-        )
-        return shared, parts
+        return (memory.sorted_items(), prev.sorted_items()), tuple(zip(buffers, fresh))
 
     def buffered_addrs(self, state: tuple, tid: int) -> frozenset[int]:
         return storebuf.addresses(state[3][tid])
@@ -143,55 +166,45 @@ class RelaxedExplorer(CoreExplorer):
 
     @staticmethod
     def _publish(
-        prev: dict[int, int],
-        memory: dict[int, int],
-        fresh: list[frozenset[int]],
+        prev: SharedMap,
+        memory: SharedMap,
+        fresh: tuple[Marks, ...],
         writer: int,
         addr: int,
         value: int,
-    ) -> None:
+    ) -> tuple[SharedMap, SharedMap, tuple[Marks, ...]]:
         """Make ``value`` the current value of ``addr`` (written by
         thread ``writer``): the old value becomes the stale candidate,
         every *other* thread loses its has-seen-current mark, and the
         writer (who must never read older than its own store) gains it.
+        Returns the new ``(prev, memory, fresh)``.
         """
+        prev = SharedMap(prev)
+        memory = SharedMap(memory)
         prev[addr] = memory.get(addr, 0)
         memory[addr] = value
-        for t in range(len(fresh)):
-            if t == writer:
-                fresh[t] = fresh[t] | {addr}
-            else:
-                fresh[t] = fresh[t] - {addr}
+        fresh = tuple(
+            _mark(marks, (addr,)) if t == writer else _unmark(marks, addr)
+            for t, marks in enumerate(fresh)
+        )
+        return prev, memory, fresh
 
     # --- transitions ------------------------------------------------------
     def transitions(self, state: tuple) -> list[Transition]:
-        memory, prev, threads, buffers, fresh = state
+        threads, buffers = state[2], state[3]
         out: list[Transition] = []
 
         # (a) drains: addresses drain independently (PSO-style),
         # groups in order (store-fence seals).
         for i, buffer in enumerate(buffers):
             for addr, value, after in storebuf.drains(buffer):
-                new_memory = dict(memory)
-                new_prev = dict(prev)
-                new_fresh = list(fresh)
-                self._publish(new_prev, new_memory, new_fresh, i, addr, value)
-                new_buffers = buffers[:i] + (after,) + buffers[i + 1 :]
                 out.append(
                     Transition(
                         ("f", i, addr),
                         i,
                         False,
                         self._addr_fp(addr, writes=True),
-                        (
-                            (
-                                new_memory,
-                                new_prev,
-                                threads,
-                                new_buffers,
-                                tuple(new_fresh),
-                            ),
-                        ),
+                        partial(self._drain, state, i, addr, value, after),
                     )
                 )
 
@@ -204,23 +217,67 @@ class RelaxedExplorer(CoreExplorer):
                 out.append(t)
         return out
 
+    def _drain(
+        self, state: tuple, i: int, addr: int, value: int, after: storebuf.Buffer
+    ) -> tuple:
+        memory, prev, threads, buffers, fresh = state
+        prev, memory, fresh = self._publish(prev, memory, fresh, i, addr, value)
+        return ((memory, prev, threads, _replace(buffers, i, after), fresh),)
+
     def _step(self, state: tuple, i: int) -> Optional[Transition]:
         """Thread ``i``'s next action as one transition (several
         successors for a load with a stale-value choice); None when
         blocked (RMW/full fence waiting on the buffer)."""
-        memory, prev, threads, buffers, fresh = state
-        advanced, clone, pending = self._advance(threads, i)
-
+        ready, pending = self.executor.probe(state[2][i], self.max_steps)
+        buffer = state[3][i]
         if pending is None:
-            return Transition(
-                ("t", i),
-                i,
-                True,
-                LOCAL_FP,
-                ((memory, prev, advanced, buffers, fresh),),
-            )
+            fp = LOCAL_FP
+        elif pending.kind == "load":
+            # Forwarded loads still count as shared reads for reduction
+            # purposes: forwarding status flips once the own buffer
+            # drains, so an "invisible" classification would hide the
+            # dependence on rival writes landing after the drain.
+            fp = self._addr_fp(pending.addr, reads=True)
+            if pending.inst.ordering == "acquire" and not fp.top:  # type: ignore[union-attr]
+                # Like the stale-killing fence: observes the whole
+                # previous-value map, so it orders against every publish.
+                fp = Footprint(reads=fp.reads, global_read=True)
+        elif pending.kind == "store":
+            fp = LOCAL_FP
+        elif pending.kind == "rmw":
+            # LL/SC-style: needs the coherent current value, so own
+            # buffered stores to this address must drain first — but no
+            # implicit barrier: the rest of the buffer stays put.
+            if storebuf.holds(buffer, pending.addr):
+                return None
+            fp = self._addr_fp(pending.addr, reads=True, writes=True)
+        elif pending.kind == "fence":
+            kills = self._fence_kills(pending.inst)  # type: ignore[arg-type]
+            if OrderKind.WR in kills and not storebuf.empty(buffer):
+                return None  # full fence: wait for the buffer to drain
+            # A stale-killing fence observes the whole previous-value
+            # map, so it orders against every publish; a seal-only or
+            # no-op fence is invisible to other threads.
+            stale_kill = OrderKind.RR in kills or OrderKind.RW in kills
+            fp = Footprint(global_read=True) if stale_kill else LOCAL_FP
+        else:  # pragma: no cover
+            raise ExecutionError(f"unknown action {pending.kind}")
+        return Transition(
+            ("t", i), i, True, fp, partial(self._successors, state, i, ready, pending)
+        )
 
-        buffer = buffers[i]
+    def _successors(
+        self,
+        state: tuple,
+        i: int,
+        ready: ThreadState,
+        pending: Optional[PendingAction],
+    ) -> tuple:
+        """Thread ``i``'s step builder: the states after it performs
+        ``pending`` from its probe's ``ready`` state."""
+        memory, prev, threads, buffers, fresh = state
+        if pending is None:
+            return ((memory, prev, self._commit(threads, i, ready, None), buffers, fresh),)
 
         if pending.kind == "load":
             addr = pending.addr
@@ -230,7 +287,7 @@ class RelaxedExplorer(CoreExplorer):
             # (r->r / r->w killed). The acquire itself may still read
             # the stale value — acquire means "ordered", not "latest".
             acquire = pending.inst.ordering == "acquire"  # type: ignore[union-attr]
-            forwarded = storebuf.forward(buffer, addr)
+            forwarded = storebuf.forward(buffers[i], addr)
             choices: list[tuple[int, bool]] = []  # (value, marks_fresh)
             if forwarded is not None:
                 choices.append((forwarded, False))
@@ -240,37 +297,22 @@ class RelaxedExplorer(CoreExplorer):
                 if addr in prev and addr not in fresh[i] and prev[addr] != current:
                     choices.append((prev[addr], False))
             successors = []
-            for n, (value, marks_fresh) in enumerate(choices):
-                # Last choice commits on the advanced clone itself;
-                # earlier ones re-clone it instead of replaying the
-                # invisible prefix.
-                if n == len(choices) - 1:
-                    new_threads, target = advanced, clone
-                else:
-                    target = clone.clone()
-                    new_threads = (
-                        advanced[:i] + (target,) + advanced[i + 1 :]
-                    )
-                self.executor.commit(target, pending, value)
-                new_fresh = fresh
+            for value, marks_fresh in choices:
                 marks = fresh[i]
                 if marks_fresh:
-                    marks = marks | {addr}
+                    marks = _mark(marks, (addr,))
                 if acquire:
-                    marks = marks | frozenset(prev)
-                if marks is not fresh[i]:
-                    new_fresh = fresh[:i] + (marks,) + fresh[i + 1 :]
-                successors.append((memory, prev, new_threads, buffers, new_fresh))
-            # Forwarded loads still count as shared reads for reduction
-            # purposes: forwarding status flips once the own buffer
-            # drains, so an "invisible" classification would hide the
-            # dependence on rival writes landing after the drain.
-            fp = self._addr_fp(addr, reads=True)
-            if acquire and not fp.top:
-                # Like the stale-killing fence: observes the whole
-                # previous-value map, so it orders against every publish.
-                fp = Footprint(reads=fp.reads, global_read=True)
-            return Transition(("t", i), i, True, fp, tuple(successors))
+                    marks = _mark(marks, prev)
+                successors.append(
+                    (
+                        memory,
+                        prev,
+                        self._commit(threads, i, ready, pending, value),
+                        buffers,
+                        _replace(fresh, i, marks),
+                    )
+                )
+            return tuple(successors)
 
         if pending.kind == "store":
             # A release store seals the current store group first, like
@@ -280,76 +322,38 @@ class RelaxedExplorer(CoreExplorer):
             # cannot delay a satisfied read past a later store (see the
             # LB note above) — so sealing is the entire obligation; the
             # release itself stays buffered (w->r remains relaxed).
+            buffer = buffers[i]
             if pending.inst.ordering == "release":  # type: ignore[union-attr]
                 buffer = storebuf.seal(buffer)
-            new_buffers = (
-                buffers[:i]
-                + (storebuf.append(buffer, pending.addr, pending.value),)
-                + buffers[i + 1 :]
-            )
-            self.executor.commit(clone, pending)
-            return Transition(
-                ("t", i),
-                i,
-                True,
-                LOCAL_FP,
-                ((memory, prev, advanced, new_buffers, fresh),),
+            buffer = storebuf.append(buffer, pending.addr, pending.value)
+            return (
+                (
+                    memory,
+                    prev,
+                    self._commit(threads, i, ready, pending),
+                    _replace(buffers, i, buffer),
+                    fresh,
+                ),
             )
 
         if pending.kind == "rmw":
-            # LL/SC-style: needs the coherent current value, so own
-            # buffered stores to this address must drain first — but no
-            # implicit barrier: the rest of the buffer stays put.
-            if storebuf.holds(buffer, pending.addr):
-                return None
-            new_memory = dict(memory)
-            new_prev = dict(prev)
-            new_fresh = list(fresh)
-            old = new_memory.get(pending.addr, 0)
-            result, new = pending.rmw_result(old)
+            result, new = pending.rmw_result(memory.get(pending.addr, 0))
             if new is not None:
-                self._publish(
-                    new_prev, new_memory, new_fresh, i, pending.addr, new
+                prev, memory, fresh = self._publish(
+                    prev, memory, fresh, i, pending.addr, new
                 )
             else:
-                new_fresh[i] = new_fresh[i] | {pending.addr}
-            self.executor.commit(clone, pending, result)
-            return Transition(
-                ("t", i),
-                i,
-                True,
-                self._addr_fp(pending.addr, reads=True, writes=True),
-                ((new_memory, new_prev, advanced, buffers, tuple(new_fresh)),),
-            )
+                fresh = _replace(fresh, i, _mark(fresh[i], (pending.addr,)))
+            return ((memory, prev, self._commit(threads, i, ready, pending, result), buffers, fresh),)
 
-        if pending.kind == "fence":
-            kills = self._fence_kills(pending.inst)  # type: ignore[arg-type]
-            if OrderKind.WR in kills and not storebuf.empty(buffer):
-                return None  # full fence: wait for the buffer to drain
-            new_buffers = buffers
-            if OrderKind.WW in kills and OrderKind.WR not in kills:
-                new_buffers = buffers[:i] + (storebuf.seal(buffer),) + buffers[i + 1 :]
-            new_fresh = fresh
-            stale_kill = OrderKind.RR in kills or OrderKind.RW in kills
-            if stale_kill:
-                # No pre-fence read may be satisfied stale anymore.
-                new_fresh = (
-                    fresh[:i] + (fresh[i] | frozenset(prev),) + fresh[i + 1 :]
-                )
-            self.executor.commit(clone, pending)
-            # A stale-killing fence observes the whole previous-value
-            # map, so it orders against every publish; a seal-only or
-            # no-op fence is invisible to other threads.
-            fp = Footprint(global_read=True) if stale_kill else LOCAL_FP
-            return Transition(
-                ("t", i),
-                i,
-                True,
-                fp,
-                ((memory, prev, advanced, new_buffers, new_fresh),),
-            )
-
-        raise ExecutionError(f"unknown action {pending.kind}")  # pragma: no cover
+        # fence
+        kills = self._fence_kills(pending.inst)  # type: ignore[arg-type]
+        if OrderKind.WW in kills and OrderKind.WR not in kills:
+            buffers = _replace(buffers, i, storebuf.seal(buffers[i]))
+        if OrderKind.RR in kills or OrderKind.RW in kills:
+            # No pre-fence read may be satisfied stale anymore.
+            fresh = _replace(fresh, i, _mark(fresh[i], prev))
+        return ((memory, prev, self._commit(threads, i, ready, pending), buffers, fresh),)
 
 
 class ARMExplorer(RelaxedExplorer):

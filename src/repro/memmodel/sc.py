@@ -16,11 +16,12 @@ the happens-before/race machinery consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from repro.ir.function import Program
 from repro.ir.instructions import Instruction
-from repro.memmodel.explore import LOCAL_FP, CoreExplorer, Transition
+from repro.memmodel.explore import LOCAL_FP, CoreExplorer, SharedMap, Transition
 from repro.memmodel.interpreter import (
     ExecutionError,
     GlobalLayout,
@@ -92,7 +93,7 @@ class SCExplorer(CoreExplorer):
 
     def initial_state(self) -> tuple:
         return (
-            self.layout.initial_memory(),
+            SharedMap(self.layout.initial_memory()),
             tuple(self.executor.start_all()),
         )
 
@@ -101,52 +102,60 @@ class SCExplorer(CoreExplorer):
 
     def state_parts(self, state: tuple) -> tuple[tuple, tuple]:
         memory, threads = state
-        return tuple(sorted(memory.items())), tuple(() for _ in threads)
+        return memory.sorted_items(), ((),) * len(threads)
 
     def outcome_of(self, state: tuple) -> Outcome:
         memory, threads = state
         return make_outcome(self.layout, memory, threads, self.observe_globals)
 
     def transitions(self, state: tuple) -> list[Transition]:
-        memory, threads = state
         out: list[Transition] = []
-        for i, ts in enumerate(threads):
+        for i, ts in enumerate(state[1]):
             if ts.done:
                 continue
-            new_threads, clone, pending = self._advance(threads, i)
-            if pending is None:
-                # Thread ran to completion with no more visible actions.
-                out.append(
-                    Transition(("t", i), i, True, LOCAL_FP, ((memory, new_threads),))
-                )
-                continue
-            if pending.kind == "load":
-                self.executor.commit(clone, pending, memory.get(pending.addr, 0))
-                fp = self._addr_fp(pending.addr, reads=True)
-                succ = (memory, new_threads)
-            elif pending.kind == "store":
-                new_memory = dict(memory)
-                new_memory[pending.addr] = pending.value
-                self.executor.commit(clone, pending)
-                fp = self._addr_fp(pending.addr, writes=True)
-                succ = (new_memory, new_threads)
-            elif pending.kind == "rmw":
-                new_memory = dict(memory)
-                old = new_memory.get(pending.addr, 0)
-                result, new = pending.rmw_result(old)
-                if new is not None:
-                    new_memory[pending.addr] = new
-                self.executor.commit(clone, pending, result)
-                fp = self._addr_fp(pending.addr, reads=True, writes=True)
-                succ = (new_memory, new_threads)
-            elif pending.kind == "fence":
-                self.executor.commit(clone, pending)  # no-ops under SC
+            ready, pending = self.executor.probe(ts, self.max_steps)
+            if pending is None or pending.kind == "fence":
+                # A finished thread, or a fence (no-op under SC).
                 fp = LOCAL_FP
-                succ = (memory, new_threads)
+            elif pending.kind == "load":
+                fp = self._addr_fp(pending.addr, reads=True)
+            elif pending.kind == "store":
+                fp = self._addr_fp(pending.addr, writes=True)
+            elif pending.kind == "rmw":
+                fp = self._addr_fp(pending.addr, reads=True, writes=True)
             else:  # pragma: no cover
                 raise ExecutionError(f"unknown action {pending.kind}")
-            out.append(Transition(("t", i), i, True, fp, (succ,)))
+            out.append(
+                Transition(
+                    ("t", i), i, True, fp,
+                    partial(self._successors, state, i, ready, pending),
+                )
+            )
         return out
+
+    def _successors(
+        self,
+        state: tuple,
+        i: int,
+        ready: ThreadState,
+        pending: Optional[PendingAction],
+    ) -> tuple:
+        """Thread ``i``'s step builder: the state after it performs
+        ``pending`` from its probe's ``ready`` state."""
+        memory, threads = state
+        if pending is None or pending.kind == "fence":
+            return ((memory, self._commit(threads, i, ready, pending)),)
+        if pending.kind == "load":
+            value = memory.get(pending.addr, 0)
+            return ((memory, self._commit(threads, i, ready, pending, value)),)
+        if pending.kind == "store":
+            result, new = None, pending.value
+        else:
+            result, new = pending.rmw_result(memory.get(pending.addr, 0))
+        if new is not None:
+            memory = SharedMap(memory)
+            memory[pending.addr] = new
+        return ((memory, self._commit(threads, i, ready, pending, result)),)
 
 
 # --- bounded trace enumeration (no state merging) ----------------------------
@@ -174,19 +183,12 @@ class Trace:
 class _Node:
     """One DFS node of :func:`enumerate_sc_traces`, with its undo record."""
 
-    __slots__ = ("threads", "next", "progressed", "stepped", "depth", "saved")
+    __slots__ = ("threads", "next", "progressed", "depth", "saved")
 
-    def __init__(
-        self,
-        threads: tuple[ThreadState, ...],
-        depth: int,
-        stepped: Optional[ThreadState] = None,
-    ) -> None:
+    def __init__(self, threads: tuple[ThreadState, ...], depth: int) -> None:
         self.threads = threads
         self.next = 0  # the next thread to try stepping
         self.progressed = False
-        #: The state this node's step created, whose probe dies with it.
-        self.stepped = stepped
         #: Action-list length before the step.
         self.depth = depth
         #: (address, value before the step, or None if it was unset).
@@ -195,12 +197,7 @@ class _Node:
     def save(self, memory: dict[int, int], addr: int) -> None:
         self.saved = (addr, memory.get(addr))
 
-    def undo(
-        self,
-        memory: dict[int, int],
-        actions: list[TraceAction],
-        probes: dict[int, tuple],
-    ) -> None:
+    def undo(self, memory: dict[int, int], actions: list[TraceAction]) -> None:
         """Take back the step that created this node."""
         if self.saved is not None:
             addr, old = self.saved
@@ -209,8 +206,6 @@ class _Node:
             else:
                 memory[addr] = old
         del actions[self.depth :]
-        if self.stepped is not None:
-            probes.pop(id(self.stepped), None)
 
 
 def enumerate_sc_traces(
@@ -232,25 +227,14 @@ def enumerate_sc_traces(
     explicit stack, so trace length is bounded by ``max_actions``, not
     by the recursion limit. Stepping a thread clones only that thread:
     a placed :class:`ThreadState` is never mutated, so siblings are
-    shared, and each one's next visible action is computed once per
-    call rather than at every node below it.
+    shared, and each one's probe (its next visible action) is computed
+    once, rather than at every node below it.
     """
     executor = ThreadExecutor(program)
     layout = executor.layout
     traces: list[Trace] = []
     memory = layout.initial_memory()
     actions: list[TraceAction] = []
-    #: id(state) -> (state, state run to its next visible action, action).
-    probes: dict[int, tuple[ThreadState, ThreadState, Optional[PendingAction]]] = {}
-
-    def probe(ts: ThreadState) -> tuple[ThreadState, Optional[PendingAction]]:
-        entry = probes.get(id(ts))
-        if entry is None:
-            clone = ts.clone()
-            entry = (ts, clone, executor.next_action(clone, max_steps_per_thread))
-            probes[id(ts)] = entry
-        return entry[1], entry[2]
-
     root = _Node(tuple(executor.start_all()), 0)
     if max_traces <= 0:
         return traces
@@ -265,7 +249,7 @@ def enumerate_sc_traces(
             ts = threads[i]
             if ts.done or (schedule_filter is not None and not schedule_filter(i)):
                 continue
-            ready, pending = probe(ts)
+            ready, pending = executor.probe(ts, max_steps_per_thread)
             if pending is not None and len(actions) >= max_actions:
                 if len(traces) < max_traces:
                     stepped = threads[:i] + (ready,) + threads[i + 1 :]
@@ -286,7 +270,7 @@ def enumerate_sc_traces(
                 child = _Node(threads[:i] + (ready,) + threads[i + 1 :], len(actions))
                 continue
             clone = ready.clone()
-            child = _Node(threads[:i] + (clone,) + threads[i + 1 :], len(actions), clone)
+            child = _Node(threads[:i] + (clone,) + threads[i + 1 :], len(actions))
             index = len(actions)
             addr = pending.addr
             if pending.kind == "load":
@@ -321,5 +305,5 @@ def enumerate_sc_traces(
                 Trace(list(actions), make_outcome(layout, memory, threads), complete=True)
             )
         stack.pop()
-        node.undo(memory, actions, probes)
+        node.undo(memory, actions)
     return traces

@@ -42,12 +42,13 @@ of the original for the data reads.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator, Optional
 
 from repro.ir.function import Program
 from repro.ir.instructions import FenceKind
-from repro.memmodel.explore import LOCAL_FP, CoreExplorer, Transition
-from repro.memmodel.interpreter import ExecutionError, ThreadState
+from repro.memmodel.explore import LOCAL_FP, CoreExplorer, SharedMap, Transition
+from repro.memmodel.interpreter import ExecutionError, PendingAction, ThreadState
 from repro.memmodel.sc import Outcome, SCExplorer, make_outcome
 
 #: One group: address -> FIFO of pending values, sorted by address.
@@ -140,7 +141,7 @@ class StoreBufferExplorer(CoreExplorer):
     def initial_state(self) -> tuple:
         threads = tuple(self.executor.start_all())
         return (
-            self.layout.initial_memory(),
+            SharedMap(self.layout.initial_memory()),
             threads,
             tuple(() for _ in threads),
         )
@@ -150,7 +151,7 @@ class StoreBufferExplorer(CoreExplorer):
 
     def state_parts(self, state: tuple) -> tuple[tuple, tuple]:
         memory, _threads, buffers = state
-        return tuple(sorted(memory.items())), buffers
+        return memory.sorted_items(), buffers
 
     def buffered_addrs(self, state: tuple, tid: int) -> frozenset[int]:
         return addresses(state[2][tid])
@@ -164,22 +165,19 @@ class StoreBufferExplorer(CoreExplorer):
             raise ExecutionError("deadlock with non-empty buffer")
 
     def transitions(self, state: tuple) -> list[Transition]:
-        memory, threads, buffers = state
+        _memory, threads, buffers = state
         out: list[Transition] = []
 
         # (a) buffer drains.
         for i, buffer in enumerate(buffers):
             for addr, value, after in drains(buffer):
-                new_memory = dict(memory)
-                new_memory[addr] = value
-                new_buffers = buffers[:i] + (after,) + buffers[i + 1 :]
                 out.append(
                     Transition(
                         ("f", i, addr),
                         i,
                         False,
                         self._addr_fp(addr, writes=True),
-                        ((new_memory, threads, new_buffers),),
+                        partial(self._drain, state, i, addr, value, after),
                     )
                 )
 
@@ -187,27 +185,17 @@ class StoreBufferExplorer(CoreExplorer):
         for i, ts in enumerate(threads):
             if ts.done:
                 continue
-            new_threads, clone, pending = self._advance(threads, i)
-            if pending is None:
-                out.append(
-                    Transition(
-                        ("t", i), i, True, LOCAL_FP, ((memory, new_threads, buffers),)
-                    )
-                )
-                continue
+            ready, pending = self.executor.probe(ts, self.max_steps)
             buffer = buffers[i]
-            if pending.kind == "load":
-                value = forward(buffer, pending.addr)
-                if value is None:
-                    value = memory.get(pending.addr, 0)
-                self.executor.commit(clone, pending, value)
+            if pending is None:
+                fp = LOCAL_FP
+            elif pending.kind == "load":
                 # A forwarded load is still a shared-memory read for
                 # reduction purposes: whether it forwards depends on the
                 # own drain having happened, so treating it as invisible
                 # would let a rival drain slip between "own drain; load"
                 # unseen.
                 fp = self._addr_fp(pending.addr, reads=True)
-                succ = (memory, new_threads, buffers)
             elif pending.kind == "store":
                 if (
                     self.RELEASE_DRAINS
@@ -215,37 +203,67 @@ class StoreBufferExplorer(CoreExplorer):
                     and not empty(buffer)
                 ):
                     continue
-                if self.SEAL_EACH_STORE:
-                    buffer = seal(buffer)
-                new_buffers = (
-                    buffers[:i]
-                    + (append(buffer, pending.addr, pending.value),)
-                    + buffers[i + 1 :]
-                )
-                self.executor.commit(clone, pending)
                 fp = LOCAL_FP  # buffered: invisible until drained
-                succ = (memory, new_threads, new_buffers)
             elif pending.kind == "rmw":
                 if not empty(buffer):
                     continue  # LOCK-prefixed: drains the buffer first
-                new_memory = dict(memory)
-                old = new_memory.get(pending.addr, 0)
-                result, new = pending.rmw_result(old)
-                if new is not None:
-                    new_memory[pending.addr] = new
-                self.executor.commit(clone, pending, result)
                 fp = self._addr_fp(pending.addr, reads=True, writes=True)
-                succ = (new_memory, new_threads, buffers)
             elif pending.kind == "fence":
                 if pending.fence_kind is FenceKind.FULL and not empty(buffer):
                     continue  # mfence waits for the buffer to drain
-                self.executor.commit(clone, pending)
                 fp = LOCAL_FP
-                succ = (memory, new_threads, buffers)
             else:  # pragma: no cover
                 raise ExecutionError(f"unknown action {pending.kind}")
-            out.append(Transition(("t", i), i, True, fp, (succ,)))
+            out.append(
+                Transition(
+                    ("t", i), i, True, fp,
+                    partial(self._successors, state, i, ready, pending),
+                )
+            )
         return out
+
+    @staticmethod
+    def _drain(
+        state: tuple, i: int, addr: int, value: int, after: Buffer
+    ) -> tuple:
+        memory, threads, buffers = state
+        new_memory = SharedMap(memory)
+        new_memory[addr] = value
+        return ((new_memory, threads, buffers[:i] + (after,) + buffers[i + 1 :]),)
+
+    def _successors(
+        self,
+        state: tuple,
+        i: int,
+        ready: ThreadState,
+        pending: Optional[PendingAction],
+    ) -> tuple:
+        """Thread ``i``'s step builder: the state after it performs
+        ``pending`` from its probe's ``ready`` state."""
+        memory, threads, buffers = state
+        if pending is None or pending.kind == "fence":
+            return ((memory, self._commit(threads, i, ready, pending), buffers),)
+        buffer = buffers[i]
+        if pending.kind == "load":
+            value = forward(buffer, pending.addr)
+            if value is None:
+                value = memory.get(pending.addr, 0)
+            return ((memory, self._commit(threads, i, ready, pending, value), buffers),)
+        if pending.kind == "store":
+            if self.SEAL_EACH_STORE:
+                buffer = seal(buffer)
+            new_buffers = (
+                buffers[:i]
+                + (append(buffer, pending.addr, pending.value),)
+                + buffers[i + 1 :]
+            )
+            return ((memory, self._commit(threads, i, ready, pending), new_buffers),)
+        # rmw, on an empty buffer
+        result, new = pending.rmw_result(memory.get(pending.addr, 0))
+        if new is not None:
+            memory = SharedMap(memory)
+            memory[pending.addr] = new
+        return ((memory, self._commit(threads, i, ready, pending, result), buffers),)
 
 
 class TSOExplorer(StoreBufferExplorer):

@@ -7,6 +7,13 @@ code below is unchanged apart from its imports (the per-address map
 helpers are inlined) and one cross-reference comment, so ``tests/test_storebuf_oracle.py`` can check
 that the merged explorer visits the same number of states and reaches
 the same outcomes.
+
+The explorers build their successor states eagerly, through a thread
+advance the shared core no longer has (it probes each thread state
+once and builds successors lazily). The small adapter below restores
+both for this file: ``Transition`` takes the successor tuple and wraps
+it in the core's builder, and ``CoreExplorer`` adds the old
+``_advance``. Neither changes what the explorers compute.
 """
 
 from __future__ import annotations
@@ -14,9 +21,27 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.ir.instructions import FenceKind
-from repro.memmodel.explore import LOCAL_FP, CoreExplorer, Transition
+from repro.memmodel import explore
+from repro.memmodel.explore import LOCAL_FP
 from repro.memmodel.interpreter import ExecutionError, ThreadState
 from repro.memmodel.sc import Outcome, make_outcome
+
+
+def Transition(key: tuple, tid: int, is_step: bool, fp, successors: tuple):
+    """An eager transition: its builder returns the ready-made states."""
+    return explore.Transition(key, tid, is_step, fp, lambda: successors)
+
+
+class CoreExplorer(explore.CoreExplorer):
+    def _advance(self, threads: tuple[ThreadState, ...], i: int):
+        """Clone thread ``i`` only and run it to its next visible
+        action; siblings are shared structurally (states never mutate
+        a thread in place)."""
+        new_threads = list(threads)
+        clone = threads[i].clone()
+        new_threads[i] = clone
+        pending = self.executor.next_action(clone, self.max_steps)
+        return tuple(new_threads), clone, pending
 
 AddrFifoMap = tuple[tuple[int, tuple[int, ...]], ...]
 

@@ -137,6 +137,48 @@ def test_source_errors_exit_2_with_one_line(
     assert captured.err == f"{path}: {message}\n"
 
 
+RUNAWAY = """
+global int flag;
+fn waiter(tid) { local r = 0; while (flag == 0) { r = r + 1; } observe("r", r); }
+thread waiter(0);
+"""
+
+DIV_ZERO = """
+global int x;
+fn t(tid) { local z = 0; z = x; observe("r", 1 / z); }
+thread t(0);
+"""
+
+
+@pytest.mark.parametrize(
+    "command, source, message",
+    [
+        ("check", RUNAWAY, "thread 0: exceeded 100000 steps"),
+        ("simulate", RUNAWAY, "thread 0: exceeded 5000000 steps"),
+        ("check", DIV_ZERO, "division by zero"),
+        ("simulate", DIV_ZERO, "division by zero"),
+    ],
+    ids=["check-runaway", "simulate-runaway", "check-div0", "simulate-div0"],
+)
+def test_runtime_errors_exit_2_with_one_line(tmp_path, capsys, command, source, message):
+    path = tmp_path / "bad.mc"
+    path.write_text(source)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: {message}\n"
+
+
+@pytest.mark.parametrize("bound", ["0", "-1", "many"])
+def test_check_max_states_below_one_is_a_usage_error(mp_file, capsys, bound):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", mp_file, "--max-states", bound])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--max-states: must be an integer >= 1, got '{bound}'" in captured.err
+
+
 def test_experiments_quick(capsys):
     assert main(["experiments", "--quick"]) == 0
     out = capsys.readouterr().out

@@ -297,6 +297,22 @@ def test_explorer_counters_flush_per_model():
     assert states >= result.states_explored > 0
     assert 'repro_explore_sleep_blocked_total{model="sc"}' in payload["counters"]
     assert 'repro_explore_pruned_total{model="sc"}' in payload["counters"]
+    assert 'repro_explore_successors_total{model="sc"}' in payload["counters"]
+    assert 'repro_explore_probes_total{model="sc"}' in payload["counters"]
+
+
+def test_explorer_work_counters_pinned_for_one_cell():
+    """Successor states built and thread probes run, for the litmus MP
+    cell on ARM: both are deterministic work counts of the DFS."""
+    from repro.memmodel.litmus import LITMUS_TESTS
+    from repro.memmodel.relaxed import ARMExplorer
+
+    result = ARMExplorer(LITMUS_TESTS["mp"].compile()).explore()
+    counters = metrics.REGISTRY.to_payload()["counters"]
+    assert result.states_explored == 42
+    assert counters['repro_explore_states_total{model="arm"}'] == 42
+    assert counters['repro_explore_successors_total{model="arm"}'] == 55
+    assert counters['repro_explore_probes_total{model="arm"}'] == 26
 
 
 # --- top renderings -------------------------------------------------------
