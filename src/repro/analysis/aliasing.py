@@ -10,6 +10,13 @@ needs:
   stores in the function that potentially wrote the value being read"
   (Listing 2, line 17), the memory-chasing step of the backwards slicer.
 
+``potential_writers`` is answered from a *writer index*: on first use
+``PointsTo`` collects the function's writer sites once, as
+``(instruction, pointee set)`` in instruction order. The answer depends
+only on the load address's pointee set, so it is memoized per pointee
+set; a miss scans the writer sites alone, with the same alias test as
+``may_alias``. Every call returns a fresh list in instruction order.
+
 The abstraction: every pointer value maps to a set of abstract objects —
 named globals (field-insensitive over arrays), individual ``alloca``
 sites, and a conservative ``Unknown`` top element covering everything
@@ -23,6 +30,7 @@ assigned ``p1`` aliases {x, y} but not ``flag``).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from repro.ir.function import Function
@@ -112,6 +120,10 @@ class PointsTo:
         # Alloca contents: pointer values that may have been stored in it.
         self._contents: dict[AllocaObj, frozenset[AbstractObject]] = {}
         self.escaped_allocas: frozenset[AllocaObj] = frozenset()
+        # The writer index's answers, per load pointee set.
+        self._writers_by_pointees: dict[
+            frozenset[AbstractObject], tuple[Instruction, ...]
+        ] = {}
         self._compute()
 
     # --- public API ------------------------------------------------------
@@ -131,8 +143,12 @@ class PointsTo:
 
     def may_alias(self, a: Value, b: Value) -> bool:
         """Can addresses ``a`` and ``b`` denote overlapping memory?"""
-        sa = self.pointees(a)
-        sb = self.pointees(b)
+        return self._objects_alias(self.pointees(a), self.pointees(b))
+
+    def _objects_alias(
+        self, sa: frozenset[AbstractObject], sb: frozenset[AbstractObject]
+    ) -> bool:
+        """``may_alias`` on two pointee sets."""
         if sa & sb - {UNKNOWN}:
             return True
         if UNKNOWN in sa and self._has_escaping_target(sb):
@@ -156,13 +172,28 @@ class PointsTo:
         addr = inst.address_operand()
         if addr is None:
             raise ValueError(f"{inst!r} does not read memory")
-        writers = []
+        pointees = self.pointees(addr)
+        writers = self._writers_by_pointees.get(pointees)
+        if writers is None:
+            writers = tuple(
+                other
+                for other, other_pointees in self._writer_sites
+                if self._objects_alias(pointees, other_pointees)
+            )
+            self._writers_by_pointees[pointees] = writers
+        return list(writers)
+
+    @cached_property
+    def _writer_sites(self) -> list[tuple[Instruction, frozenset[AbstractObject]]]:
+        """The function's writer sites with their pointee sets, in
+        instruction order (collected on first use)."""
+        sites = []
         for other in self.function.instructions():
             if other.writes_memory():
                 other_addr = other.address_operand()
-                if other_addr is not None and self.may_alias(addr, other_addr):
-                    writers.append(other)
-        return writers
+                if other_addr is not None:
+                    sites.append((other, self.pointees(other_addr)))
+        return sites
 
     def is_local_address(self, addr: Value) -> bool:
         """True if ``addr`` provably denotes only non-escaped allocas."""

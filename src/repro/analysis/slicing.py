@@ -45,9 +45,9 @@ class Slicer:
         self.points_to = points_to
         self.escape_info = escape_info
         self.chase_load_addresses = chase_load_addresses
-        # Cache: potential_writers is O(|accesses|) per query and hit
-        # repeatedly for the same load across overlapping slices. An
-        # AnalysisContext passes one shared dict so every slicer over
+        # Per-load memo over PointsTo's writer index (which answers per
+        # pointee set). Overlapping slices ask for the same load again;
+        # an AnalysisContext passes one shared dict so every slicer over
         # the same function reuses each other's answers.
         self._writers_cache: dict[int, list[Instruction]] = (
             writers_cache if writers_cache is not None else {}

@@ -91,7 +91,7 @@ def _file_error(path: str, exc: Exception) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """An integer >= 1 (``check --max-states``)."""
+    """An integer >= 1 (state, trace and action bounds)."""
     try:
         value = int(text)
     except ValueError:
@@ -619,9 +619,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: error)")
     p.add_argument("--no-confirm", action="store_true",
                    help="skip the explorer audit of race candidates")
-    p.add_argument("--max-traces", type=int, default=400,
+    p.add_argument("--max-traces", type=_positive_int, default=400,
                    help="SC interleavings to search for witnesses")
-    p.add_argument("--max-actions", type=int, default=400,
+    p.add_argument("--max-actions", type=_positive_int, default=400,
                    help="memory actions per searched interleaving")
     p.add_argument("--manual-fences", action="store_true",
                    help="keep the programs' manual fences (lint them too)")
@@ -700,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (default: CPU count)")
     p.add_argument("--serial", action="store_true",
                    help="run serially (deterministic fallback)")
-    p.add_argument("--max-states", type=int, default=1_000_000,
+    p.add_argument("--max-states", type=_positive_int, default=1_000_000,
                    help="per-exploration state bound")
     p.add_argument("--no-shrink", action="store_true",
                    help="report violations without minimizing them")
@@ -739,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for batch/fuzz requests")
     p.add_argument("--serial", action="store_true",
                    help="run batch/fuzz requests serially")
-    p.add_argument("--max-states", type=int, default=1_000_000,
+    p.add_argument("--max-states", type=_positive_int, default=1_000_000,
                    help="default per-exploration state bound")
     p.add_argument("--cache-dir", default=None,
                    help="directory for the batch result cache")

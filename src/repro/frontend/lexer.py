@@ -1,9 +1,16 @@
-"""Tokenizer for the mini-C source language."""
+"""Tokenizer for the mini-C source language.
+
+The scanner is one compiled regular expression (``_SCANNER``) matched
+once per token. Token kinds, text and line numbers are exact on
+non-ASCII input too: the character tests are ``str.isdigit``,
+``str.isalpha`` and ``str.isalnum``, as a character-by-character
+scanner would apply them.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from typing import NamedTuple
 
 KEYWORDS = {
     "global",
@@ -61,8 +68,7 @@ OPERATORS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "num", "ident", "kw", "op", "str", "eof"
     text: str
     line: int
@@ -75,65 +81,78 @@ class LexError(Exception):
     """Raised on an unrecognized character."""
 
 
+# The whole scanner: one pattern, matched at each token start. In
+# ``re``, ``\w`` is ``str.isalnum()`` plus ``_`` and ``\d`` is
+# ``str.isdecimal()``. A number starts with an ``isdigit()`` character
+# and continues through ``isdigit()`` characters and hex letters; an
+# identifier starts with ``isalpha()`` or ``_`` and continues through
+# ``\w``. ``\d`` misses the non-decimal digits (``²``), so ``tokenize``
+# classifies a ``word`` by its first character and extends a ``num``
+# over a following non-decimal digit.
+_SCANNER = re.compile(
+    r"""
+    (?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)
+  | (?P<num>\d[\dxXa-fA-F]*)
+  | (?P<word>\w+)
+  | (?P<str>"[^"\n]*")
+  | (?P<open_comment>/\*)
+  | (?P<op>{ops})
+  | (?P<open_str>")
+  | (?P<other>.)
+    """.format(ops="|".join(re.escape(op) for op in OPERATORS)),
+    re.DOTALL | re.VERBOSE,
+)
+_HEX_LETTERS = "xXabcdefABCDEF"
+
+
 def tokenize(source: str) -> list[Token]:
-    return list(_tokens(source))
-
-
-def _tokens(source: str) -> Iterator[Token]:
-    i = 0
+    tokens: list[Token] = []
+    append = tokens.append
+    scan = _SCANNER.match
     line = 1
+    pos = 0
     n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if source.startswith("//", i):
-            end = source.find("\n", i)
-            i = n if end == -1 else end
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end == -1:
-                raise LexError(f"line {line}: unterminated block comment")
-            line += source.count("\n", i, end)
-            i = end + 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and (source[j].isdigit() or source[j] in "xXabcdefABCDEF"):
-                j += 1
-            yield Token("num", source[i:j], line)
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            yield Token("kw" if text in KEYWORDS else "ident", text, line)
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise LexError(f"line {line}: newline in string literal")
-                j += 1
-            if j >= n:
-                raise LexError(f"line {line}: unterminated string literal")
-            yield Token("str", source[i + 1 : j], line)
-            i = j + 1
-            continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                yield Token("op", op, line)
-                i += len(op)
-                break
+    while pos < n:
+        m = scan(source, pos)
+        kind = m.lastgroup
+        pos = m.end()
+        if kind == "skip":
+            line += m.group().count("\n")
+        elif kind == "word":
+            text = m.group()
+            ch = text[0]
+            if ch.isalpha() or ch == "_":
+                append(Token("kw" if text in KEYWORDS else "ident", text, line))
+            elif ch.isdigit():  # a non-decimal digit such as '²'
+                pos = _number_end(source, m.start())
+                append(Token("num", source[m.start() : pos], line))
+            else:
+                raise LexError(f"line {line}: unexpected character {ch!r}")
+        elif kind == "op":
+            append(Token("op", m.group(), line))
+        elif kind == "num":
+            if source[pos : pos + 1].isdigit():  # a non-decimal digit
+                pos = _number_end(source, pos)
+            append(Token("num", source[m.start() : pos], line))
+        elif kind == "str":
+            append(Token("str", m.group()[1:-1], line))
+        elif kind == "open_str":
+            if source.find("\n", pos) != -1:  # reached before any '"'
+                raise LexError(f"line {line}: newline in string literal")
+            raise LexError(f"line {line}: unterminated string literal")
+        elif kind == "open_comment":
+            raise LexError(f"line {line}: unterminated block comment")
         else:
-            raise LexError(f"line {line}: unexpected character {ch!r}")
-    yield Token("eof", "", line)
+            raise LexError(f"line {line}: unexpected character {m.group()!r}")
+    append(Token("eof", "", line))
+    return tokens
+
+
+def _number_end(source: str, pos: int) -> int:
+    """End of the number continuing at ``pos``: ``isdigit()`` characters
+    (non-decimal ones such as ``²`` included) and hex letters."""
+    while pos < len(source) and (
+        source[pos].isdigit() or source[pos] in _HEX_LETTERS
+    ):
+        pos += 1
+    return pos

@@ -315,6 +315,17 @@ def detect_races(
         context, summaries, variant
     )
 
+    # Every filter below is a pure conjunct, so rejecting sync accesses
+    # once per site and running the costly MHP overlap test last keeps
+    # the candidates and their order.
+    data_sites = {
+        name: [
+            site
+            for site in summary.accesses
+            if not _is_sync_access(site, sync_locations, sync_read_ids)
+        ]
+        for name, summary in summaries.items()
+    }
     candidates: list[RaceCandidate] = []
     seen: set[frozenset[tuple[str, int]]] = set()
     names = list(summaries)
@@ -322,21 +333,17 @@ def detect_races(
         for g in names[i:]:
             if not structure.may_happen_in_parallel(f, g):
                 continue
-            for a in summaries[f].accesses:
-                for b in summaries[g].accesses:
+            for a in data_sites[f]:
+                for b in data_sites[g]:
                     if f == g and b.uid < a.uid:
                         continue  # unordered pair: visit once
                     if not (a.is_write or b.is_write):
                         continue
-                    if not structure.may_overlap(f, a.uid, g, b.uid):
-                        continue  # tid guards / barrier phases separate them
-                    if _is_sync_access(
-                        a, sync_locations, sync_read_ids
-                    ) or _is_sync_access(b, sync_locations, sync_read_ids):
-                        continue
                     location = _conflict_location(a, b)
                     if location is None:
                         continue
+                    if not structure.may_overlap(f, a.uid, g, b.uid):
+                        continue  # tid guards / barrier phases separate them
                     if _array_elements_disjoint(program, location, a, b):
                         continue
                     if a.lockset & b.lockset:

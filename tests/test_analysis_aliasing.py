@@ -1,8 +1,14 @@
 """Unit tests for points-to / may-alias analysis."""
 
+import pytest
+
 from repro.analysis.aliasing import UNKNOWN, AllocaObj, GlobalObj, PointsTo
+from repro.engine.context import AnalysisContext
 from repro.frontend import compile_source
 from repro.ir import Load, Store
+from repro.ir.values import Constant, GlobalRef
+from repro.memmodel.litmus import LITMUS_TESTS
+from repro.programs import all_programs
 
 
 def _analyze(src: str, fn: str = "f"):
@@ -191,3 +197,103 @@ def test_is_local_address():
     global_store = [s for s in stores if str(s.addr) == "@g"][0]
     assert pt.is_local_address(local_store.addr)
     assert not pt.is_local_address(global_store.addr)
+
+
+# --- the writer index answers exactly what a full scan answers --------------
+
+
+def _scan_writers(pt, inst):
+    """The definition: every memory writer in the function whose
+    address may alias the read's, in instruction order."""
+    addr = inst.address_operand()
+    return [
+        other
+        for other in pt.function.instructions()
+        if other.writes_memory()
+        and other.address_operand() is not None
+        and pt.may_alias(addr, other.address_operand())
+    ]
+
+
+_WRITER_PROGRAMS = [
+    *(("corpus", name) for name in sorted(all_programs())),
+    *(("litmus", name) for name in sorted(LITMUS_TESTS)),
+]
+
+
+@pytest.mark.parametrize(
+    "suite,name", _WRITER_PROGRAMS, ids=[f"{s}-{n}" for s, n in _WRITER_PROGRAMS]
+)
+def test_potential_writers_equals_full_scan(suite, name):
+    if suite == "corpus":
+        program = all_programs()[name].compile()
+    else:
+        program = LITMUS_TESTS[name].compile()
+    reads = 0
+    for func in program.functions.values():
+        pt = PointsTo(func)
+        for inst in func.instructions():
+            if inst.reads_memory():
+                reads += 1
+                assert pt.potential_writers(inst) == _scan_writers(pt, inst)
+    assert reads
+
+
+def _counting_alias_test(pt, monkeypatch):
+    calls = []
+    real = pt._objects_alias
+
+    def counted(sa, sb):
+        calls.append((sa, sb))
+        return real(sa, sb)
+
+    monkeypatch.setattr(pt, "_objects_alias", counted)
+    return calls
+
+
+def test_potential_writers_memoized_per_pointee_set(monkeypatch):
+    src = "global x; global y; fn f() { x = 1; y = 2; local a = x; local b = x; }"
+    func, pt = _analyze(src)
+    first, second = [l for l in _loads(func) if str(l.addr) == "@x"]
+    calls = _counting_alias_test(pt, monkeypatch)
+    writers = pt.potential_writers(first)
+    assert [str(w.addr) for w in writers] == ["@x"]
+    scanned = len(calls)
+    # One alias test per writer site (the two globals and two locals).
+    assert scanned == sum(1 for i in func.instructions() if i.writes_memory())
+    assert pt.potential_writers(second) == writers
+    assert len(calls) == scanned  # same pointee set: no second scan
+
+
+def test_potential_writers_returns_a_fresh_list():
+    src = "global x; fn f() { x = 1; x = 2; local a = x; }"
+    func, pt = _analyze(src)
+    ld = _loads(func)[0]
+    writers = pt.potential_writers(ld)
+    expected = list(writers)
+    writers.clear()
+    writers.append(ld)
+    assert pt.potential_writers(ld) == expected
+    assert pt.potential_writers(ld) is not pt.potential_writers(ld)
+
+
+def test_fresh_points_to_after_edit_sees_new_writer():
+    src = """
+    global int flag;
+    global int data;
+    fn consumer(tid) { local r = 0; r = data; observe("r", r); }
+    thread consumer(0);
+    """
+    program = compile_source(src, "edit")
+    ctx = AnalysisContext(program)
+    consumer = program.functions["consumer"]
+    data_load = [l for l in _loads(consumer) if str(l.addr) == "@data"][0]
+    before = ctx.points_to(consumer)
+    assert before.potential_writers(data_load) == []
+    edit = Store(GlobalRef("data"), Constant(7))
+    consumer.blocks[0].insert(0, edit)
+    consumer.finalize()
+    ctx.refresh()
+    after = ctx.points_to(consumer)
+    assert after is not before
+    assert after.potential_writers(data_load) == [edit]

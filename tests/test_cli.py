@@ -179,6 +179,27 @@ def test_check_max_states_below_one_is_a_usage_error(mp_file, capsys, bound):
     assert f"--max-states: must be an integer >= 1, got '{bound}'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command,option",
+    [
+        (["lint", "mp"], "--max-traces"),
+        (["lint", "mp"], "--max-actions"),
+        (["fuzz", "--seeds", "1", "--serial"], "--max-states"),
+        (["serve", "--stdio"], "--max-states"),
+    ],
+)
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_explorer_bounds_below_one_are_usage_errors(capsys, command, option, bound):
+    # A zero bound would silently turn the audit into a no-op; the
+    # documented way to skip it is --no-confirm.
+    with pytest.raises(SystemExit) as exc:
+        main([*command, option, bound])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{option}: must be an integer >= 1, got '{bound}'" in captured.err
+
+
 def test_experiments_quick(capsys):
     assert main(["experiments", "--quick"]) == 0
     out = capsys.readouterr().out

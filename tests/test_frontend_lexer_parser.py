@@ -49,6 +49,59 @@ def test_tokenize_bad_character():
         tokenize("a $ b")
 
 
+@pytest.mark.parametrize(
+    "source,expected",
+    [
+        ("local é = 1;", [
+            ("kw", "local", 1), ("ident", "é", 1), ("op", "=", 1),
+            ("num", "1", 1), ("op", ";", 1), ("eof", "", 1),
+        ]),
+        ("x = ١٢;", [
+            ("ident", "x", 1), ("op", "=", 1), ("num", "١٢", 1),
+            ("op", ";", 1), ("eof", "", 1),
+        ]),
+        ("x = 1²;", [
+            ("ident", "x", 1), ("op", "=", 1), ("num", "1²", 1),
+            ("op", ";", 1), ("eof", "", 1),
+        ]),
+        ("x = 1é;", [
+            ("ident", "x", 1), ("op", "=", 1), ("num", "1", 1),
+            ("ident", "é", 1), ("op", ";", 1), ("eof", "", 1),
+        ]),
+        ('/* a\nb */ x\n"s"', [
+            ("ident", "x", 2), ("str", "s", 3), ("eof", "", 3),
+        ]),
+        ("x\r\ny", [("ident", "x", 1), ("ident", "y", 2), ("eof", "", 2)]),
+        ("0x1F 08 1abc", [
+            ("num", "0x1F", 1), ("num", "08", 1), ("num", "1abc", 1),
+            ("eof", "", 1),
+        ]),
+    ],
+)
+def test_tokenize_edge_cases_exact(source, expected):
+    assert [(t.kind, t.text, t.line) for t in tokenize(source)] == expected
+
+
+@pytest.mark.parametrize(
+    "source,message",
+    [
+        ("x = ½;", "line 1: unexpected character '½'"),
+        ('observe("a\nb", 1);', "line 1: newline in string literal"),
+        ('observe("oops', "line 1: unterminated string literal"),
+        ("x;\n/* never ends", "line 2: unterminated block comment"),
+        ("a\n\nb $", "line 3: unexpected character '$'"),
+    ],
+)
+def test_tokenize_error_messages_exact(source, message):
+    with pytest.raises(LexError) as exc:
+        tokenize(source)
+    assert str(exc.value) == message
+
+
+def test_token_repr():
+    assert repr(tokenize("x")[0]) == "Token(ident, 'x', line 1)"
+
+
 # --- parser ------------------------------------------------------------------
 
 
