@@ -91,7 +91,8 @@ def _file_error(path: str, exc: Exception) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """An integer >= 1 (state, trace and action bounds)."""
+    """An integer >= 1 (state, trace and action bounds, seed counts,
+    worker counts and queue limits)."""
     try:
         value = int(text)
     except ValueError:
@@ -634,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiments", help="regenerate the paper's evaluation")
     p.add_argument("--quick", action="store_true",
                    help="4-program subset instead of all 17")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes (default: CPU count)")
     p.add_argument("--serial", action="store_true",
                    help="run the sweep serially (deterministic fallback)")
@@ -659,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="greedy",
                    help="strategy whose cost fills each cell's fence_cost "
                         "(greedy and optimal costs are both reported)")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes (default: CPU count)")
     p.add_argument("--serial", action="store_true",
                    help="run serially (deterministic fallback)")
@@ -679,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz",
         help="differential fence-validation fuzzing (soundness oracle)",
     )
-    p.add_argument("--seeds", type=int, default=16,
+    p.add_argument("--seeds", type=_positive_int, default=16,
                    help="number of seeds per shape (default 16)")
     p.add_argument("--budget", type=float, default=None,
                    help="wall-clock budget in seconds; stops dispatching "
@@ -696,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weak machine models to explore "
                         f"({', '.join(sorted(weak_model_keys()))}); "
                         "non-checkable models (sc, rmo) are excluded")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes (default: CPU count)")
     p.add_argument("--serial", action="store_true",
                    help="run serially (deterministic fallback)")
@@ -727,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="analysis worker processes in the sharded cluster, "
                         "at least 1 (default: the CPU count); --stdio "
                         "serves in-process instead")
-    p.add_argument("--queue-limit", type=int, default=64,
+    p.add_argument("--queue-limit", type=_positive_int, default=64,
                    help="max outstanding requests per worker before new "
                         "ones are refused with an 'overloaded' error")
     p.add_argument("--request-timeout", type=float, default=300.0,
@@ -735,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drain-timeout", type=float, default=10.0,
                    help="how long graceful shutdown waits for in-flight "
                         "requests before force-closing")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes for batch/fuzz requests")
     p.add_argument("--serial", action="store_true",
                    help="run batch/fuzz requests serially")

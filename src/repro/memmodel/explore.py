@@ -47,7 +47,12 @@ and a :class:`SharedMap` (memory, the relaxed previous-value map)
 caches its sorted items. A :class:`Transition` carries a builder
 rather than its successor states, so only the transitions the DFS
 takes — the safe singleton, or the ones sleep sets leave explorable —
-cost a clone and a commit.
+build a state tuple. Building one steps a thread through
+:meth:`~repro.memmodel.interpreter.ThreadExecutor.step`, which
+memoizes the committed successor on the probe's ready state: a thread
+taking the same step (same load result) from different explorer states
+pays one clone and one commit in all, and the shared successor's key,
+symmetry key, footprint and probe are computed once.
 
 Budgets are explicit: plain mode stops at ``max_states`` exactly like
 the pre-DPOR explorers, and the opt-in *iterative deepening* mode
@@ -611,11 +616,11 @@ class CoreExplorer:
         load_result: Optional[int] = None,
     ) -> tuple[ThreadState, ...]:
         """``threads`` after thread ``i`` performs ``pending`` from its
-        probe's ``ready`` state: committed on a fresh clone, or, for a
-        finished thread, the ready state itself. Siblings are shared."""
+        probe's ``ready`` state: the memoized committed successor, or,
+        for a finished thread, the ready state itself. Siblings are
+        shared."""
         if pending is not None:
-            ready = ready.clone()
-            self.executor.commit(ready, pending, load_result)
+            ready = self.executor.step(ready, pending, load_result)
         return threads[:i] + (ready,) + threads[i + 1 :]
 
     # --- exploration ------------------------------------------------------

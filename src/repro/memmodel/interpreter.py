@@ -20,9 +20,13 @@ in an explorer state is immutable. Siblings share it, and it carries
 its derived facts — its key, its symmetry key, its future footprint and
 its *probe* (a clone run to the next visible action, see
 :meth:`ThreadExecutor.probe`) — computed at most once, on first use.
-A step never touches a placed state: it commits on a fresh clone of
-the probe's ready state. ``clone()`` starts without cached facts. The
-simulator mutates its threads in place and reads none of them.
+A step never touches a placed state either: :meth:`ThreadExecutor.step`
+commits on a fresh clone of the probe's ready state and memoizes that
+successor on the ready state by load result, so every explorer state
+(and every SC trace prefix) in which the thread takes the same step
+shares one successor object, and with it that successor's cached
+facts. ``clone()`` starts without cached facts. The simulator mutates
+its threads in place and reads none of them.
 
 Addresses are word-granular integers. Globals live at ``GLOBAL_BASE``;
 each thread's stack occupies a disjoint window, so "own stack" checks
@@ -201,6 +205,11 @@ class ThreadState:
     #: Future footprint (``repro.memmodel.explore.FutureFootprints``).
     _future: object = field(default=None, init=False, repr=False, compare=False)
     _probe: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    #: Committed successors of this (ready) state, by load result
+    #: (:meth:`ThreadExecutor.step`).
+    _next: Optional[dict[Optional[int], "ThreadState"]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def clone(self) -> "ThreadState":
         return ThreadState(
@@ -379,13 +388,34 @@ class ThreadExecutor:
         """``(ready, pending)``: a clone of ``ts`` run to its next
         visible action, and that action (None once finished). Computed
         once per state object and cached on it; ``ts`` is not mutated.
-        The ready clone is shared too: commit on ``ready.clone()``."""
+        The ready clone is shared too: advance it with :meth:`step`."""
         probe = ts._probe
         if probe is None:
             ready = ts.clone()
             probe = ts._probe = (ready, self.next_action(ready, max_steps))
             self.probes += 1
         return probe
+
+    def step(
+        self,
+        ready: ThreadState,
+        pending: PendingAction,
+        load_result: Optional[int] = None,
+    ) -> ThreadState:
+        """The successor of a probe's ``ready`` state after performing
+        ``pending`` with ``load_result``: committed on a fresh clone the
+        first time, then memoized on ``ready`` by load result (a ready
+        state has exactly one pending action). ``ready`` is not mutated,
+        and the successor must not be either."""
+        memo = ready._next
+        if memo is None:
+            memo = ready._next = {}
+        nxt = memo.get(load_result)
+        if nxt is None:
+            nxt = ready.clone()
+            self.commit(nxt, pending, load_result)
+            memo[load_result] = nxt
+        return nxt
 
     def commit(
         self,

@@ -225,10 +225,13 @@ def enumerate_sc_traces(
 
     The DFS backtracks over one memory dict and one action list with an
     explicit stack, so trace length is bounded by ``max_actions``, not
-    by the recursion limit. Stepping a thread clones only that thread:
+    by the recursion limit. Stepping a thread replaces only that thread:
     a placed :class:`ThreadState` is never mutated, so siblings are
     shared, and each one's probe (its next visible action) is computed
-    once, rather than at every node below it.
+    once, rather than at every node below it. The step itself is the
+    explorers' memoized :meth:`ThreadExecutor.step`, so a thread taking
+    the same step (same value read) in different traces is committed
+    once and its successor shared.
     """
     executor = ThreadExecutor(program)
     layout = executor.layout
@@ -269,34 +272,28 @@ def enumerate_sc_traces(
                 # The thread finished without another visible action.
                 child = _Node(threads[:i] + (ready,) + threads[i + 1 :], len(actions))
                 continue
-            clone = ready.clone()
-            child = _Node(threads[:i] + (clone,) + threads[i + 1 :], len(actions))
             index = len(actions)
             addr = pending.addr
+            load_result: Optional[int] = None
+            written: Optional[int] = None
             if pending.kind == "load":
-                value = memory.get(addr, 0)
-                actions.append(TraceAction(index, clone.tid, False, addr, value, pending.inst))
-                executor.commit(clone, pending, value)
+                load_result = memory.get(addr, 0)
+                actions.append(TraceAction(index, ts.tid, False, addr, load_result, pending.inst))
             elif pending.kind == "store":
-                child.save(memory, addr)
-                memory[addr] = pending.value
-                actions.append(
-                    TraceAction(index, clone.tid, True, addr, pending.value, pending.inst)
-                )
-                executor.commit(clone, pending)
+                written = pending.value
             elif pending.kind == "rmw":
                 old = memory.get(addr, 0)
-                result, new = pending.rmw_result(old)
-                actions.append(TraceAction(index, clone.tid, False, addr, old, pending.inst))
-                if new is not None:
-                    child.save(memory, addr)
-                    memory[addr] = new
-                    actions.append(
-                        TraceAction(index + 1, clone.tid, True, addr, new, pending.inst)
-                    )
-                executor.commit(clone, pending, result)
-            else:  # fence
-                executor.commit(clone, pending)
+                load_result, written = pending.rmw_result(old)
+                actions.append(TraceAction(index, ts.tid, False, addr, old, pending.inst))
+            if written is not None:
+                actions.append(
+                    TraceAction(len(actions), ts.tid, True, addr, written, pending.inst)
+                )
+            stepped = executor.step(ready, pending, load_result)
+            child = _Node(threads[:i] + (stepped,) + threads[i + 1 :], index)
+            if written is not None:
+                child.save(memory, addr)
+                memory[addr] = written
         if child is not None:
             stack.append(child)
             continue

@@ -200,6 +200,30 @@ def test_explorer_bounds_below_one_are_usage_errors(capsys, command, option, bou
     assert f"{option}: must be an integer >= 1, got '{bound}'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command,option",
+    [
+        (["fuzz", "--serial"], "--seeds"),
+        (["serve", "--stdio"], "--queue-limit"),
+        (["experiments", "--quick"], "--jobs"),
+        (["batch", "--programs", "fft"], "--jobs"),
+        (["fuzz", "--seeds", "1"], "--jobs"),
+        (["serve", "--stdio"], "--jobs"),
+    ],
+)
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_counts_below_one_are_usage_errors(capsys, command, option, count):
+    # Zero seeds would pass the soundness gate having checked nothing,
+    # and a zero queue limit or job count would crash or silently run
+    # serially.
+    with pytest.raises(SystemExit) as exc:
+        main([*command, option, count])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{option}: must be an integer >= 1, got '{count}'" in captured.err
+
+
 def test_experiments_quick(capsys):
     assert main(["experiments", "--quick"]) == 0
     out = capsys.readouterr().out

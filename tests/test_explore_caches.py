@@ -1,11 +1,14 @@
 """Cached explorer facts never go stale.
 
 A thread state placed in an explorer state caches its key, symmetry
-key, future footprint and probe, and a ``SharedMap`` caches its sorted
-items. Both are sound only because placed objects are never mutated
-afterwards. These tests recompute every cached fact from scratch at
-each state the DFS pops and require equality, on every litmus entry
-under every explorer model.
+key, future footprint and probe, a probe's ready state memoizes its
+committed successors (``ThreadExecutor.step``), and a ``SharedMap``
+caches its sorted items. All are sound only because placed objects are
+never mutated afterwards. These tests recompute every cached fact from
+scratch at each state the DFS pops and require equality, on every
+litmus entry under every explorer model, and check that sharing
+memoized steps leaves every work count and outcome of the DFS as it
+was with a fresh clone per step.
 """
 
 from __future__ import annotations
@@ -53,6 +56,11 @@ def _checking(explorer_cls):
                     assert ready.key() == fresh_ready.key()
                     assert ready == fresh_ready
                     assert pending == fresh_pending
+                    for value, nxt in (ready._next or {}).items():
+                        fresh_next = ready.clone()
+                        self.executor.commit(fresh_next, pending, value)
+                        assert nxt == fresh_next  # steps included
+                        assert nxt.key() == nxt._compute_key()
             maps = [part for part in state if isinstance(part, SharedMap)]
             assert maps, "memory must be a SharedMap"
             for shared in maps:
@@ -85,11 +93,15 @@ def test_clone_drops_every_cache():
     ts.key()
     _norm_thread_key(ts)
     FutureFootprints(program, executor.layout).thread_future(ts)
-    executor.probe(ts)
-    assert None not in (ts._key, ts._norm, ts._future, ts._probe)
+    ready, pending = executor.probe(ts)
+    executor.step(ready, pending)
+    assert None not in (ts._key, ts._norm, ts._future, ts._probe, ready._next)
     clone = ts.clone()
     assert (clone._key, clone._norm, clone._future, clone._probe) == (None,) * 4
     assert clone == ts  # caches are not compared
+    ready_clone = ready.clone()
+    assert ready_clone._next is None
+    assert ready_clone == ready
 
 
 def test_probe_runs_once_and_leaves_the_state_alone():
@@ -103,6 +115,64 @@ def test_probe_runs_once_and_leaves_the_state_alone():
     assert pending is not None and pending.kind == "store"
     assert ts.key() == ts._compute_key() == before
     assert ready is not ts
+
+
+def test_step_is_memoized_per_load_result():
+    program = compile_source(
+        "global int g; fn f(tid) { local r = 0; r = g; observe(\"r\", r); }"
+        " thread f(0);",
+        "t",
+    )
+    executor = ThreadExecutor(program)
+    ts = executor.start_all()[0]
+    ts_before = ts.clone()
+    ready, pending = executor.probe(ts)
+    assert pending is not None and pending.kind == "load"
+    ready_before = ready.clone()
+    zero = executor.step(ready, pending, 0)
+    one = executor.step(ready, pending, 1)
+    assert executor.step(ready, pending, 0) is zero
+    assert executor.step(ready, pending, 1) is one
+    assert zero is not one and zero != one
+    assert ready._next == {0: zero, 1: one}
+    # Neither the ready state nor the state it was probed from moved.
+    assert ready == ready_before and ready.key() == ready_before._compute_key()
+    assert ts == ts_before and ts.key() == ts_before._compute_key()
+    assert executor.probe(ts) == (ready, pending)
+
+
+def _clone_per_step(explorer_cls):
+    class ClonePerStep(explorer_cls):
+        """Commits every step on a fresh clone: the unmemoized reference."""
+
+        def _commit(self, threads, i, ready, pending, load_result=None):
+            if pending is not None:
+                ready = ready.clone()
+                self.executor.commit(ready, pending, load_result)
+            return threads[:i] + (ready,) + threads[i + 1 :]
+
+    return ClonePerStep
+
+
+def _work(explorer):
+    result = explorer.explore()
+    return (
+        result.states_explored,
+        explorer.sleep_blocked,
+        explorer.pruned_transitions,
+        explorer.successors_built,
+        result.verdict,
+        result.outcomes,
+    )
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("name", sorted(LITMUS_TESTS))
+def test_memoized_steps_match_a_clone_per_step(name, model):
+    explorer_cls = get_model(model).explorer_cls()
+    program = LITMUS_TESTS[name].compile()
+    memoized = _work(explorer_cls(program))
+    assert memoized == _work(_clone_per_step(explorer_cls)(program))
 
 
 def test_shared_map_caches_sorted_items():

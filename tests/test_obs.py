@@ -303,7 +303,10 @@ def test_explorer_counters_flush_per_model():
 
 def test_explorer_work_counters_pinned_for_one_cell():
     """Successor states built and thread probes run, for the litmus MP
-    cell on ARM: both are deterministic work counts of the DFS."""
+    cell on ARM: both are deterministic work counts of the DFS. Probes
+    count distinct thread states probed: a step taken from the same
+    ready state with the same load result reuses one memoized successor
+    (``ThreadExecutor.step``), so its probe runs once."""
     from repro.memmodel.litmus import LITMUS_TESTS
     from repro.memmodel.relaxed import ARMExplorer
 
@@ -312,7 +315,7 @@ def test_explorer_work_counters_pinned_for_one_cell():
     assert result.states_explored == 42
     assert counters['repro_explore_states_total{model="arm"}'] == 42
     assert counters['repro_explore_successors_total{model="arm"}'] == 55
-    assert counters['repro_explore_probes_total{model="arm"}'] == 26
+    assert counters['repro_explore_probes_total{model="arm"}'] == 15
 
 
 # --- top renderings -------------------------------------------------------
