@@ -80,13 +80,20 @@ def _resolve_model(args: argparse.Namespace, fallback: str = "x86-tso") -> str:
 #: exit 2, like any other bad input.
 _SOURCE_ERRORS = (LexError, ParseError, LoweringError)
 
+#: Errors reading an input file: missing, a directory, not UTF-8 text.
+_READ_ERRORS = (OSError, UnicodeDecodeError)
+
 
 def _file_error(path: str, exc: Exception) -> int:
     """Report a bad input file as one ``FILE: message`` line; exit 2.
     Also used for :class:`ExecutionError` — a program that fails at
     run time (a runaway loop past the step bound, a division by zero)
-    when ``check`` explores or ``simulate`` runs it."""
-    print(f"{path}: {exc}", file=sys.stderr)
+    when ``check`` explores or ``simulate`` runs it. An ``OSError``
+    names the file it failed on, which is then reported instead."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        print(f"{exc.filename}: {exc.strerror}", file=sys.stderr)
+    else:
+        print(f"{path}: {exc}", file=sys.stderr)
     return 2
 
 
@@ -138,7 +145,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     synthesis=args.synthesis,
                 )
             )
-    except _SOURCE_ERRORS as exc:
+    except (*_SOURCE_ERRORS, *_READ_ERRORS) as exc:
         return _file_error(args.file, exc)
     print(report.to_json() if args.json else report.render())
     return 0
@@ -158,7 +165,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                     synthesis=args.synthesis,
                 )
             )
-    except (*_SOURCE_ERRORS, ExecutionError) as exc:
+    except (*_SOURCE_ERRORS, *_READ_ERRORS, ExecutionError) as exc:
         return _file_error(args.file, exc)
     except ValueError as exc:
         print(exc.args[0], file=sys.stderr)
@@ -182,7 +189,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 synthesis=args.synthesis,
             )
         )
-    except (*_SOURCE_ERRORS, ExecutionError) as exc:
+    except (*_SOURCE_ERRORS, *_READ_ERRORS, ExecutionError) as exc:
         return _file_error(args.file, exc)
     print(report.to_json() if args.json else report.render())
     return 0
@@ -238,6 +245,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
             )
             reports.append(report)
             exit_code = max(exit_code, report.exit_code)
+    except _READ_ERRORS as exc:
+        return _file_error(token, exc)
     except (KeyError, ValueError) as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)
         return 2
@@ -488,15 +497,17 @@ def _read_report(path: str):
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        report = _read_report(args.file)
-        other = _read_report(args.diff) if args.diff else None
-    except (SchemaError, KeyError) as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    reports = []
+    for path in [args.file, args.diff] if args.diff else [args.file]:
+        try:
+            reports.append(_read_report(path))
+        except (SchemaError, KeyError) as exc:
+            print(exc.args[0], file=sys.stderr)
+            return 2
+        except _READ_ERRORS as exc:
+            return _file_error(path, exc)
+    report = reports[0]
+    other = reports[1] if args.diff else None
     if other is None:
         print(report.to_json() if args.json else report.render())
         return 0

@@ -42,8 +42,19 @@ remaining bits all project to the same interval for a given kind, so
 they collapse to at most one interval per kind: ``[iu+1, t]`` in u's
 block, or, under the target projection, ``[0, iv]`` once per
 destination. RMW endpoints and qualifier-discharged orderings are
-masked off per source and per destination before projecting. Stabbing
-finds the covering fence or barrier by bisection over sorted gaps.
+masked off per source and per destination before projecting. Distinct
+orderings land on distinct ``(block, lo, hi, kind)`` intervals, so the
+projection appends each one directly, with no table to merge
+duplicates (:func:`collect_intervals` says why). Stabbing finds the
+covering fence or barrier by bisection over sorted gaps.
+
+A function's intervals and its greedy plan are pure functions of its
+ordering set, the model, the projection and (for the plan) the entry
+fence, so both are memoized in the set's ``memo``: the pipeline's
+plan, optimal synthesis over the same set and the greedy plan that
+synthesis prices all build the delay graph once. Results are shared
+and must be treated as read-only; a call passing a function other than
+the set's own computes afresh and caches nothing.
 """
 
 from __future__ import annotations
@@ -234,6 +245,24 @@ def count_discharged(orderings: OrderingSet) -> int:
 _KINDS = (OrderKind.RR, OrderKind.RW, OrderKind.WR, OrderKind.WW)
 
 
+def _check_projection(projection: str) -> None:
+    if projection not in ("source", "target"):
+        raise ValueError(f"unknown projection {projection!r}")
+
+
+def _memoized(func: Function, orderings: OrderingSet, key: tuple, build):
+    """``build()``, kept in ``orderings.memo`` under ``key`` when
+    ``func`` is the set's own function (another function's IR may
+    differ, so its result is computed and not kept)."""
+    if func is not orderings.function:
+        return build()
+    memo = orderings.memo
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = build()
+    return result
+
+
 def collect_intervals(
     func: Function,
     orderings: OrderingSet,
@@ -245,7 +274,8 @@ def collect_intervals(
     This is the single delay-graph construction both planners share:
     RMW-enforced and qualifier-discharged orderings are filtered out
     and each survivor is projected to a :class:`DelayInterval`, one
-    per distinct span *and* kind. Returns ``{block_index: [intervals]}``.
+    per distinct span *and* kind. Returns ``{block_index: [intervals]}``,
+    memoized on ``orderings``; callers must not mutate it.
 
     Projection works per source mask (see :mod:`repro.core.orderings`).
     A same-block ordering ``u -> v`` with ``v`` later in the block gives
@@ -253,9 +283,29 @@ def collect_intervals(
     block, or a loop wrap-around) projects the same way for one source
     and kind: onto ``[iu+1, t]`` in u's block, ``t`` its terminator
     (``"source"``), or onto ``[0, iv]`` in v's block (``"target"``).
+
+    No two intervals produced here share ``(block, lo, hi, kind)``, so
+    none needs merging: one source's forward destinations have distinct
+    indices, none of them the terminator (terminators are never memory
+    accesses); two sources at one index are the halves of an RMW and
+    differ in kind, as do two destinations at one index; target
+    projections start at gap 0 and every other interval at 1 or later.
     """
-    if projection not in ("source", "target"):
-        raise ValueError(f"unknown projection {projection!r}")
+    _check_projection(projection)
+    return _memoized(
+        func,
+        orderings,
+        ("intervals", model, projection),
+        lambda: _collect_intervals(func, orderings, model, projection),
+    )
+
+
+def _collect_intervals(
+    func: Function,
+    orderings: OrderingSet,
+    model: MemoryModel,
+    projection: str,
+) -> dict[int, list[DelayInterval]]:
     layout = orderings.layout
     positions, forward, writes = layout.positions, layout.forward, layout.writes
     # An ordering whose endpoint is itself a locked RMW is enforced by
@@ -265,19 +315,12 @@ def collect_intervals(
     locked = layout.mask(lambda a: a.inst.is_atomic_rmw()) if model.rmw_is_full_fence else 0
     skip_sources = locked | layout.mask(_acquire_read)
     keep_dsts = ~(locked | layout.mask(_release_write))
-    needs_full = [model.needs_full_fence(kind) for kind in _KINDS]
-
-    # Keyed by (block, lo, hi, kind index): distinct orderings can
-    # project to one interval. The ordering kind stays in the key —
-    # same-span intervals of different kinds place the same fences
-    # (spans drive the stabbing) but each kind must be recorded in the
-    # fence's ``covers`` set.
-    unique: dict[tuple[int, int, int, int], DelayInterval] = {}
-
-    def add(block: int, lo: int, hi: int, k: int) -> None:
-        key = (block, lo, hi, k)
-        if key not in unique:
-            unique[key] = DelayInterval(block, lo, hi, needs_full[k], _KINDS[k])
+    # Per kind index: (needs a full fence, kind). The ordering kind is
+    # kept even where spans coincide — same-span intervals of different
+    # kinds place the same fences but each kind joins the fence's
+    # ``covers`` set.
+    tags = [(model.needs_full_fence(kind), kind) for kind in _KINDS]
+    by_block: dict[int, list[DelayInterval]] = {}
 
     # Target projection: the other destinations, by source part.
     elsewhere = [0, 0]
@@ -289,30 +332,34 @@ def collect_intervals(
         lo = index + 1
         src_write = writes >> i & 1
         ahead = dsts & forward[i]
-        for j in bits(ahead):
-            add(block, lo, positions[j][1], 2 * src_write + (writes >> j & 1))
         rest = dsts ^ ahead
-        if not rest:
-            continue
         if projection == "target":
             elsewhere[src_write] |= rest
+            rest = 0
+        if not (ahead or rest):
             continue
-        # Sound, since every path from u to v leaves through the end of
-        # u's block.
-        terminator = len(func.blocks[block].instructions) - 1
-        if rest & ~writes:
-            add(block, lo, terminator, 2 * src_write)
-        if rest & writes:
-            add(block, lo, terminator, 2 * src_write + 1)
+        out = by_block.setdefault(block, [])
+        for j in bits(ahead):
+            out.append(
+                DelayInterval(
+                    block, lo, positions[j][1], *tags[2 * src_write + (writes >> j & 1)]
+                )
+            )
+        if rest:
+            # Sound, since every path from u to v leaves through the
+            # end of u's block.
+            terminator = len(func.blocks[block].instructions) - 1
+            if rest & ~writes:
+                out.append(DelayInterval(block, lo, terminator, *tags[2 * src_write]))
+            if rest & writes:
+                out.append(DelayInterval(block, lo, terminator, *tags[2 * src_write + 1]))
     # Equally sound: every path into v enters through its block start.
     for src_write, dsts in enumerate(elsewhere):
         for j in bits(dsts):
             block, index = positions[j]
-            add(block, 0, index, 2 * src_write + (writes >> j & 1))
-
-    by_block: dict[int, list[DelayInterval]] = {}
-    for iv in unique.values():
-        by_block.setdefault(iv.block_index, []).append(iv)
+            by_block.setdefault(block, []).append(
+                DelayInterval(block, 0, index, *tags[2 * src_write + (writes >> j & 1)])
+            )
     return by_block
 
 
@@ -328,7 +375,24 @@ def plan_fences(
     ``projection`` picks which block a cross-block ordering's interval
     lands in: ``"source"`` (Fang-style, the default) or ``"target"`` —
     both sound; the ablation benchmark compares the static counts.
+    The plan is memoized on ``orderings``; callers must not mutate it.
     """
+    _check_projection(projection)
+    return _memoized(
+        func,
+        orderings,
+        ("plan", model, entry_fence, projection),
+        lambda: _plan_fences(func, orderings, model, entry_fence, projection),
+    )
+
+
+def _plan_fences(
+    func: Function,
+    orderings: OrderingSet,
+    model: MemoryModel,
+    entry_fence: bool,
+    projection: str,
+) -> FencePlan:
     plan = FencePlan(func, entry_fence=entry_fence)
     by_block = collect_intervals(func, orderings, model, projection)
 

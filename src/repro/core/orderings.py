@@ -29,8 +29,9 @@ from a set's accesses alone lives in its shared :class:`AccessLayout`:
 Pruning (:mod:`repro.core.pruning`) intersects ``succ`` with per-source
 keep masks and shares the layout; delay-interval collection
 (:func:`repro.core.fence_min.collect_intervals`) splits each ``succ[i]``
-into its same-block forward part and the rest. :class:`Ordering`
-objects exist only on demand, for callers that iterate a set.
+into its same-block forward part and the rest, and caches what it
+derives in the set's ``memo``. :class:`Ordering` objects exist only on
+demand, for callers that iterate a set.
 """
 
 from __future__ import annotations
@@ -179,6 +180,10 @@ class OrderingSet:
         self.succ = succ
         self._counts: dict[OrderKind, int] | None = None
         self._orderings: list[Ordering] | None = None
+        #: Results derived from this set alone, keyed by their other
+        #: inputs: delay intervals and greedy plans
+        #: (:mod:`repro.core.fence_min`). Read-only to every caller.
+        self.memo: dict[tuple, object] = {}
 
     def restricted(self, keep: Iterable[int]) -> "OrderingSet":
         """The subset keeping only source ``i``'s destinations in

@@ -20,7 +20,9 @@ this network:
   resort to an ILP for the general problem. The exact dynamic program
   in :mod:`repro.synth.optimal` closes that gap; the cut value is kept
   as an upper-bound certificate (``dp_cost <= cut_value`` always) and
-  as the witness placement reported by the ``FENCE104`` lint.
+  as the witness placement reported by the ``FENCE104`` lint. A
+  synthesized plan solves its networks on the first read of that
+  certificate, not while synthesizing.
 * Gap prices are conservative: a cut edge is priced for the union of
   kinds crossing the gap, even if a cheaper flavor would do once the
   final assignment of intervals to fences is known. The DP prices

@@ -10,7 +10,9 @@ is never visible to a cardinality objective. This module minimizes
 :class:`~repro.core.fence_min.DelayInterval`s the greedy consumes
 (both call :func:`~repro.core.fence_min.collect_intervals`), so any
 difference between the two plans is purely better stabbing or better
-flavoring — never a different delay graph.
+flavoring — never a different delay graph. The intervals and the
+greedy plan that synthesis prices are both memoized on the ordering
+set, so each function's delay graph is built once.
 
 Solver structure, per basic block:
 
@@ -32,7 +34,11 @@ Solver structure, per basic block:
 * **Min-cut certificate**: the same intervals also build the
   :mod:`repro.synth.mincut` delay network; its cut value upper-bounds
   the DP (equal on laminar families) and its saturated chain edges are
-  the witness placement the ``FENCE104`` lint reports. A single
+  the witness placement the ``FENCE104`` lint reports. The plan keeps
+  each block's full-fence intervals and solves the network on the
+  first read of ``mincut_value`` or ``witness_cut``, so requests that
+  never read the certificate (``analyze``, batch, serve) never pay
+  for it. A single
   min-cut is *not* exact for crossing interval families — it must pay
   inside every pairwise overlap, which is the reason Alglave et al.
   (CAV 2014) use an ILP — hence the DP, which handles crossing
@@ -51,7 +57,8 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 from repro.arch.backend import ArchBackend, FenceFlavor
@@ -82,25 +89,59 @@ class SynthesisPlan(LoweredPlan):
     """An optimal lowered placement, comparable field-by-field with the
     greedy :class:`~repro.arch.lowering.LoweredPlan` (it *is* one:
     ``apply_lowered_plan`` and ``summarize_lowerings`` take it as-is).
+
+    The min-cut certificate (``mincut_value``, ``witness_cut``) is not
+    a field: it is computed on first read from the full-fence
+    intervals synthesis recorded, and ``==`` does not compare it.
     """
 
     #: Cost of the greedy plan lowered on the same backend — the
     #: baseline this plan improves on (``cost <= greedy_cost`` always).
     greedy_cost: int = 0
-    #: Value of the per-block min-cut certificates summed over the
-    #: function (``cost <= mincut_value``; equal on laminar families).
-    mincut_value: int = 0
-    #: ``(block label, gap)`` chain edges of the min cut — the witness
-    #: placement FENCE104 renders when greedy is strictly costlier.
-    witness_cut: tuple[tuple[str, int], ...] = ()
     #: Orderings discharged by C11-style acquire/release qualifiers
     #: before the delay graph was built.
     discharged: int = 0
+    #: The certificate's input: the backend, and per block with
+    #: full-fence intervals, its label and those intervals.
+    cut_backend: ArchBackend | None = field(default=None, repr=False, compare=False)
+    cut_blocks: list[tuple[str, list[DelayInterval]]] = field(
+        default_factory=list, repr=False, compare=False
+    )
 
     @property
     def savings(self) -> int:
         """Cycles saved over the greedy placement (>= 0)."""
         return self.greedy_cost - self.cost
+
+    @property
+    def mincut_value(self) -> int:
+        """Value of the per-block min-cut certificates summed over the
+        function, entry fence included (``cost <= mincut_value``; equal
+        on laminar families)."""
+        return self._certificate[0]
+
+    @property
+    def witness_cut(self) -> tuple[tuple[str, int], ...]:
+        """``(block label, gap)`` chain edges of the min cut — the
+        witness placement FENCE104 renders when greedy is strictly
+        costlier."""
+        return self._certificate[1]
+
+    @cached_property
+    def _certificate(self) -> tuple[int, tuple[tuple[str, int], ...]]:
+        started = time.perf_counter()
+        value = self.entry_cost
+        witness: list[tuple[str, int]] = []
+        for label, intervals in self.cut_blocks:
+            cut_value, cut_gaps = block_cut(intervals, self.cut_backend)
+            value += cut_value
+            witness.extend((label, gap) for gap in cut_gaps)
+        obs_metrics.REGISTRY.observe(
+            "repro_synth_mincut_seconds",
+            time.perf_counter() - started,
+            arch=self.arch,
+        )
+        return value, tuple(witness)
 
 
 def _flavor_options(
@@ -277,12 +318,10 @@ def synthesize_plan(
     ``cost`` is minimal for the delay graph and never exceeds
     ``greedy_cost`` (the greedy plan lowered on the same backend).
     """
-    plan = SynthesisPlan(func, backend.key)
+    plan = SynthesisPlan(func, backend.key, cut_backend=backend)
     plan.discharged = count_discharged(orderings)
     by_block = collect_intervals(func, orderings, model, projection)
-    witness: list[tuple[str, int]] = []
     dp_seconds = 0.0
-    cut_seconds = 0.0
 
     with obs_trace.span(
         "synth.plan", cat="synth", function=func.name, arch=backend.key
@@ -297,11 +336,8 @@ def synthesize_plan(
             started = time.perf_counter()
             _cost, placements = _solve_block(full_needed, backend)
             dp_seconds += time.perf_counter() - started
-            started = time.perf_counter()
-            cut_value, cut_gaps = block_cut(full_needed, backend)
-            cut_seconds += time.perf_counter() - started
-            plan.mincut_value += cut_value
-            witness.extend((block.label, gap) for gap in cut_gaps)
+            if full_needed:
+                plan.cut_blocks.append((block.label, full_needed))
 
             # Assign every interval to one placed fence that enforces it,
             # to report each fence's kill-set the same way greedy does.
@@ -359,8 +395,6 @@ def synthesize_plan(
             plan.entry_fence = True
             plan.entry_flavor = full.name
             plan.entry_cost = full.cost
-        plan.mincut_value += plan.entry_cost
-        plan.witness_cut = tuple(witness)
 
         greedy = lower_plan(
             plan_fences(func, orderings, model, entry_fence, projection), backend
@@ -370,12 +404,9 @@ def synthesize_plan(
             cost=plan.cost,
             greedy_cost=plan.greedy_cost,
             dp_us=int(dp_seconds * 1e6),
-            mincut_us=int(cut_seconds * 1e6),
         )
-    registry = obs_metrics.REGISTRY
-    registry.observe("repro_synth_dp_seconds", dp_seconds, arch=backend.key)
-    registry.observe(
-        "repro_synth_mincut_seconds", cut_seconds, arch=backend.key
+    obs_metrics.REGISTRY.observe(
+        "repro_synth_dp_seconds", dp_seconds, arch=backend.key
     )
     return plan
 

@@ -232,10 +232,12 @@ def synthesize_plan(
     model: MemoryModel,
     backend: ArchBackend,
     greedy: FencePlan,
-) -> SynthesisPlan:
+) -> tuple[SynthesisPlan, tuple[int, tuple[tuple[str, int], ...]]]:
     """Optimal synthesis over ``collect_intervals``'s output; ``greedy``
-    is the greedy plan of the same intervals."""
+    is the greedy plan of the same intervals. Returns the plan and its
+    min-cut certificate ``(mincut_value, witness_cut)``."""
     plan = SynthesisPlan(func, backend.key)
+    mincut_value = 0
     plan.discharged = sum(1 for o in orderings if discharged_by_qualifier(o))
     witness = []
     for block_index in sorted(by_block):
@@ -248,7 +250,7 @@ def synthesize_plan(
         ]
         _cost, placements = solve_block(full_needed, backend)
         cut_value, cut_gaps = block_cut(full_needed, backend)
-        plan.mincut_value += cut_value
+        mincut_value += cut_value
         witness.extend((block.label, gap) for gap in cut_gaps)
         covers: dict[int, set[OrderKind]] = {}
         for gap, flavor in placements:
@@ -282,7 +284,6 @@ def synthesize_plan(
         plan.entry_fence = True
         plan.entry_flavor = full.name
         plan.entry_cost = full.cost
-    plan.mincut_value += plan.entry_cost
-    plan.witness_cut = tuple(witness)
+    mincut_value += plan.entry_cost
     plan.greedy_cost = lower_plan(greedy, backend).cost
-    return plan
+    return plan, (mincut_value, tuple(witness))

@@ -137,6 +137,48 @@ def test_source_errors_exit_2_with_one_line(
     assert captured.err == f"{path}: {message}\n"
 
 
+def _unreadable(tmp_path, kind):
+    """A path that cannot be read as text, and the reason printed for it."""
+    if kind == "missing":
+        return tmp_path / "missing.mc", "No such file or directory"
+    if kind == "directory":
+        return tmp_path, "Is a directory"
+    path = tmp_path / "latin1.mc"
+    path.write_bytes(b"global x; // caf\xe9\n")
+    return path, (
+        "'utf-8' codec can't decode byte 0xe9 in position 16: "
+        "invalid continuation byte"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [
+        (command, kind)
+        for command in ("analyze", "check", "simulate", "report")
+        for kind in ("missing", "directory", "not-utf8")
+    ]
+    # lint takes a token that is not a file for a program name.
+    + [("lint", "not-utf8")],
+)
+def test_unreadable_input_exits_2_with_one_line(tmp_path, capsys, command, kind):
+    path, reason = _unreadable(tmp_path, kind)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: {reason}\n"
+
+
+def test_unreadable_diff_report_names_that_file(mp_file, tmp_path, capsys):
+    assert main(["analyze", mp_file, "--json"]) == 0
+    saved = tmp_path / "a.json"
+    saved.write_text(capsys.readouterr().out)
+    bad = tmp_path / "b.json"
+    bad.write_bytes(b"\xff")
+    assert main(["report", str(saved), "--diff", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"{bad}: 'utf-8' codec")
+
+
 RUNAWAY = """
 global int flag;
 fn waiter(tid) { local r = 0; while (flag == 0) { r = r + 1; } observe("r", r); }

@@ -1,9 +1,13 @@
 """Unit tests for locally-optimized fence minimization."""
 
+import pytest
+
 from repro.analysis.escape import EscapeInfo
-from repro.core.fence_min import apply_plan, plan_fences
-from repro.core.machine_models import RMO, SC, X86_TSO
-from repro.core.orderings import generate_orderings
+from repro.core.fence_min import apply_plan, collect_intervals, plan_fences
+from repro.core.machine_models import MODELS, PSO, RMO, SC, X86_TSO
+from repro.core.orderings import OrderingSet, generate_orderings
+from repro.programs import all_programs
+from repro.registry.variants import get_variant
 from repro.frontend import compile_source
 from repro.ir import CFG, Fence, FenceKind
 
@@ -206,3 +210,68 @@ def test_every_delay_apply_covers_all_orderings_on_rmo():
     orderings = generate_orderings(func, esc)
     apply_plan(func, plan_every_delay_fences(func))
     assert _every_ordering_enforced(func, orderings, RMO)
+
+
+# --- the memo on the ordering set -------------------------------------------
+
+MEMO_SRC = """
+global a; global b; global c;
+fn f() {
+  a = 1;
+  local r = b;
+  if (r == 0) { c = 2; }
+  local s = a;
+}
+"""
+
+
+def test_plans_and_intervals_are_memoized_per_input():
+    func, orderings, plan = _plan(MEMO_SRC)
+    assert plan_fences(func, orderings, X86_TSO) is plan
+    assert plan_fences(func, orderings, PSO) is not plan
+    assert plan_fences(func, orderings, X86_TSO, entry_fence=True) is not plan
+    assert plan_fences(func, orderings, X86_TSO, projection="target") is not plan
+    intervals = collect_intervals(func, orderings, X86_TSO)
+    assert collect_intervals(func, orderings, X86_TSO) is intervals
+    assert collect_intervals(func, orderings, PSO) is not intervals
+    assert collect_intervals(func, orderings, X86_TSO, "target") is not intervals
+
+
+def test_bad_projection_raises_and_caches_nothing():
+    func, orderings, _ = _plan(MEMO_SRC)
+    memo = dict(orderings.memo)
+    with pytest.raises(ValueError, match="unknown projection"):
+        plan_fences(func, orderings, X86_TSO, projection="diagonal")
+    with pytest.raises(ValueError, match="unknown projection"):
+        collect_intervals(func, orderings, X86_TSO, "diagonal")
+    assert orderings.memo == memo
+
+
+def test_another_function_is_planned_but_not_memoized():
+    func, orderings, plan = _plan(MEMO_SRC)
+    twin = compile_source(MEMO_SRC, "t").functions["f"]
+    memo = dict(orderings.memo)
+    other = plan_fences(twin, orderings, X86_TSO)
+    assert other is not plan and other.function is twin
+    assert other.fences == plan.fences
+    assert plan_fences(twin, orderings, X86_TSO) is not other
+    assert orderings.memo == memo
+
+
+@pytest.mark.parametrize("name", sorted(all_programs()))
+def test_memo_hits_equal_a_fresh_set(name):
+    """Every memo hit equals what a fresh set over the same masks builds."""
+    program = all_programs()[name].compile()
+    for variant in ("pensieve", "control", "address+control"):
+        for model_name in ("x86-tso", "pso", "arm", "power"):
+            model = MODELS[model_name]
+            analysis = get_variant(variant).analyze(program, model)
+            for fa in analysis.functions.values():
+                func, pruned, entry = fa.function, fa.pruned, fa.plan.entry_fence
+                assert plan_fences(func, pruned, model, entry) is fa.plan
+                fresh = OrderingSet.from_masks(func, pruned.layout, list(pruned.succ))
+                for projection in ("source", "target"):
+                    intervals = collect_intervals(func, pruned, model, projection)
+                    plan = plan_fences(func, pruned, model, entry, projection)
+                    assert collect_intervals(func, fresh, model, projection) == intervals
+                    assert plan_fences(func, fresh, model, entry, projection) == plan

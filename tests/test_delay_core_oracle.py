@@ -77,16 +77,25 @@ def check_function(
             entry_fence = entry and model.needs_full_fence(OrderKind.WR)
             for projection in projections:
                 intervals = oracle.collect_intervals(func, kept, model, projection)
-                assert _interval_sets(
-                    collect_intervals(func, pruned, model, projection)
-                ) == _interval_sets(intervals)
+                by_block = collect_intervals(func, pruned, model, projection)
+                assert _interval_sets(by_block) == _interval_sets(intervals)
+                for ivs in by_block.values():
+                    # No two orderings project onto one interval.
+                    spans = [(iv.lo, iv.hi, iv.kind) for iv in ivs]
+                    assert len(set(spans)) == len(spans)
                 greedy = oracle.plan_fences(func, intervals, model, entry_fence)
                 assert plan_fences(func, pruned, model, entry_fence, projection) == greedy
                 if synthesize and name in SYNTH_ARCH:
                     backend = get_backend(SYNTH_ARCH[name])
-                    assert synthesize_plan(
+                    plan = synthesize_plan(
                         func, pruned, model, backend, entry_fence, projection
-                    ) == oracle.synthesize_plan(func, kept, intervals, model, backend, greedy)
+                    )
+                    optimal, certificate = oracle.synthesize_plan(
+                        func, kept, intervals, model, backend, greedy
+                    )
+                    assert plan == optimal
+                    # ``==`` leaves the certificate out; it is compared here.
+                    assert (plan.mincut_value, plan.witness_cut) == certificate
 
 
 @pytest.mark.parametrize("name", sorted(all_programs()))

@@ -196,6 +196,29 @@ def test_matrix_power_exact_costs_pinned():
         assert plan.witness_cut  # certificate travels with the plan
 
 
+def test_certificate_is_computed_once_on_first_read(monkeypatch):
+    import repro.synth.optimal as optimal
+
+    calls = []
+
+    def counting_block_cut(intervals, backend):
+        calls.append(len(intervals))
+        return block_cut(intervals, backend)
+
+    monkeypatch.setattr(optimal, "block_cut", counting_block_cut)
+    analysis = get_variant("address+control").analyze(
+        get_program("matrix").compile(), MODELS["power"]
+    )
+    plans, _summary = synthesize_analysis(analysis, POWER)
+    assert calls == []  # synthesis alone never solves a min cut
+    plan = plans["mxx_gather"]
+    first = (plan.mincut_value, plan.witness_cut)
+    solved = len(calls)
+    assert solved > 0
+    assert (plan.mincut_value, plan.witness_cut) == first
+    assert len(calls) == solved  # the second read is cached
+
+
 # --- oracle gating ----------------------------------------------------------
 
 @pytest.mark.parametrize("model", WEAK_MODELS)
