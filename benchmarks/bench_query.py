@@ -24,11 +24,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.pipeline import PipelineVariant, analyze_program  # noqa: E402
-from repro.engine.context import AnalysisContext  # noqa: E402
 from repro.frontend import compile_source  # noqa: E402
 from repro.ir.instructions import Observe  # noqa: E402
 from repro.ir.values import Constant  # noqa: E402
 from repro.programs import all_programs  # noqa: E402
+from repro.query.engine import QueryEngine  # noqa: E402
 
 
 def _edit_first_function(program) -> str:
@@ -47,25 +47,25 @@ def run_suite() -> dict:
     }
     for name, entry in sorted(all_programs().items()):
         program = compile_source(entry.source, name)
-        ctx = AnalysisContext(program)
+        engine = QueryEngine(program)
 
         start = time.perf_counter()
-        analyze_program(program, PipelineVariant.CONTROL, context=ctx)
+        analyze_program(program, PipelineVariant.CONTROL, context=engine)
         cold_s = time.perf_counter() - start
-        cold_computes = ctx.engine.stats.computes
+        cold_computes = engine.stats.computes
 
         start = time.perf_counter()
-        analyze_program(program, PipelineVariant.CONTROL, context=ctx)
+        analyze_program(program, PipelineVariant.CONTROL, context=engine)
         warm_s = time.perf_counter() - start
-        warm_computes = ctx.engine.stats.computes - cold_computes
+        warm_computes = engine.stats.computes - cold_computes
 
         edited = _edit_first_function(program)
-        ctx.refresh()
-        before = ctx.engine.stats.computes
+        engine.refresh()
+        before = engine.stats.computes
         start = time.perf_counter()
-        analyze_program(program, PipelineVariant.CONTROL, context=ctx)
+        analyze_program(program, PipelineVariant.CONTROL, context=engine)
         edited_s = time.perf_counter() - start
-        edited_computes = ctx.engine.stats.computes - before
+        edited_computes = engine.stats.computes - before
 
         per_program.append({
             "program": name,

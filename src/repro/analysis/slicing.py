@@ -47,8 +47,9 @@ class Slicer:
         self.chase_load_addresses = chase_load_addresses
         # Per-load memo over PointsTo's writer index (which answers per
         # pointee set). Overlapping slices ask for the same load again;
-        # an AnalysisContext passes one shared dict so every slicer over
-        # the same function reuses each other's answers.
+        # the query engine's ``writers_cache`` fact is one shared dict,
+        # so every slicer over the same function reuses the others'
+        # answers.
         self._writers_cache: dict[int, list[Instruction]] = (
             writers_cache if writers_cache is not None else {}
         )

@@ -30,6 +30,7 @@ from repro.util.text import format_table
 
 if TYPE_CHECKING:  # runtime-lazy: repro.diagnostics reaches repro.core
     from repro.diagnostics.findings import Finding
+    from repro.query.engine import QueryStats
 
 
 class SchemaError(ValueError):
@@ -115,15 +116,24 @@ def _optional(decode: Callable[[Any], Any]) -> Callable[[Any], Any]:
 class CacheStats:
     """Analysis-cache counters for one request (opt-in via ``stats``).
 
-    ``hits``/``misses`` are the shared analysis context's memo counters
-    for the facts served while answering the request; ``by_fact`` breaks
-    the misses down per fact kind. A warm query cache shows up as a
-    high hit count and an empty ``by_fact``.
+    There is one meter: the program's query engine. ``hits`` counts
+    the lookups served from its memory while answering the request,
+    ``misses`` the lookups that were not (restored from disk or
+    computed), and ``by_fact`` breaks the misses down per query kind.
+    Every lookup counts, nested ones included. ``analyze``, ``lint``
+    and each batch cell build these from a
+    :meth:`~repro.query.engine.QueryStats.since` delta. A warm query
+    cache shows up as a high hit count and an empty ``by_fact``.
     """
 
     hits: int
     misses: int
     by_fact: dict[str, int] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, delta: "QueryStats") -> "CacheStats":
+        """The counters of a :meth:`QueryStats.since` delta."""
+        return cls(delta.hits, delta.misses, dict(delta.by_query_misses))
 
     def render(self) -> str:
         detail = ", ".join(

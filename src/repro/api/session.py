@@ -2,8 +2,9 @@
 
 A :class:`Session` owns everything the pre-facade surfaces wired by
 hand — compilation of :class:`~repro.registry.sources.ProgramSpec`
-inputs, one shared :class:`~repro.engine.context.AnalysisContext` per
-compiled program, registry dispatch over detection variants, memory
+inputs, one shared :class:`~repro.query.engine.QueryEngine` per
+compiled program (its memoized facts), registry dispatch over
+detection variants, memory
 models, and explorers, the timed simulator, the batch engine, and the
 differential fuzzer. Execution knobs (worker processes, serial
 fallback, state bounds, result cache) live on the session; *what* to
@@ -18,8 +19,8 @@ Two API levels:
   report; this is the surface the CLI and any future service sit on.
 * **mid level** — ``load``/``analysis``/``place``/``explore``/
   ``timed_simulation`` operate on IR ``Program`` objects with the
-  session's shared analysis context; the experiments and examples use
-  these for in-process composition.
+  session's shared query engine (``Session.context(program)``); the
+  experiments and examples use these for in-process composition.
 
 A session belongs to one thread: it holds no locks, and nothing in it
 is safe to share across threads. Serving concurrency comes from worker
@@ -34,10 +35,10 @@ from typing import NamedTuple
 
 from repro.core.machine_models import MemoryModel
 from repro.core.pipeline import PipelineVariant, ProgramAnalysis
-from repro.engine.context import AnalysisContext
 from repro.frontend import compile_source
 from repro.ir.function import Program
 from repro.memmodel.sc import ExplorationResult
+from repro.query.engine import QueryEngine
 from repro.registry.models import get_model, weak_explorer_for
 from repro.registry.sources import ProgramSpec, resolve_spec
 from repro.registry.variants import get_variant, pipeline_variant_keys
@@ -64,12 +65,12 @@ from repro.api.reports import (
 
 
 class _Cached(NamedTuple):
-    """One session cache entry: a program's analysis context, plus the
+    """One session cache entry: a program's query engine, plus the
     ``(name, manual_fences)`` key and source a wire-loaded program was
     compiled from (both ``None`` for an ad-hoc :meth:`Session.context`
     program)."""
 
-    context: AnalysisContext
+    engine: QueryEngine
     key: tuple[str, bool] | None = None
     source: str | None = None
 
@@ -106,11 +107,11 @@ class Session:
         #: results keyed by content fingerprint survive the session).
         self.query_cache_dir = query_cache_dir
         # One identity-keyed, LRU-bounded cache of compiled programs
-        # and their contexts, so a long-lived session serving many
+        # and their engines, so a long-lived session serving many
         # one-shot requests does not retain every program it ever saw.
         # Wire requests for the same (name, manual_fences) resolve to
         # the *same* Program object — and therefore the same warm
-        # context. An edited source is spliced function-by-function
+        # engine. An edited source is spliced function-by-function
         # (see _adopt_source), so re-analysis over the wire touches
         # only the changed functions' query subgraphs.
         self._contexts: dict[Program, _Cached] = {}
@@ -124,7 +125,7 @@ class Session:
     # --- program loading --------------------------------------------------
     def load(self, program: ProgramSpec | Program, reuse: bool = True) -> Program:
         """Resolve and compile a spec (a compiled ``Program`` passes
-        through); the session tracks an analysis context for it.
+        through); the session tracks a query engine for it.
 
         With ``reuse`` (the default), repeated loads of the same
         program name return the same warm ``Program``: an unchanged
@@ -139,8 +140,8 @@ class Session:
 
     def _load_spec(
         self, spec: ProgramSpec, reuse: bool
-    ) -> tuple[Program, AnalysisContext, str]:
-        """Resolve/compile ``spec``; returns (program, its context,
+    ) -> tuple[Program, QueryEngine, str]:
+        """Resolve/compile ``spec``; returns (program, its engine,
         resolved source)."""
         resolved = resolve_spec(spec)
 
@@ -160,17 +161,17 @@ class Session:
         )
         if program is None:
             program = compile_fresh()
-            context = AnalysisContext(program, cache_dir=self.query_cache_dir)
-            entry = _Cached(context, key, resolved.source)
+            engine = QueryEngine(program, cache_dir=self.query_cache_dir)
+            entry = _Cached(engine, key, resolved.source)
         else:
             entry = self._contexts[program]
             if entry.source != resolved.source:
-                self._adopt_source(entry.context, program, compile_fresh())
+                self._adopt_source(entry.engine, program, compile_fresh())
                 entry = entry._replace(source=resolved.source)
         return program, self._insert(program, entry), resolved.source
 
     def _adopt_source(
-        self, context: AnalysisContext, cached: Program, fresh: Program
+        self, engine: QueryEngine, cached: Program, fresh: Program
     ) -> Program:
         """Splice an edited recompile into the warm ``cached`` program.
 
@@ -178,11 +179,10 @@ class Session:
         identity* (so every query memoized for them stays a hit);
         changed/new functions come from ``fresh``, and the facts of
         replaced/removed ones are discarded from the engine. Returns
-        ``cached``, mutated in place so its context stays bound.
+        ``cached``, mutated in place so its engine stays bound.
         """
         from repro.query.engine import fingerprint_function
 
-        engine = context.engine
         merged: dict[str, object] = {}
         for name, func in fresh.functions.items():
             old = cached.functions.get(name)
@@ -203,21 +203,20 @@ class Session:
         cached.threads = list(fresh.threads)
         # Catch structure changes (interprocedural shape) and any
         # in-place drift the fingerprints can see.
-        context.refresh()
+        engine.refresh()
         return cached
 
-    def context(self, program: Program) -> AnalysisContext:
-        """The session's shared (memoized) facts for ``program``."""
+    def context(self, program: Program) -> QueryEngine:
+        """The session's shared query engine (memoized facts) for
+        ``program``."""
         entry = self._contexts.get(program)
         if entry is None:
-            entry = _Cached(
-                AnalysisContext(program, cache_dir=self.query_cache_dir)
-            )
+            entry = _Cached(QueryEngine(program, cache_dir=self.query_cache_dir))
         return self._insert(program, entry)
 
-    def _insert(self, program: Program, entry: _Cached) -> AnalysisContext:
+    def _insert(self, program: Program, entry: _Cached) -> QueryEngine:
         """(Re)insert ``entry`` as the most recent, evicting down to the
-        cap. Ad-hoc contexts are evicted first, so churn through
+        cap. Ad-hoc engines are evicted first, so churn through
         :meth:`context` never cools a wire-loaded program."""
         self._contexts.pop(program, None)
         while len(self._contexts) >= self._context_cap:
@@ -227,10 +226,10 @@ class Session:
             )
             del self._contexts[victim]
         self._contexts[program] = entry
-        return entry.context
+        return entry.engine
 
     def forget(self, program: Program) -> None:
-        """Drop ``program``'s context (stale after IR mutation), so the
+        """Drop ``program``'s engine (stale after IR mutation), so the
         next ``context()``/``load()`` really starts fresh. (For in-place
         edits, :meth:`refresh` is the cheaper, incremental choice.)"""
         self._contexts.pop(program, None)
@@ -238,23 +237,25 @@ class Session:
     def refresh(self, program: Program) -> tuple[str, ...]:
         """Revalidate ``program``'s facts after in-place IR edits: the
         query engine evicts exactly the changed functions' subgraphs
-        (see :meth:`repro.engine.context.AnalysisContext.refresh`)."""
+        (see :meth:`repro.query.engine.QueryEngine.refresh`)."""
         return self.context(program).refresh()
 
     def stats(self) -> dict:
-        """Observable session state: request counters, the context LRU,
-        and aggregated context/query-engine cache counters.
+        """Observable session state: request counters, the engine LRU,
+        and the engines' aggregated query counters.
 
-        Schema v2: ``query_stats`` now also aggregates the engines'
-        dict-valued per-query-kind counters (``by_query`` and the
-        ``by_query_hits``/``by_query_misses``/``by_query_evictions``
+        Schema v3: the duplicate ``context_stats`` meter is gone —
+        ``query_stats`` is the one meter (its ``hits``/``misses`` count
+        every engine lookup). v2 made ``query_stats`` aggregate the
+        engines' dict-valued per-query-kind counters (``by_query`` and
+        the ``by_query_hits``/``by_query_misses``/``by_query_evictions``
         maps the observability layer samples) key-wise; v1 dropped
         every non-int entry.
         """
-        contexts = [entry.context for entry in self._contexts.values()]
+        engines = [entry.engine for entry in self._contexts.values()]
         query_totals: dict[str, object] = {}
-        for ctx in contexts:
-            payload = ctx.engine.stats.to_payload()
+        for engine in engines:
+            payload = engine.stats.to_payload()
             for name, value in payload.items():
                 if isinstance(value, int):
                     query_totals[name] = query_totals.get(name, 0) + value
@@ -269,14 +270,10 @@ class Session:
         computes = query_totals.get("computes", 0)
         attempts = restored + computes
         return {
-            "stats_version": 2,
+            "stats_version": 3,
             "requests": dict(self._requests),
-            "contexts": len(contexts),
+            "contexts": len(engines),
             "context_cap": self._context_cap,
-            "context_stats": {
-                "hits": sum(c.stats.hits for c in contexts),
-                "misses": sum(c.stats.misses for c in contexts),
-            },
             "query_stats": query_totals,
             "query_cache": {
                 "restored": restored,
@@ -302,16 +299,16 @@ class Session:
         variant: str | PipelineVariant | None = None,
         model: str | None = None,
         interprocedural: bool | None = None,
-        context: AnalysisContext | None = None,
+        context: QueryEngine | None = None,
     ) -> ProgramAnalysis:
         """Run a variant's pipeline on ``program`` (no IR mutation),
-        sharing the session's analysis context (or ``context``, when
-        the caller already holds it)."""
+        sharing the session's query engine (or ``context``, when the
+        caller already holds it)."""
         entry = get_variant(self._variant_key(variant))
         inter = self.interprocedural if interprocedural is None else interprocedural
-        ctx = context if context is not None else self.context(program)
+        engine = context if context is not None else self.context(program)
         return entry.analyze(
-            program, self._machine(model), context=ctx, interprocedural=inter,
+            program, self._machine(model), context=engine, interprocedural=inter,
         )
 
     def place(
@@ -320,12 +317,12 @@ class Session:
         variant: str | PipelineVariant | None = None,
         model: str | None = None,
         interprocedural: bool | None = None,
-        context: AnalysisContext | None = None,
+        context: QueryEngine | None = None,
         backend=None,
         synthesis: str = "greedy",
     ) -> ProgramAnalysis:
         """Run the pipeline and insert the fences (mutates ``program``;
-        the context refreshes itself, so it stays valid for reuse —
+        the engine refreshes itself, so it stays valid for reuse —
         only the fenced functions' facts recompute). With an arch
         ``backend``, fences are lowered to its flavors on insertion;
         ``synthesis="optimal"`` places the min-cost plans of
@@ -335,11 +332,11 @@ class Session:
         if context is None:
             context = self.context(program)
         # Fence insertion mutates ``program``: demote a wire-loaded
-        # entry to an ad-hoc one (its context stays valid), so a later
+        # entry to an ad-hoc one (its engine stays valid), so a later
         # load() of the same source compiles clean IR.
         cached = self._contexts.get(program)
         if cached is not None and cached.key is not None:
-            self._contexts[program] = _Cached(cached.context)
+            self._contexts[program] = _Cached(cached.engine)
         return entry.place(
             program, self._machine(model),
             context=context, interprocedural=inter, backend=backend,
@@ -404,20 +401,20 @@ class Session:
         # emit_ir inserts fences: a private compile (reuse=False) keeps
         # the shared warm program unmutated.
         reuse = not request.emit_ir
-        program, context, _ = self._load_spec(request.program, reuse)
-        before = context.stats.snapshot()
+        program, engine, _ = self._load_spec(request.program, reuse)
+        before = engine.stats.snapshot()
         if request.emit_ir:
             analysis = self.place(
                 program, request.variant, request.model,
-                interprocedural=interprocedural, context=context,
+                interprocedural=interprocedural, context=engine,
                 backend=backend, synthesis=synthesis,
             )
         else:
             analysis = self.analysis(
                 program, request.variant, request.model,
-                interprocedural=interprocedural, context=context,
+                interprocedural=interprocedural, context=engine,
             )
-        recorded = context.stats.since(before)
+        recorded = engine.stats.since(before)
         annotations = None
         if request.annotations:
             from repro.core.annotations import (
@@ -432,19 +429,12 @@ class Session:
 
             fenced_ir = format_program(program)
         if not reuse:
-            # One-shot program: drop its context so per-request compiles
+            # One-shot program: drop its engine so per-request compiles
             # cannot thrash genuinely warm entries out of the LRU.
             self.forget(program)
-        cache_stats = None
-        if request.stats:
-            # This request's own counters: a warm shared context shows
-            # up as all-hits, a cold one as the full fact-construction
-            # bill.
-            cache_stats = CacheStats(
-                hits=recorded.hits,
-                misses=recorded.misses,
-                by_fact=recorded.by_fact,
-            )
+        # This request's own counters: a warm shared engine shows up as
+        # all-hits, a cold one as the full fact-construction bill.
+        cache_stats = CacheStats.of(recorded) if request.stats else None
         fence_cost = None
         flavors = None
         greedy_cost = None
@@ -516,14 +506,11 @@ class Session:
         # Lint never mutates the IR, so it always runs on the shared
         # warm program: a re-lint after an edit recomputes only the
         # spliced functions' query subgraphs.
-        program, context, source = self._load_spec(request.program, reuse=True)
-        # Lint facts flow through engine.get (not the context's _fact
-        # recorder), so meter the query engine itself: hits = memo
-        # hits, misses = real recomputes.
-        before = context.engine.stats.to_payload()
+        program, engine, source = self._load_spec(request.program, reuse=True)
+        before = engine.stats.snapshot()
         result = run_lint(
             program,
-            context,
+            engine,
             variant=request.variant,
             model=machine,
             arch=backend,
@@ -532,25 +519,14 @@ class Session:
             max_traces=request.max_traces,
             max_actions=request.max_actions,
         )
-        after = context.engine.stats.to_payload()
+        recorded = engine.stats.since(before)
         fuzz_seed = None
         if result.fuzz_seed:
             from repro.validate.seeds import record_seed
 
             record_seed(program.name, source)
             fuzz_seed = source
-        cache_stats = None
-        if request.stats:
-            by_query = {
-                name: count - before["by_query"].get(name, 0)
-                for name, count in after["by_query"].items()
-                if count - before["by_query"].get(name, 0)
-            }
-            cache_stats = CacheStats(
-                hits=after["hits"] - before["hits"],
-                misses=after["computes"] - before["computes"],
-                by_fact=by_query,
-            )
+        cache_stats = CacheStats.of(recorded) if request.stats else None
         return LintReport(
             program=program.name,
             variant=result.variant,

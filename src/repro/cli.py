@@ -55,6 +55,7 @@ from repro.api import (
 )
 from repro.arch import backend_keys, get_backend
 from repro.frontend import LexError, LoweringError, ParseError
+from repro.ir.verifier import VerificationError
 from repro.memmodel.interpreter import ExecutionError
 from repro.registry import (
     MODELS,
@@ -75,10 +76,12 @@ def _resolve_model(args: argparse.Namespace, fallback: str = "x86-tso") -> str:
     return fallback
 
 
-#: Errors in a mini-C source file. Their messages start with
-#: ``line N:``; the commands report them as ``FILE: line N: ...`` and
-#: exit 2, like any other bad input.
-_SOURCE_ERRORS = (LexError, ParseError, LoweringError)
+#: Errors in a mini-C source file. Frontend messages start with
+#: ``line N:``; IR verification messages (no functions, an unknown
+#: thread entry or callee, a thread arity mismatch) name the function
+#: or thread. The commands report them as ``FILE: message`` and exit 2,
+#: like any other bad input.
+_SOURCE_ERRORS = (LexError, ParseError, LoweringError, VerificationError)
 
 #: Errors reading an input file: missing, a directory, not UTF-8 text.
 _READ_ERRORS = (OSError, UnicodeDecodeError)
@@ -245,7 +248,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             )
             reports.append(report)
             exit_code = max(exit_code, report.exit_code)
-    except _READ_ERRORS as exc:
+    except (*_SOURCE_ERRORS, *_READ_ERRORS) as exc:
         return _file_error(token, exc)
     except (KeyError, ValueError) as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 from repro.analysis.aliasing import UNKNOWN, AllocaObj, GlobalObj, PointsTo
 from repro.core.orderings import Access, Ordering, OrderingSet, logical_accesses
-from repro.engine.context import AnalysisContext
 from repro.ir.function import Program
+from repro.query.engine import QueryEngine
 
 
 @dataclass(frozen=True)
@@ -80,17 +80,18 @@ class DelaySetAnalysis:
         program: Program,
         max_cycle_nodes: int = 8,
         exclude_coherence_cycles: bool = True,
-        context: AnalysisContext | None = None,
+        context: QueryEngine | None = None,
     ) -> None:
         self.program = program
         self.max_cycle_nodes = max_cycle_nodes
         self.exclude_coherence_cycles = exclude_coherence_cycles
-        # All per-function facts come from the shared context (lazily),
-        # so a pipeline run over the same IR reuses them and vice versa.
-        self.context = context if context is not None else AnalysisContext(program)
+        # All per-function facts come from the program's query engine
+        # (lazily), so a pipeline run over the same IR reuses them and
+        # vice versa.
+        self.engine = context if context is not None else QueryEngine(program)
 
     def _points_to_of(self, func_name: str) -> PointsTo:
-        return self.context.points_to(self.program.functions[func_name])
+        return self.engine.get("points_to", self.program.functions[func_name])
 
     # --- cross-thread conflict oracle ---------------------------------------
     def _shared_objects(self, thread_func: str, access: Access) -> frozenset:
@@ -129,7 +130,7 @@ class DelaySetAnalysis:
         for t_index, spec in enumerate(threads):
             func = self.program.functions[spec.func_name]
             func_of_thread[t_index] = spec.func_name
-            escaping = self.context.escape_info(func).escaping
+            escaping = self.engine.get("escape_info", func).escaping
             for access in logical_accesses(escaping):
                 nodes.append(ThreadAccess(t_index, access))
 
@@ -149,8 +150,9 @@ class DelaySetAnalysis:
                         if a.access.part == "r" and b.access.part == "w":
                             po_edges.add((i, j))
                         continue
-                    reach = self.context.reachability(
-                        self.program.functions[func_of_thread[a.thread]]
+                    reach = self.engine.get(
+                        "reachability",
+                        self.program.functions[func_of_thread[a.thread]],
                     )
                     if reach.exists_path(a.access.inst, b.access.inst):
                         po_edges.add((i, j))

@@ -26,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.signatures import Variant
-from repro.engine.context import AnalysisContext
 from repro.ir.function import Function, Program
 from repro.ir.instructions import Call, Instruction, Ret
 from repro.ir.values import Register, Value, get_def
+from repro.query.engine import QueryEngine
 from repro.util.orderedset import OrderedSet
 
 
@@ -45,15 +45,15 @@ class _SliceResult:
 class _FunctionContext:
     """Per-function analysis state shared across slices."""
 
-    def __init__(self, func: Function, analysis_context: AnalysisContext) -> None:
+    def __init__(self, func: Function, engine: QueryEngine) -> None:
         self.function = func
-        self.points_to = analysis_context.points_to(func)
-        self.escape_info = analysis_context.escape_info(func)
+        self.points_to = engine.get("points_to", func)
+        self.escape_info = engine.get("escape_info", func)
         self.param_names = {p.name for p in func.params}
         self.seen: set[Instruction] = set()
         self.seen_params: set[str] = set()
         # Shared with every other slicer over this function.
-        self._writers_cache = analysis_context.writers_cache(func)
+        self._writers_cache = engine.get("writers_cache", func)
 
     def potential_writers(self, inst: Instruction) -> list[Instruction]:
         cached = self._writers_cache.get(id(inst))
@@ -146,16 +146,17 @@ class InterproceduralResult:
 def detect_acquires_interprocedural(
     program: Program,
     variant: Variant = Variant.CONTROL,
-    context: AnalysisContext | None = None,
+    context: QueryEngine | None = None,
 ) -> InterproceduralResult:
     """Whole-program acquire detection with cross-function propagation.
 
-    With a ``context``, per-function facts are drawn from the shared
-    :class:`~repro.engine.context.AnalysisContext` instead of rebuilt.
+    With a ``context`` (the program's
+    :class:`~repro.query.engine.QueryEngine`), per-function facts are
+    drawn from it instead of rebuilt.
     """
-    actx = context if context is not None else AnalysisContext(program)
+    engine = context if context is not None else QueryEngine(program)
     contexts = {
-        name: _FunctionContext(f, actx) for name, f in program.functions.items()
+        name: _FunctionContext(f, engine) for name, f in program.functions.items()
     }
     call_sites: dict[str, list[tuple[str, Call]]] = {}
     for name, func in program.functions.items():

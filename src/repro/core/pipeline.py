@@ -29,9 +29,9 @@ from repro.core.machine_models import X86_TSO, MemoryModel, OrderKind
 from repro.core.orderings import OrderingSet, generate_orderings
 from repro.core.pruning import PruneStats, aggregate_surviving_fraction, prune_orderings
 from repro.core.signatures import Variant
-from repro.engine.context import AnalysisContext
 from repro.ir.function import Function, Program
 from repro.ir.instructions import Instruction
+from repro.query.engine import QueryEngine
 from repro.util.orderedset import OrderedSet
 
 
@@ -217,14 +217,14 @@ class FencePlacer:
         self,
         func: Function,
         sync_reads_override: OrderedSet[Instruction] | None = None,
-        context: AnalysisContext | None = None,
+        context: QueryEngine | None = None,
     ) -> FunctionAnalysis:
-        """Analyze one function; facts come from ``context`` (a private
-        one is created when none is supplied)."""
-        ctx = context if context is not None else AnalysisContext()
-        points_to = ctx.points_to(func)
-        escape_info = ctx.escape_info(func)
-        reach = ctx.reachability(func)
+        """Analyze one function; facts come from the query engine
+        ``context`` (a private one is created when none is supplied)."""
+        engine = context if context is not None else QueryEngine()
+        points_to = engine.get("points_to", func)
+        escape_info = engine.get("escape_info", func)
+        reach = engine.get("reachability", func)
 
         if sync_reads_override is not None:
             sync_reads = sync_reads_override
@@ -232,7 +232,9 @@ class FencePlacer:
             # No acquire knowledge: every escaping read could be one.
             sync_reads = escape_info.escaping_reads
         else:
-            sync_reads = ctx.acquires(func, self._detector_variant()).sync_reads
+            sync_reads = engine.get(
+                "acquires", (func, self._detector_variant())
+            ).sync_reads
 
         orderings = generate_orderings(func, escape_info, reach)
         pruned, stats = prune_orderings(orderings, sync_reads)
@@ -254,38 +256,41 @@ class FencePlacer:
 
     # --- whole program ------------------------------------------------------
     def analyze(
-        self, program: Program, context: AnalysisContext | None = None
+        self, program: Program, context: QueryEngine | None = None
     ) -> ProgramAnalysis:
         """Run the pipeline; no IR mutation.
 
-        A supplied ``context`` shares its memoized facts across
-        pipeline variants and with other consumers (delay-set analysis,
-        signature studies) of the same IR.
+        A supplied ``context`` (the program's query engine) shares its
+        memoized facts across pipeline variants and with other
+        consumers (delay-set analysis, signature studies) of the same
+        IR.
         """
-        ctx = context if context is not None else AnalysisContext(program)
-        if ctx.program is None:
-            ctx.program = program
-        elif ctx.program is not program:
-            # A context is per-program: its function-keyed facts would
+        engine = context if context is not None else QueryEngine(program)
+        if engine.program is None:
+            engine.program = program
+        elif engine.program is not program:
+            # An engine is per-program: its function-keyed facts would
             # simply miss, but the interprocedural memo is keyed by
             # variant only and would hand back the *other* program's
             # acquire overrides.
             raise ValueError(
-                "AnalysisContext is bound to a different program "
-                f"({ctx.program.name!r}); create one per compiled program"
+                "QueryEngine is bound to a different program "
+                f"({engine.program.name!r}); create one per compiled program"
             )
         overrides: dict[str, OrderedSet[Instruction]] = {}
         if self.interprocedural and self.variant is not PipelineVariant.PENSIEVE:
-            overrides = ctx.interprocedural(self._detector_variant()).acquires
+            overrides = engine.get(
+                "interprocedural", self._detector_variant()
+            ).acquires
         result = ProgramAnalysis(program, self.variant, self.model)
         for name in program.functions:
             result.functions[name] = self.analyze_function(
-                program.functions[name], overrides.get(name), context=ctx
+                program.functions[name], overrides.get(name), context=engine
             )
         return result
 
     def place(
-        self, program: Program, context: AnalysisContext | None = None
+        self, program: Program, context: QueryEngine | None = None
     ) -> ProgramAnalysis:
         """Run the pipeline and insert the planned fences into ``program``.
 
@@ -293,9 +298,9 @@ class FencePlacer:
         flavored fences (cheapest sufficient flavor per delay cut)
         before insertion; otherwise generic full fences go in, exactly
         as before. Insertion mutates the IR; a supplied ``context`` is
-        refreshed afterwards, so its query engine evicts exactly the
-        fenced functions' fact subgraphs and the context stays safe to
-        reuse (untouched functions remain cache hits).
+        refreshed afterwards, so the engine evicts exactly the fenced
+        functions' fact subgraphs and stays safe to reuse (untouched
+        functions remain cache hits).
         """
         result = self.analyze(program, context=context)
         insert_planned_fences(result, self.backend, synthesis=self.synthesis)
@@ -308,7 +313,7 @@ def analyze_program(
     program: Program,
     variant: PipelineVariant = PipelineVariant.CONTROL,
     model: MemoryModel = X86_TSO,
-    context: AnalysisContext | None = None,
+    context: QueryEngine | None = None,
 ) -> ProgramAnalysis:
     """One-call analysis without mutation (the common entry point)."""
     return FencePlacer(variant, model).analyze(program, context=context)
@@ -318,7 +323,7 @@ def place_fences(
     program: Program,
     variant: PipelineVariant = PipelineVariant.CONTROL,
     model: MemoryModel = X86_TSO,
-    context: AnalysisContext | None = None,
+    context: QueryEngine | None = None,
 ) -> ProgramAnalysis:
     """One-call analysis + fence insertion (mutates ``program``)."""
     return FencePlacer(variant, model).place(program, context=context)

@@ -33,7 +33,7 @@ from repro.ir.instructions import Instruction
 from repro.util.orderedset import OrderedSet
 
 if TYPE_CHECKING:
-    from repro.engine.context import AnalysisContext
+    from repro.query.engine import QueryEngine
 
 
 class Variant(enum.Enum):
@@ -100,17 +100,17 @@ def _resolve_facts(
     func: Function,
     points_to: PointsTo | None,
     escape_info: EscapeInfo | None,
-    context: "AnalysisContext | None",
+    context: "QueryEngine | None",
 ) -> tuple[PointsTo, EscapeInfo, "dict | None"]:
-    """Fill in missing per-function facts — from the shared context
-    when one is supplied, built fresh otherwise."""
+    """Fill in missing per-function facts — from the program's query
+    engine when one is supplied, built fresh otherwise."""
     writers_cache = None
     if context is not None:
-        points_to = points_to if points_to is not None else context.points_to(func)
-        escape_info = (
-            escape_info if escape_info is not None else context.escape_info(func)
-        )
-        writers_cache = context.writers_cache(func)
+        if points_to is None:
+            points_to = context.get("points_to", func)
+        if escape_info is None:
+            escape_info = context.get("escape_info", func)
+        writers_cache = context.get("writers_cache", func)
     points_to = points_to if points_to is not None else PointsTo(func)
     escape_info = (
         escape_info if escape_info is not None else EscapeInfo(func, points_to)
@@ -123,7 +123,7 @@ def detect_acquires(
     variant: Variant,
     points_to: PointsTo | None = None,
     escape_info: EscapeInfo | None = None,
-    context: "AnalysisContext | None" = None,
+    context: "QueryEngine | None" = None,
 ) -> AcquireResult:
     """Run the requested detection algorithm on one function.
 
@@ -131,9 +131,10 @@ def detect_acquires(
     share one ``seen`` set — slices overlap heavily and the paper notes
     the shared set "prevents reiteration".
 
-    With a ``context``, the per-function facts come from (and are
-    memoized in) the shared :class:`~repro.engine.context.AnalysisContext`
-    instead of being rebuilt here.
+    With a ``context`` (the program's
+    :class:`~repro.query.engine.QueryEngine`), the per-function facts
+    come from (and are memoized in) the engine instead of being rebuilt
+    here.
     """
     points_to, escape_info, writers_cache = _resolve_facts(
         func, points_to, escape_info, context
@@ -187,7 +188,7 @@ def signature_breakdown(
     func: Function,
     points_to: PointsTo | None = None,
     escape_info: EscapeInfo | None = None,
-    context: "AnalysisContext | None" = None,
+    context: "QueryEngine | None" = None,
 ) -> SignatureBreakdown:
     """Classify every acquire by the signature(s) it matches."""
     points_to, escape_info, writers_cache = _resolve_facts(

@@ -3,9 +3,9 @@
 :func:`run_lint` is the engine-level entry point — the API session and
 CLI front it with the schema-versioned ``LintRequest``/``LintReport``
 wire pair. It takes a compiled program plus its (possibly warm)
-:class:`~repro.engine.context.AnalysisContext`, so a long-lived
-session re-lints incrementally: the race queries live in the same
-engine as the analysis facts and invalidate at function granularity.
+:class:`~repro.query.engine.QueryEngine`, so a long-lived session
+re-lints incrementally: the race queries live in the same engine as
+the analysis facts and invalidate at function granularity.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from repro.diagnostics.findings import (
     sort_findings,
 )
 from repro.diagnostics.passes import LINT_PASSES, LintContext
-from repro.engine.context import AnalysisContext
 from repro.ir.function import Program
+from repro.query.engine import QueryEngine
 
 if TYPE_CHECKING:  # runtime-lazy: repro.arch itself imports repro.core
     from repro.arch.backend import ArchBackend
@@ -68,7 +68,7 @@ class LintResult:
 
 def run_lint(
     program: Program,
-    context: AnalysisContext,
+    context: QueryEngine,
     variant: str = "address+control",
     model: MemoryModel = X86_TSO,
     arch: "ArchBackend | None" = None,

@@ -32,9 +32,9 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from repro.analysis.aliasing import GlobalObj
 from repro.core.machine_models import MemoryModel, OrderKind
 from repro.diagnostics.findings import Finding, SourceSpan, span_of
-from repro.engine.context import AnalysisContext
 from repro.ir.function import BasicBlock, Function, Program
 from repro.ir.instructions import Fence, FenceKind, Store
+from repro.query.engine import QueryEngine
 from repro.races.detector import StaticRaceReport, confirm_candidates
 from repro.races.mhp import ThreadStructure
 from repro.registry.core import Registry
@@ -50,7 +50,8 @@ class LintContext:
     fuzz-seed material)."""
 
     program: Program
-    context: AnalysisContext
+    #: The program's query engine: every pass asks it for facts.
+    context: QueryEngine
     variant: str = "address+control"
     model: MemoryModel | None = None
     arch: ArchBackend | None = None
@@ -127,9 +128,7 @@ def _pair_spans(
     "statically unordered conflicting access pairs, explorer-audited",
 )
 def _racy_access_pair(ctx: LintContext) -> Iterable[Finding]:
-    report: StaticRaceReport = ctx.context.engine.get(
-        "race_candidates", ctx.variant
-    )
+    report: StaticRaceReport = ctx.context.get("race_candidates", ctx.variant)
     verdicts = None
     if ctx.confirm:
         verdicts = confirm_candidates(
@@ -314,7 +313,7 @@ def _unfenced_publish(ctx: LintContext) -> Iterable[Finding]:
         return ()  # the model keeps w->w in order; publish is safe
     findings = []
     for func in ctx.executed_functions():
-        points_to = ctx.context.points_to(func)
+        points_to = ctx.context.get("points_to", func)
         for block in func.blocks:
             for i, inst in enumerate(block.instructions):
                 if not isinstance(inst, Store):

@@ -1,13 +1,22 @@
-"""Shared analysis engine: memoized per-program facts + parallel batch runs.
+"""Parallel batch analysis over the {program × variant × model} matrix.
 
-``repro.engine.batch`` is exported lazily (PEP 562): it imports the
-pipeline, while the pipeline imports :mod:`repro.engine.context` — an
-eager import here would close that cycle.
+Analysis facts themselves live in :mod:`repro.query`: every consumer
+asks the program's :class:`~repro.query.engine.QueryEngine` for them.
 """
 
-from repro.engine.context import AnalysisContext, ContextStats
+from repro.engine.batch import (
+    ENGINE_VERSION,
+    BatchJob,
+    BatchResult,
+    BatchRunner,
+    FunctionResult,
+    ResultCache,
+    execute_job,
+    execute_job_group,
+    parallel_map,
+)
 
-_BATCH_EXPORTS = (
+__all__ = [
     "BatchJob",
     "BatchResult",
     "BatchRunner",
@@ -17,14 +26,4 @@ _BATCH_EXPORTS = (
     "execute_job",
     "execute_job_group",
     "parallel_map",
-)
-
-__all__ = ["AnalysisContext", "ContextStats", *_BATCH_EXPORTS]
-
-
-def __getattr__(name: str):
-    if name in _BATCH_EXPORTS:
-        from repro.engine import batch
-
-        return getattr(batch, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+]

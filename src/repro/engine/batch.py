@@ -6,12 +6,12 @@ workloads serially from scratch on every experiment run. This module
 provides:
 
 * :func:`execute_job` — one picklable unit of work: compile a program
-  from source, run the fence-placement pipeline with a shared
-  :class:`~repro.engine.context.AnalysisContext`, and reduce the result
-  to a plain-data :class:`BatchResult`;
+  from source, run the fence-placement pipeline over the program's
+  :class:`~repro.query.engine.QueryEngine`, and reduce the result to a
+  plain-data :class:`BatchResult`;
 * :class:`ResultCache` — a content-keyed cache (in memory, optionally
-  backed by a directory of JSON files) so repeated runs over unchanged
-  sources reuse prior analyses;
+  backed by a directory of atomically written JSON files) so repeated
+  runs over unchanged sources reuse prior analyses;
 * :class:`BatchRunner` — fans a job matrix out over a
   ``concurrent.futures`` process pool with a deterministic serial
   fallback; results always come back in job-submission order.
@@ -22,6 +22,7 @@ results cross the process boundary (and the JSON cache) cheaply.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -36,8 +37,10 @@ from repro.core.pipeline import PipelineVariant
 from repro.frontend import compile_source
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.query.engine import QueryEngine
 from repro.registry.models import backend_for_model, get_model, model_keys
 from repro.registry.variants import get_variant, pipeline_variant_keys
+from repro.util.files import write_text_atomic
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -116,8 +119,10 @@ class BatchResult:
     flavors: dict[str, int] = field(default_factory=dict)
     greedy_cost: int | None = None
     optimal_cost: int | None = None
-    #: Shared-context memo counters for this cell (cross the process
-    #: boundary as plain ints so reports can aggregate them).
+    #: The cell's own query-engine counters — memo hits, misses and
+    #: per-kind misses, as in :class:`~repro.api.reports.CacheStats`
+    #: (they cross the process boundary as plain ints so reports can
+    #: aggregate them).
     context_hits: int = 0
     context_misses: int = 0
     context_by_fact: dict[str, int] = field(default_factory=dict)
@@ -183,27 +188,23 @@ class BatchResult:
 
 def execute_job(job: BatchJob) -> BatchResult:
     """Run one matrix cell; top-level so process pools can pickle it."""
-    from repro.engine.context import AnalysisContext
-
     ir = compile_source(job.resolve_source(), job.program)
-    return _execute_cell(job, ir, AnalysisContext(ir))
+    return _execute_cell(job, ir, QueryEngine(ir))
 
 
 def execute_job_group(jobs: "tuple[BatchJob, ...]") -> list[BatchResult]:
     """Run several cells of the *same program source* in one worker.
 
-    Compiles once and shares one :class:`AnalysisContext`, so the
+    Compiles once and shares one :class:`QueryEngine`, so the
     variant/model cells of a program reuse the variant-independent
     facts instead of rebuilding them per cell.
     """
-    from repro.engine.context import AnalysisContext
-
     ir = compile_source(jobs[0].resolve_source(), jobs[0].program)
-    ctx = AnalysisContext(ir)
-    return [_execute_cell(job, ir, ctx) for job in jobs]
+    engine = QueryEngine(ir)
+    return [_execute_cell(job, ir, engine) for job in jobs]
 
 
-def _execute_cell(job: BatchJob, ir, context) -> BatchResult:
+def _execute_cell(job: BatchJob, ir, engine: QueryEngine) -> BatchResult:
     start = time.perf_counter()
     cell_span = obs_trace.span(
         "batch.cell",
@@ -213,15 +214,17 @@ def _execute_cell(job: BatchJob, ir, context) -> BatchResult:
         model=job.model,
     )
     with cell_span:
-        return _run_cell(job, ir, context, start)
+        return _run_cell(job, ir, engine, start)
 
 
-def _run_cell(job: BatchJob, ir, context, start: float) -> BatchResult:
-    before = context.stats.snapshot()
+def _run_cell(
+    job: BatchJob, ir, engine: QueryEngine, start: float
+) -> BatchResult:
+    before = engine.stats.snapshot()
     analysis = get_variant(job.variant).analyze(
-        ir, get_model(job.model).model, context=context
+        ir, get_model(job.model).model, context=engine
     )
-    recorded = context.stats.since(before)
+    recorded = engine.stats.since(before)
     functions = tuple(
         FunctionResult(
             name=name,
@@ -275,7 +278,7 @@ def _run_cell(job: BatchJob, ir, context, start: float) -> BatchResult:
         elapsed=elapsed,
         context_hits=recorded.hits,
         context_misses=recorded.misses,
-        context_by_fact=recorded.by_fact,
+        context_by_fact=recorded.by_query_misses,
         fence_cost=fence_cost,
         flavors=flavors,
         greedy_cost=greedy_cost,
@@ -321,14 +324,10 @@ class ResultCache:
         self._memory[result.key] = result
         if self.directory is not None:
             # The disk layer is an optimization: a full disk or
-            # unwritable directory must not abort a finished run.
-            # (get() likewise tolerates torn/corrupt entries.)
-            try:
-                self._path(result.key).write_text(
-                    result.to_json(), encoding="utf-8"
-                )
-            except OSError:
-                pass
+            # unwritable directory must not abort a finished run, and
+            # the atomic write leaves any previous entry intact.
+            with contextlib.suppress(OSError):
+                write_text_atomic(self._path(result.key), result.to_json())
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -448,7 +447,7 @@ class BatchRunner:
 
         # One worker invocation per program source, not per cell: the
         # variant/model cells of a program share one compile and one
-        # AnalysisContext inside the worker.
+        # QueryEngine inside the worker.
         groups: dict[tuple[str, str | None], list[tuple[int, BatchJob]]] = {}
         for i, job in pending:
             groups.setdefault((job.program, job.source), []).append((i, job))

@@ -22,10 +22,10 @@ from repro.core.fence_min import plan_fences
 from repro.core.machine_models import RMO
 from repro.core.pruning import prune_orderings
 from repro.core.signatures import Variant
-from repro.engine.context import AnalysisContext
 from repro.experiments import expected
 from repro.frontend import compile_source
 from repro.ir.function import Program
+from repro.query.engine import QueryEngine
 
 FIG2_SOURCE = """
 global int x;
@@ -78,10 +78,10 @@ class Fig2Result:
 
 def run() -> Fig2Result:
     program = compile_source(FIG2_SOURCE, "fig2-example")
-    # Delay-set analysis and acquire detection share one context, so
-    # the per-function facts are computed exactly once.
-    ctx = AnalysisContext(program)
-    delays = DelaySetAnalysis(program, context=ctx).compute()
+    # Delay-set analysis and acquire detection share one query engine,
+    # so the per-function facts are computed exactly once.
+    engine = QueryEngine(program)
+    delays = DelaySetAnalysis(program, context=engine).compute()
 
     total_unpruned = 0
     total_pruned = 0
@@ -91,7 +91,7 @@ def run() -> Fig2Result:
         orderings = delays.ordering_set(fn_name)
         plan = plan_fences(func, orderings, RMO, entry_fence=False)
         total_unpruned += len(plan.fences)
-        sync_reads = ctx.acquires(func, Variant.CONTROL).sync_reads
+        sync_reads = engine.get("acquires", (func, Variant.CONTROL)).sync_reads
         acquires[fn_name] = len(sync_reads)
         pruned, _ = prune_orderings(orderings, sync_reads)
         pruned_plan = plan_fences(func, pruned, RMO, entry_fence=False)

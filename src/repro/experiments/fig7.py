@@ -42,7 +42,7 @@ class Fig7Result:
 
 def run_program(program: BenchProgram, ir=None, session=None) -> Fig7Row:
     # One compile + one session: both variants share the session
-    # context's variant-independent facts (points-to, escape,
+    # engine's variant-independent facts (points-to, escape,
     # reachability). Callers sweeping several figures pass both in to
     # share across figures too.
     session = session if session is not None else Session()

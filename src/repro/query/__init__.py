@@ -9,11 +9,13 @@ function invalidates exactly the query subgraph that read it — warm
 re-analysis of an edited program recomputes the changed function's
 facts and everything downstream, nothing else.
 
-:class:`~repro.engine.context.AnalysisContext` remains the public way
-to ask for facts; since this package exists it is a thin facade over a
-:class:`QueryEngine`. New fact kinds plug in by registering a
-:class:`QuerySpec` (optionally with an encode/decode pair, which makes
-the query persistable in an on-disk cache keyed by input fingerprint).
+Consumers ask the program's :class:`QueryEngine` for facts directly —
+``engine.get("points_to", func)``, ``engine.get("acquires", (func,
+variant))`` — and its :class:`QueryStats` is the one cache meter
+behind every ``cache_stats`` report. New fact kinds plug in by
+registering a :class:`QuerySpec` (optionally with an encode/decode
+pair, which makes the query persistable in an on-disk cache keyed by
+input fingerprint).
 """
 
 from repro.query.engine import (

@@ -32,21 +32,17 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import itertools
 import json
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Hashable
+from typing import Any, Callable, Hashable
 
 from repro.ir.function import Function, Program
 from repro.ir.printer import format_function
 from repro.obs import trace as obs_trace
 from repro.registry.core import Registry
-
-if TYPE_CHECKING:  # runtime-lazy: the facade imports this module
-    from repro.engine.context import AnalysisContext
+from repro.util.files import write_text_atomic
 
 #: Bump when any query's semantics change so persisted entries miss.
 QUERY_SCHEMA_VERSION = "1"
@@ -54,9 +50,6 @@ QUERY_SCHEMA_VERSION = "1"
 #: A node in the dependency graph: an input ``("fn", Function)`` /
 #: ``("shape",)`` or a derived query key ``(query name, key)``.
 Node = tuple
-
-#: Distinguishes temp files from concurrent stores within one process.
-_store_counter = itertools.count()
 
 
 def fingerprint_function(func: Function) -> str:
@@ -183,6 +176,27 @@ class QueryStats:
             self.by_query_evictions.get(name, 0) + 1
         )
 
+    def snapshot(self) -> "QueryStats":
+        """A detached copy, to diff against later with :meth:`since`."""
+        return self.since(QueryStats())
+
+    def since(self, before: "QueryStats") -> "QueryStats":
+        """What was recorded after ``before`` (an earlier
+        :meth:`snapshot`): one request's own counters, with zero
+        entries dropped from the per-kind maps."""
+        delta: dict[str, Any] = {}
+        for f in fields(self):
+            now, then = getattr(self, f.name), getattr(before, f.name)
+            if isinstance(now, dict):
+                delta[f.name] = {
+                    kind: count - then.get(kind, 0)
+                    for kind, count in now.items()
+                    if count != then.get(kind, 0)
+                }
+            else:
+                delta[f.name] = now - then
+        return QueryStats(**delta)
+
     def to_payload(self) -> dict:
         return {
             "lookups": self.lookups,
@@ -230,20 +244,11 @@ class PersistentQueryCache:
             return None
 
     def store(self, name: str, fingerprint: str, payload: Any) -> None:
-        path = self._path(name, fingerprint)
-        # The temp file must live in the target directory: os.replace is
-        # only atomic within one filesystem.
-        tmp = path.with_name(
-            f".{path.name}.{os.getpid()}.{next(_store_counter)}.tmp"
-        )
-        try:
-            tmp.write_text(
-                json.dumps(payload, sort_keys=True), encoding="utf-8"
+        with contextlib.suppress(OSError):
+            write_text_atomic(
+                self._path(name, fingerprint),
+                json.dumps(payload, sort_keys=True),
             )
-            os.replace(tmp, path)
-        except OSError:
-            with contextlib.suppress(OSError):
-                tmp.unlink()
 
 
 class QueryEngine:
@@ -266,9 +271,6 @@ class QueryEngine:
         self.persistent = (
             PersistentQueryCache(cache_dir) if cache_dir is not None else None
         )
-        #: Back-reference set by the owning AnalysisContext so query
-        #: computes can hand consumers the facade they expect.
-        self.context: "AnalysisContext | None" = None
         #: In-flight evaluations, innermost last: (node, deps read so far).
         self._frames: list[tuple[Node, set]] = []
         self._values: dict[tuple, Any] = {}

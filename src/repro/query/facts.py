@@ -1,8 +1,9 @@
 """The registered analysis-fact queries.
 
-These are the six fact kinds :class:`~repro.engine.context
-.AnalysisContext` historically memoized by hand, reimplemented as
-:data:`~repro.query.engine.QUERIES` entries. Per-function queries are
+These are the six fact kinds the pipeline stages once memoized by
+hand, as :data:`~repro.query.engine.QUERIES` entries; every consumer
+asks the engine for them directly (``engine.get("points_to", func)``,
+``engine.get("acquires", (func, variant))``). Per-function queries are
 keyed by the :class:`~repro.ir.function.Function` object (content
 fingerprints, not identity, decide validity across
 :meth:`~repro.query.engine.QueryEngine.refresh`); ``acquires`` is
@@ -27,7 +28,7 @@ from repro.analysis.reachability import ReachabilityTable
 from repro.ir.function import Function
 from repro.query.engine import QueryEngine, query
 
-#: The fact kinds every AnalysisContext serves through the engine.
+#: The analysis fact kinds (the race queries add two more).
 FACT_QUERIES = (
     "points_to",
     "escape_info",
@@ -36,17 +37,6 @@ FACT_QUERIES = (
     "acquires",
     "interprocedural",
 )
-
-
-def _facade(engine: QueryEngine):
-    """The AnalysisContext fronting ``engine`` (consumers expect one)."""
-    if engine.context is not None:
-        return engine.context
-    from repro.engine.context import AnalysisContext
-
-    facade = AnalysisContext.__new__(AnalysisContext)
-    facade.adopt_engine(engine)
-    return facade
 
 
 @query("points_to")
@@ -108,14 +98,19 @@ def _acquires(engine: QueryEngine, key: Hashable) -> Any:
 
     func, variant = key
     engine.touch_input(func)
-    return detect_acquires(func, variant, context=_facade(engine))
+    return detect_acquires(func, variant, context=engine)
 
 
 @query("interprocedural")
 def _interprocedural(engine: QueryEngine, variant: Hashable) -> Any:
     from repro.core.interprocedural import detect_acquires_interprocedural
 
+    if engine.program is None:
+        raise ValueError(
+            "interprocedural acquire detection needs a whole program; "
+            "construct the engine with QueryEngine(program)"
+        )
     engine.touch_shape()
     return detect_acquires_interprocedural(
-        engine.program, variant, context=_facade(engine)
+        engine.program, variant, context=engine
     )

@@ -50,9 +50,9 @@ from repro.races.locksets import compute_locksets
 from repro.races.mhp import ThreadStructure
 from repro.util.orderedset import OrderedSet
 
-if TYPE_CHECKING:  # runtime-lazy: the context fronts the query engine
-    from repro.engine.context import AnalysisContext
+if TYPE_CHECKING:  # runtime-lazy: repro.query imports this package
     from repro.memmodel.interpreter import GlobalLayout
+    from repro.query.engine import QueryEngine
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def build_access_summary(
 
 
 def sync_reads_for(
-    context: AnalysisContext, func: Function, variant_key: str
+    context: QueryEngine, func: Function, variant_key: str
 ) -> OrderedSet:
     """The detection variant's acquire set for ``func`` — the same
     marking the fence-placement pipeline would use."""
@@ -165,17 +165,17 @@ def sync_reads_for(
     if entry.null_detector:
         return OrderedSet()
     if entry.pipeline_variant is PipelineVariant.PENSIEVE:
-        return context.escape_info(func).escaping_reads
+        return context.get("escape_info", func).escaping_reads
     detector = (
         Variant.CONTROL
         if entry.pipeline_variant is PipelineVariant.CONTROL
         else Variant.ADDRESS_CONTROL
     )
-    return context.acquires(func, detector).sync_reads
+    return context.get("acquires", (func, detector)).sync_reads
 
 
 def _sync_locations(
-    context: AnalysisContext,
+    context: QueryEngine,
     summaries: dict[str, AccessSummary],
     variant_key: str,
 ) -> tuple[frozenset[str], set[tuple[str, int]]]:
@@ -183,7 +183,7 @@ def _sync_locations(
     locations: set[str] = set()
     sync_read_ids: set[tuple[str, int]] = set()
     for name, summary in summaries.items():
-        points_to = context.points_to(summary.function)
+        points_to = context.get("points_to", summary.function)
         for read in sync_reads_for(context, summary.function, variant_key):
             sync_read_ids.add((name, read.uid))
             addr = read.address_operand()
@@ -258,7 +258,7 @@ def _array_elements_disjoint(
 
 
 def _ordered_by_sync_edge(
-    context: AnalysisContext,
+    context: QueryEngine,
     a: AccessSite,
     b: AccessSite,
     summaries: dict[str, AccessSummary],
@@ -270,8 +270,8 @@ def _ordered_by_sync_edge(
     and a detected sync read of it po-before ``b`` in the other."""
     if not sync_locations:
         return False
-    reach_a = context.reachability(summaries[a.function].function)
-    reach_b = context.reachability(summaries[b.function].function)
+    reach_a = context.get("reachability", summaries[a.function].function)
+    reach_b = context.get("reachability", summaries[b.function].function)
     released: set[str] = set()
     for site in summaries[a.function].accesses:
         if not site.is_write:
@@ -294,7 +294,7 @@ def _ordered_by_sync_edge(
 
 def detect_races(
     program: Program,
-    context: AnalysisContext,
+    context: QueryEngine,
     variant: str = "address+control",
 ) -> StaticRaceReport:
     """Run the full static pipeline; returns every candidate pair.
@@ -302,14 +302,14 @@ def detect_races(
     ``variant`` names a detection variant from the registry: it decides
     which reads count as acquires, exactly as it would for fence
     placement. Prefer asking through the query engine
-    (``context.engine.get("race_candidates", variant)``) so warm
+    (``context.get("race_candidates", variant)``) so warm
     re-lints reuse unchanged functions' work.
     """
     structure = ThreadStructure(program)
     summaries: dict[str, AccessSummary] = {}
     for name in structure.executed_functions():
         func = program.functions[name]
-        summaries[name] = context.engine.get("race_access_summary", func)
+        summaries[name] = context.get("race_access_summary", func)
 
     sync_locations, sync_read_ids = _sync_locations(
         context, summaries, variant

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Hashable
 from repro.ir.function import Function
 from repro.query.engine import QueryEngine, query
 
-if TYPE_CHECKING:  # runtime-lazy: the detector imports the facts facade
+if TYPE_CHECKING:  # runtime-lazy, like the imports in the computes below
     from repro.races.detector import AccessSummary, StaticRaceReport
 
 #: Query kinds the lint pipeline adds on top of the analysis facts.
@@ -44,10 +44,9 @@ def _race_access_summary(engine: QueryEngine, func: Function) -> AccessSummary:
 def _race_candidates(
     engine: QueryEngine, variant: Hashable
 ) -> StaticRaceReport:
-    from repro.query.facts import _facade
     from repro.races.detector import detect_races
 
     if engine.program is None:
         raise ValueError("race_candidates needs a whole program")
     engine.touch_shape()
-    return detect_races(engine.program, _facade(engine), str(variant))
+    return detect_races(engine.program, engine, str(variant))

@@ -25,8 +25,8 @@ from repro.core.pipeline import (
     ProgramAnalysis,
     insert_planned_fences,
 )
-from repro.engine.context import AnalysisContext
 from repro.ir.function import Program
+from repro.query.engine import QueryEngine
 from repro.registry.core import Registry
 from repro.util.orderedset import OrderedSet
 
@@ -62,18 +62,18 @@ class DetectionVariant:
         self,
         program: Program,
         model: MemoryModel = X86_TSO,
-        context: AnalysisContext | None = None,
+        context: QueryEngine | None = None,
         interprocedural: bool = False,
     ) -> ProgramAnalysis:
         """Run this variant's pipeline on ``program`` without mutation."""
         placer = self.placer(model, interprocedural)
         if not self.null_detector:
             return placer.analyze(program, context=context)
-        ctx = context if context is not None else AnalysisContext(program)
+        engine = context if context is not None else QueryEngine(program)
         result = ProgramAnalysis(program, self.pipeline_variant, model)
         for name, func in program.functions.items():
             result.functions[name] = placer.analyze_function(
-                func, sync_reads_override=OrderedSet(), context=ctx
+                func, sync_reads_override=OrderedSet(), context=engine
             )
         return result
 
@@ -81,7 +81,7 @@ class DetectionVariant:
         self,
         program: Program,
         model: MemoryModel = X86_TSO,
-        context: AnalysisContext | None = None,
+        context: QueryEngine | None = None,
         interprocedural: bool = False,
         backend=None,
         synthesis: str = "greedy",
@@ -92,7 +92,7 @@ class DetectionVariant:
         flavor per delay cut); ``synthesis="optimal"`` swaps in the
         min-cost placements of :mod:`repro.synth`."""
         if not self.null_detector:
-            # Delegate so the pipeline's post-insertion context refresh
+            # Delegate so the pipeline's post-insertion engine refresh
             # applies here too (this is the path Session.place uses).
             return self.placer(model, interprocedural, backend, synthesis).place(
                 program, context=context

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.analysis.aliasing import UNKNOWN, AllocaObj, GlobalObj, PointsTo
-from repro.engine.context import AnalysisContext
 from repro.frontend import compile_source
 from repro.ir import Load, Store
 from repro.ir.values import Constant, GlobalRef
 from repro.memmodel.litmus import LITMUS_TESTS
 from repro.programs import all_programs
+from repro.query.engine import QueryEngine
 
 
 def _analyze(src: str, fn: str = "f"):
@@ -285,15 +285,15 @@ def test_fresh_points_to_after_edit_sees_new_writer():
     thread consumer(0);
     """
     program = compile_source(src, "edit")
-    ctx = AnalysisContext(program)
+    engine = QueryEngine(program)
     consumer = program.functions["consumer"]
     data_load = [l for l in _loads(consumer) if str(l.addr) == "@data"][0]
-    before = ctx.points_to(consumer)
+    before = engine.get("points_to", consumer)
     assert before.potential_writers(data_load) == []
     edit = Store(GlobalRef("data"), Constant(7))
     consumer.blocks[0].insert(0, edit)
     consumer.finalize()
-    ctx.refresh()
-    after = ctx.points_to(consumer)
+    engine.refresh()
+    after = engine.get("points_to", consumer)
     assert after is not before
     assert after.potential_writers(data_load) == [edit]

@@ -369,7 +369,7 @@ def test_session_stats_accessor(spec):
     assert stats["requests"] == {"analyze": 1}
     assert stats["contexts"] == 1
     assert stats["context_cap"] == session._context_cap
-    assert stats["context_stats"]["misses"] > 0
+    assert stats["query_stats"]["misses"] > 0
     assert stats["query_stats"]["computes"] > 0
 
 
@@ -385,12 +385,12 @@ def test_analyze_cache_stats_show_warm_context(spec):
     # so its counters are pure hits.
     assert warm.cache_stats.misses == 0
     assert warm.cache_stats.hits > 0
-    # The mid-level path shares the same warm context:
+    # The mid-level path shares the same warm engine:
     program = session.load(spec)
-    ctx = session.context(program)
-    analysis_before = ctx.stats.misses
+    engine = session.context(program)
+    analysis_before = engine.stats.misses
     session.analysis(program, "control")
-    assert ctx.stats.misses == analysis_before  # all hits
+    assert engine.stats.misses == analysis_before  # all hits
 
 
 def test_batch_cache_stats_aggregate():
@@ -441,6 +441,7 @@ def test_wire_edit_recomputes_only_changed_function():
     # Only the edited producer's facts recomputed; consumer stayed hit.
     assert set(report.cache_stats.by_fact) <= {
         "points_to", "escape_info", "reachability", "acquires",
+        "writers_cache",
     }
     assert 0 < delta < computes_cold
     assert report.cache_stats.hits > 0

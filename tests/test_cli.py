@@ -125,10 +125,36 @@ def test_simulate_globals_filter(mp_file, capsys):
     ],
     ids=["parse", "lex", "lowering"],
 )
-@pytest.mark.parametrize("command", ["analyze", "check", "simulate"])
+@pytest.mark.parametrize("command", ["analyze", "check", "simulate", "lint"])
 def test_source_errors_exit_2_with_one_line(
     tmp_path, capsys, command, source, message
 ):
+    path = tmp_path / "bad.mc"
+    path.write_text(source)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("", "program has no functions"),
+        ("global int x;\nfn t(tid) { x = 1; }\nthread u();\n",
+         "thread entry 'u' is not a function"),
+        ("global int x;\nfn t(tid) { x = 1; }\nthread t();\n",
+         "thread t: 0 args for 1 params"),
+        ("global int x;\nfn t(tid) { x = 1; nope(); }\nthread t(0);\n",
+         "t: call to unknown function 'nope'"),
+    ],
+    ids=["empty", "unknown-thread", "arity", "unknown-callee"],
+)
+@pytest.mark.parametrize("command", ["analyze", "check", "lint"])
+def test_verification_errors_exit_2_with_one_line(
+    tmp_path, capsys, command, source, message
+):
+    # These sources parse and lower, then fail IR verification.
     path = tmp_path / "bad.mc"
     path.write_text(source)
     assert main([command, str(path)]) == 2

@@ -22,8 +22,8 @@ from repro.core.machine_models import MODELS, OrderKind
 from repro.core.orderings import generate_orderings
 from repro.core.pruning import prune_orderings
 from repro.core.signatures import Variant
-from repro.engine.context import AnalysisContext
 from repro.programs import all_programs
+from repro.query.engine import QueryEngine
 from repro.synth import synthesize_plan
 from repro.validate.generator import SHAPES, generate_program
 
@@ -33,11 +33,11 @@ SYNTH_ARCH = {"x86-tso": "x86", "arm": "arm", "power": "power"}
 VARIANTS = ("pensieve", "control", "address+control")
 
 
-def _sync_reads(ctx, func, variant):
+def _sync_reads(engine, func, variant):
     if variant == "pensieve":
-        return ctx.escape_info(func).escaping_reads
+        return engine.get("escape_info", func).escaping_reads
     detector = Variant.CONTROL if variant == "control" else Variant.ADDRESS_CONTROL
-    return ctx.acquires(func, detector).sync_reads
+    return engine.get("acquires", (func, detector)).sync_reads
 
 
 def _interval_sets(by_block):
@@ -48,7 +48,7 @@ def _interval_sets(by_block):
 
 
 def check_function(
-    ctx,
+    engine,
     func,
     variants,
     models,
@@ -57,15 +57,15 @@ def check_function(
     synthesize=True,
 ):
     """Assert every stage of the mask core matches the oracle on ``func``."""
-    esc = ctx.escape_info(func)
-    reach = ctx.reachability(func)
+    esc = engine.get("escape_info", func)
+    reach = engine.get("reachability", func)
     expected = oracle.generate_orderings(func, esc, reach, include_self_pairs)
     orderings = generate_orderings(func, esc, reach, include_self_pairs)
     assert list(orderings) == expected
     assert len(orderings) == len(expected)
     assert orderings.count_by_kind() == oracle.count_by_kind(expected)
     for variant in variants:
-        sync = _sync_reads(ctx, func, variant)
+        sync = _sync_reads(engine, func, variant)
         kept = [o for o in expected if oracle.keep_ordering(o, sync)]
         pruned, stats = prune_orderings(orderings, sync)
         assert list(pruned) == kept
@@ -101,19 +101,19 @@ def check_function(
 @pytest.mark.parametrize("name", sorted(all_programs()))
 def test_corpus_program_matches_the_pairwise_oracle(name):
     program = all_programs()[name].compile()
-    ctx = AnalysisContext(program)
+    engine = QueryEngine(program)
     for func in program.functions.values():
-        check_function(ctx, func, VARIANTS, MODEL_NAMES)
+        check_function(engine, func, VARIANTS, MODEL_NAMES)
 
 
 def test_corpus_self_pairs_match_the_pairwise_oracle():
     # Self-pair generation and pruning over the looping corpus programs.
     for name in ("fft", "lu-con", "radix"):
         program = all_programs()[name].compile()
-        ctx = AnalysisContext(program)
+        engine = QueryEngine(program)
         for func in program.functions.values():
             check_function(
-                ctx,
+                engine,
                 func,
                 ("control",),
                 ("arm",),
@@ -135,8 +135,8 @@ def test_generated_programs_match_the_pairwise_oracle(
     seed, shape, include_self_pairs, variant, model
 ):
     program = generate_program(seed, shape).compile()
-    ctx = AnalysisContext(program)
+    engine = QueryEngine(program)
     for func in program.functions.values():
         check_function(
-            ctx, func, (variant,), (model,), include_self_pairs, projections=("source", "target")
+            engine, func, (variant,), (model,), include_self_pairs, projections=("source", "target")
         )

@@ -17,9 +17,9 @@ from repro.diagnostics import (
     severity_rank,
     sort_findings,
 )
-from repro.engine.context import AnalysisContext
 from repro.frontend import compile_source
 from repro.arch import get_backend
+from repro.query.engine import QueryEngine
 
 MP = """
 global int flag;
@@ -53,7 +53,7 @@ def _lint(source, name="test", manual_fences=False, **kwargs):
     program = compile_source(
         source, name=name, include_manual_fences=manual_fences
     )
-    return run_lint(program, AnalysisContext(program), **kwargs)
+    return run_lint(program, QueryEngine(program), **kwargs)
 
 
 # --- findings ----------------------------------------------------------------
@@ -238,7 +238,7 @@ def test_publish_with_fence_passes_on_pso():
     source = PUBLISH.replace("x = 41;\n  y = &x;", "x = 41;\n  fence;\n  y = &x;")
     program = compile_source(source, name="fenced", include_manual_fences=True)
     result = run_lint(
-        program, AnalysisContext(program), model=PSO, confirm=False
+        program, QueryEngine(program), model=PSO, confirm=False
     )
     assert not any(f.code == "FENCE103" for f in result.findings)
 
@@ -267,7 +267,7 @@ def test_refuted_candidates_are_notes_not_gate_failures():
     from repro.memmodel.litmus import LITMUS_TESTS
 
     program = compile_source(LITMUS_TESTS["dekker"].source, name="dekker")
-    result = run_lint(program, AnalysisContext(program))
+    result = run_lint(program, QueryEngine(program))
     assert result.counts.note == 3
     assert result.counts.warning == result.counts.error == 0
     assert result.refuted_candidates == 3

@@ -1,4 +1,4 @@
-"""Tests for the shared AnalysisContext (repro.engine.context)."""
+"""Tests for a program's shared QueryEngine as every consumer's fact source."""
 
 import pytest
 
@@ -6,8 +6,8 @@ from repro.core.delay_set import DelaySetAnalysis
 from repro.core.interprocedural import detect_acquires_interprocedural
 from repro.core.pipeline import FencePlacer, PipelineVariant, analyze_program
 from repro.core.signatures import Variant, detect_acquires
-from repro.engine.context import AnalysisContext
 from repro.frontend import compile_source
+from repro.query.engine import QueryEngine
 
 SRC = """
 global int flag;
@@ -32,59 +32,63 @@ def program():
 
 
 def test_facts_memoized_per_function(program):
-    ctx = AnalysisContext(program)
+    engine = QueryEngine(program)
     func = program.functions["consumer"]
-    assert ctx.points_to(func) is ctx.points_to(func)
-    assert ctx.escape_info(func) is ctx.escape_info(func)
-    assert ctx.reachability(func) is ctx.reachability(func)
-    assert ctx.writers_cache(func) is ctx.writers_cache(func)
-    assert ctx.stats.hits > 0 and ctx.stats.misses > 0
+    assert engine.get("points_to", func) is engine.get("points_to", func)
+    assert engine.get("escape_info", func) is engine.get("escape_info", func)
+    assert engine.get("reachability", func) is engine.get("reachability", func)
+    assert engine.get("writers_cache", func) is engine.get("writers_cache", func)
+    assert engine.stats.hits > 0 and engine.stats.misses > 0
 
 
 def test_facts_distinct_across_functions(program):
-    ctx = AnalysisContext(program)
+    engine = QueryEngine(program)
     p = program.functions["producer"]
     c = program.functions["consumer"]
-    assert ctx.points_to(p) is not ctx.points_to(c)
+    assert engine.get("points_to", p) is not engine.get("points_to", c)
 
 
 def test_escape_info_shares_points_to(program):
-    ctx = AnalysisContext(program)
+    engine = QueryEngine(program)
     func = program.functions["consumer"]
-    assert ctx.escape_info(func).points_to is ctx.points_to(func)
+    assert engine.get("escape_info", func).points_to is engine.get(
+        "points_to", func
+    )
 
 
 def test_acquires_memoized_per_variant(program):
-    ctx = AnalysisContext(program)
+    engine = QueryEngine(program)
     func = program.functions["consumer"]
-    a = ctx.acquires(func, Variant.CONTROL)
-    assert ctx.acquires(func, Variant.CONTROL) is a
-    b = ctx.acquires(func, Variant.ADDRESS_CONTROL)
+    a = engine.get("acquires", (func, Variant.CONTROL))
+    assert engine.get("acquires", (func, Variant.CONTROL)) is a
+    b = engine.get("acquires", (func, Variant.ADDRESS_CONTROL))
     assert b is not a
 
 
 def test_context_acquires_match_standalone(program):
-    ctx = AnalysisContext(program)
+    engine = QueryEngine(program)
     func = program.functions["consumer"]
-    via_ctx = ctx.acquires(func, Variant.CONTROL).sync_reads
+    via_engine = engine.get("acquires", (func, Variant.CONTROL)).sync_reads
     standalone = detect_acquires(func, Variant.CONTROL).sync_reads
-    assert list(via_ctx) == list(standalone)
+    assert list(via_engine) == list(standalone)
 
 
 def test_pipeline_uses_supplied_context(program):
-    ctx = AnalysisContext(program)
-    analysis = FencePlacer(PipelineVariant.CONTROL).analyze(program, context=ctx)
+    engine = QueryEngine(program)
+    analysis = FencePlacer(PipelineVariant.CONTROL).analyze(
+        program, context=engine
+    )
     for name, fa in analysis.functions.items():
         func = program.functions[name]
-        # The analysis result holds exactly the context's memoized facts.
-        assert fa.points_to is ctx.points_to(func)
-        assert fa.escape_info is ctx.escape_info(func)
+        # The analysis result holds exactly the engine's memoized facts.
+        assert fa.points_to is engine.get("points_to", func)
+        assert fa.escape_info is engine.get("escape_info", func)
 
 
 def test_shared_context_across_variants_same_results(program):
-    ctx = AnalysisContext(program)
+    engine = QueryEngine(program)
     shared = [
-        analyze_program(program, v, context=ctx).full_fence_count
+        analyze_program(program, v, context=engine).full_fence_count
         for v in PipelineVariant
     ]
     fresh = [
@@ -95,20 +99,20 @@ def test_shared_context_across_variants_same_results(program):
 
 
 def test_delay_set_with_shared_context(program):
-    ctx = AnalysisContext(program)
-    shared = DelaySetAnalysis(program, context=ctx).compute()
+    engine = QueryEngine(program)
+    shared = DelaySetAnalysis(program, context=engine).compute()
     fresh = DelaySetAnalysis(program).compute()
     assert shared.total_delays == fresh.total_delays
     # The pipeline afterwards reuses the delay-set run's facts.
-    misses_before = ctx.stats.by_fact.get("points_to", 0)
-    analyze_program(program, PipelineVariant.CONTROL, context=ctx)
-    assert ctx.stats.by_fact.get("points_to", 0) == misses_before
+    misses_before = engine.stats.by_query_misses.get("points_to", 0)
+    analyze_program(program, PipelineVariant.CONTROL, context=engine)
+    assert engine.stats.by_query_misses.get("points_to", 0) == misses_before
 
 
 def test_interprocedural_with_shared_context(program):
-    ctx = AnalysisContext(program)
+    engine = QueryEngine(program)
     shared = detect_acquires_interprocedural(
-        program, Variant.CONTROL, context=ctx
+        program, Variant.CONTROL, context=engine
     )
     fresh = detect_acquires_interprocedural(program, Variant.CONTROL)
     assert {k: len(v) for k, v in shared.acquires.items()} == {
@@ -117,30 +121,31 @@ def test_interprocedural_with_shared_context(program):
 
 
 def test_context_interprocedural_memoized(program):
-    ctx = AnalysisContext(program)
-    first = ctx.interprocedural(Variant.CONTROL)
-    assert ctx.interprocedural(Variant.CONTROL) is first
+    engine = QueryEngine(program)
+    first = engine.get("interprocedural", Variant.CONTROL)
+    assert engine.get("interprocedural", Variant.CONTROL) is first
 
 
 def test_interprocedural_requires_program():
-    ctx = AnalysisContext()
+    engine = QueryEngine()
     with pytest.raises(ValueError):
-        ctx.interprocedural(Variant.CONTROL)
+        engine.get("interprocedural", Variant.CONTROL)
 
 
 def test_interprocedural_pipeline_shares_context(program):
-    ctx = AnalysisContext(program)
+    engine = QueryEngine(program)
     placer = FencePlacer(PipelineVariant.CONTROL, interprocedural=True)
-    analysis = placer.analyze(program, context=ctx)
+    analysis = placer.analyze(program, context=engine)
     assert analysis.total_sync_reads >= 0
-    # The fixpoint result was cached on the context.
-    assert ctx.interprocedural(Variant.CONTROL) is ctx.interprocedural(
-        Variant.CONTROL
+    # The fixpoint result was cached on the engine.
+    assert engine.cached("interprocedural", Variant.CONTROL)
+    assert engine.get("interprocedural", Variant.CONTROL) is engine.get(
+        "interprocedural", Variant.CONTROL
     )
 
 
 def test_context_rejects_foreign_program(program):
     other = compile_source(SRC, "other")
-    ctx = AnalysisContext(other)
+    engine = QueryEngine(other)
     with pytest.raises(ValueError):
-        analyze_program(program, PipelineVariant.CONTROL, context=ctx)
+        analyze_program(program, PipelineVariant.CONTROL, context=engine)

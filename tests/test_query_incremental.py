@@ -15,11 +15,11 @@ import json
 import pytest
 
 from repro.core.pipeline import PipelineVariant, analyze_program
-from repro.engine.context import AnalysisContext
 from repro.frontend import compile_source
 from repro.ir.instructions import Observe
 from repro.ir.values import Constant
 from repro.programs import all_programs
+from repro.query.engine import QueryEngine
 
 CORPUS = sorted(all_programs())
 
@@ -64,29 +64,29 @@ def _run_incremental(name):
     """
     source = all_programs()[name].source
     program = compile_source(source, name)
-    ctx = AnalysisContext(program)
-    analyze_program(program, PipelineVariant.CONTROL, context=ctx)
-    cold = ctx.engine.stats.computes
+    engine = QueryEngine(program)
+    analyze_program(program, PipelineVariant.CONTROL, context=engine)
+    cold = engine.stats.computes
 
     target = _edit_target(program)
     siblings = {
-        fname: ctx.points_to(func)
+        fname: engine.get("points_to", func)
         for fname, func in program.functions.items()
         if func is not target
     }
     _edit_in_place(target)
-    assert ctx.refresh() == (target.name,)
+    assert engine.refresh() == (target.name,)
 
-    before = ctx.engine.stats.computes
-    warm_analysis = analyze_program(program, PipelineVariant.CONTROL, context=ctx)
-    warm = ctx.engine.stats.computes - before
+    before = engine.stats.computes
+    warm_analysis = analyze_program(program, PipelineVariant.CONTROL, context=engine)
+    warm = engine.stats.computes - before
 
     siblings_ok = all(
-        ctx.points_to(program.functions[fname]) is fact
+        engine.get("points_to", program.functions[fname]) is fact
         for fname, fact in siblings.items()
     )
     fresh = analyze_program(
-        program, PipelineVariant.CONTROL, context=AnalysisContext(program)
+        program, PipelineVariant.CONTROL, context=QueryEngine(program)
     )
     return cold, warm, siblings_ok, _summarize(warm_analysis), _summarize(fresh)
 
@@ -126,12 +126,12 @@ def test_place_refreshes_supplied_context_for_reuse():
     from repro.core.pipeline import FencePlacer
 
     program = compile_source(MP, "mp")
-    ctx = AnalysisContext(program)
-    FencePlacer(PipelineVariant.CONTROL).place(program, context=ctx)
+    engine = QueryEngine(program)
+    FencePlacer(PipelineVariant.CONTROL).place(program, context=engine)
     assert len(program.fences()) > 0
-    reused = analyze_program(program, PipelineVariant.CONTROL, context=ctx)
+    reused = analyze_program(program, PipelineVariant.CONTROL, context=engine)
     fresh = analyze_program(
-        program, PipelineVariant.CONTROL, context=AnalysisContext(program)
+        program, PipelineVariant.CONTROL, context=QueryEngine(program)
     )
     assert _summarize(reused) == _summarize(fresh)
 

@@ -11,8 +11,8 @@ import math
 
 import pytest
 
-from repro.engine.context import AnalysisContext
 from repro.frontend import compile_source
+from repro.query.engine import QueryEngine
 from repro.races import (
     ThreadStructure,
     callees_of,
@@ -72,7 +72,7 @@ thread consumer(2);
 
 def _context(source, name="test"):
     program = compile_source(source, name=name)
-    return program, AnalysisContext(program)
+    return program, QueryEngine(program)
 
 
 # --- call graph / MHP --------------------------------------------------------
@@ -147,12 +147,12 @@ thread worker(1);
 
 
 def test_barrier_phases_order_cross_phase_accesses():
-    program, ctx = _context(BARRIERED, "barriered")
+    program, engine = _context(BARRIERED, "barriered")
     s = ThreadStructure(program)
     i0 = s.access_interval(0, "phase0", _first_access_uid(program, "phase0"))
     i1 = s.access_interval(1, "phase1", _first_access_uid(program, "phase1"))
     assert i0.hi < i1.lo  # phase0 completes before any phase1 access
-    report = detect_races(program, ctx)
+    report = detect_races(program, engine)
     # The phase0 write and phase1 read of a are barrier-separated...
     assert not any(
         {c.first.function, c.second.function} == {"phase0", "phase1"}
@@ -211,16 +211,16 @@ thread worker(1);
 
 
 def test_master_thread_guard_suppresses_self_race():
-    program, ctx = _context(MASTER_INIT, "master")
-    report = detect_races(program, ctx)
+    program, engine = _context(MASTER_INIT, "master")
+    report = detect_races(program, engine)
     assert report.candidates == ()
 
 
 def test_unguarded_version_of_the_same_store_is_racy():
     source = MASTER_INIT.replace("if (tid == 0) {\n    shared = 1;\n  }",
                                  "shared = 1;")
-    program, ctx = _context(source, "unguarded")
-    report = detect_races(program, ctx)
+    program, engine = _context(source, "unguarded")
+    report = detect_races(program, engine)
     assert any(c.location == "shared" for c in report.candidates)
 
 
@@ -254,9 +254,9 @@ thread worker(1);
 
 
 def test_locksets_protect_critical_section_accesses():
-    program, ctx = _context(LOCKED, "locked")
+    program, engine = _context(LOCKED, "locked")
     func = program.functions["worker"]
-    locksets = compute_locksets(func, ctx.points_to(func))
+    locksets = compute_locksets(func, engine.get("points_to", func))
     counter_sets = [
         held
         for inst in func.instructions()
@@ -264,13 +264,13 @@ def test_locksets_protect_critical_section_accesses():
         for held in [locksets.get(inst.uid)]
         if held is not None
     ]
-    report = detect_races(program, ctx)
+    report = detect_races(program, engine)
     assert not any(c.location == "counter" for c in report.candidates)
 
 
 def test_lock_runtime_internals_are_sync_accesses():
-    program, ctx = _context(LOCKED, "locked")
-    report = detect_races(program, ctx)
+    program, engine = _context(LOCKED, "locked")
+    report = detect_races(program, engine)
     # lock_release's *l = 0 is the release itself, never a candidate.
     assert not any(
         "lock_release" in (c.first.function, c.second.function)
@@ -283,8 +283,8 @@ def test_locked_counter_survives_the_dynamic_sweep():
     global name in sync_locations — the dynamic marking must still
     treat the CAS/release accesses as synchronization, or every
     correctly-locked program reports phantom RACE002 gaps."""
-    program, ctx = _context(LOCKED, "locked")
-    report = detect_races(program, ctx)
+    program, engine = _context(LOCKED, "locked")
+    report = detect_races(program, engine)
     assert report.candidates == ()
     verdicts = confirm_candidates(program, report)
     assert verdicts.missed == ()
@@ -294,8 +294,8 @@ def test_unlocked_counter_is_a_candidate():
     source = LOCKED.replace("  lock_acquire(&lock);\n", "").replace(
         "  lock_release(&lock);\n", ""
     )
-    program, ctx = _context(source, "unlocked")
-    report = detect_races(program, ctx)
+    program, engine = _context(source, "unlocked")
+    report = detect_races(program, engine)
     assert any(c.location == "counter" for c in report.candidates)
 
 
@@ -314,14 +314,14 @@ thread worker(1);
 
 
 def test_computed_array_indices_assumed_partitioned():
-    program, ctx = _context(PARTITIONED, "partitioned")
-    assert detect_races(program, ctx).candidates == ()
+    program, engine = _context(PARTITIONED, "partitioned")
+    assert detect_races(program, engine).candidates == ()
 
 
 def test_same_constant_element_still_conflicts():
     source = PARTITIONED.replace("arr[tid] = tid;", "arr[3] = tid;")
-    program, ctx = _context(source, "clash")
-    report = detect_races(program, ctx)
+    program, engine = _context(source, "clash")
+    report = detect_races(program, engine)
     assert any(c.location == "arr" for c in report.candidates)
 
 
@@ -333,29 +333,29 @@ def test_distinct_constant_elements_are_disjoint():
     thread w0(0);
     thread w1(1);
     """
-    program, ctx = _context(source, "disjoint")
-    assert detect_races(program, ctx).candidates == ()
+    program, engine = _context(source, "disjoint")
+    assert detect_races(program, engine).candidates == ()
 
 
 # --- sync-read refinement / detector end-to-end ------------------------------
 
 
 def test_mp_gate_passes_via_sync_edge():
-    program, ctx = _context(MP, "mp")
-    report = detect_races(program, ctx)
+    program, engine = _context(MP, "mp")
+    report = detect_races(program, engine)
     assert report.gate_passes
     assert "flag" in report.sync_locations
 
 
 def test_null_variant_sees_the_raw_races():
-    program, ctx = _context(MP, "mp")
-    report = detect_races(program, ctx, variant="vanilla")
+    program, engine = _context(MP, "mp")
+    report = detect_races(program, engine, variant="vanilla")
     assert not report.gate_passes  # no sync reads detected -> data races
 
 
 def test_sb_candidates_confirmed_with_witnesses():
-    program, ctx = _context(SB, "sb")
-    report = detect_races(program, ctx)
+    program, engine = _context(SB, "sb")
+    report = detect_races(program, engine)
     assert len(report.candidates) == 2
     verdicts = confirm_candidates(program, report)
     assert verdicts.complete
@@ -372,8 +372,8 @@ def test_dekker_precision_regression_all_refuted():
     from repro.memmodel.litmus import LITMUS_TESTS
 
     program = compile_source(LITMUS_TESTS["dekker"].source, name="dekker")
-    ctx = AnalysisContext(program)
-    report = detect_races(program, ctx)
+    engine = QueryEngine(program)
+    report = detect_races(program, engine)
     assert len(report.candidates) == 3
     assert all(c.location == "z" for c in report.candidates)
     verdicts = confirm_candidates(program, report)
@@ -383,8 +383,8 @@ def test_dekker_precision_regression_all_refuted():
 
 
 def test_broken_handshake_is_a_detector_gap():
-    program, ctx = _context(BROKEN_HANDSHAKE, "broken-handshake")
-    report = detect_races(program, ctx)
+    program, engine = _context(BROKEN_HANDSHAKE, "broken-handshake")
+    report = detect_races(program, engine)
     assert report.gate_passes  # the static gate is fooled
     verdicts = confirm_candidates(program, report)
     assert len(verdicts.missed) == 1
