@@ -42,6 +42,7 @@ from repro.query.engine import QueryEngine
 from repro.registry.models import get_model, weak_explorer_for
 from repro.registry.sources import ProgramSpec, resolve_spec
 from repro.registry.variants import get_variant, pipeline_variant_keys
+from repro.util.store import BlobStore
 from repro.api.reports import (
     AnalyzeReport,
     AnalyzeRequest,
@@ -106,6 +107,9 @@ class Session:
         #: Directory for the engine's persistent query cache (fact
         #: results keyed by content fingerprint survive the session).
         self.query_cache_dir = query_cache_dir
+        # One store per configured directory, shared by every engine
+        # (and by the batch runner when both name the same directory).
+        self._stores: dict[str, BlobStore] = {}
         # One identity-keyed, LRU-bounded cache of compiled programs
         # and their engines, so a long-lived session serving many
         # one-shot requests does not retain every program it ever saw.
@@ -118,6 +122,16 @@ class Session:
         self._context_cap = 32
         self._batch_runner = None
         self._requests: dict[str, int] = {}
+
+    def _store(self, directory: str | None) -> BlobStore | None:
+        if not directory:
+            return None
+        if directory not in self._stores:
+            self._stores[directory] = BlobStore(directory)
+        return self._stores[directory]
+
+    def _engine(self, program: Program) -> QueryEngine:
+        return QueryEngine(program, store=self._store(self.query_cache_dir))
 
     def _count(self, kind: str) -> None:
         self._requests[kind] = self._requests.get(kind, 0) + 1
@@ -161,8 +175,7 @@ class Session:
         )
         if program is None:
             program = compile_fresh()
-            engine = QueryEngine(program, cache_dir=self.query_cache_dir)
-            entry = _Cached(engine, key, resolved.source)
+            entry = _Cached(self._engine(program), key, resolved.source)
         else:
             entry = self._contexts[program]
             if entry.source != resolved.source:
@@ -211,7 +224,7 @@ class Session:
         ``program``."""
         entry = self._contexts.get(program)
         if entry is None:
-            entry = _Cached(QueryEngine(program, cache_dir=self.query_cache_dir))
+            entry = _Cached(self._engine(program))
         return self._insert(program, entry)
 
     def _insert(self, program: Program, entry: _Cached) -> QueryEngine:
@@ -250,7 +263,9 @@ class Session:
         engines' dict-valued per-query-kind counters (``by_query`` and
         the ``by_query_hits``/``by_query_misses``/``by_query_evictions``
         maps the observability layer samples) key-wise; v1 dropped
-        every non-int entry.
+        every non-int entry. ``query_cache.rejected`` (additive in v3)
+        counts entries of the session's query store that failed its
+        check and were recomputed.
         """
         engines = [entry.engine for entry in self._contexts.values()]
         query_totals: dict[str, object] = {}
@@ -263,12 +278,14 @@ class Session:
                     merged = query_totals.setdefault(name, {})
                     for kind, count in value.items():
                         merged[kind] = merged.get(kind, 0) + count
-        # The persistent query cache's effectiveness, as the serving
-        # layer wants it: restores are disk hits, computes are the work
-        # a better-warmed cache would have avoided.
+        # The query store's effectiveness, as the serving layer wants
+        # it: restores are disk hits, computes are the work a
+        # better-warmed store would have avoided, and rejections are
+        # entries that failed the store's check.
         restored = query_totals.get("restored", 0)
         computes = query_totals.get("computes", 0)
         attempts = restored + computes
+        store = self._stores.get(self.query_cache_dir or "")
         return {
             "stats_version": 3,
             "requests": dict(self._requests),
@@ -279,6 +296,7 @@ class Session:
                 "restored": restored,
                 "computes": computes,
                 "hit_rate": round(restored / attempts, 4) if attempts else 0.0,
+                "rejected": store.rejected if store is not None else 0,
             },
         }
 
@@ -704,7 +722,7 @@ class Session:
         )
 
     def batch(self, request: BatchRequest) -> BatchReport:
-        from repro.engine.batch import BatchRunner, ResultCache
+        from repro.engine.batch import BatchRunner
         from repro.programs.registry import all_programs, get_program
 
         self._count("batch")
@@ -714,9 +732,9 @@ class Session:
         variants = list(request.variants) if request.variants else None
         models = list(request.models) if request.models else None
         if self._batch_runner is None:
-            cache = ResultCache(self.cache_dir) if self.cache_dir else None
             self._batch_runner = BatchRunner(
-                max_workers=self.jobs, parallel=self.parallel, cache=cache
+                max_workers=self.jobs, parallel=self.parallel,
+                store=self._store(self.cache_dir),
             )
         runner = self._batch_runner
         if request.arch is not None:

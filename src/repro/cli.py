@@ -28,7 +28,7 @@ Commands:
 * ``report FILE``      — pretty-print or diff any serialized report
 * ``serve``            — long-lived JSON-lines analysis service: a
   sharded cluster of ``--workers N`` (N >= 1) analysis processes
-  (consistent-hash routing, shared artifact store, backpressure +
+  (consistent-hash routing, shared query store, backpressure +
   deadlines), or with ``--stdio`` a one-client in-process loop — both
   answering byte-identical reports
 """
@@ -436,7 +436,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         request_timeout=args.request_timeout or None,
         drain_timeout=args.drain_timeout,
-        artifact_dir=args.query_cache_dir,
         session=session_config,
         trace=args.trace is not None,
         slow_query=args.slow_query,

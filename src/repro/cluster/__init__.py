@@ -3,9 +3,10 @@
 An asyncio frontend multiplexes JSON-lines client connections onto a
 pool of analysis worker processes over length-prefixed framed links; a
 consistent-hash ring pins program names to workers (warm caches stay
-local, worker death reshards minimally), and a shared artifact store
-lets cold workers warm-start from their siblings' persisted query
-results. See :mod:`repro.cluster.frontend` for the full protocol and
+local, worker death reshards minimally), and one shared
+:class:`~repro.util.store.BlobStore` directory lets cold workers
+warm-start from their siblings' persisted query results. See
+:mod:`repro.cluster.frontend` for the full protocol and
 failure-handling story.
 """
 
@@ -20,7 +21,6 @@ from repro.cluster.protocol import (
     send_frame,
 )
 from repro.cluster.router import HashRing, routing_key
-from repro.cluster.store import ArtifactStore
 from repro.cluster.worker import (
     WorkerLoop,
     run_worker,
@@ -30,7 +30,6 @@ from repro.cluster.worker import (
 
 __all__ = [
     "MAX_FRAME",
-    "ArtifactStore",
     "ClusterConfig",
     "ClusterServer",
     "FrameDecodeError",

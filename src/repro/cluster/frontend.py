@@ -50,10 +50,10 @@ from repro.cluster.protocol import (
     read_frame,
 )
 from repro.cluster.router import HashRing, routing_key
-from repro.cluster.store import ArtifactStore
 from repro.cluster.worker import spawn_worker
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.util.store import BlobStore
 
 
 @dataclass
@@ -79,10 +79,9 @@ class ClusterConfig:
     #: Longest accepted client request line, in bytes.
     max_line: int = 8 * 1024 * 1024
     max_frame: int = MAX_FRAME
-    #: Shared artifact-store directory (``None``: a cluster-owned
-    #: temporary directory, removed at shutdown).
-    artifact_dir: str | None = None
-    #: Keyword arguments for each worker's ``Session``.
+    #: Keyword arguments for each worker's ``Session``. Every worker
+    #: shares one query store: ``query_cache_dir``, or when that is
+    #: ``None`` a cluster-owned temporary directory removed at shutdown.
     session: dict[str, Any] = field(default_factory=dict)
     #: Enable span tracing in every worker process (spans ship back in
     #: response frames and merge into the frontend's tracer).
@@ -169,7 +168,7 @@ class ClusterServer:
         self.port: int | None = None
         self.served = 0
         self.errors = 0
-        self.store: ArtifactStore | None = None
+        self.store: BlobStore | None = None
         self._token = secrets.token_hex(16)
         self._handles: dict[int, _WorkerHandle] = {}
         self._ring = HashRing()
@@ -198,7 +197,7 @@ class ClusterServer:
         """Bring the cluster up, serve until drained, tear down; 0."""
         self._loop = asyncio.get_running_loop()
         self._stopping = asyncio.Event()
-        self.store = ArtifactStore.create(self.config.artifact_dir)
+        self.store = BlobStore.create(self.config.session.get("query_cache_dir"))
         started = False
         try:
             self._internal = await asyncio.start_server(
@@ -315,8 +314,7 @@ class ClusterServer:
             "127.0.0.1",
             self._internal_port,
             self._token,
-            self.config.session,
-            str(self.store.directory),
+            {**self.config.session, "query_cache_dir": str(self.store.directory)},
             trace_enabled=self.config.trace,
             slow_query=self.config.slow_query,
         )

@@ -13,6 +13,16 @@ responses are produced by the same
 --stdio`` drives — so cluster-path reports are byte-identical to
 one-shot CLI reports by construction, not by re-implementation.
 
+Every worker's session config names the same ``query_cache_dir``
+(the frontend resolves it, to a temporary directory it owns when none
+is configured), so query results any worker persisted warm-start every
+other worker: a freshly restarted process, or a sibling that inherited
+a shard after a rebalance, restores facts instead of recomputing them.
+The hash ring makes each program single-writer in steady state, and
+the :class:`~repro.util.store.BlobStore` publishes entries atomically
+and checks each one it reads, so the multi-writer windows around
+resharding are harmless.
+
 ``run_worker`` is transport-agnostic (any connected socket), so tests
 drive a worker in-process over a socketpair; ``worker_main`` is the
 thin subprocess entry around it.
@@ -58,7 +68,6 @@ class WorkerLoop:
         self,
         worker_id: int,
         session_config: dict[str, Any] | None = None,
-        artifact_dir: str | None = None,
         max_frame: int = MAX_FRAME,
         trace_enabled: bool = False,
         slow_query: float | None = None,
@@ -66,18 +75,13 @@ class WorkerLoop:
         from repro.api.session import Session
         from repro.serve.server import ServeDispatcher
 
-        config = dict(session_config or {})
-        if config.get("query_cache_dir") is None:
-            # Point the session's persistent query cache at the shared
-            # artifact store so siblings warm-start each other.
-            config["query_cache_dir"] = artifact_dir
         self.worker_id = worker_id
         self.max_frame = max_frame
         if trace_enabled:
             obs_trace.enable()
         if slow_query is not None:
             obs_trace.SLOW_QUERIES.threshold = slow_query
-        self.dispatcher = ServeDispatcher(Session(**config))
+        self.dispatcher = ServeDispatcher(Session(**(session_config or {})))
         # Session construction may have buffered spans; drop them so the
         # first request's response frame ships only its own spans.
         tracer = obs_trace.active()
@@ -186,7 +190,6 @@ def run_worker(
     sock: socket.socket,
     worker_id: int,
     session_config: dict[str, Any] | None = None,
-    artifact_dir: str | None = None,
     max_frame: int = MAX_FRAME,
     trace_enabled: bool = False,
     slow_query: float | None = None,
@@ -195,7 +198,6 @@ def run_worker(
     loop = WorkerLoop(
         worker_id,
         session_config,
-        artifact_dir,
         max_frame,
         trace_enabled=trace_enabled,
         slow_query=slow_query,
@@ -209,7 +211,6 @@ def worker_main(
     port: int,
     token: str,
     session_config: dict[str, Any] | None,
-    artifact_dir: str | None,
     trace_enabled: bool = False,
     slow_query: float | None = None,
 ) -> int:  # pragma: no cover - subprocess entry (loop covered in-process)
@@ -230,7 +231,6 @@ def worker_main(
             sock,
             worker_id,
             session_config,
-            artifact_dir,
             trace_enabled=trace_enabled,
             slow_query=slow_query,
         )
@@ -245,7 +245,6 @@ def spawn_worker(
     port: int,
     token: str,
     session_config: dict[str, Any] | None,
-    artifact_dir: str | None,
     trace_enabled: bool = False,
     slow_query: float | None = None,
 ) -> multiprocessing.process.BaseProcess:
@@ -254,7 +253,7 @@ def spawn_worker(
     process = ctx.Process(
         target=worker_main,
         args=(
-            worker_id, host, port, token, session_config, artifact_dir,
+            worker_id, host, port, token, session_config,
             trace_enabled, slow_query,
         ),
         name=f"repro-cluster-worker-{worker_id}",

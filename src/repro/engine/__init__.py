@@ -10,7 +10,6 @@ from repro.engine.batch import (
     BatchResult,
     BatchRunner,
     FunctionResult,
-    ResultCache,
     execute_job,
     execute_job_group,
     parallel_map,
@@ -22,7 +21,6 @@ __all__ = [
     "BatchRunner",
     "ENGINE_VERSION",
     "FunctionResult",
-    "ResultCache",
     "execute_job",
     "execute_job_group",
     "parallel_map",

@@ -9,20 +9,19 @@ provides:
   from source, run the fence-placement pipeline over the program's
   :class:`~repro.query.engine.QueryEngine`, and reduce the result to a
   plain-data :class:`BatchResult`;
-* :class:`ResultCache` — a content-keyed cache (in memory, optionally
-  backed by a directory of atomically written JSON files) so repeated
-  runs over unchanged sources reuse prior analyses;
 * :class:`BatchRunner` — fans a job matrix out over a
   ``concurrent.futures`` process pool with a deterministic serial
-  fallback; results always come back in job-submission order.
+  fallback; results always come back in job-submission order. It
+  keeps every result in memory by content key and, given a
+  :class:`~repro.util.store.BlobStore`, on disk too, so repeated runs
+  over unchanged sources reuse prior analyses.
 
 Workers return compact summaries rather than IR-bearing analyses so
-results cross the process boundary (and the JSON cache) cheaply.
+results cross the process boundary (and the store) cheaply.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
@@ -30,7 +29,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.core.pipeline import PipelineVariant
@@ -40,13 +38,16 @@ from repro.obs import trace as obs_trace
 from repro.query.engine import QueryEngine
 from repro.registry.models import backend_for_model, get_model, model_keys
 from repro.registry.variants import get_variant, pipeline_variant_keys
-from repro.util.files import write_text_atomic
+from repro.util.store import BlobStore
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 #: Bump when analysis semantics change so stale cache entries miss.
 ENGINE_VERSION = "4"
+
+#: The store kind of batch results.
+RESULT_KIND = "batch"
 
 
 @dataclass(frozen=True)
@@ -286,53 +287,6 @@ def _run_cell(
     )
 
 
-class ResultCache:
-    """Content-keyed result cache: in-memory, optionally disk-backed.
-
-    Disk entries are one JSON file per content key under ``directory``;
-    corrupt or unreadable files are treated as misses.
-    """
-
-    def __init__(self, directory: str | Path | None = None) -> None:
-        self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        self._memory: dict[str, BatchResult] = {}
-
-    def _path(self, key: str) -> Path:
-        assert self.directory is not None
-        return self.directory / f"{key}.json"
-
-    def get(self, key: str) -> BatchResult | None:
-        result = self._memory.get(key)
-        if result is not None:
-            return result
-        if self.directory is not None:
-            path = self._path(key)
-            if path.is_file():
-                try:
-                    result = BatchResult.from_json(
-                        path.read_text(encoding="utf-8")
-                    )
-                except (ValueError, TypeError, KeyError, OSError):
-                    return None
-                self._memory[key] = result
-                return result
-        return None
-
-    def put(self, result: BatchResult) -> None:
-        self._memory[result.key] = result
-        if self.directory is not None:
-            # The disk layer is an optimization: a full disk or
-            # unwritable directory must not abort a finished run, and
-            # the atomic write leaves any previous entry intact.
-            with contextlib.suppress(OSError):
-                write_text_atomic(self._path(result.key), result.to_json())
-
-    def __len__(self) -> int:
-        return len(self._memory)
-
-
 def _map_with_report(
     fn: Callable[[_T], _R],
     items: Sequence[_T],
@@ -421,25 +375,36 @@ class BatchRunner:
     forces the deterministic serial path. Either way the returned list
     matches job-submission order. ``used_pool`` reports whether the
     most recent :meth:`run` actually dispatched to a process pool.
+    Results are kept in memory by content key and written through to
+    ``store`` when one is given.
     """
 
     def __init__(
         self,
         max_workers: int | None = None,
         parallel: bool = True,
-        cache: ResultCache | None = None,
+        store: BlobStore | None = None,
     ) -> None:
         self.max_workers = max_workers
         self.parallel = parallel
-        self.cache = cache if cache is not None else ResultCache()
+        self.store = store
+        self._results: dict[str, BatchResult] = {}
         self.used_pool = False
+
+    def _cached(self, key: str) -> BatchResult | None:
+        result = self._results.get(key)
+        if result is None and self.store is not None:
+            result = self.store.load(RESULT_KIND, key, BatchResult.from_json)
+            if result is not None:
+                self._results[key] = result
+        return result
 
     def run(self, jobs: Sequence[BatchJob]) -> list[BatchResult]:
         jobs = list(jobs)
         results: list[BatchResult | None] = [None] * len(jobs)
         pending: list[tuple[int, BatchJob]] = []
         for i, job in enumerate(jobs):
-            hit = self.cache.get(job.content_key())
+            hit = self._cached(job.content_key())
             if hit is not None:
                 results[i] = replace(hit, cached=True)
             else:
@@ -460,7 +425,9 @@ class BatchRunner:
         )
         for group, group_results in zip(group_list, computed):
             for (i, _), result in zip(group, group_results):
-                self.cache.put(result)
+                self._results[result.key] = result
+                if self.store is not None:
+                    self.store.put(RESULT_KIND, result.key, result.to_json())
                 results[i] = result
         assert all(r is not None for r in results)
         return results  # type: ignore[return-value]

@@ -237,11 +237,13 @@ def query_engine_counters(session_stats: dict) -> dict[str, float]:
             counters[
                 sample_name(f"repro_query_{stat}_total", {"query": kind})
             ] = value
-    # The shared artifact store's effectiveness: restores are disk
-    # hits, computes the misses a warmer store would have avoided.
+    # The shared query store's effectiveness: restores are disk hits,
+    # computes the misses a warmer store would have avoided, and
+    # rejections the entries that failed the store's check.
     cache = session_stats.get("query_cache") or {}
     counters["repro_store_hits_total"] = cache.get("restored", 0)
     counters["repro_store_misses_total"] = cache.get("computes", 0)
+    counters["repro_store_rejected_total"] = cache.get("rejected", 0)
     return counters
 
 

@@ -14,13 +14,12 @@ Consumers ask the program's :class:`QueryEngine` for facts directly —
 variant))`` — and its :class:`QueryStats` is the one cache meter
 behind every ``cache_stats`` report. New fact kinds plug in by
 registering a :class:`QuerySpec` (optionally with an encode/decode
-pair, which makes the query persistable in an on-disk cache keyed by
-input fingerprint).
+pair, which makes the query persistable in a
+:class:`~repro.util.store.BlobStore` keyed by input fingerprint).
 """
 
 from repro.query.engine import (
     QUERIES,
-    PersistentQueryCache,
     QueryEngine,
     QuerySpec,
     QueryStats,
@@ -36,7 +35,6 @@ import repro.races.queries  # noqa: E402,F401  (registration side effect)
 
 __all__ = [
     "QUERIES",
-    "PersistentQueryCache",
     "QueryEngine",
     "QuerySpec",
     "QueryStats",

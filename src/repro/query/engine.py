@@ -17,15 +17,16 @@ not:
   them and evicts precisely the query entries reachable from the
   changed inputs, leaving sibling functions' facts cached;
 * **optional persistence** — a query that declares an encode/decode
-  pair is written through to an on-disk cache keyed by its input
-  fingerprint, so a *new* engine (even a new process) restores it
-  without recomputing, as long as the input text is unchanged.
+  pair is written through to a :class:`~repro.util.store.BlobStore`
+  keyed by its input fingerprint, so a *new* engine (even a new
+  process) restores it without recomputing, as long as the input text
+  is unchanged; an entry that fails the store's check is recomputed.
 
 An engine belongs to one thread, like the
 :class:`~repro.api.session.Session` that owns it: the in-flight
 evaluation stack is a plain list, and serving concurrency comes from
 worker processes, each with its own engine (they share only the
-on-disk cache, whose writes are atomic).
+store, whose writes are atomic).
 """
 
 from __future__ import annotations
@@ -35,14 +36,13 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import Any, Callable, Hashable
 
 from repro.ir.function import Function, Program
 from repro.ir.printer import format_function
 from repro.obs import trace as obs_trace
 from repro.registry.core import Registry
-from repro.util.files import write_text_atomic
+from repro.util.store import BlobStore
 
 #: Bump when any query's semantics change so persisted entries miss.
 QUERY_SCHEMA_VERSION = "1"
@@ -212,45 +212,6 @@ class QueryStats:
         }
 
 
-class PersistentQueryCache:
-    """On-disk query results, one JSON file per (query, fingerprint).
-
-    The disk layer is an optimization: unreadable/corrupt entries are
-    misses, unwritable directories are ignored.
-
-    Safe for concurrent use from many processes sharing one directory
-    (the cluster's shared artifact store): entries are published with a
-    write-to-temp + atomic rename, so a reader can never observe a
-    half-written file, and same-fingerprint writers racing each other
-    simply replace one complete entry with another complete entry of
-    identical content.
-    """
-
-    def __init__(self, directory: str | Path) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, name: str, fingerprint: str) -> Path:
-        safe = name.replace("/", "_")
-        return self.directory / f"{safe}.{fingerprint}.json"
-
-    def load(self, name: str, fingerprint: str) -> Any | None:
-        path = self._path(name, fingerprint)
-        if not path.is_file():
-            return None
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except (ValueError, OSError):
-            return None
-
-    def store(self, name: str, fingerprint: str, payload: Any) -> None:
-        with contextlib.suppress(OSError):
-            write_text_atomic(
-                self._path(name, fingerprint),
-                json.dumps(payload, sort_keys=True),
-            )
-
-
 class QueryEngine:
     """Evaluates registered queries with memoization, dependency
     tracking, fingerprint invalidation, and optional persistence."""
@@ -258,7 +219,7 @@ class QueryEngine:
     def __init__(
         self,
         program: Program | None = None,
-        cache_dir: str | Path | None = None,
+        store: BlobStore | None = None,
         registry: Registry[QuerySpec] | None = None,
     ) -> None:
         if registry is None:
@@ -268,9 +229,8 @@ class QueryEngine:
         self.registry = registry
         self.program = program
         self.stats = QueryStats()
-        self.persistent = (
-            PersistentQueryCache(cache_dir) if cache_dir is not None else None
-        )
+        #: Where persistable query results are written through to.
+        self.store = store
         #: In-flight evaluations, innermost last: (node, deps read so far).
         self._frames: list[tuple[Node, set]] = []
         self._values: dict[tuple, Any] = {}
@@ -304,7 +264,7 @@ class QueryEngine:
     def lookup(self, name: str, key: Hashable) -> tuple[Any, bool]:
         """Evaluate query ``name`` at ``key``; returns ``(value, hit)``.
 
-        A hit is an in-memory memo hit; persistent-cache restores and
+        A hit is an in-memory memo hit; store restores and
         fresh computes both count as misses (they do input work).
         """
         node = (name, key)
@@ -361,14 +321,14 @@ class QueryEngine:
         return value, False
 
     def _evaluate(self, spec: QuerySpec, key: Hashable) -> tuple[Any, bool]:
-        if self.persistent is not None and spec.persistable:
-            fingerprint = self._persist_fingerprint(spec, key)
-            payload = self.persistent.load(spec.name, fingerprint)
-            if payload is not None:
-                try:
-                    return spec.decode(self, key, payload), True
-                except (ValueError, KeyError, TypeError, IndexError):
-                    pass  # corrupt/stale entry: fall through to compute
+        if self.store is not None and spec.persistable:
+            value = self.store.load(
+                spec.name,
+                self._persist_fingerprint(spec, key),
+                lambda text: spec.decode(self, key, json.loads(text)),
+            )
+            if value is not None:
+                return value, True
         return spec.compute(self, key), False
 
     def _persist_fingerprint(self, spec: QuerySpec, key: Hashable) -> str:
@@ -379,12 +339,12 @@ class QueryEngine:
         return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
     def _persist(self, spec: QuerySpec, key: Hashable, value: Any) -> None:
-        if self.persistent is None or not spec.persistable:
+        if self.store is None or not spec.persistable:
             return
-        self.persistent.store(
+        self.store.put(
             spec.name,
             self._persist_fingerprint(spec, key),
-            spec.encode(key, value),
+            json.dumps(spec.encode(key, value), sort_keys=True),
         )
 
     # --- introspection ----------------------------------------------------

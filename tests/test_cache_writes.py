@@ -1,12 +1,14 @@
-"""Both on-disk caches publish entries atomically: a write that fails
-midway leaves the previous entry loadable and no temp file behind."""
+"""Both kinds of store entry are published atomically: a write that
+fails midway leaves the previous entry loadable and no temp file
+behind."""
 
+import json
 from pathlib import Path
 
 import pytest
 
-from repro.engine.batch import BatchResult, FunctionResult, ResultCache
-from repro.query.engine import PersistentQueryCache
+from repro.engine.batch import RESULT_KIND, BatchResult, FunctionResult
+from repro.util.store import BlobStore
 
 
 def _result(elapsed: float) -> BatchResult:
@@ -22,19 +24,19 @@ def _result(elapsed: float) -> BatchResult:
 
 
 def _result_cache(directory: Path, version: int) -> None:
-    ResultCache(directory).put(_result(float(version)))
+    BlobStore(directory).put(RESULT_KIND, "k" * 64, _result(float(version)).to_json())
 
 
 def _load_result(directory: Path):
-    return ResultCache(directory).get("k" * 64)
+    return BlobStore(directory).load(RESULT_KIND, "k" * 64, BatchResult.from_json)
 
 
 def _query_cache(directory: Path, version: int) -> None:
-    PersistentQueryCache(directory).store("acquires", "f" * 64, {"v": version})
+    BlobStore(directory).put("acquires", "f" * 64, json.dumps({"v": version}))
 
 
 def _load_query(directory: Path):
-    return PersistentQueryCache(directory).load("acquires", "f" * 64)
+    return BlobStore(directory).load("acquires", "f" * 64, json.loads)
 
 
 CACHES = {
@@ -51,16 +53,15 @@ def test_failed_write_keeps_previous_entry(tmp_path, monkeypatch, kind):
     assert before is not None
     entries = sorted(path.name for path in tmp_path.iterdir())
 
-    real_write_text = Path.write_text
+    real_write_bytes = Path.write_bytes
 
     def torn_write(self, data, *args, **kwargs):
-        real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+        real_write_bytes(self, data[: len(data) // 2], *args, **kwargs)
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(Path, "write_text", torn_write)
-    write(tmp_path, 2)  # the disk layer swallows the error
+    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    write(tmp_path, 2)  # the store swallows the error
     monkeypatch.undo()
 
     assert load(tmp_path) == before
     assert sorted(path.name for path in tmp_path.iterdir()) == entries
-

@@ -13,7 +13,6 @@ import pytest
 
 from repro.api import AnalyzeRequest, CheckRequest, ProgramSpec, Session
 from repro.cluster import (
-    ArtifactStore,
     ClusterConfig,
     ClusterServer,
     FrameDecodeError,
@@ -29,6 +28,7 @@ from repro.cluster import (
     send_frame,
 )
 from repro.cluster.frontend import _Pending, _WorkerHandle
+from repro.util.store import SUFFIX, BlobStore
 
 MP = """
 global int flag;
@@ -184,7 +184,8 @@ def worker_link(tmp_path):
 
     def _serve():
         result["code"] = run_worker(
-            theirs, 7, {"parallel": False}, str(tmp_path / "store")
+            theirs, 7,
+            {"parallel": False, "query_cache_dir": str(tmp_path / "store")},
         )
 
     thread = threading.Thread(target=_serve, daemon=True)
@@ -213,8 +214,8 @@ def test_worker_answers_ops_and_requests(worker_link, tmp_path):
     stats = recv_frame(sock)["payload"]
     assert stats["ok"] and stats["served"] == 1 and stats["errors"] == 0
     assert stats["session"]["query_cache"]["computes"] > 0
-    # The worker's persistent cache landed in the shared artifact dir.
-    assert list((tmp_path / "store").glob("*.json"))
+    # The worker's persistent cache landed in the shared store dir.
+    assert list((tmp_path / "store").glob(f"*{SUFFIX}"))
 
     sock.close()
     time.sleep(0.1)
@@ -241,7 +242,7 @@ def test_worker_drops_link_on_fatal_framing(tmp_path):
     result: dict = {}
 
     def _serve():
-        result["code"] = run_worker(theirs, 0, {"parallel": False}, None)
+        result["code"] = run_worker(theirs, 0, {"parallel": False})
 
     thread = threading.Thread(target=_serve, daemon=True)
     thread.start()
@@ -253,7 +254,7 @@ def test_worker_drops_link_on_fatal_framing(tmp_path):
 
 
 def test_worker_loop_reports_stats_failure_as_error(tmp_path):
-    loop = WorkerLoop(0, {"parallel": False}, str(tmp_path))
+    loop = WorkerLoop(0, {"parallel": False, "query_cache_dir": str(tmp_path)})
 
     class _Boom:
         def stats(self):
@@ -265,19 +266,21 @@ def test_worker_loop_reports_stats_failure_as_error(tmp_path):
     assert "stats exploded" in res["payload"]["error"]
 
 
-# --- artifact store ----------------------------------------------------------
+# --- shared store ------------------------------------------------------------
 
 
 def test_artifact_store_lifecycle(tmp_path):
-    shared = ArtifactStore.create(tmp_path / "shared")
+    shared = BlobStore.create(tmp_path / "shared")
     assert not shared.owned
-    (shared.directory / "a.fp.json").write_text("{}", encoding="utf-8")
+    shared.put("a", "fp", "{}")
     stats = shared.stats()
-    assert stats["entries"] == 1 and stats["bytes"] == 2
+    entry = shared.path("a", "fp").stat().st_size
+    assert stats["entries"] == 1 and stats["bytes"] == entry
+    assert stats["rejected"] == 0
     shared.close()
     assert shared.directory.is_dir()  # explicit dirs are kept
 
-    owned = ArtifactStore.create(None)
+    owned = BlobStore.create(None)
     assert owned.owned and owned.directory.is_dir()
     owned.close()
     assert not owned.directory.exists()

@@ -11,12 +11,13 @@ from repro.core.pipeline import PipelineVariant, analyze_program
 from repro.engine.batch import (
     BatchJob,
     BatchResult,
+    RESULT_KIND,
     BatchRunner,
-    ResultCache,
     execute_job,
     parallel_map,
 )
 from repro.programs import all_programs, get_program
+from repro.util.store import BlobStore
 
 ALL_VARIANTS = [v.value for v in PipelineVariant]
 
@@ -113,6 +114,12 @@ def test_default_matrix_covers_all_programs():
     runner = BatchRunner(parallel=False)
     results = runner.run_matrix(variants=["control"])
     assert [r.program for r in results] == list(all_programs())
+    # The default variants make the whole 17 x 3 sweep.
+    full = runner.run_matrix()
+    assert len(full) == 51
+    assert [(r.program, r.variant) for r in full] == [
+        (program, variant) for program in all_programs() for variant in ALL_VARIANTS
+    ]
 
 
 # --- caching ----------------------------------------------------------------
@@ -128,10 +135,10 @@ def test_memory_cache_hits_on_second_run():
 
 
 def test_disk_cache_survives_new_runner(tmp_path):
-    first = BatchRunner(parallel=False, cache=ResultCache(tmp_path)).run_matrix(
+    first = BatchRunner(parallel=False, store=BlobStore(tmp_path)).run_matrix(
         ["matrix"], ["control"]
     )
-    second = BatchRunner(parallel=False, cache=ResultCache(tmp_path)).run_matrix(
+    second = BatchRunner(parallel=False, store=BlobStore(tmp_path)).run_matrix(
         ["matrix"], ["control"]
     )
     assert second[0].cached
@@ -140,14 +147,15 @@ def test_disk_cache_survives_new_runner(tmp_path):
 
 
 def test_corrupt_disk_cache_entry_recomputes(tmp_path):
-    cache = ResultCache(tmp_path)
+    store = BlobStore(tmp_path)
     key = BatchJob("fft", "control", "x86-tso").content_key()
-    (tmp_path / f"{key}.json").write_text("{not json", encoding="utf-8")
-    results = BatchRunner(parallel=False, cache=cache).run_matrix(
+    store.path(RESULT_KIND, key).write_text("{not json", encoding="utf-8")
+    results = BatchRunner(parallel=False, store=store).run_matrix(
         ["fft"], ["control"]
     )
     assert not results[0].cached
     assert results[0].full_fences > 0
+    assert store.rejected == 1
 
 
 def test_model_is_part_of_cache_key():

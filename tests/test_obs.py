@@ -267,6 +267,8 @@ def test_metrics_op_matches_session_stats_exactly():
         assert counters[f'repro_query_hits_total{{query="{kind}"}}'] == count
     for kind, count in query_stats["by_query_misses"].items():
         assert counters[f'repro_query_misses_total{{query="{kind}"}}'] == count
+    query_cache = dispatcher.session.stats()["query_cache"]
+    assert counters["repro_store_rejected_total"] == query_cache["rejected"]
 
     checker = _load_prom_checker()
     assert checker.check_text(response["text"]) == []

@@ -1,17 +1,17 @@
-"""Concurrent-access regression tests for the persistent query cache.
+"""Concurrent-access regression tests for the shared query store.
 
-The cluster points every worker process at one shared cache directory
-(the artifact store). Steady-state routing makes each program
-single-writer, but worker restarts and mid-flight resharding open
-multi-writer windows — these tests hammer exactly that window and
-assert the atomic write-rename discipline holds: readers never observe
-a torn entry, and no temp files leak.
+The cluster points every worker process at one shared store directory.
+Steady-state routing makes each program single-writer, but worker
+restarts and mid-flight resharding open multi-writer windows — these
+tests hammer exactly that window and assert the atomic write-rename
+discipline holds: readers never observe a torn entry, no entry is
+rejected, and no temp files leak.
 """
 
 import json
 import multiprocessing
 
-from repro.query.engine import PersistentQueryCache
+from repro.util.store import SUFFIX, BlobStore
 
 #: Same-fingerprint writers race toward identical content (the
 #: fingerprint pins the inputs), so each fingerprint has one truth.
@@ -23,18 +23,18 @@ def _expected(fingerprint: str) -> dict:
 
 
 def _hammer(directory: str, iterations: int) -> int:
-    """Interleave stores and loads; count every torn read."""
-    cache = PersistentQueryCache(directory)
+    """Interleave stores and loads; count every torn or rejected read."""
+    cache = BlobStore(directory)
     torn = 0
     for i in range(iterations):
         fingerprint = FINGERPRINTS[i % len(FINGERPRINTS)]
-        cache.store("points_to", fingerprint, _expected(fingerprint))
+        cache.put("points_to", fingerprint, json.dumps(_expected(fingerprint)))
         loaded = cache.load(
-            "points_to", FINGERPRINTS[(i * 3 + 1) % len(FINGERPRINTS)]
+            "points_to", FINGERPRINTS[(i * 3 + 1) % len(FINGERPRINTS)], json.loads
         )
         if loaded is not None and loaded != _expected(loaded["fingerprint"]):
             torn += 1
-    return torn
+    return torn + cache.rejected
 
 
 def test_many_processes_share_one_cache_directory(tmp_path):
@@ -48,39 +48,40 @@ def test_many_processes_share_one_cache_directory(tmp_path):
     with ctx.Pool(4) as pool:
         torn_counts = pool.starmap(_hammer, [(directory, 200)] * 4)
     assert torn_counts == [0, 0, 0, 0]
-    cache = PersistentQueryCache(directory)
+    cache = BlobStore(directory)
     # Every entry on disk is complete, parseable, and correct.
-    entries = sorted(cache.directory.glob("*.json"))
+    entries = sorted(cache.directory.glob(f"*{SUFFIX}"))
     assert len(entries) == len(FINGERPRINTS)
-    for path in entries:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload == _expected(payload["fingerprint"])
+    for fingerprint in FINGERPRINTS:
+        payload = cache.load("points_to", fingerprint, json.loads)
+        assert payload == _expected(fingerprint)
+    assert cache.rejected == 0
     # No abandoned write-side temp files survived the stampede.
     assert not list(cache.directory.glob("*.tmp"))
     assert not list(cache.directory.glob(".*"))
 
 
 def test_store_failure_leaves_no_temp_file(tmp_path):
-    cache = PersistentQueryCache(tmp_path)
-    target = tmp_path / "q.fp.json"
+    cache = BlobStore(tmp_path)
+    target = cache.path("q", "fp")
     # Make the rename target unreachable: the name is now a directory.
     target.mkdir()
-    cache.store("q", "fp", {"v": 1})  # swallowed, by contract
-    assert cache.load("q", "fp") is None
+    cache.put("q", "fp", json.dumps({"v": 1}))  # swallowed, by contract
+    assert cache.load("q", "fp", json.loads) is None
     assert not list(tmp_path.glob("*.tmp")) and not list(tmp_path.glob(".*"))
 
 
 def test_concurrent_same_fingerprint_store_threads(tmp_path):
     import threading
 
-    cache = PersistentQueryCache(tmp_path)
+    cache = BlobStore(tmp_path)
     barrier = threading.Barrier(8)
 
     def writer():
         barrier.wait(timeout=10)
         for _ in range(50):
-            cache.store("acquires", "fp", _expected("fp"))
-            loaded = cache.load("acquires", "fp")
+            cache.put("acquires", "fp", json.dumps(_expected("fp")))
+            loaded = cache.load("acquires", "fp", json.loads)
             assert loaded is None or loaded == _expected("fp")
 
     threads = [threading.Thread(target=writer) for _ in range(8)]
@@ -88,5 +89,6 @@ def test_concurrent_same_fingerprint_store_threads(tmp_path):
         t.start()
     for t in threads:
         t.join(timeout=60)
-    assert cache.load("acquires", "fp") == _expected("fp")
+    assert cache.load("acquires", "fp", json.loads) == _expected("fp")
+    assert cache.rejected == 0
     assert not list(tmp_path.glob(".*"))

@@ -15,6 +15,7 @@ from repro.query import (
 )
 from repro.query.facts import FACT_QUERIES
 from repro.registry.core import Registry
+from repro.util.store import SUFFIX, BlobStore
 
 SRC = """
 global int flag;
@@ -145,7 +146,7 @@ def test_fingerprint_tracks_content_not_identity():
 
 def test_acquires_persist_across_engines(tmp_path):
     p1 = compile_source(SRC, "p1")
-    engine1 = QueryEngine(p1, cache_dir=tmp_path)
+    engine1 = QueryEngine(p1, store=BlobStore(tmp_path))
     first = engine1.get("acquires", (p1.functions["consumer"], Variant.CONTROL))
     assert engine1.stats.by_query.get("acquires") == 1
     assert engine1.stats.restored == 0
@@ -153,7 +154,7 @@ def test_acquires_persist_across_engines(tmp_path):
     # A new engine (fresh compile, new Function objects, same content)
     # restores the persisted result instead of re-slicing.
     p2 = compile_source(SRC, "p2")
-    engine2 = QueryEngine(p2, cache_dir=tmp_path)
+    engine2 = QueryEngine(p2, store=BlobStore(tmp_path))
     consumer2 = p2.functions["consumer"]
     restored = engine2.get("acquires", (consumer2, Variant.CONTROL))
     assert engine2.stats.restored == 1
@@ -170,7 +171,7 @@ def test_acquires_persist_across_engines(tmp_path):
 
 def test_persisted_entry_still_invalidates_on_edit(tmp_path):
     program = compile_source(SRC, "p")
-    engine = QueryEngine(program, cache_dir=tmp_path)
+    engine = QueryEngine(program, store=BlobStore(tmp_path))
     consumer = program.functions["consumer"]
     engine.get("acquires", (consumer, Variant.CONTROL))
     edit_in_place(consumer)
@@ -183,14 +184,15 @@ def test_persisted_entry_still_invalidates_on_edit(tmp_path):
 
 def test_corrupt_persistent_entry_is_a_miss(tmp_path):
     program = compile_source(SRC, "p")
-    engine = QueryEngine(program, cache_dir=tmp_path)
+    engine = QueryEngine(program, store=BlobStore(tmp_path))
     engine.get("acquires", (program.functions["consumer"], Variant.CONTROL))
-    for path in tmp_path.glob("acquires.*.json"):
+    for path in tmp_path.glob(f"acquires.*{SUFFIX}"):
         path.write_text("{corrupt", encoding="utf-8")
-    fresh = QueryEngine(compile_source(SRC, "p"), cache_dir=tmp_path)
+    fresh = QueryEngine(compile_source(SRC, "p"), store=BlobStore(tmp_path))
     fresh.get("acquires", (fresh.program.functions["consumer"], Variant.CONTROL))
     assert fresh.stats.restored == 0
     assert fresh.stats.by_query.get("acquires") == 1
+    assert fresh.store.rejected == 1
 
 
 def test_query_cycle_detected():
