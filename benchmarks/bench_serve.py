@@ -19,6 +19,13 @@ not a replay gate; CI regenerates it on a fixed budget and enforces
     PYTHONPATH=src python benchmarks/bench_serve.py --out BENCH_serve.json
     PYTHONPATH=src python benchmarks/bench_serve.py --clients 8 \\
         --requests 12 --workers 4 --min-speedup 1.5 --out BENCH_serve.json
+
+:func:`check_determinism` sends the same analyze requests to a
+one-worker and an N-worker server and fails unless the reports are
+identical once timing and cache fields are dropped::
+
+    PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'benchmarks'); \\
+        import bench_serve; sys.exit(bench_serve.check_determinism(4))"
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.api import AnalyzeRequest, ProgramSpec  # noqa: E402
-from repro.programs import get_program  # noqa: E402
+from repro.programs import all_programs, get_program  # noqa: E402
 
 #: Small, fast corpus subset: enough shard diversity to spread across
 #: workers without making one request dominate the percentiles.
@@ -164,6 +171,92 @@ def run_load(workers: int, clients: int, requests: int,
             if latencies else 0.0,
         },
     }
+
+
+def _determinism_lines() -> list[str]:
+    """Every corpus program, plain and with an inline edit, planned
+    greedily on x86-tso and optimally on arm, fenced IR included."""
+    lines = []
+    for name in sorted(all_programs()):
+        edited = get_program(name).source + (
+            "\nfn warm_edit_0(tid) { local t = 0; t = t + 1; }\n"
+        )
+        for spec in (ProgramSpec.corpus(name), ProgramSpec.inline(edited, name=name)):
+            for model, arch, synthesis in (
+                ("x86-tso", None, "greedy"),
+                ("arm", "arm", "optimal"),
+            ):
+                request = AnalyzeRequest(
+                    program=spec, model=model, arch=arch, synthesis=synthesis,
+                    emit_ir=True, stats=True,
+                )
+                lines.append(json.dumps(request.to_payload()))
+    return lines
+
+
+def _stable(answer: dict) -> dict:
+    """``answer`` without its report's cache counters, which depend on
+    what the worker served before (analyze reports carry no timings)."""
+    report = dict(answer.get("report") or {})
+    report.pop("cache_stats", None)
+    return {**answer, "report": report}
+
+
+def _collect(host, port, lines, indices, answers):
+    with socket.create_connection((host, port), timeout=600) as sock:
+        stream = sock.makefile("rw", encoding="utf-8", newline="\n")
+        for index in indices:
+            stream.write(lines[index] + "\n")
+            stream.flush()
+            answers[index] = json.loads(stream.readline())
+
+
+def serve_answers(workers: int, lines: list[str], clients: int = 4) -> list[dict]:
+    """The responses of a ``workers``-process server to ``lines``, sent
+    round-robin over ``clients`` concurrent connections."""
+    server = ServeProcess(workers)
+    answers: list = [None] * len(lines)
+    try:
+        threads = [
+            threading.Thread(
+                target=_collect,
+                args=(server.host, server.port, lines,
+                      range(client, len(lines), clients), answers),
+            )
+            for client in range(clients)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        server.stop()
+    return answers
+
+
+def check_determinism(workers: int) -> int:
+    """0 iff a one-worker and a ``workers``-worker server answer every
+    :func:`_determinism_lines` request with the same stable report."""
+    lines = _determinism_lines()
+    single = serve_answers(1, lines)
+    cluster = serve_answers(workers, lines)
+    failed = [
+        index for index, (one, many) in enumerate(zip(single, cluster))
+        if not (one and many and one.get("ok")) or _stable(one) != _stable(many)
+    ]
+    for index in failed[:5]:
+        request = json.loads(lines[index])
+        program = request["program"]
+        print(
+            f"differs: {program['kind']} {program['name']} on "
+            f"{request['model']} ({request['synthesis']})",
+            file=sys.stderr,
+        )
+    print(
+        f"{len(lines) - len(failed)}/{len(lines)} reports identical "
+        f"between 1 and {workers} workers"
+    )
+    return 1 if failed else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,22 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.programs import all_programs
-
 REPORT_PATH = Path(__file__).resolve().parent.parent / "benchmark_reports.txt"
 
 
 @pytest.fixture(scope="session")
-def programs():
-    return all_programs()
-
-
-@pytest.fixture(scope="session")
 def report_sink():
-    """Collect rendered table/figure reports; written to
+    """Collect rendered ablation reports; written to
     ``benchmark_reports.txt`` at session end (pytest captures teardown
-    stdout, so a file is the reliable channel) — the bench run doubles
-    as the figure regeneration run."""
+    stdout, so a file is the reliable channel)."""
     reports: dict[str, str] = {}
     yield reports
     if reports:
@@ -30,4 +22,4 @@ def report_sink():
             separator.join(reports[name] for name in sorted(reports)) + "\n",
             encoding="utf-8",
         )
-        print(f"\n[figure reports written to {REPORT_PATH}]")
+        print(f"\n[ablation reports written to {REPORT_PATH}]")

@@ -42,26 +42,37 @@ remaining bits all project to the same interval for a given kind, so
 they collapse to at most one interval per kind: ``[iu+1, t]`` in u's
 block, or, under the target projection, ``[0, iv]`` once per
 destination. RMW endpoints and qualifier-discharged orderings are
-masked off per source and per destination before projecting. Distinct
-orderings land on distinct ``(block, lo, hi, kind)`` intervals, so the
-projection appends each one directly, with no table to merge
-duplicates (:func:`collect_intervals` says why). Stabbing finds the
-covering fence or barrier by bisection over sorted gaps.
+masked off per source and per destination before projecting.
 
-A function's intervals and its greedy plan are pure functions of its
-ordering set, the model, the projection and (for the plan) the entry
-fence, so both are memoized in the set's ``memo``: the pipeline's
-plan, optimal synthesis over the same set and the greedy plan that
-synthesis prices all build the delay graph once. Results are shared
-and must be treated as read-only; a call passing a function other than
-the set's own computes afresh and caches nothing.
+Greedy stabbing does not need every interval, only one *span record*
+per block and gap start ``lo``: for each of the four ordering kinds,
+the smallest ``hi`` among the intervals starting at ``lo``
+(:func:`span_records`). Among intervals sharing ``lo``, the one with
+the smallest ``hi`` is stabbed first; the gap it lands on is the
+leftmost placed gap at or after ``lo``, and since gaps are only ever
+appended to the right, every later interval with that ``lo`` lands on
+the same gap. So one record stands for all of them: its surviving
+kinds join that gap's ``covers`` as one 4-bit mask. A barrier or a
+credited gap turns into one ``hi`` threshold per ``lo``, and a kind
+survives iff its smallest ``hi`` is within it, exactly as its
+narrowest interval does. The full interval family
+(:func:`collect_intervals`) is built only for what needs every
+interval: the optimal DP's candidate positions and the min-cut
+certificate's gap prices (:mod:`repro.synth.optimal`).
+
+A function's span records, intervals and greedy plan are pure
+functions of its ordering set, the model, the projection and (for the
+plan) the entry fence, so each is memoized in the set's ``memo``: the
+pipeline's plan, optimal synthesis over the same set and the greedy
+plan that synthesis prices all build the delay graph once. Results are
+shared and must be treated as read-only; a call passing a function
+other than the set's own computes afresh and caches nothing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Sequence
 
 from repro.core.machine_models import MemoryModel, OrderKind
@@ -98,10 +109,11 @@ class PlannedFence:
 class DelayInterval:
     """Gap interval [lo, hi] in one block, tagged with its ordering kind.
 
-    The shared currency of the greedy planner below and the optimal
-    synthesizer (:mod:`repro.synth`): both consume the exact same
-    intervals via :func:`collect_intervals`, so their plans differ only
-    in *where* they stab, never in *what* must be stabbed.
+    The optimal synthesizer (:mod:`repro.synth`) consumes every
+    interval via :func:`collect_intervals`; the greedy planner below
+    stabs their :func:`span_records`, which keep each ``lo`` and kind's
+    narrowest interval, so their plans differ only in *where* they
+    stab, never in *what* must be stabbed.
     """
 
     block_index: int
@@ -184,34 +196,6 @@ def uncovered(
     return [iv for iv in intervals if not _hits(barriers, iv.lo, iv.hi - 1)]
 
 
-def stab_intervals(
-    intervals: list[DelayInterval], credited: Sequence[int] = ()
-) -> dict[int, set[OrderKind]]:
-    """Minimum-cardinality stabbing of ``intervals`` (classic greedy).
-
-    Sort by right endpoint and place a fence at the right endpoint of
-    the first interval no placed fence covers. Intervals containing a
-    gap of the sorted ``credited`` list (fences placed earlier) need
-    nothing. Returns ``{gap: kinds}`` in gap order: each interval is
-    assigned to the leftmost placed gap covering it, and its ordering
-    kind joins that gap's set — the kill-set a lowered fence flavor
-    must provide.
-    """
-    covers: dict[int, set[OrderKind]] = {}
-    gaps: list[int] = []
-    for iv in sorted(intervals, key=attrgetter("hi", "lo")):
-        if credited and _hits(credited, iv.lo, iv.hi):
-            continue
-        # Every placed gap is an earlier interval's hi <= iv.hi.
-        k = bisect_left(gaps, iv.lo)
-        if k < len(gaps):
-            covers[gaps[k]].add(iv.kind)
-        else:
-            gaps.append(iv.hi)
-            covers[iv.hi] = {iv.kind}
-    return covers
-
-
 def _acquire_read(access: Access) -> bool:
     inst = access.inst
     return isinstance(inst, Load) and inst.ordering == "acquire" and access.part == "r"
@@ -243,6 +227,12 @@ def count_discharged(orderings: OrderingSet) -> int:
 
 #: Ordering kinds by index 2 * (source is a write) + (destination is a write).
 _KINDS = (OrderKind.RR, OrderKind.RW, OrderKind.WR, OrderKind.WW)
+#: The kind set of each 4-bit kind mask (bit ``k`` is ``_KINDS[k]``).
+KIND_SETS = tuple(
+    frozenset(kind for k, kind in enumerate(_KINDS) if mask >> k & 1) for mask in range(16)
+)
+#: A span record's ``hi`` for a kind no interval at its ``lo`` has.
+NO_SPAN = 1 << 62
 
 
 def _check_projection(projection: str) -> None:
@@ -263,6 +253,19 @@ def _memoized(func: Function, orderings: OrderingSet, key: tuple, build):
     return result
 
 
+def _endpoint_masks(orderings: OrderingSet, model: MemoryModel) -> tuple[int, int]:
+    """The sources to skip and the destinations to keep.
+
+    An ordering whose endpoint is itself a locked RMW is enforced by
+    that instruction's own barrier semantics (x86 LOCK prefix); one
+    whose endpoint is a suitably-qualified atomic access is enforced
+    by the access itself.
+    """
+    layout = orderings.layout
+    locked = layout.mask(lambda a: a.inst.is_atomic_rmw()) if model.rmw_is_full_fence else 0
+    return locked | layout.mask(_acquire_read), ~(locked | layout.mask(_release_write))
+
+
 def collect_intervals(
     func: Function,
     orderings: OrderingSet,
@@ -271,11 +274,12 @@ def collect_intervals(
 ) -> dict[int, list[DelayInterval]]:
     """Project the surviving orderings onto per-block gap intervals.
 
-    This is the single delay-graph construction both planners share:
-    RMW-enforced and qualifier-discharged orderings are filtered out
-    and each survivor is projected to a :class:`DelayInterval`, one
-    per distinct span *and* kind. Returns ``{block_index: [intervals]}``,
-    memoized on ``orderings``; callers must not mutate it.
+    The full delay graph, which optimal synthesis consumes (the greedy
+    planner reads its :func:`span_records` instead): RMW-enforced and
+    qualifier-discharged orderings are filtered out and each survivor
+    is projected to a :class:`DelayInterval`, one per distinct span
+    *and* kind. Returns ``{block_index: [intervals]}``, memoized on
+    ``orderings``; callers must not mutate it.
 
     Projection works per source mask (see :mod:`repro.core.orderings`).
     A same-block ordering ``u -> v`` with ``v`` later in the block gives
@@ -308,13 +312,7 @@ def _collect_intervals(
 ) -> dict[int, list[DelayInterval]]:
     layout = orderings.layout
     positions, forward, writes = layout.positions, layout.forward, layout.writes
-    # An ordering whose endpoint is itself a locked RMW is enforced by
-    # that instruction's own barrier semantics (x86 LOCK prefix); one
-    # whose endpoint is a suitably-qualified atomic access is enforced
-    # by the access itself.
-    locked = layout.mask(lambda a: a.inst.is_atomic_rmw()) if model.rmw_is_full_fence else 0
-    skip_sources = locked | layout.mask(_acquire_read)
-    keep_dsts = ~(locked | layout.mask(_release_write))
+    skip_sources, keep_dsts = _endpoint_masks(orderings, model)
     # Per kind index: (needs a full fence, kind). The ordering kind is
     # kept even where spans coincide — same-span intervals of different
     # kinds place the same fences but each kind joins the fence's
@@ -363,6 +361,174 @@ def _collect_intervals(
     return by_block
 
 
+def span_records(
+    func: Function,
+    orderings: OrderingSet,
+    model: MemoryModel,
+    projection: str = "source",
+) -> dict[int, dict[int, list[int]]]:
+    """Per block and gap start ``lo``: the smallest ``hi`` of each kind.
+
+    Returns ``{block_index: {lo: his}}`` where ``his[k]`` is the
+    smallest ``hi`` among the :func:`collect_intervals` intervals
+    ``[lo, hi]`` of kind ``_KINDS[k]`` in that block, or
+    :data:`NO_SPAN` if there is none. Memoized on ``orderings``;
+    callers must not mutate it.
+
+    The records come straight from the masks. Accesses are numbered in
+    program order, so the nearest same-block destination of a kind is
+    the lowest set bit of ``ahead & writes`` (or ``ahead & ~writes``);
+    the other destinations give the terminator, or under the target
+    projection one ``[0, iv]`` per destination, of which only the
+    nearest per block and kind is kept. The two halves of an RMW share
+    a ``lo`` and fill different slots of one record.
+    """
+    _check_projection(projection)
+    return _memoized(
+        func,
+        orderings,
+        ("spans", model, projection),
+        lambda: _span_records(func, orderings, model, projection),
+    )
+
+
+def _span_records(
+    func: Function,
+    orderings: OrderingSet,
+    model: MemoryModel,
+    projection: str,
+) -> dict[int, dict[int, list[int]]]:
+    layout = orderings.layout
+    positions, forward, writes = layout.positions, layout.forward, layout.writes
+    reads = ~writes
+    skip_sources, keep_dsts = _endpoint_masks(orderings, model)
+    by_block: dict[int, dict[int, list[int]]] = {}
+
+    # Target projection: the other destinations, by source part.
+    elsewhere = [0, 0]
+    for i, dsts in enumerate(orderings.succ):
+        dsts &= keep_dsts
+        if not dsts or skip_sources >> i & 1:
+            continue
+        block, index = positions[i]
+        src_write = writes >> i & 1
+        ahead = dsts & forward[i]
+        rest = dsts ^ ahead
+        if projection == "target":
+            elsewhere[src_write] |= rest
+            rest = 0
+        if not (ahead or rest):
+            continue
+        records = by_block.setdefault(block, {})
+        his = records.get(index + 1)
+        if his is None:
+            his = records[index + 1] = [NO_SPAN] * 4
+        slot = 2 * src_write
+        # Every same-block destination lies before the terminator.
+        terminator = len(func.blocks[block].instructions) - 1
+        into = ahead & reads
+        if into:
+            his[slot] = positions[(into & -into).bit_length() - 1][1]
+        elif rest & reads:
+            his[slot] = terminator
+        into = ahead & writes
+        if into:
+            his[slot + 1] = positions[(into & -into).bit_length() - 1][1]
+        elif rest & writes:
+            his[slot + 1] = terminator
+    for src_write, dsts in enumerate(elsewhere):
+        if not dsts:
+            continue
+        for block, members in layout.block_masks.items():
+            into_block = dsts & members
+            if not into_block:
+                continue
+            his = by_block.setdefault(block, {}).setdefault(0, [NO_SPAN] * 4)
+            for slot, into in enumerate((into_block & reads, into_block & writes), 2 * src_write):
+                if into:
+                    his[slot] = positions[(into & -into).bit_length() - 1][1]
+    return by_block
+
+
+def round_slots(model: MemoryModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The kind slots needing a full fence on ``model``, and the rest."""
+    full = tuple(k for k, kind in enumerate(_KINDS) if model.needs_full_fence(kind))
+    return full, tuple(k for k in range(len(_KINDS)) if k not in full)
+
+
+def surviving_spans(
+    records: dict[int, list[int]],
+    slots: Sequence[int],
+    barriers: Sequence[int],
+    credited: Sequence[int] = (),
+) -> list[tuple[int, int, int]]:
+    """``(smallest hi, lo, kind mask)`` of one block's span records,
+    keeping the kinds in ``slots`` that some interval still needs.
+
+    An instruction at index ``k`` of the sorted ``barriers`` enforces
+    ``[lo, hi]`` iff ``lo <= k <= hi - 1``, and a gap ``c`` of the
+    sorted ``credited`` list (fences placed earlier) iff
+    ``lo <= c <= hi``. Both only depend on the first one at or after
+    ``lo``, so together they give one threshold per record: an
+    interval survives iff its ``hi`` is within it, and a kind survives
+    iff its narrowest interval does. Records with no surviving kind are
+    left out.
+    """
+    result = []
+    for lo, his in records.items():
+        limit = NO_SPAN - 1
+        if barriers:
+            k = bisect_left(barriers, lo)
+            if k < len(barriers):
+                limit = barriers[k]
+        if credited:
+            k = bisect_left(credited, lo)
+            if k < len(credited) and credited[k] <= limit:
+                limit = credited[k] - 1
+        mask = 0
+        first = NO_SPAN
+        for slot in slots:
+            hi = his[slot]
+            if hi <= limit:
+                mask |= 1 << slot
+                if hi < first:
+                    first = hi
+        if mask:
+            result.append((first, lo, mask))
+    return result
+
+
+def stab_spans(
+    records: dict[int, list[int]],
+    slots: Sequence[int],
+    barriers: Sequence[int],
+    credited: Sequence[int] = (),
+) -> dict[int, int]:
+    """Minimum-cardinality stabbing of one block's intervals of the
+    kinds in ``slots`` (classic greedy), one span record at a time.
+
+    Sort by right endpoint and place a fence at the right endpoint of
+    the first record no placed fence covers; barriers and credited gaps
+    are as in :func:`surviving_spans`. Returns ``{gap: kind mask}`` in
+    gap order: each record's surviving kinds join the leftmost placed
+    gap at or after its ``lo`` — the kill-set a lowered fence flavor
+    must provide.
+    """
+    if not slots:
+        return {}
+    covers: dict[int, int] = {}
+    gaps: list[int] = []
+    for hi, lo, mask in sorted(surviving_spans(records, slots, barriers, credited)):
+        # Every placed gap is an earlier record's hi <= hi.
+        k = bisect_left(gaps, lo)
+        if k < len(gaps):
+            covers[gaps[k]] |= mask
+        else:
+            gaps.append(hi)
+            covers[hi] = mask
+    return covers
+
+
 def plan_fences(
     func: Function,
     orderings: OrderingSet,
@@ -394,36 +560,35 @@ def _plan_fences(
     projection: str,
 ) -> FencePlan:
     plan = FencePlan(func, entry_fence=entry_fence)
-    by_block = collect_intervals(func, orderings, model, projection)
+    spans = span_records(func, orderings, model, projection)
+    full_slots, compiler_slots = round_slots(model)
 
-    for block_index in sorted(by_block):
+    for block_index in sorted(spans):
         block = func.blocks[block_index]
-        block_intervals = by_block[block_index]
+        records = spans[block_index]
 
-        # Round 1: intervals that require hardware enforcement.
-        full_needed = uncovered(
-            [iv for iv in block_intervals if iv.needs_full],
-            barrier_indices(block.instructions, model, for_full=True),
+        # Round 1: kinds that require hardware enforcement.
+        full_covers = stab_spans(
+            records, full_slots, barrier_indices(block.instructions, model, for_full=True)
         )
-        full_covers = stab_intervals(full_needed)
         for gap, kinds in full_covers.items():
             plan.fences.append(
-                PlannedFence(block.label, gap, FenceKind.FULL, covers=frozenset(kinds))
+                PlannedFence(block.label, gap, FenceKind.FULL, covers=KIND_SETS[kinds])
             )
 
-        # Round 2: compiler-only intervals; full fences placed above and
+        # Round 2: compiler-only kinds; full fences placed above and
         # existing compiler barriers both count as coverage. (Their
         # kinds are hardware-enforced already, so they never widen a
         # full fence's ``covers`` set.)
-        compiler_needed = uncovered(
-            [iv for iv in block_intervals if not iv.needs_full],
+        compiler_covers = stab_spans(
+            records,
+            compiler_slots,
             barrier_indices(block.instructions, model, for_full=False),
+            list(full_covers),
         )
-        for gap, kinds in stab_intervals(compiler_needed, list(full_covers)).items():
+        for gap, kinds in compiler_covers.items():
             plan.fences.append(
-                PlannedFence(
-                    block.label, gap, FenceKind.COMPILER, covers=frozenset(kinds)
-                )
+                PlannedFence(block.label, gap, FenceKind.COMPILER, covers=KIND_SETS[kinds])
             )
 
     return plan

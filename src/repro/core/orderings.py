@@ -27,11 +27,14 @@ from a set's accesses alone lives in its shared :class:`AccessLayout`:
   later).
 
 Pruning (:mod:`repro.core.pruning`) intersects ``succ`` with per-source
-keep masks and shares the layout; delay-interval collection
-(:func:`repro.core.fence_min.collect_intervals`) splits each ``succ[i]``
-into its same-block forward part and the rest, and caches what it
-derives in the set's ``memo``. :class:`Ordering` objects exist only on
-demand, for callers that iterate a set.
+keep masks and shares the layout; the delay graph
+(:func:`repro.core.fence_min.span_records` and
+:func:`~repro.core.fence_min.collect_intervals`) splits each
+``succ[i]`` into its same-block forward part and the rest, and caches
+what it derives in the set's ``memo``. Accesses are numbered in
+program order, so within a block a lower bit is an earlier access.
+:class:`Ordering` objects exist only on demand, for callers that
+iterate a set.
 """
 
 from __future__ import annotations
@@ -181,8 +184,11 @@ class OrderingSet:
         self._counts: dict[OrderKind, int] | None = None
         self._orderings: list[Ordering] | None = None
         #: Results derived from this set alone, keyed by their other
-        #: inputs: delay intervals and greedy plans
-        #: (:mod:`repro.core.fence_min`). Read-only to every caller.
+        #: inputs (:mod:`repro.core.fence_min`): span records
+        #: ``("spans", model, projection)``, delay intervals
+        #: ``("intervals", model, projection)`` and greedy plans
+        #: ``("plan", model, entry fence, projection)``. Read-only to
+        #: every caller.
         self.memo: dict[tuple, object] = {}
 
     def restricted(self, keep: Iterable[int]) -> "OrderingSet":

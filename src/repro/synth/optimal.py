@@ -6,13 +6,14 @@ fence with the cheapest sufficient flavor. On flavored ISAs that
 two-step can lose: splitting one expensive full fence into two cheap
 partial fences (two ``lwsync`` at 66 instead of one ``sync`` at 80)
 is never visible to a cardinality objective. This module minimizes
-*cost* directly, over exactly the same
-:class:`~repro.core.fence_min.DelayInterval`s the greedy consumes
-(both call :func:`~repro.core.fence_min.collect_intervals`), so any
-difference between the two plans is purely better stabbing or better
-flavoring — never a different delay graph. The intervals and the
-greedy plan that synthesis prices are both memoized on the ordering
-set, so each function's delay graph is built once.
+*cost* directly, over the full family of
+:class:`~repro.core.fence_min.DelayInterval`s
+(:func:`~repro.core.fence_min.collect_intervals`) whose span records
+the greedy stabs, so any difference between the two plans is purely
+better stabbing or better flavoring — never a different delay graph.
+The intervals, the span records and the greedy plan that synthesis
+prices are all memoized on the ordering set, so each function's delay
+graph is built once.
 
 Solver structure, per basic block:
 
@@ -45,11 +46,11 @@ Solver structure, per basic block:
   families in polynomial time because gap costs are
   position-independent here.
 
-Compiler-only intervals are stabbed exactly as in the greedy round 2
-(they cost nothing, so cardinality greedy is already optimal), and the
-function-entry fence is priced identically on both sides, so
-``SynthesisPlan.cost <= greedy cost`` holds function-wide, which the
-oracle-gated tests assert across the whole corpus.
+Compiler-only intervals are stabbed exactly as in the greedy round 2,
+over span records (they cost nothing, so cardinality greedy is already
+optimal), and the function-entry fence is priced identically on both
+sides, so ``SynthesisPlan.cost <= greedy cost`` holds function-wide,
+which the oracle-gated tests assert across the whole corpus.
 """
 
 from __future__ import annotations
@@ -64,12 +65,16 @@ from itertools import accumulate
 from repro.arch.backend import ArchBackend, FenceFlavor
 from repro.arch.lowering import LoweredFence, LoweredPlan, lower_plan, summarize_lowerings
 from repro.core.fence_min import (
+    KIND_SETS,
     DelayInterval,
     barrier_indices,
     collect_intervals,
     count_discharged,
     plan_fences,
-    stab_intervals,
+    round_slots,
+    span_records,
+    stab_spans,
+    surviving_spans,
     uncovered,
 )
 from repro.core.machine_models import MemoryModel, OrderKind
@@ -82,6 +87,11 @@ from repro.synth.mincut import INF, FlowNetwork
 
 _KINDS = tuple(OrderKind)
 _KIDX = {kind: i for i, kind in enumerate(_KINDS)}
+
+
+def _kind_mask(kinds: frozenset[OrderKind]) -> int:
+    """``kinds`` as a 4-bit mask (bit ``k`` is ``_KINDS[k]``)."""
+    return sum(1 << _KIDX[kind] for kind in kinds)
 
 
 @dataclass
@@ -321,17 +331,19 @@ def synthesize_plan(
     plan = SynthesisPlan(func, backend.key, cut_backend=backend)
     plan.discharged = count_discharged(orderings)
     by_block = collect_intervals(func, orderings, model, projection)
+    spans = span_records(func, orderings, model, projection)
+    full_slots, compiler_slots = round_slots(model)
     dp_seconds = 0.0
 
     with obs_trace.span(
         "synth.plan", cat="synth", function=func.name, arch=backend.key
     ) as synth_span:
-        for block_index in sorted(by_block):
+        for block_index in sorted(spans):
             block = func.blocks[block_index]
-            ivs = by_block[block_index]
+            records = spans[block_index]
+            full_barriers = barrier_indices(block.instructions, model, for_full=True)
             full_needed = uncovered(
-                [iv for iv in ivs if iv.needs_full],
-                barrier_indices(block.instructions, model, for_full=True),
+                [iv for iv in by_block[block_index] if iv.needs_full], full_barriers
             )
             started = time.perf_counter()
             _cost, placements = _solve_block(full_needed, backend)
@@ -339,23 +351,22 @@ def synthesize_plan(
             if full_needed:
                 plan.cut_blocks.append((block.label, full_needed))
 
-            # Assign every interval to one placed fence that enforces it,
-            # to report each fence's kill-set the same way greedy does.
-            # Placements are sorted by gap: start at the first one at or
-            # after the interval's lo.
-            covers: dict[int, set[OrderKind]] = {}
-            for gap, flavor in placements:
-                covers.setdefault(gap, set())
+            # Report each fence's kill-set the same way greedy does: a
+            # kind some interval at ``lo`` still needs joins the first
+            # placement at or after ``lo`` whose flavor kills it. The DP
+            # stabs every such interval, so that placement is within it.
             full_gaps = [gap for gap, _flavor in placements]
-            for iv in full_needed:
-                for k in range(bisect_left(full_gaps, iv.lo), len(placements)):
-                    gap, flavor = placements[k]
-                    if gap > iv.hi:
-                        break
-                    if iv.kind in flavor.kills:
-                        covers[gap].add(iv.kind)
-                        break
-            for gap, flavor in placements:
+            kills = [_kind_mask(flavor.kills) for _gap, flavor in placements]
+            covers = dict.fromkeys(full_gaps, 0)
+            for _hi, lo, mask in surviving_spans(records, full_slots, full_barriers):
+                start = bisect_left(full_gaps, lo)
+                for k in range(start, len(placements)):
+                    if kills[k] & mask:
+                        covers[full_gaps[k]] |= kills[k] & mask
+                        mask &= ~kills[k]
+                        if not mask:
+                            break
+            for (gap, flavor), kill in zip(placements, kills):
                 plan.fences.append(
                     LoweredFence(
                         block.label,
@@ -363,30 +374,22 @@ def synthesize_plan(
                         FenceKind.FULL,
                         flavor.name,
                         flavor.cost,
-                        covers=frozenset(
-                            k for k in covers[gap] if k in flavor.kills
-                        ),
+                        covers=KIND_SETS[covers[gap] & kill],
                     )
                 )
 
             # Compiler-only intervals cost nothing, so greedy cardinality
             # stabbing (the greedy planner's round 2) is optimal for them.
-            compiler = stab_intervals(
-                uncovered(
-                    [iv for iv in ivs if not iv.needs_full],
-                    barrier_indices(block.instructions, model, for_full=False),
-                ),
+            compiler = stab_spans(
+                records,
+                compiler_slots,
+                barrier_indices(block.instructions, model, for_full=False),
                 full_gaps,
             )
-            for gap in compiler:
+            for gap, kinds in compiler.items():
                 plan.fences.append(
                     LoweredFence(
-                        block.label,
-                        gap,
-                        FenceKind.COMPILER,
-                        None,
-                        0,
-                        covers=frozenset(compiler[gap]),
+                        block.label, gap, FenceKind.COMPILER, None, 0, covers=KIND_SETS[kinds]
                     )
                 )
 

@@ -2,10 +2,18 @@
 
 import pytest
 
+import _delay_core_oracle as oracle
 from repro.analysis.escape import EscapeInfo
-from repro.core.fence_min import apply_plan, collect_intervals, plan_fences
-from repro.core.machine_models import MODELS, PSO, RMO, SC, X86_TSO
+from repro.core.fence_min import (
+    NO_SPAN,
+    apply_plan,
+    collect_intervals,
+    plan_fences,
+    span_records,
+)
+from repro.core.machine_models import MODELS, PSO, RMO, SC, X86_TSO, MemoryModel, OrderKind
 from repro.core.orderings import OrderingSet, generate_orderings
+from repro.memmodel.litmus import LITMUS_TESTS
 from repro.programs import all_programs
 from repro.registry.variants import get_variant
 from repro.frontend import compile_source
@@ -231,10 +239,15 @@ def test_plans_and_intervals_are_memoized_per_input():
     assert plan_fences(func, orderings, PSO) is not plan
     assert plan_fences(func, orderings, X86_TSO, entry_fence=True) is not plan
     assert plan_fences(func, orderings, X86_TSO, projection="target") is not plan
-    intervals = collect_intervals(func, orderings, X86_TSO)
-    assert collect_intervals(func, orderings, X86_TSO) is intervals
-    assert collect_intervals(func, orderings, PSO) is not intervals
-    assert collect_intervals(func, orderings, X86_TSO, "target") is not intervals
+    for build in (collect_intervals, span_records):
+        built = build(func, orderings, X86_TSO)
+        assert build(func, orderings, X86_TSO) is built
+        assert build(func, orderings, X86_TSO, "source") is built
+        assert build(func, orderings, PSO) is not built
+        assert build(func, orderings, PSO) is build(func, orderings, PSO)
+        assert build(func, orderings, X86_TSO, "target") is not built
+        assert build(func, orderings, X86_TSO, "target") is build(func, orderings, X86_TSO, "target")
+    assert ("spans", X86_TSO, "source") in orderings.memo
 
 
 def test_bad_projection_raises_and_caches_nothing():
@@ -244,6 +257,8 @@ def test_bad_projection_raises_and_caches_nothing():
         plan_fences(func, orderings, X86_TSO, projection="diagonal")
     with pytest.raises(ValueError, match="unknown projection"):
         collect_intervals(func, orderings, X86_TSO, "diagonal")
+    with pytest.raises(ValueError, match="unknown projection"):
+        span_records(func, orderings, X86_TSO, "diagonal")
     assert orderings.memo == memo
 
 
@@ -255,7 +270,12 @@ def test_another_function_is_planned_but_not_memoized():
     assert other is not plan and other.function is twin
     assert other.fences == plan.fences
     assert plan_fences(twin, orderings, X86_TSO) is not other
+    spans = span_records(twin, orderings, PSO, "target")
+    assert span_records(twin, orderings, PSO, "target") is not spans
+    intervals = collect_intervals(twin, orderings, PSO)
+    assert collect_intervals(twin, orderings, PSO) is not intervals
     assert orderings.memo == memo
+    assert span_records(func, orderings, PSO, "target") == spans
 
 
 @pytest.mark.parametrize("name", sorted(all_programs()))
@@ -274,4 +294,96 @@ def test_memo_hits_equal_a_fresh_set(name):
                     intervals = collect_intervals(func, pruned, model, projection)
                     plan = plan_fences(func, pruned, model, entry, projection)
                     assert collect_intervals(func, fresh, model, projection) == intervals
+                    spans = span_records(func, pruned, model, projection)
+                    assert span_records(func, fresh, model, projection) == spans
                     assert plan_fences(func, fresh, model, entry, projection) == plan
+
+
+# --- span records ------------------------------------------------------------
+
+_SLOTS = {kind: k for k, kind in enumerate((OrderKind.RR, OrderKind.RW, OrderKind.WR, OrderKind.WW))}
+
+
+def _narrowest(by_block):
+    """Per block and ``lo``, the smallest ``hi`` of each kind's intervals."""
+    spans: dict = {}
+    for block, ivs in by_block.items():
+        for iv in ivs:
+            his = spans.setdefault(block, {}).setdefault(iv.lo, [NO_SPAN] * 4)
+            k = _SLOTS[iv.kind]
+            his[k] = min(his[k], iv.hi)
+    return spans
+
+
+SOURCES = {
+    **{f"corpus/{name}": program for name, program in all_programs().items()},
+    **{f"litmus/{name}": test for name, test in LITMUS_TESTS.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_span_records_are_the_narrowest_intervals(name):
+    """Every record slot is the smallest ``hi`` among the intervals with
+    that block, ``lo`` and kind, under every model and projection."""
+    program = SOURCES[name].compile()
+    for variant in ("pensieve", "control", "address+control"):
+        for model in MODELS.values():
+            analysis = get_variant(variant).analyze(program, model)
+            for fa in analysis.functions.values():
+                for projection in ("source", "target"):
+                    by_block = collect_intervals(fa.function, fa.pruned, model, projection)
+                    spans = span_records(fa.function, fa.pruned, model, projection)
+                    assert spans == _narrowest(by_block), (fa.function.name, model.name, projection)
+
+
+def _covers(src, model, manual=True):
+    func = compile_source(src, "t", include_manual_fences=manual).functions["f"]
+    orderings = generate_orderings(func, EscapeInfo(func))
+    plan = plan_fences(func, orderings, model)
+    # The same plan as stabbing every interval one by one.
+    intervals = oracle.collect_intervals(func, list(orderings), model)
+    assert plan == oracle.plan_fences(func, intervals, model)
+    return [(f.gap, f.kind, set(f.covers)) for f in plan.fences]
+
+
+def test_manual_fence_inside_a_source_leaves_only_the_narrower_kind():
+    # a = 1 orders before c = 2 (w->w) and, across the fence, r = b (w->r).
+    src = "global a; global b; global c; fn f() { a = 1; c = 2; fence; local r = b; }"
+    assert _covers(src, PSO, manual=False) == [
+        (1, FenceKind.FULL, {OrderKind.WW, OrderKind.WR}),
+        (3, FenceKind.FULL, {OrderKind.WR}),
+    ]
+    assert _covers(src, PSO) == [(1, FenceKind.FULL, {OrderKind.WW})]
+
+
+def test_locked_rmw_inside_a_source_leaves_only_the_narrower_kind():
+    src = (
+        "global a; global b; global c; global l; "
+        "fn f() { a = 1; c = 2; local o = xchg(&l, 1); local r = b; }"
+    )
+    assert _covers(src, PSO) == [(1, FenceKind.FULL, {OrderKind.WW})]
+    # Without fence semantics the RMW stops nothing.
+    assert {OrderKind.WW, OrderKind.WR} <= _covers(src, RMO)[0][2]
+
+
+def test_credited_full_fence_inside_a_source_leaves_only_the_narrower_kind():
+    # r = x orders before c = 2 (r->w) and s = b (r->r); the full fence
+    # before s = b already enforces the wider r->r interval.
+    src = "global a; global b; global c; global x; fn f() { local r = x; c = 2; a = 1; local s = b; }"
+    assert _covers(src, X86_TSO) == [
+        (6, FenceKind.FULL, {OrderKind.WR}),
+        (3, FenceKind.COMPILER, {OrderKind.RW}),
+        (4, FenceKind.COMPILER, {OrderKind.WW}),
+    ]
+
+
+def test_barrier_at_the_destination_does_not_enforce_it():
+    # An RMW that is a compiler barrier but no fence: the orderings into
+    # it end at its own index, which it does not separate them from.
+    unlocked = MemoryModel(
+        "pso-unlocked", frozenset({OrderKind.RR, OrderKind.RW}), rmw_is_full_fence=False
+    )
+    src = "global x; global l; fn f() { local r = x; local o = xchg(&l, 1); }"
+    assert _covers(src, unlocked) == [
+        (4, FenceKind.COMPILER, {OrderKind.RR, OrderKind.RW}),
+    ]

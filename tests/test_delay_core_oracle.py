@@ -27,7 +27,7 @@ from repro.query.engine import QueryEngine
 from repro.synth import synthesize_plan
 from repro.validate.generator import SHAPES, generate_program
 
-MODEL_NAMES = ("x86-tso", "pso", "arm", "power")
+MODEL_NAMES = ("sc", "x86-tso", "pso", "rmo", "arm", "power")
 #: Model -> arch backend synthesized on; pso has no backend of its own.
 SYNTH_ARCH = {"x86-tso": "x86", "arm": "arm", "power": "power"}
 VARIANTS = ("pensieve", "control", "address+control")
@@ -101,6 +101,16 @@ def check_function(
 @pytest.mark.parametrize("name", sorted(all_programs()))
 def test_corpus_program_matches_the_pairwise_oracle(name):
     program = all_programs()[name].compile()
+    engine = QueryEngine(program)
+    for func in program.functions.values():
+        check_function(engine, func, VARIANTS, MODEL_NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(all_programs()))
+def test_corpus_manual_fences_match_the_pairwise_oracle(name):
+    # The expert ``fence;`` placements are the corpus's only barriers
+    # inside delay intervals.
+    program = all_programs()[name].compile(manual_fences=True)
     engine = QueryEngine(program)
     for func in program.functions.values():
         check_function(engine, func, VARIANTS, MODEL_NAMES)
