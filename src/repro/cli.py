@@ -77,10 +77,12 @@ def _resolve_model(args: argparse.Namespace, fallback: str = "x86-tso") -> str:
 
 
 #: Errors in a mini-C source file. Frontend messages start with
-#: ``line N:``; IR verification messages (no functions, an unknown
-#: thread entry or callee, a thread arity mismatch) name the function
-#: or thread. The commands report them as ``FILE: message`` and exit 2,
-#: like any other bad input.
+#: ``line N:`` (lexing, parsing, and lowering: undefined or duplicate
+#: names, arrays of size 0, a call with the wrong number of arguments,
+#: a global initializer naming an undeclared global); IR verification
+#: messages (no functions, an unknown thread entry or callee, a thread
+#: arity mismatch) name the function or thread. The commands report
+#: them as ``FILE: message`` and exit 2, like any other bad input.
 _SOURCE_ERRORS = (LexError, ParseError, LoweringError, VerificationError)
 
 #: Errors reading an input file: missing, a directory, not UTF-8 text.
@@ -91,8 +93,9 @@ def _file_error(path: str, exc: Exception) -> int:
     """Report a bad input file as one ``FILE: message`` line; exit 2.
     Also used for :class:`ExecutionError` — a program that fails at
     run time (a runaway loop past the step bound, a division by zero)
-    when ``check`` explores or ``simulate`` runs it. An ``OSError``
-    names the file it failed on, which is then reported instead."""
+    when ``check`` explores, ``simulate`` runs or ``lint`` confirms
+    it. An ``OSError`` names the file it failed on, which is then
+    reported instead."""
     if isinstance(exc, OSError) and exc.filename is not None:
         print(f"{exc.filename}: {exc.strerror}", file=sys.stderr)
     else:
@@ -248,7 +251,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             )
             reports.append(report)
             exit_code = max(exit_code, report.exit_code)
-    except (*_SOURCE_ERRORS, *_READ_ERRORS) as exc:
+    except (*_SOURCE_ERRORS, *_READ_ERRORS, ExecutionError) as exc:
         return _file_error(token, exc)
     except (KeyError, ValueError) as exc:
         print(exc.args[0] if exc.args else exc, file=sys.stderr)

@@ -11,12 +11,12 @@ backwards slicer (which chases loaded values through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
 from repro.frontend import ast_nodes as ast
 from repro.ir.builder import IRBuilder
 from repro.ir.function import GlobalVar, Program
-from repro.ir.instructions import FenceKind, FenceOrigin, Store
+from repro.ir.instructions import FenceKind, FenceOrigin
 from repro.ir.values import Constant, GlobalRef, Register, Value
 from repro.ir.verifier import verify_program
 
@@ -33,6 +33,21 @@ class _LocalSlot:
     size: int
 
 
+class _ModuleScope:
+    """What the functions of one module share while they are lowered:
+    each global's size and its one ``GlobalRef``, each function's
+    parameter count, and one ``Constant`` per value. Operands are
+    immutable values, so instructions share them."""
+
+    __slots__ = ("global_sizes", "global_refs", "arities", "constants")
+
+    def __init__(self) -> None:
+        self.global_sizes: dict[str, int] = {}
+        self.global_refs: dict[str, GlobalRef] = {}
+        self.arities: dict[str, int] = {}
+        self.constants: dict[int, Constant] = {0: Constant(0)}
+
+
 class _LoopContext:
     """Break/continue targets for the innermost loop."""
 
@@ -44,14 +59,18 @@ class _LoopContext:
 
 
 class FunctionLowerer:
+    """Lowers one function. ``lower_stmt`` and ``lower_expr`` dispatch
+    on the node's class through ``_STMT_RULES`` and ``_EXPR_RULES``."""
+
     def __init__(
-        self,
-        func: ast.FuncDecl,
-        global_sizes: dict[str, int],
-        include_manual_fences: bool,
+        self, func: ast.FuncDecl, scope: _ModuleScope, include_manual_fences: bool
     ) -> None:
         self.decl = func
-        self.global_sizes = global_sizes
+        self.global_sizes = scope.global_sizes
+        self.global_refs = scope.global_refs
+        self.arities = scope.arities
+        self.constants = scope.constants
+        self.zero = scope.constants[0]
         self.include_manual_fences = include_manual_fences
         self.builder = IRBuilder(func.name, func.params)
         self.locals: dict[str, _LocalSlot] = {}
@@ -74,57 +93,64 @@ class FunctionLowerer:
             self.lower_stmt(stmt)
 
     def lower_stmt(self, stmt: ast.Stmt) -> None:
+        _STMT_RULES[type(stmt)](self, stmt)
+
+    def _lower_local(self, stmt: ast.LocalDecl) -> None:
+        if stmt.name in self.locals:
+            raise LoweringError(
+                f"line {stmt.line}: duplicate local {stmt.name!r} in {self.decl.name}"
+            )
+        if stmt.size < 1:
+            raise LoweringError(
+                f"line {stmt.line}: local array {stmt.name!r} has size {stmt.size}; "
+                "sizes must be >= 1"
+            )
+        slot = self.builder.alloca(stmt.size, var_name=stmt.name)
+        self.locals[stmt.name] = _LocalSlot(slot, stmt.size)
+        if stmt.init is not None:
+            self.builder.store(slot, self.lower_expr(stmt.init))
+
+    def _lower_assign(self, stmt: ast.Assign) -> None:
+        value = self.lower_expr(stmt.value)
+        addr = self.lower_address_of(stmt.target)
+        self.builder.store(addr, value)
+
+    def _lower_expr_stmt(self, stmt: ast.ExprStmt) -> None:
+        if type(stmt.expr) is ast.CallExpr:
+            self._lower_call(stmt.expr, returns=False)  # the result is unused
+        else:
+            self.lower_expr(stmt.expr)
+
+    def _lower_return(self, stmt: ast.Return) -> None:
         b = self.builder
-        if isinstance(stmt, ast.Block):
-            self.lower_block(stmt)
-        elif isinstance(stmt, ast.LocalDecl):
-            if stmt.name in self.locals:
-                raise LoweringError(
-                    f"line {stmt.line}: duplicate local {stmt.name!r} in "
-                    f"{self.decl.name}"
-                )
-            slot = b.alloca(stmt.size, var_name=stmt.name)
-            self.locals[stmt.name] = _LocalSlot(slot, stmt.size)
-            if stmt.init is not None:
-                b.store(slot, self.lower_expr(stmt.init))
-        elif isinstance(stmt, ast.Assign):
-            value = self.lower_expr(stmt.value)
-            addr = self.lower_address_of(stmt.target)
-            b.store(addr, value)
-        elif isinstance(stmt, ast.ExprStmt):
-            self.lower_expr(stmt.expr, discard=True)
-        elif isinstance(stmt, ast.If):
-            self._lower_if(stmt)
-        elif isinstance(stmt, ast.While):
-            self._lower_while(stmt)
-        elif isinstance(stmt, ast.For):
-            self._lower_for(stmt)
-        elif isinstance(stmt, ast.Return):
-            value = None if stmt.value is None else self.lower_expr(stmt.value)
-            b.ret(value)
-            b.new_block()  # dead continuation for any trailing statements
-        elif isinstance(stmt, ast.Break):
-            if not self.loop_stack:
-                raise LoweringError(f"line {stmt.line}: break outside loop")
-            b.jump(self.loop_stack[-1].break_label)
-            b.new_block()
-        elif isinstance(stmt, ast.Continue):
-            if not self.loop_stack:
-                raise LoweringError(f"line {stmt.line}: continue outside loop")
-            b.jump(self.loop_stack[-1].continue_label)
-            b.new_block()
-        elif isinstance(stmt, ast.FenceStmt):
-            if self.include_manual_fences:
-                kind = FenceKind.FULL if stmt.full else FenceKind.COMPILER
-                b.fence(kind, FenceOrigin.MANUAL, flavor=stmt.flavor)
-        elif isinstance(stmt, ast.AtomicStoreStmt):
-            value = self.lower_expr(stmt.value)
-            addr = self.lower_expr(stmt.addr)
-            b.store(addr, value, ordering=stmt.ordering)
-        elif isinstance(stmt, ast.ObserveStmt):
-            b.observe(stmt.label, self.lower_expr(stmt.expr))
-        else:  # pragma: no cover - parser produces no other nodes
-            raise LoweringError(f"unknown statement {type(stmt).__name__}")
+        value = None if stmt.value is None else self.lower_expr(stmt.value)
+        b.ret(value)
+        b.new_block()  # dead continuation for any trailing statements
+
+    def _lower_break(self, stmt: ast.Break) -> None:
+        if not self.loop_stack:
+            raise LoweringError(f"line {stmt.line}: break outside loop")
+        self.builder.jump(self.loop_stack[-1].break_label)
+        self.builder.new_block()
+
+    def _lower_continue(self, stmt: ast.Continue) -> None:
+        if not self.loop_stack:
+            raise LoweringError(f"line {stmt.line}: continue outside loop")
+        self.builder.jump(self.loop_stack[-1].continue_label)
+        self.builder.new_block()
+
+    def _lower_fence(self, stmt: ast.FenceStmt) -> None:
+        if self.include_manual_fences:
+            kind = FenceKind.FULL if stmt.full else FenceKind.COMPILER
+            self.builder.fence(kind, FenceOrigin.MANUAL, flavor=stmt.flavor)
+
+    def _lower_atomic_store(self, stmt: ast.AtomicStoreStmt) -> None:
+        value = self.lower_expr(stmt.value)
+        addr = self.lower_expr(stmt.addr)
+        self.builder.store(addr, value, ordering=stmt.ordering)
+
+    def _lower_observe(self, stmt: ast.ObserveStmt) -> None:
+        self.builder.observe(stmt.label, self.lower_expr(stmt.expr))
 
     def _lower_if(self, stmt: ast.If) -> None:
         b = self.builder
@@ -134,13 +160,15 @@ class FunctionLowerer:
         else_label = b.fresh_label("else") if stmt.els is not None else merge_label
         b.br(cond, then_label, else_label)
         b.set_block(b.function.add_block(then_label))
-        self.lower_block(stmt.then)
-        if not b.current.is_terminated():
+        for inner in stmt.then.stmts:
+            self.lower_stmt(inner)
+        if not b.terminated:
             b.jump(merge_label)
         if stmt.els is not None:
             b.set_block(b.function.add_block(else_label))
-            self.lower_block(stmt.els)
-            if not b.current.is_terminated():
+            for inner in stmt.els.stmts:
+                self.lower_stmt(inner)
+            if not b.terminated:
                 b.jump(merge_label)
         b.set_block(b.function.add_block(merge_label))
 
@@ -155,9 +183,10 @@ class FunctionLowerer:
         b.br(cond, body_label, exit_label)
         b.set_block(b.function.add_block(body_label))
         self.loop_stack.append(_LoopContext(header_label, exit_label))
-        self.lower_block(stmt.body)
+        for inner in stmt.body.stmts:
+            self.lower_stmt(inner)
         self.loop_stack.pop()
-        if not b.current.is_terminated():
+        if not b.terminated:
             b.jump(header_label)
         b.set_block(b.function.add_block(exit_label))
 
@@ -178,9 +207,10 @@ class FunctionLowerer:
             b.jump(body_label)
         b.set_block(b.function.add_block(body_label))
         self.loop_stack.append(_LoopContext(step_label, exit_label))
-        self.lower_block(stmt.body)
+        for inner in stmt.body.stmts:
+            self.lower_stmt(inner)
         self.loop_stack.pop()
-        if not b.current.is_terminated():
+        if not b.terminated:
             b.jump(step_label)
         b.set_block(b.function.add_block(step_label))
         if stmt.step is not None:
@@ -191,21 +221,21 @@ class FunctionLowerer:
     # --- addresses --------------------------------------------------------
     def lower_address_of(self, target: ast.Expr) -> Value:
         """Address of an lvalue (assignment target or ``&`` operand)."""
-        b = self.builder
-        if isinstance(target, ast.Var):
+        kind = type(target)
+        if kind is ast.Var:
             slot = self.locals.get(target.name)
             if slot is not None:
                 return slot.addr
             if target.name in self.global_sizes:
-                return GlobalRef(target.name)
+                return self.global_refs[target.name]
             raise LoweringError(
                 f"line {target.line}: undefined variable {target.name!r}"
             )
-        if isinstance(target, ast.Index):
+        if kind is ast.Index:
             base = self._lower_base_address(target.base)
             offset = self.lower_expr(target.index)
-            return b.gep(base, offset)
-        if isinstance(target, ast.Unary) and target.op == "*":
+            return self.builder.gep(base, offset)
+        if kind is ast.Unary and target.op == "*":
             return self.lower_expr(target.operand)
         raise LoweringError(f"line {target.line}: expression is not an lvalue")
 
@@ -215,92 +245,160 @@ class FunctionLowerer:
         An array *name* denotes its base address; anything else is a
         pointer-valued expression.
         """
-        if isinstance(base, ast.Var):
+        if type(base) is ast.Var:
             slot = self.locals.get(base.name)
             if slot is not None:
                 if slot.size > 1:
                     return slot.addr  # local array decays to its address
                 return self.builder.load(slot.addr)  # scalar holding a pointer
-            if base.name in self.global_sizes:
-                if self.global_sizes[base.name] > 1:
-                    return GlobalRef(base.name)
-                return self.builder.load(GlobalRef(base.name))
+            size = self.global_sizes.get(base.name)
+            if size is not None:
+                if size > 1:
+                    return self.global_refs[base.name]
+                return self.builder.load(self.global_refs[base.name])
             raise LoweringError(f"line {base.line}: undefined variable {base.name!r}")
         return self.lower_expr(base)
 
     # --- expressions ----------------------------------------------------------
-    def lower_expr(self, expr: ast.Expr, discard: bool = False) -> Value:
+    def lower_expr(self, expr: ast.Expr) -> Value:
+        return _EXPR_RULES[type(expr)](self, expr)
+
+    def _lower_num(self, expr: ast.Num) -> Value:
+        const = self.constants.get(expr.value)
+        if const is None:
+            const = self.constants[expr.value] = Constant(expr.value)
+        return const
+
+    def _lower_var(self, expr: ast.Var) -> Value:
+        slot = self.locals.get(expr.name)
+        if slot is not None:
+            if slot.size > 1:
+                return slot.addr  # array decays to pointer
+            return self.builder.load(slot.addr)
+        size = self.global_sizes.get(expr.name)
+        if size is not None:
+            if size > 1:
+                return self.global_refs[expr.name]
+            return self.builder.load(self.global_refs[expr.name])
+        raise LoweringError(f"line {expr.line}: undefined variable {expr.name!r}")
+
+    def _lower_unary(self, expr: ast.Unary) -> Value:
         b = self.builder
-        if isinstance(expr, ast.Num):
-            return Constant(expr.value)
-        if isinstance(expr, ast.Var):
-            slot = self.locals.get(expr.name)
-            if slot is not None:
-                if slot.size > 1:
-                    return slot.addr  # array decays to pointer
-                return b.load(slot.addr)
-            if expr.name in self.global_sizes:
-                if self.global_sizes[expr.name] > 1:
-                    return GlobalRef(expr.name)
-                return b.load(GlobalRef(expr.name))
-            raise LoweringError(f"line {expr.line}: undefined variable {expr.name!r}")
-        if isinstance(expr, ast.Unary):
-            if expr.op == "&":
-                return self.lower_address_of(expr.operand)
-            if expr.op == "*":
-                return b.load(self.lower_expr(expr.operand))
-            if expr.op == "-":
-                return b.binop("-", Constant(0), self.lower_expr(expr.operand))
-            if expr.op == "!":
-                return b.cmp("==", self.lower_expr(expr.operand), Constant(0))
-            raise LoweringError(f"line {expr.line}: unknown unary op {expr.op!r}")
-        if isinstance(expr, ast.Binary):
-            return self._lower_binary(expr)
-        if isinstance(expr, ast.Index):
-            base = self._lower_base_address(expr.base)
-            offset = self.lower_expr(expr.index)
-            return b.load(b.gep(base, offset))
-        if isinstance(expr, ast.CallExpr):
-            return b.call(expr.callee, [self.lower_expr(a) for a in expr.args],
-                          returns=not discard) or Constant(0)
-        if isinstance(expr, ast.CasExpr):
-            return b.cmpxchg(
-                self.lower_expr(expr.addr),
-                self.lower_expr(expr.expected),
-                self.lower_expr(expr.new),
+        op = expr.op
+        if op == "&":
+            return self.lower_address_of(expr.operand)
+        if op == "*":
+            return b.load(self.lower_expr(expr.operand))
+        if op == "-":
+            return b.binop("-", self.zero, self.lower_expr(expr.operand))
+        if op == "!":
+            return b.cmp("==", self.lower_expr(expr.operand), self.zero)
+        raise LoweringError(f"line {expr.line}: unknown unary op {op!r}")
+
+    def _lower_index(self, expr: ast.Index) -> Value:
+        base = self._lower_base_address(expr.base)
+        offset = self.lower_expr(expr.index)
+        b = self.builder
+        return b.load(b.gep(base, offset))
+
+    def _lower_call_expr(self, expr: ast.CallExpr) -> Value:
+        return self._lower_call(expr, returns=True)
+
+    def _lower_call(self, expr: ast.CallExpr, returns: bool) -> Optional[Register]:
+        arity = self.arities.get(expr.callee)
+        if arity is not None and arity != len(expr.args):
+            raise LoweringError(
+                f"line {expr.line}: call to {expr.callee!r} passes "
+                f"{len(expr.args)} arguments for {arity} parameters"
             )
-        if isinstance(expr, ast.XchgExpr):
-            return b.xchg(self.lower_expr(expr.addr), self.lower_expr(expr.value))
-        if isinstance(expr, ast.FaddExpr):
-            return b.fetch_add(self.lower_expr(expr.addr), self.lower_expr(expr.value))
-        if isinstance(expr, ast.AtomicLoadExpr):
-            return b.load(self.lower_expr(expr.addr), ordering=expr.ordering)
-        raise LoweringError(f"unknown expression {type(expr).__name__}")
+        args = [self.lower_expr(a) for a in expr.args]
+        return self.builder.call(expr.callee, args, returns=returns)
+
+    def _lower_cas(self, expr: ast.CasExpr) -> Value:
+        return self.builder.cmpxchg(
+            self.lower_expr(expr.addr),
+            self.lower_expr(expr.expected),
+            self.lower_expr(expr.new),
+        )
+
+    def _lower_xchg(self, expr: ast.XchgExpr) -> Value:
+        return self.builder.xchg(self.lower_expr(expr.addr), self.lower_expr(expr.value))
+
+    def _lower_fadd(self, expr: ast.FaddExpr) -> Value:
+        return self.builder.fetch_add(self.lower_expr(expr.addr), self.lower_expr(expr.value))
+
+    def _lower_atomic_load(self, expr: ast.AtomicLoadExpr) -> Value:
+        return self.builder.load(self.lower_expr(expr.addr), ordering=expr.ordering)
 
     def _lower_binary(self, expr: ast.Binary) -> Value:
         # ``a + b + c + ...`` parses left-deep with no nesting limit:
         # walk the left spine in a loop, emitting the same instructions
         # in the same order as recursing on ``lhs`` would.
-        spine = [expr]
-        while isinstance(spine[-1].lhs, ast.Binary):
-            spine.append(spine[-1].lhs)
-        value = self.lower_expr(spine[-1].lhs)
+        spine = []
+        while type(expr) is ast.Binary:
+            spine.append(expr)
+            expr = expr.lhs
+        b = self.builder
+        value = self.lower_expr(expr)
         for node in reversed(spine):
-            value = self._combine(node.op, value, self.lower_expr(node.rhs))
+            op = node.op
+            rhs = self.lower_expr(node.rhs)
+            if op in _CMP_OPS:
+                value = b.cmp(op, value, rhs)
+            elif op == "&&" or op == "||":
+                # Non-short-circuit logical ops: normalize to 0/1 and
+                # combine. Sufficient for the workloads (conditions are
+                # side-effect free) and keeps the CFG simple for the
+                # analyses.
+                lhs_bool = b.cmp("!=", value, self.zero)
+                rhs_bool = b.cmp("!=", rhs, self.zero)
+                value = b.binop("&" if op == "&&" else "|", lhs_bool, rhs_bool)
+            else:
+                value = b.binop(op, value, rhs)
         return value
 
-    def _combine(self, op: str, lhs: Value, rhs: Value) -> Value:
-        b = self.builder
-        if op in ("&&", "||"):
-            # Non-short-circuit logical ops: normalize to 0/1 and combine.
-            # Sufficient for the workloads (conditions are side-effect
-            # free) and keeps the CFG simple for the analyses.
-            lhs_bool = b.cmp("!=", lhs, Constant(0))
-            rhs_bool = b.cmp("!=", rhs, Constant(0))
-            return b.binop("&" if op == "&&" else "|", lhs_bool, rhs_bool)
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            return b.cmp(op, lhs, rhs)
-        return b.binop(op, lhs, rhs)
+
+_CMP_OPS = frozenset(("==", "!=", "<", "<=", ">", ">="))
+
+class _Rules(dict):
+    """Lowering rules by node class; a class without one is an error."""
+
+    def __init__(self, what: str, rules: dict) -> None:
+        super().__init__(rules)
+        self.what = what
+
+    def __missing__(self, kind: type) -> NoReturn:
+        raise LoweringError(f"unknown {self.what} {kind.__name__}")
+
+
+_STMT_RULES = _Rules("statement", {
+    ast.Block: FunctionLowerer.lower_block,
+    ast.LocalDecl: FunctionLowerer._lower_local,
+    ast.Assign: FunctionLowerer._lower_assign,
+    ast.ExprStmt: FunctionLowerer._lower_expr_stmt,
+    ast.If: FunctionLowerer._lower_if,
+    ast.While: FunctionLowerer._lower_while,
+    ast.For: FunctionLowerer._lower_for,
+    ast.Return: FunctionLowerer._lower_return,
+    ast.Break: FunctionLowerer._lower_break,
+    ast.Continue: FunctionLowerer._lower_continue,
+    ast.FenceStmt: FunctionLowerer._lower_fence,
+    ast.AtomicStoreStmt: FunctionLowerer._lower_atomic_store,
+    ast.ObserveStmt: FunctionLowerer._lower_observe,
+})
+
+_EXPR_RULES = _Rules("expression", {
+    ast.Num: FunctionLowerer._lower_num,
+    ast.Var: FunctionLowerer._lower_var,
+    ast.Unary: FunctionLowerer._lower_unary,
+    ast.Binary: FunctionLowerer._lower_binary,
+    ast.Index: FunctionLowerer._lower_index,
+    ast.CallExpr: FunctionLowerer._lower_call_expr,
+    ast.CasExpr: FunctionLowerer._lower_cas,
+    ast.XchgExpr: FunctionLowerer._lower_xchg,
+    ast.FaddExpr: FunctionLowerer._lower_fadd,
+    ast.AtomicLoadExpr: FunctionLowerer._lower_atomic_load,
+})
 
 
 def lower_module(
@@ -308,17 +406,43 @@ def lower_module(
     name: str = "program",
     include_manual_fences: bool = False,
 ) -> Program:
-    """Lower a parsed module to a verified, finalized IR program."""
+    """Lower a parsed module to a verified, finalized IR program.
+
+    Raises :class:`LoweringError` (``line N: ...``) on a duplicate
+    global or function, an array of size below 1, a global initializer
+    taking the address of an undeclared global, or a call whose
+    argument count differs from the callee's parameters.
+    """
     program = Program(name)
-    global_sizes: dict[str, int] = {}
+    scope = _ModuleScope()
+    global_sizes = scope.global_sizes
     for g in module.globals:
+        if g.name in global_sizes:
+            raise LoweringError(f"line {g.line}: duplicate global {g.name!r}")
+        if g.size < 1:
+            raise LoweringError(
+                f"line {g.line}: global array {g.name!r} has size {g.size}; "
+                "sizes must be >= 1"
+            )
         program.add_global(GlobalVar(g.name, g.size, tuple(g.init)))
         global_sizes[g.name] = g.size
+        scope.global_refs[g.name] = GlobalRef(g.name)
+    for g in module.globals:
+        for entry in g.init:
+            if isinstance(entry, tuple) and entry[1] not in global_sizes:
+                raise LoweringError(
+                    f"line {g.line}: initializer of {g.name!r} takes the address "
+                    f"of undeclared global {entry[1]!r}"
+                )
     for f in module.functions:
-        lowerer = FunctionLowerer(f, global_sizes, include_manual_fences)
-        program.add_function(lowerer.lower())
+        if f.name in scope.arities:
+            raise LoweringError(f"line {f.line}: duplicate function {f.name!r}")
+        scope.arities[f.name] = len(f.params)
+    for f in module.functions:
+        # ``build`` finalizes each function, so the program needs no
+        # ``finalize`` of its own.
+        program.add_function(FunctionLowerer(f, scope, include_manual_fences).lower())
     for t in module.threads:
         program.add_thread(t.func_name, t.args)
-    program.finalize()
     verify_program(program)
     return program

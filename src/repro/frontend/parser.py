@@ -13,14 +13,23 @@ Grammar (informal):
     expr     := precedence-climbing over || && | ^ & == != < <= > >=
                 << >> + - * / % with unary - ! * & and postfix [..] (..)
                 and atomic_load "(" expr "," IDENT ")"
+
+The parser reads ``scan``'s parallel token lists (kinds, texts, line
+numbers) by index, with one lookahead slot: ``text``, the text of the
+token at ``pos``. In those lists an operator's or keyword's text
+belongs to no other kind (string literals keep their quotes), so
+``text == "("`` alone recognizes the operator. The kind and line are
+read from their lists where a rule or an error needs them. The hot
+rules (expressions and the statement dispatch) test the slot inline
+and step ``pos`` themselves.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NoReturn, Optional
 
 from repro.frontend import ast_nodes as ast
-from repro.frontend.lexer import Token, tokenize
+from repro.frontend.lexer import scan
 
 
 class ParseError(Exception):
@@ -63,82 +72,112 @@ _PRECEDENCE = {
 
 
 class Parser:
+    """Recursive descent over ``scan``'s token lists, read by index.
+
+    ``text`` is the one lookahead slot: always ``texts[pos]``. The
+    lists end in an ``eof`` token (text ``""``) that no rule consumes,
+    so ``pos`` never runs past it.
+    """
+
     def __init__(self, source: str) -> None:
-        self.tokens = tokenize(source)
+        self.kinds, self.texts, self.lines = scan(source)
         self.pos = 0
+        self.text = self.texts[0]
         self.depth = 0  # current nesting, bounded by MAX_NESTING
 
     # --- token helpers -------------------------------------------------
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def advance(self) -> int:
+        """Consume the lookahead token (unless it is ``eof``); its index."""
+        pos = self.pos
+        if self.text != "":
+            self.pos = pos + 1
+            self.text = self.texts[pos + 1]
+        return pos
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def accept(self, text: str) -> bool:
+        """Consume the operator or keyword ``text`` if it is next."""
+        if self.text == text:
+            pos = self.pos + 1
+            self.pos = pos
+            self.text = self.texts[pos]
+            return True
+        return False
 
-    def check(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
+    def expect(self, text: str) -> int:
+        """Consume the operator or keyword ``text``; its index."""
+        pos = self.pos
+        if self.text != text:
+            self._expected(text)
+        self.pos = pos + 1
+        self.text = self.texts[pos + 1]
+        return pos
 
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self.check(kind, text):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if not self.check(kind, text):
-            want = text or kind
-            raise ParseError(f"line {tok.line}: expected {want!r}, got {tok.text!r}")
+    def expect_kind(self, kind: str) -> int:
+        """Consume an identifier, number or string; its index."""
+        if self.kinds[self.pos] != kind:
+            self._expected(kind)
         return self.advance()
+
+    def shown(self, pos: int) -> str:
+        """Token ``pos`` as error messages quote it (a string literal
+        without its quotes)."""
+        text = self.texts[pos]
+        return text[1:-1] if self.kinds[pos] == "str" else text
+
+    def _expected(self, want: str) -> NoReturn:
+        raise ParseError(
+            f"line {self.lines[self.pos]}: expected {want!r}, got {self.shown(self.pos)!r}"
+        )
 
     def enter(self) -> None:
         """Open one nesting level (callers close it with
         ``self.depth -= 1``)."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(
-                f"line {self.peek().line}: nesting deeper than "
-                f"{MAX_NESTING} levels"
-            )
+            self._too_deep()
+
+    def _too_deep(self) -> NoReturn:
+        raise ParseError(
+            f"line {self.lines[self.pos]}: nesting deeper than {MAX_NESTING} levels"
+        )
 
     # --- top level --------------------------------------------------------
     def parse_module(self) -> ast.Module:
         globals_: list[ast.GlobalDecl] = []
         functions: list[ast.FuncDecl] = []
         threads: list[ast.ThreadDecl] = []
-        start_line = self.peek().line
-        while not self.check("eof"):
-            if self.check("kw", "global"):
+        start_line = self.lines[0]
+        while True:
+            text = self.text
+            if text == "global":
                 globals_.append(self.parse_global())
-            elif self.check("kw", "fn"):
+            elif text == "fn":
                 functions.append(self.parse_function())
-            elif self.check("kw", "thread"):
+            elif text == "thread":
                 threads.append(self.parse_thread())
+            elif text == "":
+                return ast.Module(start_line, tuple(globals_), tuple(functions), tuple(threads))
             else:
-                tok = self.peek()
                 raise ParseError(
-                    f"line {tok.line}: expected global/fn/thread, got {tok.text!r}"
+                    f"line {self.lines[self.pos]}: expected global/fn/thread, "
+                    f"got {self.shown(self.pos)!r}"
                 )
-        return ast.Module(start_line, tuple(globals_), tuple(functions), tuple(threads))
 
     def parse_global(self) -> ast.GlobalDecl:
-        line = self.expect("kw", "global").line
-        self.accept("kw", "int")  # optional noise word
-        name = self.expect("ident").text
+        line = self.lines[self.expect("global")]
+        self.accept("int")  # optional noise word
+        name = self.texts[self.expect_kind("ident")]
         size = 1
-        if self.accept("op", "["):
+        if self.accept("["):
             size = self._parse_int_literal()
-            self.expect("op", "]")
+            self.expect("]")
         init: tuple[object, ...] = tuple([0] * size)
-        if self.accept("op", "="):
-            if self.accept("op", "{"):
+        if self.accept("="):
+            if self.accept("{"):
                 values = [self._parse_init_value()]
-                while self.accept("op", ","):
+                while self.accept(","):
                     values.append(self._parse_init_value())
-                self.expect("op", "}")
+                self.expect("}")
                 if len(values) != size:
                     raise ParseError(
                         f"line {line}: {len(values)} initializers for size {size}"
@@ -147,307 +186,335 @@ class Parser:
             else:
                 value = self._parse_init_value()
                 init = tuple([value] * size) if size > 1 else (value,)
-        self.expect("op", ";")
+        self.expect(";")
         return ast.GlobalDecl(line, name, size, init)
 
     def parse_function(self) -> ast.FuncDecl:
-        line = self.expect("kw", "fn").line
-        name = self.expect("ident").text
-        self.expect("op", "(")
+        line = self.lines[self.expect("fn")]
+        name = self.texts[self.expect_kind("ident")]
+        self.expect("(")
         params: list[str] = []
-        if not self.check("op", ")"):
-            self.accept("kw", "int")
-            params.append(self.expect("ident").text)
-            while self.accept("op", ","):
-                self.accept("kw", "int")
-                params.append(self.expect("ident").text)
-        self.expect("op", ")")
+        if self.text != ")":
+            self.accept("int")
+            params.append(self.texts[self.expect_kind("ident")])
+            while self.accept(","):
+                self.accept("int")
+                params.append(self.texts[self.expect_kind("ident")])
+        self.expect(")")
         body = self.parse_block()
         return ast.FuncDecl(line, name, tuple(params), body)
 
     def parse_thread(self) -> ast.ThreadDecl:
-        line = self.expect("kw", "thread").line
-        name = self.expect("ident").text
-        self.expect("op", "(")
+        line = self.lines[self.expect("thread")]
+        name = self.texts[self.expect_kind("ident")]
+        self.expect("(")
         args: list[int] = []
-        if not self.check("op", ")"):
+        if self.text != ")":
             args.append(self._parse_signed_int())
-            while self.accept("op", ","):
+            while self.accept(","):
                 args.append(self._parse_signed_int())
-        self.expect("op", ")")
-        self.expect("op", ";")
+        self.expect(")")
+        self.expect(";")
         return ast.ThreadDecl(line, name, tuple(args))
 
     def _parse_int_literal(self) -> int:
-        tok = self.expect("num")
+        i = self.expect_kind("num")
         try:
-            return int(tok.text, 0)
+            return int(self.texts[i], 0)
         except ValueError:
-            raise ParseError(f"line {tok.line}: bad integer {tok.text!r}") from None
+            raise ParseError(
+                f"line {self.lines[i]}: bad integer {self.texts[i]!r}"
+            ) from None
 
     def _parse_signed_int(self) -> int:
-        if self.accept("op", "-"):
+        if self.accept("-"):
             return -self._parse_int_literal()
         return self._parse_int_literal()
 
     def _parse_init_value(self) -> object:
         """An integer, or ``&name`` (address of a global) in an initializer."""
-        if self.accept("op", "&"):
-            return ("&", self.expect("ident").text)
+        if self.accept("&"):
+            return ("&", self.texts[self.expect_kind("ident")])
         return self._parse_signed_int()
 
     # --- statements --------------------------------------------------------
     def parse_block(self) -> ast.Block:
-        tok = self.expect("op", "{")
+        line = self.lines[self.expect("{")]
         self.enter()
         stmts: list[ast.Stmt] = []
-        while not self.check("op", "}"):
-            stmts.append(self.parse_statement())
-        self.expect("op", "}")
+        parse_statement = self.parse_statement
+        while self.text != "}":
+            stmts.append(parse_statement())
+        self.expect("}")
         self.depth -= 1
-        return ast.Block(tok.line, tuple(stmts))
+        return ast.Block(line, tuple(stmts))
 
     def parse_statement(self) -> ast.Stmt:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "{":
+        text = self.text
+        rule = _KEYWORD_STATEMENTS.get(text)
+        if rule is not None:
+            return rule(self)
+        if text == "{":
             return self.parse_block()
-        if tok.kind == "kw":
-            if tok.text == "local":
-                return self.parse_local()
-            if tok.text == "if":
-                return self.parse_if()
-            if tok.text == "while":
-                return self.parse_while()
-            if tok.text == "for":
-                return self.parse_for()
-            if tok.text == "return":
-                self.advance()
-                value = None
-                if not self.check("op", ";"):
-                    value = self.parse_expression()
-                self.expect("op", ";")
-                return ast.Return(tok.line, value)
-            if tok.text == "break":
-                self.advance()
-                self.expect("op", ";")
-                return ast.Break(tok.line)
-            if tok.text == "continue":
-                self.advance()
-                self.expect("op", ";")
-                return ast.Continue(tok.line)
-            if tok.text == "fence":
-                self.advance()
-                flavor = None
-                if self.check("ident"):
-                    flavor = self.advance().text
-                self.expect("op", ";")
-                return ast.FenceStmt(tok.line, full=True, flavor=flavor)
-            if tok.text == "cfence":
-                self.advance()
-                self.expect("op", ";")
-                return ast.FenceStmt(tok.line, full=False)
-            if tok.text == "observe":
-                self.advance()
-                self.expect("op", "(")
-                label = self.expect("str").text
-                self.expect("op", ",")
-                expr = self.parse_expression()
-                self.expect("op", ")")
-                self.expect("op", ";")
-                return ast.ObserveStmt(tok.line, label, expr)
-            if tok.text == "atomic_store":
-                self.advance()
-                self.expect("op", "(")
-                addr = self.parse_expression()
-                self.expect("op", ",")
-                value = self.parse_expression()
-                self.expect("op", ",")
-                ordering = self._parse_qualifier(_STORE_QUALIFIERS)
-                self.expect("op", ")")
-                self.expect("op", ";")
-                return ast.AtomicStoreStmt(tok.line, addr, value, ordering)
-        return self.parse_simple_statement()
+        return self._parse_assign_or_expr(consume_semi=True)
+
+    def _parse_return(self) -> ast.Return:
+        line = self.lines[self.advance()]
+        value = None
+        if self.text != ";":
+            value = self.parse_expression()
+        self.expect(";")
+        return ast.Return(line, value)
+
+    def _parse_break(self) -> ast.Break:
+        line = self.lines[self.advance()]
+        self.expect(";")
+        return ast.Break(line)
+
+    def _parse_continue(self) -> ast.Continue:
+        line = self.lines[self.advance()]
+        self.expect(";")
+        return ast.Continue(line)
+
+    def _parse_fence(self) -> ast.FenceStmt:
+        line = self.lines[self.advance()]
+        flavor = None
+        if self.kinds[self.pos] == "ident":
+            flavor = self.texts[self.advance()]
+        self.expect(";")
+        return ast.FenceStmt(line, True, flavor)
+
+    def _parse_cfence(self) -> ast.FenceStmt:
+        line = self.lines[self.advance()]
+        self.expect(";")
+        return ast.FenceStmt(line, False)
+
+    def _parse_observe(self) -> ast.ObserveStmt:
+        line = self.lines[self.advance()]
+        self.expect("(")
+        label = self.shown(self.expect_kind("str"))
+        self.expect(",")
+        expr = self.parse_expression()
+        self.expect(")")
+        self.expect(";")
+        return ast.ObserveStmt(line, label, expr)
+
+    def _parse_atomic_store(self) -> ast.AtomicStoreStmt:
+        line = self.lines[self.advance()]
+        self.expect("(")
+        addr = self.parse_expression()
+        self.expect(",")
+        value = self.parse_expression()
+        self.expect(",")
+        ordering = self._parse_qualifier(_STORE_QUALIFIERS)
+        self.expect(")")
+        self.expect(";")
+        return ast.AtomicStoreStmt(line, addr, value, ordering)
 
     def _parse_qualifier(self, allowed: tuple[str, ...]) -> str:
-        tok = self.expect("ident")
-        if tok.text not in allowed:
+        i = self.expect_kind("ident")
+        text = self.texts[i]
+        if text not in allowed:
             raise ParseError(
-                f"line {tok.line}: bad ordering qualifier {tok.text!r} "
+                f"line {self.lines[i]}: bad ordering qualifier {text!r} "
                 f"(want one of {', '.join(allowed)})"
             )
-        return tok.text
+        return text
 
     def parse_local(self) -> ast.LocalDecl:
-        line = self.expect("kw", "local").line
-        self.accept("kw", "int")
-        name = self.expect("ident").text
+        line = self.lines[self.expect("local")]
+        self.accept("int")
+        name = self.texts[self.expect_kind("ident")]
         size = 1
         init: Optional[ast.Expr] = None
-        if self.accept("op", "["):
+        if self.accept("["):
             size = self._parse_int_literal()
-            self.expect("op", "]")
-        elif self.accept("op", "="):
+            self.expect("]")
+        elif self.accept("="):
             init = self.parse_expression()
-        self.expect("op", ";")
+        self.expect(";")
         return ast.LocalDecl(line, name, size, init)
 
     def parse_if(self) -> ast.If:
-        tok = self.expect("kw", "if")
+        line = self.lines[self.expect("if")]
         self.enter()
-        self.expect("op", "(")
+        self.expect("(")
         cond = self.parse_expression()
-        self.expect("op", ")")
+        self.expect(")")
         then = self._block_or_single()
         els: Optional[ast.Block] = None
-        if self.accept("kw", "else"):
-            if self.check("kw", "if"):
+        if self.accept("else"):
+            if self.text == "if":
                 nested = self.parse_if()
                 els = ast.Block(nested.line, (nested,))
             else:
                 els = self._block_or_single()
         self.depth -= 1
-        return ast.If(tok.line, cond, then, els)
+        return ast.If(line, cond, then, els)
 
     def parse_while(self) -> ast.While:
-        tok = self.expect("kw", "while")
+        line = self.lines[self.expect("while")]
         self.enter()
-        self.expect("op", "(")
+        self.expect("(")
         cond = self.parse_expression()
-        self.expect("op", ")")
-        if self.accept("op", ";"):  # busy-wait: while (e);
-            body = ast.Block(tok.line, ())
+        self.expect(")")
+        if self.accept(";"):  # busy-wait: while (e);
+            body = ast.Block(line, ())
         else:
             body = self._block_or_single()
         self.depth -= 1
-        return ast.While(tok.line, cond, body)
+        return ast.While(line, cond, body)
 
     def parse_for(self) -> ast.For:
-        tok = self.expect("kw", "for")
+        line = self.lines[self.expect("for")]
         self.enter()
-        self.expect("op", "(")
+        self.expect("(")
         init: Optional[ast.Stmt] = None
-        if not self.check("op", ";"):
+        if self.text != ";":
             init = self._parse_assign_or_expr(consume_semi=False)
-        self.expect("op", ";")
+        self.expect(";")
         cond: Optional[ast.Expr] = None
-        if not self.check("op", ";"):
+        if self.text != ";":
             cond = self.parse_expression()
-        self.expect("op", ";")
+        self.expect(";")
         step: Optional[ast.Stmt] = None
-        if not self.check("op", ")"):
+        if self.text != ")":
             step = self._parse_assign_or_expr(consume_semi=False)
-        self.expect("op", ")")
+        self.expect(")")
         body = self._block_or_single()
         self.depth -= 1
-        return ast.For(tok.line, init, cond, step, body)
+        return ast.For(line, init, cond, step, body)
 
     def _block_or_single(self) -> ast.Block:
-        if self.check("op", "{"):
+        if self.text == "{":
             return self.parse_block()
         stmt = self.parse_statement()
         return ast.Block(stmt.line, (stmt,))
 
-    def parse_simple_statement(self) -> ast.Stmt:
-        return self._parse_assign_or_expr(consume_semi=True)
-
     def _parse_assign_or_expr(self, consume_semi: bool) -> ast.Stmt:
-        line = self.peek().line
+        line = self.lines[self.pos]
         expr = self.parse_expression()
-        if self.accept("op", "="):
+        if self.accept("="):
             value = self.parse_expression()
             if consume_semi:
-                self.expect("op", ";")
+                self.expect(";")
             if not isinstance(expr, (ast.Var, ast.Index)) and not (
                 isinstance(expr, ast.Unary) and expr.op == "*"
             ):
                 raise ParseError(f"line {line}: invalid assignment target")
             return ast.Assign(line, expr, value)
         if consume_semi:
-            self.expect("op", ";")
+            self.expect(";")
         return ast.ExprStmt(line, expr)
 
     # --- expressions -----------------------------------------------------------
     def parse_expression(self, min_prec: int = 1) -> ast.Expr:
-        self.enter()
+        self.depth += 1  # ``enter``, inlined on the hottest rule
+        if self.depth > MAX_NESTING:
+            self._too_deep()
         lhs = self.parse_unary()
-        while True:
-            tok = self.peek()
-            if tok.kind != "op":
-                break
-            prec = _PRECEDENCE.get(tok.text)
-            if prec is None or prec < min_prec:
-                break
-            self.advance()
+        op = self.text
+        prec = _PRECEDENCE.get(op)
+        while prec is not None and prec >= min_prec:
+            pos = self.pos + 1
+            self.pos = pos
+            self.text = self.texts[pos]
             rhs = self.parse_expression(prec + 1)
-            lhs = ast.Binary(tok.line, tok.text, lhs, rhs)
+            lhs = ast.Binary(self.lines[pos - 1], op, lhs, rhs)
+            op = self.text
+            prec = _PRECEDENCE.get(op)
         self.depth -= 1
         return lhs
 
     def parse_unary(self) -> ast.Expr:
         """Prefix operators, then a primary with postfix indexing."""
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in _PREFIX_OPS:
-            self.advance()
+        op = self.text
+        if op in _PREFIX_OPS:
+            line = self.lines[self.advance()]
             self.enter()
             operand = self.parse_unary()
             self.depth -= 1
-            return ast.Unary(tok.line, tok.text, operand)
+            return ast.Unary(line, op, operand)
         expr = self.parse_primary()
-        while self.accept("op", "["):
+        while self.text == "[":
+            self.advance()
             index = self.parse_expression()
-            self.expect("op", "]")
-            expr = ast.Index(self.peek().line, expr, index)
+            self.expect("]")
+            expr = ast.Index(self.lines[self.pos], expr, index)
         return expr
 
     def parse_primary(self) -> ast.Expr:
-        tok = self.peek()
-        if tok.kind == "num":
+        pos = self.pos
+        kind = self.kinds[pos]
+        text = self.text
+        line = self.lines[pos]
+        if kind == "ident":
+            pos += 1
+            if self.texts[pos] != "(":  # a variable
+                self.pos = pos
+                self.text = self.texts[pos]
+                return ast.Var(line, text)
+            self.pos = pos + 1  # a call: past the name and "("
+            self.text = self.texts[pos + 1]
+            args: list[ast.Expr] = []
+            if self.text != ")":
+                args.append(self.parse_expression())
+                while self.accept(","):
+                    args.append(self.parse_expression())
+            self.expect(")")
+            return ast.CallExpr(line, text, tuple(args))
+        if kind == "num":
             self.advance()
             try:
-                return ast.Num(tok.line, int(tok.text, 0))
+                return ast.Num(line, int(text, 0))
             except ValueError:
-                raise ParseError(f"line {tok.line}: bad integer {tok.text!r}") from None
-        if tok.kind == "kw" and tok.text in ("cas", "xchg", "fadd"):
-            self.advance()
-            self.expect("op", "(")
-            args = [self.parse_expression()]
-            while self.accept("op", ","):
-                args.append(self.parse_expression())
-            self.expect("op", ")")
-            if tok.text == "cas":
-                if len(args) != 3:
-                    raise ParseError(f"line {tok.line}: cas takes 3 arguments")
-                return ast.CasExpr(tok.line, args[0], args[1], args[2])
-            if len(args) != 2:
-                raise ParseError(f"line {tok.line}: {tok.text} takes 2 arguments")
-            if tok.text == "xchg":
-                return ast.XchgExpr(tok.line, args[0], args[1])
-            return ast.FaddExpr(tok.line, args[0], args[1])
-        if tok.kind == "kw" and tok.text == "atomic_load":
-            self.advance()
-            self.expect("op", "(")
-            addr = self.parse_expression()
-            self.expect("op", ",")
-            ordering = self._parse_qualifier(_LOAD_QUALIFIERS)
-            self.expect("op", ")")
-            return ast.AtomicLoadExpr(tok.line, addr, ordering)
-        if tok.kind == "ident":
-            self.advance()
-            if self.accept("op", "("):
-                args: list[ast.Expr] = []
-                if not self.check("op", ")"):
-                    args.append(self.parse_expression())
-                    while self.accept("op", ","):
-                        args.append(self.parse_expression())
-                self.expect("op", ")")
-                return ast.CallExpr(tok.line, tok.text, tuple(args))
-            return ast.Var(tok.line, tok.text)
-        if tok.kind == "op" and tok.text == "(":
+                raise ParseError(f"line {line}: bad integer {text!r}") from None
+        if text == "(":
             self.advance()
             expr = self.parse_expression()
-            self.expect("op", ")")
+            self.expect(")")
             return expr
-        raise ParseError(f"line {tok.line}: unexpected token {tok.text!r}")
+        if text in ("cas", "xchg", "fadd"):
+            self.advance()
+            self.expect("(")
+            rmw_args = [self.parse_expression()]
+            while self.accept(","):
+                rmw_args.append(self.parse_expression())
+            self.expect(")")
+            if text == "cas":
+                if len(rmw_args) != 3:
+                    raise ParseError(f"line {line}: cas takes 3 arguments")
+                return ast.CasExpr(line, rmw_args[0], rmw_args[1], rmw_args[2])
+            if len(rmw_args) != 2:
+                raise ParseError(f"line {line}: {text} takes 2 arguments")
+            if text == "xchg":
+                return ast.XchgExpr(line, rmw_args[0], rmw_args[1])
+            return ast.FaddExpr(line, rmw_args[0], rmw_args[1])
+        if text == "atomic_load":
+            self.advance()
+            self.expect("(")
+            addr = self.parse_expression()
+            self.expect(",")
+            ordering = self._parse_qualifier(_LOAD_QUALIFIERS)
+            self.expect(")")
+            return ast.AtomicLoadExpr(line, addr, ordering)
+        raise ParseError(f"line {line}: unexpected token {self.shown(pos)!r}")
+
+
+#: The statements that start with a keyword, by that keyword.
+_KEYWORD_STATEMENTS = {
+    "local": Parser.parse_local,
+    "if": Parser.parse_if,
+    "while": Parser.parse_while,
+    "for": Parser.parse_for,
+    "return": Parser._parse_return,
+    "break": Parser._parse_break,
+    "continue": Parser._parse_continue,
+    "fence": Parser._parse_fence,
+    "cfence": Parser._parse_cfence,
+    "observe": Parser._parse_observe,
+    "atomic_store": Parser._parse_atomic_store,
+}
 
 
 def parse(source: str) -> ast.Module:

@@ -34,7 +34,14 @@ from repro.ir.values import Constant, GlobalRef, Register, Value
 
 
 class IRBuilder:
-    """Builds one function; tracks the current insertion block."""
+    """Builds one function; tracks the current insertion block.
+
+    ``terminated`` says whether the current block already ends in a
+    terminator. The builder keeps it up to date through ``set_block``
+    and its own ``br``/``jump``/``ret``, so appending costs no look at
+    the block's last instruction; an instruction appended to the block
+    directly (``builder.current.append``) must not be a terminator.
+    """
 
     def __init__(self, name: str, param_names: Sequence[str] = ()) -> None:
         self._reg_counter = 0
@@ -42,12 +49,13 @@ class IRBuilder:
         params = tuple(Register(p) for p in param_names)
         self.function = Function(name, params)
         self.current: Optional[BasicBlock] = None
+        self.terminated = False
 
     # --- registers, labels, blocks ---------------------------------------
     def fresh_reg(self, hint: str = "") -> Register:
-        name = f"{hint}{self._reg_counter}" if hint else str(self._reg_counter)
-        self._reg_counter += 1
-        return Register(name)
+        n = self._reg_counter
+        self._reg_counter = n + 1
+        return Register(f"{hint}{n}")
 
     def fresh_label(self, hint: str = "bb") -> str:
         label = f"{hint}{self._label_counter}"
@@ -60,6 +68,7 @@ class IRBuilder:
 
     def set_block(self, block: BasicBlock) -> BasicBlock:
         self.current = block
+        self.terminated = block.is_terminated()
         return block
 
     def new_block(self, label: Optional[str] = None) -> BasicBlock:
@@ -67,9 +76,18 @@ class IRBuilder:
         return self.set_block(self.block(label))
 
     def _append(self, inst: Instruction) -> Instruction:
-        if self.current is None:
+        block = self.current
+        if block is None:
             raise ValueError("no current block; call new_block() first")
-        return self.current.append(inst)
+        if self.terminated:
+            raise ValueError(f"block {block.label} already terminated")
+        inst.parent = block
+        block.instructions.append(inst)
+        return inst
+
+    def _terminate(self, inst: Instruction) -> None:
+        self._append(inst)
+        self.terminated = True
 
     # --- value helpers ----------------------------------------------------
     @staticmethod
@@ -112,13 +130,13 @@ class IRBuilder:
         return dest
 
     def br(self, cond: Value, true_label: str, false_label: str) -> None:
-        self._append(Br(cond, true_label, false_label))
+        self._terminate(Br(cond, true_label, false_label))
 
     def jump(self, target: str) -> None:
-        self._append(Jump(target))
+        self._terminate(Jump(target))
 
     def ret(self, value: Optional[Value] = None) -> None:
-        self._append(Ret(value))
+        self._terminate(Ret(value))
 
     def call(
         self, callee: str, args: Sequence[Value], returns: bool = False

@@ -54,7 +54,9 @@ class Instruction:
 
     ``parent`` (basic block) and ``uid`` (stable per-function id) are
     assigned when the instruction is appended to a block / the function
-    is finalized.
+    is finalized. Subclasses call ``Instruction.__init__`` directly:
+    the hierarchy is one level deep, and lowering builds one
+    instruction per IR line, where ``super()`` costs a lookup each.
     """
 
     __slots__ = ("dest", "parent", "uid")
@@ -137,7 +139,7 @@ class Alloca(Instruction):
     __slots__ = ("size", "var_name")
 
     def __init__(self, dest: Register, size: int = 1, var_name: str = "") -> None:
-        super().__init__(dest)
+        Instruction.__init__(self, dest)
         if size < 1:
             raise ValueError("alloca size must be >= 1")
         self.size = size
@@ -162,7 +164,7 @@ class Load(Instruction):
     def __init__(
         self, dest: Register, addr: Value, ordering: Optional[str] = None
     ) -> None:
-        super().__init__(dest)
+        Instruction.__init__(self, dest)
         self.addr = addr
         self.ordering = ordering
 
@@ -195,7 +197,7 @@ class Store(Instruction):
     def __init__(
         self, addr: Value, value: Value, ordering: Optional[str] = None
     ) -> None:
-        super().__init__(None)
+        Instruction.__init__(self, None)
         self.addr = addr
         self.value = value
         self.ordering = ordering
@@ -222,7 +224,7 @@ class BinOp(Instruction):
     def __init__(self, dest: Register, op: str, lhs: Value, rhs: Value) -> None:
         if op not in _BINARY_OPS:
             raise ValueError(f"unknown binary op {op!r}")
-        super().__init__(dest)
+        Instruction.__init__(self, dest)
         self.op = op
         self.lhs = lhs
         self.rhs = rhs
@@ -243,7 +245,7 @@ class Cmp(Instruction):
     def __init__(self, dest: Register, op: str, lhs: Value, rhs: Value) -> None:
         if op not in _CMP_OPS:
             raise ValueError(f"unknown comparison op {op!r}")
-        super().__init__(dest)
+        Instruction.__init__(self, dest)
         self.op = op
         self.lhs = lhs
         self.rhs = rhs
@@ -266,7 +268,7 @@ class Gep(Instruction):
     __slots__ = ("base", "offset")
 
     def __init__(self, dest: Register, base: Value, offset: Value) -> None:
-        super().__init__(dest)
+        Instruction.__init__(self, dest)
         self.base = base
         self.offset = offset
 
@@ -287,7 +289,7 @@ class Br(Instruction):
     __slots__ = ("cond", "true_label", "false_label")
 
     def __init__(self, cond: Value, true_label: str, false_label: str) -> None:
-        super().__init__(None)
+        Instruction.__init__(self, None)
         self.cond = cond
         self.true_label = true_label
         self.false_label = false_label
@@ -312,7 +314,7 @@ class Jump(Instruction):
     __slots__ = ("target",)
 
     def __init__(self, target: str) -> None:
-        super().__init__(None)
+        Instruction.__init__(self, None)
         self.target = target
 
     def is_terminator(self) -> bool:
@@ -328,7 +330,7 @@ class Ret(Instruction):
     __slots__ = ("value",)
 
     def __init__(self, value: Optional[Value] = None) -> None:
-        super().__init__(None)
+        Instruction.__init__(self, None)
         self.value = value
 
     @property
@@ -349,7 +351,7 @@ class Call(Instruction):
     __slots__ = ("callee", "args")
 
     def __init__(self, dest: Optional[Register], callee: str, args: Sequence[Value]) -> None:
-        super().__init__(dest)
+        Instruction.__init__(self, dest)
         self.callee = callee
         self.args = tuple(args)
 
@@ -380,7 +382,7 @@ class Fence(Instruction):
         origin: FenceOrigin = FenceOrigin.INSERTED,
         flavor: Optional[str] = None,
     ) -> None:
-        super().__init__(None)
+        Instruction.__init__(self, None)
         self.kind = kind
         self.origin = origin
         self.flavor = flavor
@@ -405,7 +407,7 @@ class CmpXchg(Instruction):
     __slots__ = ("addr", "expected", "new")
 
     def __init__(self, dest: Register, addr: Value, expected: Value, new: Value) -> None:
-        super().__init__(dest)
+        Instruction.__init__(self, dest)
         self.addr = addr
         self.expected = expected
         self.new = new
@@ -430,7 +432,7 @@ class AtomicXchg(Instruction):
     __slots__ = ("addr", "value")
 
     def __init__(self, dest: Register, addr: Value, value: Value) -> None:
-        super().__init__(dest)
+        Instruction.__init__(self, dest)
         self.addr = addr
         self.value = value
 
@@ -454,7 +456,7 @@ class AtomicAdd(Instruction):
     __slots__ = ("addr", "value")
 
     def __init__(self, dest: Register, addr: Value, value: Value) -> None:
-        super().__init__(dest)
+        Instruction.__init__(self, dest)
         self.addr = addr
         self.value = value
 
@@ -483,7 +485,7 @@ class Observe(Instruction):
     __slots__ = ("label", "value")
 
     def __init__(self, label: str, value: Value) -> None:
-        super().__init__(None)
+        Instruction.__init__(self, None)
         self.label = label
         self.value = value
 

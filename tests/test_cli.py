@@ -122,8 +122,23 @@ def test_simulate_globals_filter(mp_file, capsys):
          "line 2: unexpected character '$'"),
         ("global x;\nfn t() { y = 1; }\nthread t();\n",
          "line 2: undefined variable 'y'"),
+        # Lowering also checks names, sizes, call arities and
+        # global initializers.
+        ("global x;\nglobal x;\nfn t() { x = 1; }\nthread t();\n",
+         "line 2: duplicate global 'x'"),
+        ("global x;\nfn t() { x = 1; }\nfn t() { x = 2; }\nthread t();\n",
+         "line 3: duplicate function 't'"),
+        ("global x[0];\nfn t() { }\nthread t();\n",
+         "line 1: global array 'x' has size 0; sizes must be >= 1"),
+        ("global x;\nfn t() {\n  local a[0];\n}\nthread t();\n",
+         "line 3: local array 'a' has size 0; sizes must be >= 1"),
+        ("global x;\nfn f(a) { x = a; }\nfn t() {\n  f();\n}\nthread t();\n",
+         "line 4: call to 'f' passes 0 arguments for 1 parameters"),
+        ("global p = &q;\nfn t() { p = 0; }\nthread t();\n",
+         "line 1: initializer of 'p' takes the address of undeclared global 'q'"),
     ],
-    ids=["parse", "lex", "lowering"],
+    ids=["parse", "lex", "lowering", "duplicate-global", "duplicate-fn",
+         "zero-size-global", "zero-size-local", "call-arity", "undeclared-initializer"],
 )
 @pytest.mark.parametrize("command", ["analyze", "check", "simulate", "lint"])
 def test_source_errors_exit_2_with_one_line(
@@ -225,8 +240,9 @@ thread t(0);
         ("simulate", RUNAWAY, "thread 0: exceeded 5000000 steps"),
         ("check", DIV_ZERO, "division by zero"),
         ("simulate", DIV_ZERO, "division by zero"),
+        ("lint", DIV_ZERO, "division by zero"),
     ],
-    ids=["check-runaway", "simulate-runaway", "check-div0", "simulate-div0"],
+    ids=["check-runaway", "simulate-runaway", "check-div0", "simulate-div0", "lint-div0"],
 )
 def test_runtime_errors_exit_2_with_one_line(tmp_path, capsys, command, source, message):
     path = tmp_path / "bad.mc"

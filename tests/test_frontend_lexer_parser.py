@@ -261,3 +261,53 @@ def test_deep_nesting_compiles_or_is_a_parse_error(shape):
     else:
         with pytest.raises(ParseError, match=r"^line 3: nesting deeper than"):
             compile_source(deep)
+
+
+# --- AST nodes ---------------------------------------------------------------
+
+
+def test_ast_nodes_compare_by_class_and_fields():
+    a = ast.Binary(1, "+", ast.Num(1, 2), ast.Var(1, "x"))
+    assert a == ast.Binary(1, "+", ast.Num(1, 2), ast.Var(1, "x"))
+    assert a != ast.Binary(2, "+", ast.Num(1, 2), ast.Var(1, "x"))
+    assert hash(a) == hash(ast.Binary(1, "+", ast.Num(1, 2), ast.Var(1, "x")))
+    # Same fields, different class: not equal, and never equal to a tuple.
+    assert ast.XchgExpr(1, ast.Var(1, "p"), ast.Num(1, 1)) != ast.FaddExpr(
+        1, ast.Var(1, "p"), ast.Num(1, 1)
+    )
+    assert ast.Num(1, 2) != (1, 2) and (1, 2) != ast.Num(1, 2)
+    assert ast.Break(3) != ast.Continue(3)
+
+
+def test_ast_nodes_are_immutable():
+    node = ast.Var(1, "x")
+    with pytest.raises(AttributeError):
+        node.name = "y"
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    assert node.name == "x"
+
+
+def test_ast_node_defaults_and_repr():
+    assert ast.LocalDecl(1, "x") == ast.LocalDecl(1, "x", 1, None)
+    assert ast.GlobalDecl(1, "g").init == (0,)
+    assert ast.FenceStmt(2) == ast.FenceStmt(2, full=True, flavor=None)
+    assert ast.If(1, ast.Num(1, 1), ast.Block(1, ())).els is None
+    assert repr(ast.Unary(4, "-", ast.Num(4, 1))) == (
+        "Unary(line=4, op='-', operand=Num(line=4, value=1))"
+    )
+    assert isinstance(ast.Num(1, 1), ast.Expr) and isinstance(ast.Num(1, 1), ast.Node)
+    assert isinstance(ast.Break(1), ast.Stmt)
+
+
+def test_parse_builds_the_expected_tree():
+    mod = parse('global x;\nfn f(a) {\n  x = -a[1] + f(2);\n  observe("o", x);\n}\n')
+    body = mod.functions[0].body
+    assert body == ast.Block(2, (
+        ast.Assign(3, ast.Var(3, "x"), ast.Binary(
+            3, "+",
+            ast.Unary(3, "-", ast.Index(3, ast.Var(3, "a"), ast.Num(3, 1))),
+            ast.CallExpr(3, "f", (ast.Num(3, 2),)),
+        )),
+        ast.ObserveStmt(4, "o", ast.Var(4, "x")),
+    ))

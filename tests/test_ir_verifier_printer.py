@@ -3,11 +3,13 @@
 import pytest
 
 from repro.ir import (
+    Call,
     Constant,
     Function,
     GlobalRef,
     GlobalVar,
     IRBuilder,
+    Jump,
     Load,
     Program,
     Register,
@@ -104,6 +106,65 @@ def test_verify_thread_arity():
         verify_program(p)
 
 
+def test_verify_use_before_definition_in_block_order_is_allowed():
+    # The verifier does not check dominance: a register used in an
+    # earlier block and defined in a later one passes.
+    f = Function("f")
+    first = f.add_block("entry")
+    later = f.add_block("later")
+    r = Register("r")
+    first.append(Store(GlobalRef("x"), r))
+    first.append(Jump("later"))
+    later.append(Load(r, GlobalRef("x")))
+    later.append(Ret())
+    verify_function(f.finalize())
+
+
+def _first_error(func, program=None):
+    with pytest.raises(VerificationError) as exc:
+        verify_function(func, program)
+    return str(exc.value)
+
+
+def test_verify_reports_structure_errors_before_undefined_uses():
+    # An undefined register is used in the first block, and the second
+    # block lacks its terminator: the missing terminator is reported,
+    # although it comes later in the walk.
+    f = Function("f")
+    first = f.add_block("entry")
+    first.append(Store(GlobalRef("x"), Register("ghost")))
+    first.append(Jump("tail"))
+    tail = f.add_block("tail")
+    tail.append(Store(GlobalRef("x"), Constant(1)))
+    assert _first_error(f) == "f/tail: missing terminator"
+
+
+def test_verify_reports_undefined_uses_and_callees_in_instruction_order():
+    p = Program("p")
+    p.add_global(GlobalVar("x"))
+    f = Function("f")
+    blk = f.add_block("entry")
+    blk.append(Call(None, "nowhere", ()))
+    blk.append(Store(GlobalRef("x"), Register("ghost")))
+    blk.append(Ret())
+    assert _first_error(f, p) == "f: call to unknown function 'nowhere'"
+    blk.instructions.reverse()
+    blk.instructions.append(blk.instructions.pop(0))  # Ret last again
+    assert _first_error(f, p) == "f/entry: use of undefined register %ghost"
+
+
+def test_verify_reports_unknown_globals_last():
+    p = Program("p")
+    f = Function("f")
+    blk = f.add_block("entry")
+    blk.append(Store(GlobalRef("missing"), Constant(1)))
+    blk.append(Store(GlobalRef("x"), Register("ghost")))
+    blk.append(Ret())
+    assert _first_error(f, p) == "f/entry: use of undefined register %ghost"
+    blk.instructions.pop(1)
+    assert _first_error(f, p) == "f: reference to unknown global @missing"
+
+
 def test_format_instruction_shapes():
     r = Register("r")
     assert format_instruction(Load(r, GlobalRef("x"))) == "%r = load @x"
@@ -129,3 +190,12 @@ def test_format_roundtrip_every_opcode(mp_program):
     for func in mp_program.functions.values():
         for inst in func.instructions():
             assert isinstance(format_instruction(inst), str)
+
+
+def test_verify_reports_a_calls_undefined_argument_before_its_unknown_callee():
+    p = Program("p")
+    f = Function("f")
+    blk = f.add_block("entry")
+    blk.append(Call(None, "nowhere", (Register("ghost"),)))
+    blk.append(Ret())
+    assert _first_error(f, p) == "f/entry: use of undefined register %ghost"
