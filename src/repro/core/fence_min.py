@@ -55,18 +55,26 @@ the same gap. So one record stands for all of them: its surviving
 kinds join that gap's ``covers`` as one 4-bit mask. A barrier or a
 credited gap turns into one ``hi`` threshold per ``lo``, and a kind
 survives iff its smallest ``hi`` is within it, exactly as its
-narrowest interval does. The full interval family
-(:func:`collect_intervals`) is built only for what needs every
-interval: the optimal DP's candidate positions and the min-cut
-certificate's gap prices (:mod:`repro.synth.optimal`).
+narrowest interval does.
 
-A function's span records, intervals and greedy plan are pure
-functions of its ordering set, the model, the projection and (for the
-plan) the entry fence, so each is memoized in the set's ``memo``: the
-pipeline's plan, optimal synthesis over the same set and the greedy
-plan that synthesis prices all build the delay graph once. Results are
-shared and must be treated as read-only; a call passing a function
-other than the set's own computes afresh and caches nothing.
+The optimal DP (:mod:`repro.synth.optimal`) reads the mirror image,
+one *deadline record* per block and gap end ``hi``: for each kind, the
+largest ``lo`` among the intervals ending at ``hi``
+(:func:`deadline_records`). A placement stabs every interval ending at
+``hi`` iff it stabs that narrowest one, and a barrier that enforces
+the narrowest one enforces every wider one too, so the record's
+binding slots (:func:`binding_deadlines`) are all the DP checks there.
+The full interval family (:func:`collect_intervals`) is built only for
+what needs every interval: the min-cut certificate's gap prices, on
+the first read of a synthesized plan's certificate.
+
+A function's span and deadline records, intervals and greedy plan are
+pure functions of its ordering set, the model, the projection and (for
+the plan) the entry fence, so each is memoized in the set's ``memo``:
+the pipeline's plan, optimal synthesis over the same set and the
+greedy plan that synthesis prices all build the delay graph once.
+Results are shared and must be treated as read-only; a call passing a
+function other than the set's own computes afresh and caches nothing.
 """
 
 from __future__ import annotations
@@ -109,11 +117,13 @@ class PlannedFence:
 class DelayInterval:
     """Gap interval [lo, hi] in one block, tagged with its ordering kind.
 
-    The optimal synthesizer (:mod:`repro.synth`) consumes every
-    interval via :func:`collect_intervals`; the greedy planner below
-    stabs their :func:`span_records`, which keep each ``lo`` and kind's
-    narrowest interval, so their plans differ only in *where* they
-    stab, never in *what* must be stabbed.
+    The greedy planner below stabs their :func:`span_records`, which
+    keep each ``lo`` and kind's narrowest interval, and the optimal
+    synthesizer (:mod:`repro.synth`) reads their
+    :func:`deadline_records`, which keep each ``hi`` and kind's
+    narrowest one, so their plans differ only in *where* they stab,
+    never in *what* must be stabbed. Every interval is built only for
+    the min-cut certificate, via :func:`collect_intervals`.
     """
 
     block_index: int
@@ -274,8 +284,9 @@ def collect_intervals(
 ) -> dict[int, list[DelayInterval]]:
     """Project the surviving orderings onto per-block gap intervals.
 
-    The full delay graph, which optimal synthesis consumes (the greedy
-    planner reads its :func:`span_records` instead): RMW-enforced and
+    The full delay graph, which the min-cut certificate consumes (the
+    planners read its :func:`span_records` and
+    :func:`deadline_records` instead): RMW-enforced and
     qualifier-discharged orderings are filtered out and each survivor
     is projected to a :class:`DelayInterval`, one per distinct span
     *and* kind. Returns ``{block_index: [intervals]}``, memoized on
@@ -450,6 +461,95 @@ def _span_records(
     return by_block
 
 
+def deadline_records(
+    func: Function,
+    orderings: OrderingSet,
+    model: MemoryModel,
+    projection: str = "source",
+) -> dict[int, dict[int, list[int]]]:
+    """Per block and gap end ``hi``: the largest ``lo`` of each kind.
+
+    Returns ``{block_index: {hi: los}}`` where ``los[k]`` is the
+    largest ``lo`` among the :func:`collect_intervals` intervals
+    ``[lo, hi]`` of kind ``_KINDS[k]`` in that block, or -1 if there
+    is none — the mirror image of :func:`span_records`, and all the
+    optimal DP (:mod:`repro.synth.optimal`) reads of the family.
+    Memoized on ``orderings``; callers must not mutate it.
+
+    The records come straight from the masks, in one reverse
+    program-order sweep: the latest source of a part ordered before a
+    same-block destination gives that destination's largest ``lo``, so
+    a source claims only the destinations no later source of its part
+    has claimed. A terminator span, and under the target projection a
+    ``[0, iv]`` span, fills a slot only while it is empty: every later
+    source's ``lo`` is larger, and every same-block ``lo`` is at least 1.
+    """
+    _check_projection(projection)
+    return _memoized(
+        func,
+        orderings,
+        ("deadlines", model, projection),
+        lambda: _deadline_records(func, orderings, model, projection),
+    )
+
+
+def _deadline_records(
+    func: Function,
+    orderings: OrderingSet,
+    model: MemoryModel,
+    projection: str,
+) -> dict[int, dict[int, list[int]]]:
+    layout = orderings.layout
+    positions, forward, writes = layout.positions, layout.forward, layout.writes
+    skip_sources, keep_dsts = _endpoint_masks(orderings, model)
+    succ = orderings.succ
+    by_block: dict[int, dict[int, list[int]]] = {}
+
+    # Per source part: the same-block destinations a later source of
+    # that part already claimed, and (target projection) the others.
+    claimed = [0, 0]
+    elsewhere = [0, 0]
+    for i in range(len(succ) - 1, -1, -1):
+        dsts = succ[i] & keep_dsts
+        if not dsts or skip_sources >> i & 1:
+            continue
+        block, index = positions[i]
+        src_write = writes >> i & 1
+        ahead = dsts & forward[i]
+        rest = dsts ^ ahead
+        if projection == "target":
+            elsewhere[src_write] |= rest
+            rest = 0
+        fresh = ahead & ~claimed[src_write]
+        claimed[src_write] |= ahead
+        if not (fresh or rest):
+            continue
+        records = by_block.setdefault(block, {})
+        lo = index + 1
+        slot = 2 * src_write
+        for j in bits(fresh):
+            hi = positions[j][1]
+            los = records.get(hi)
+            if los is None:
+                los = records[hi] = [-1] * 4
+            los[slot + (writes >> j & 1)] = lo
+        if rest:
+            terminator = len(func.blocks[block].instructions) - 1
+            los = records.setdefault(terminator, [-1] * 4)
+            if rest & ~writes and los[slot] < 0:
+                los[slot] = lo
+            if rest & writes and los[slot + 1] < 0:
+                los[slot + 1] = lo
+    for src_write, dsts in enumerate(elsewhere):
+        for j in bits(dsts):
+            block, index = positions[j]
+            los = by_block.setdefault(block, {}).setdefault(index, [-1] * 4)
+            slot = 2 * src_write + (writes >> j & 1)
+            if los[slot] < 0:
+                los[slot] = 0
+    return by_block
+
+
 def round_slots(model: MemoryModel) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The kind slots needing a full fence on ``model``, and the rest."""
     full = tuple(k for k, kind in enumerate(_KINDS) if model.needs_full_fence(kind))
@@ -495,6 +595,32 @@ def surviving_spans(
                     first = hi
         if mask:
             result.append((first, lo, mask))
+    return result
+
+
+def binding_deadlines(
+    records: dict[int, list[int]],
+    slots: Sequence[int],
+    barriers: Sequence[int],
+) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """``(hi, ((slot, largest lo), ...))`` of one block's deadline
+    records in ``hi`` order, keeping the slots in ``slots`` that some
+    interval still needs.
+
+    An instruction at index ``b`` of the sorted ``barriers`` enforces
+    ``[lo, hi]`` iff ``lo <= b <= hi - 1``. If it enforces the
+    narrowest interval at ``hi``, it enforces every wider one there
+    too, so a slot binds iff its largest ``lo`` lies after the last
+    barrier before ``hi``. Records with no binding slot are left out.
+    """
+    result = []
+    for hi in sorted(records):
+        los = records[hi]
+        k = bisect_left(barriers, hi)
+        last = barriers[k - 1] if k else -1
+        due = tuple((slot, los[slot]) for slot in slots if los[slot] > last)
+        if due:
+            result.append((hi, due))
     return result
 
 

@@ -28,7 +28,8 @@ from a set's accesses alone lives in its shared :class:`AccessLayout`:
 
 Pruning (:mod:`repro.core.pruning`) intersects ``succ`` with per-source
 keep masks and shares the layout; the delay graph
-(:func:`repro.core.fence_min.span_records` and
+(:func:`repro.core.fence_min.span_records`,
+:func:`~repro.core.fence_min.deadline_records` and
 :func:`~repro.core.fence_min.collect_intervals`) splits each
 ``succ[i]`` into its same-block forward part and the rest, and caches
 what it derives in the set's ``memo``. Accesses are numbered in
@@ -185,7 +186,8 @@ class OrderingSet:
         self._orderings: list[Ordering] | None = None
         #: Results derived from this set alone, keyed by their other
         #: inputs (:mod:`repro.core.fence_min`): span records
-        #: ``("spans", model, projection)``, delay intervals
+        #: ``("spans", model, projection)``, deadline records
+        #: ``("deadlines", model, projection)``, delay intervals
         #: ``("intervals", model, projection)`` and greedy plans
         #: ``("plan", model, entry fence, projection)``. Read-only to
         #: every caller.

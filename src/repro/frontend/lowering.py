@@ -306,7 +306,11 @@ class FunctionLowerer:
 
     def _lower_call(self, expr: ast.CallExpr, returns: bool) -> Optional[Register]:
         arity = self.arities.get(expr.callee)
-        if arity is not None and arity != len(expr.args):
+        if arity is None:
+            raise LoweringError(
+                f"line {expr.line}: call to unknown function {expr.callee!r}"
+            )
+        if arity != len(expr.args):
             raise LoweringError(
                 f"line {expr.line}: call to {expr.callee!r} passes "
                 f"{len(expr.args)} arguments for {arity} parameters"
@@ -410,8 +414,10 @@ def lower_module(
 
     Raises :class:`LoweringError` (``line N: ...``) on a duplicate
     global or function, an array of size below 1, a global initializer
-    taking the address of an undeclared global, or a call whose
-    argument count differs from the callee's parameters.
+    taking the address of an undeclared global, a call to an undefined
+    function, a ``thread`` naming an undefined function, or a call or
+    ``thread`` whose argument count differs from the function's
+    parameters.
     """
     program = Program(name)
     scope = _ModuleScope()
@@ -443,6 +449,16 @@ def lower_module(
         # ``finalize`` of its own.
         program.add_function(FunctionLowerer(f, scope, include_manual_fences).lower())
     for t in module.threads:
+        arity = scope.arities.get(t.func_name)
+        if arity is None:
+            raise LoweringError(
+                f"line {t.line}: thread entry {t.func_name!r} is not a function"
+            )
+        if arity != len(t.args):
+            raise LoweringError(
+                f"line {t.line}: thread {t.func_name!r} passes "
+                f"{len(t.args)} arguments for {arity} parameters"
+            )
         program.add_thread(t.func_name, t.args)
     verify_program(program)
     return program

@@ -3,7 +3,9 @@
 The verifier catches malformed IR early (the frontend and hand-built
 tests both go through it): unterminated blocks, branches to unknown
 labels, registers defined twice or never, calls to unknown functions,
-threads pointing at missing entry points.
+threads pointing at missing entry points or passing the wrong number
+of arguments. The frontend rejects the last three in mini-C source
+itself, with a line number; here they guard hand-built IR.
 """
 
 from __future__ import annotations

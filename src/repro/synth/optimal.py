@@ -6,14 +6,15 @@ fence with the cheapest sufficient flavor. On flavored ISAs that
 two-step can lose: splitting one expensive full fence into two cheap
 partial fences (two ``lwsync`` at 66 instead of one ``sync`` at 80)
 is never visible to a cardinality objective. This module minimizes
-*cost* directly, over the full family of
-:class:`~repro.core.fence_min.DelayInterval`s
-(:func:`~repro.core.fence_min.collect_intervals`) whose span records
-the greedy stabs, so any difference between the two plans is purely
+*cost* directly, over the same family of
+:class:`~repro.core.fence_min.DelayInterval`s whose span records the
+greedy stabs, so any difference between the two plans is purely
 better stabbing or better flavoring — never a different delay graph.
-The intervals, the span records and the greedy plan that synthesis
-prices are all memoized on the ordering set, so each function's delay
-graph is built once.
+The DP reads that family as its deadline records
+(:func:`~repro.core.fence_min.deadline_records`), built straight from
+the ordering masks; the span and deadline records and the greedy plan
+that synthesis prices are all memoized on the ordering set, so each
+function's delay graph is built once.
 
 Solver structure, per basic block:
 
@@ -27,19 +28,23 @@ Solver structure, per basic block:
   fence killing that kind has been placed (4-vector); a transition
   places any subset of the backend's flavors at the current position
   (same-gap stacking is legal and occasionally modeled, though real
-  catalogs never reward it). When the scan passes an interval's right
-  endpoint the state must already kill its kind within the interval —
-  otherwise the branch dies. Dominated states (pointwise older fences,
-  no cheaper) are pruned. The greedy plan is one feasible point of
-  this program, so the DP result is never costlier than greedy.
-* **Min-cut certificate**: the same intervals also build the
+  catalogs never reward it). When the scan passes a right endpoint
+  the state must already kill each kind at or after the largest
+  ``lo`` of that kind's intervals ending there (the deadline record's
+  binding slots) — otherwise the branch dies; a flavor option's
+  kill-set is a 4-bit mask, so one test per option against the missed
+  slots decides it. Dominated states (pointwise older fences, no
+  cheaper) are pruned. The greedy plan is one feasible point of this
+  program, so the DP result is never costlier than greedy.
+* **Min-cut certificate**: the full interval family builds the
   :mod:`repro.synth.mincut` delay network; its cut value upper-bounds
   the DP (equal on laminar families) and its saturated chain edges are
   the witness placement the ``FENCE104`` lint reports. The plan keeps
-  each block's full-fence intervals and solves the network on the
-  first read of ``mincut_value`` or ``witness_cut``, so requests that
-  never read the certificate (``analyze``, batch, serve) never pay
-  for it. A single
+  the ordering set, model and projection it was synthesized from, and
+  builds the family (:func:`~repro.core.fence_min.collect_intervals`)
+  and solves the network only on the first read of ``mincut_value`` or
+  ``witness_cut``, so requests that never read the certificate
+  (``analyze``, batch, serve) build no interval at all. A single
   min-cut is *not* exact for crossing interval families — it must pay
   inside every pairwise overlap, which is the reason Alglave et al.
   (CAV 2014) use an ILP — hence the DP, which handles crossing
@@ -59,8 +64,9 @@ import time
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
+from typing import Sequence
 
 from repro.arch.backend import ArchBackend, FenceFlavor
 from repro.arch.lowering import LoweredFence, LoweredPlan, lower_plan, summarize_lowerings
@@ -68,8 +74,10 @@ from repro.core.fence_min import (
     KIND_SETS,
     DelayInterval,
     barrier_indices,
+    binding_deadlines,
     collect_intervals,
     count_discharged,
+    deadline_records,
     plan_fences,
     round_slots,
     span_records,
@@ -86,12 +94,13 @@ from repro.obs import trace as obs_trace
 from repro.synth.mincut import INF, FlowNetwork
 
 _KINDS = tuple(OrderKind)
-_KIDX = {kind: i for i, kind in enumerate(_KINDS)}
+#: Each kind's bit in a 4-bit kind mask (bit ``k`` is ``_KINDS[k]``).
+_KIND_BITS = {kind: 1 << i for i, kind in enumerate(_KINDS)}
 
 
 def _kind_mask(kinds: frozenset[OrderKind]) -> int:
-    """``kinds`` as a 4-bit mask (bit ``k`` is ``_KINDS[k]``)."""
-    return sum(1 << _KIDX[kind] for kind in kinds)
+    """``kinds`` as a 4-bit kind mask."""
+    return sum(_KIND_BITS[kind] for kind in kinds)
 
 
 @dataclass
@@ -101,8 +110,11 @@ class SynthesisPlan(LoweredPlan):
     ``apply_lowered_plan`` and ``summarize_lowerings`` take it as-is).
 
     The min-cut certificate (``mincut_value``, ``witness_cut``) is not
-    a field: it is computed on first read from the full-fence
-    intervals synthesis recorded, and ``==`` does not compare it.
+    a field: it is computed on first read, from the interval family of
+    the ordering set, model and projection synthesis planned from, and
+    ``==`` does not compare it. That family is built from the
+    function's IR as it is at that read, so read the certificate
+    before inserting the plan into the same function.
     """
 
     #: Cost of the greedy plan lowered on the same backend — the
@@ -111,11 +123,10 @@ class SynthesisPlan(LoweredPlan):
     #: Orderings discharged by C11-style acquire/release qualifiers
     #: before the delay graph was built.
     discharged: int = 0
-    #: The certificate's input: the backend, and per block with
-    #: full-fence intervals, its label and those intervals.
-    cut_backend: ArchBackend | None = field(default=None, repr=False, compare=False)
-    cut_blocks: list[tuple[str, list[DelayInterval]]] = field(
-        default_factory=list, repr=False, compare=False
+    #: The certificate's input: the ordering set, model, projection and
+    #: backend synthesis planned from.
+    cut_input: tuple[OrderingSet, MemoryModel, str, ArchBackend] | None = field(
+        default=None, repr=False, compare=False
     )
 
     @property
@@ -142,10 +153,19 @@ class SynthesisPlan(LoweredPlan):
         started = time.perf_counter()
         value = self.entry_cost
         witness: list[tuple[str, int]] = []
-        for label, intervals in self.cut_blocks:
-            cut_value, cut_gaps = block_cut(intervals, self.cut_backend)
-            value += cut_value
-            witness.extend((label, gap) for gap in cut_gaps)
+        if self.cut_input is not None:
+            orderings, model, projection, backend = self.cut_input
+            by_block = collect_intervals(self.function, orderings, model, projection)
+            for block_index in sorted(by_block):
+                block = self.function.blocks[block_index]
+                needed = uncovered(
+                    [iv for iv in by_block[block_index] if iv.needs_full],
+                    barrier_indices(block.instructions, model, for_full=True),
+                )
+                if needed:
+                    cut_value, cut_gaps = block_cut(needed, backend)
+                    value += cut_value
+                    witness.extend((block.label, gap) for gap in cut_gaps)
         obs_metrics.REGISTRY.observe(
             "repro_synth_mincut_seconds",
             time.perf_counter() - started,
@@ -181,25 +201,34 @@ def _flavor_options(
     ]
 
 
+@lru_cache(maxsize=None)
+def _mask_options(
+    flavors: tuple[FenceFlavor, ...],
+) -> tuple[tuple[int, int, tuple[FenceFlavor, ...]], ...]:
+    """:func:`_flavor_options` with each kill-set as a 4-bit kind mask."""
+    return tuple(
+        (cost, _kind_mask(kills), chosen) for cost, kills, chosen in _flavor_options(flavors)
+    )
+
+
 def _solve_block(
-    intervals: list[DelayInterval], backend: ArchBackend
+    records: dict[int, list[int]],
+    slots: Sequence[int],
+    barriers: Sequence[int],
+    backend: ArchBackend,
 ) -> tuple[int, list[tuple[int, FenceFlavor]]]:
-    """Exact min-cost placement stabbing every interval.
+    """Exact min-cost placement stabbing every interval of the kinds in
+    ``slots`` that no barrier enforces, read from one block's
+    :func:`~repro.core.fence_min.deadline_records`.
 
     Returns ``(cost, [(gap, flavor), ...])`` sorted by gap.
     """
-    if not intervals:
+    # A state passes a right endpoint iff each binding slot's latest
+    # killing fence is at or after the slot's largest lo.
+    deadlines = binding_deadlines(records, slots, barriers)
+    if not deadlines:
         return 0, []
-    options = _flavor_options(backend.flavors)
-    # Per right endpoint, per kind: the largest lo among the intervals
-    # ending there. A state passes iff each kind's latest killing fence
-    # is at or after it (-1 never binds).
-    deadlines: dict[int, list[int]] = {}
-    for iv in intervals:
-        need = deadlines.setdefault(iv.hi, [-1] * len(_KINDS))
-        k = _KIDX[iv.kind]
-        need[k] = max(need[k], iv.lo)
-    positions = sorted(deadlines)
+    options = _mask_options(backend.flavors)
 
     start = (-1,) * len(_KINDS)
     # Per position: state -> (cost, predecessor state, flavors placed).
@@ -207,38 +236,48 @@ def _solve_block(
         start: (0, None, ())
     }
     layers: list[dict] = []
-    for pos in positions:
-        due = deadlines[pos]
+    for pos, due in deadlines:
         nxt: dict[tuple[int, ...], tuple[int, tuple[int, ...], tuple]] = {}
-
-        def consider(state, cost, prev, placed):
-            if any(r < lo for r, lo in zip(state, due)):
-                return
-            cur = nxt.get(state)
-            if cur is None or cost < cur[0]:
-                nxt[state] = (cost, prev, placed)
-
         for state, (cost, _prev, _placed) in states.items():
-            consider(state, cost, state, ())
-            for opt_cost, opt_kills, opt_flavors in options:
-                placed_state = tuple(
-                    pos if kind in opt_kills else r
-                    for kind, r in zip(_KINDS, state)
+            # The slots whose deadline this state misses: only a
+            # placement killing all of them keeps the branch alive.
+            missed = 0
+            for slot, lo in due:
+                if state[slot] < lo:
+                    missed |= 1 << slot
+            if not missed:
+                cur = nxt.get(state)
+                if cur is None or cost < cur[0]:
+                    nxt[state] = (cost, state, ())
+            r0, r1, r2, r3 = state
+            for opt_cost, kills, opt_flavors in options:
+                if missed & ~kills:
+                    continue
+                placed_state = (
+                    pos if kills & 1 else r0,
+                    pos if kills & 2 else r1,
+                    pos if kills & 4 else r2,
+                    pos if kills & 8 else r3,
                 )
-                consider(placed_state, cost + opt_cost, state, opt_flavors)
+                total = cost + opt_cost
+                cur = nxt.get(placed_state)
+                if cur is None or total < cur[0]:
+                    nxt[placed_state] = (total, state, opt_flavors)
 
         # Dominance pruning: a state with pointwise-older fences and no
         # cheaper cost can never win later.
         if len(nxt) > 1:
-            items = sorted(nxt.items(), key=lambda kv: kv[1][0])
-            kept: list[tuple[tuple[int, ...], tuple]] = []
-            for state, value in items:
-                if not any(
-                    all(ks >= s for ks, s in zip(k_state, state))
-                    for k_state, _ in kept
-                ):
-                    kept.append((state, value))
-            nxt = dict(kept)
+            kept: list[tuple[int, ...]] = []
+            pruned = {}
+            for state, value in sorted(nxt.items(), key=lambda kv: kv[1][0]):
+                s0, s1, s2, s3 = state
+                for k0, k1, k2, k3 in kept:
+                    if k0 >= s0 and k1 >= s1 and k2 >= s2 and k3 >= s3:
+                        break
+                else:
+                    kept.append(state)
+                    pruned[state] = value
+            nxt = pruned
         layers.append(nxt)
         states = nxt
 
@@ -248,7 +287,7 @@ def _solve_block(
     # Walk the parent chain backwards to recover the placements.
     placements: list[tuple[int, FenceFlavor]] = []
     state = best_state
-    for pos, layer in zip(reversed(positions), reversed(layers)):
+    for (pos, _due), layer in zip(reversed(deadlines), reversed(layers)):
         cost, prev, placed = layer[state]
         for flavor in placed:
             placements.append((pos, flavor))
@@ -277,19 +316,19 @@ def block_cut(
         return 0, []
     lo = min(iv.lo for iv in intervals)
     span = max(iv.hi for iv in intervals) - lo + 1
-    # Per kind: intervals opening minus intervals closed, at each gap.
-    deltas: dict[OrderKind, list[int]] = {}
+    # Per kind bit: intervals opening minus intervals closed, at each gap.
+    deltas: dict[int, list[int]] = {}
     for iv in intervals:
-        delta = deltas.get(iv.kind)
+        bit = _KIND_BITS[iv.kind]
+        delta = deltas.get(bit)
         if delta is None:
-            delta = deltas[iv.kind] = [0] * (span + 1)
+            delta = deltas[bit] = [0] * (span + 1)
         delta[iv.lo - lo] += 1
         delta[iv.hi + 1 - lo] -= 1
     # Bit k of crossing[g] is set when some interval of _KINDS[k]
     # contains gap lo + g.
     crossing = [0] * span
-    for kind, delta in deltas.items():
-        bit = 1 << _KIDX[kind]
+    for bit, delta in deltas.items():
         for g, depth in enumerate(accumulate(delta[:span])):
             if depth:
                 crossing[g] |= bit
@@ -301,9 +340,7 @@ def block_cut(
     for g, kinds in enumerate(crossing):
         price = prices.get(kinds)
         if price is None:
-            price = prices[kinds] = backend.cheapest_flavor(
-                frozenset(k for k in _KINDS if kinds >> _KIDX[k] & 1)
-            ).cost
+            price = prices[kinds] = backend.cheapest_flavor(KIND_SETS[kinds]).cost
         net.add_edge(nodes[g], nodes[g + 1], price, tag=lo + g)
     for start, count in Counter(iv.lo for iv in intervals).items():
         net.add_edge(s, nodes[start - lo], count * INF)
@@ -328,10 +365,10 @@ def synthesize_plan(
     ``cost`` is minimal for the delay graph and never exceeds
     ``greedy_cost`` (the greedy plan lowered on the same backend).
     """
-    plan = SynthesisPlan(func, backend.key, cut_backend=backend)
+    plan = SynthesisPlan(func, backend.key, cut_input=(orderings, model, projection, backend))
     plan.discharged = count_discharged(orderings)
-    by_block = collect_intervals(func, orderings, model, projection)
     spans = span_records(func, orderings, model, projection)
+    deadlines = deadline_records(func, orderings, model, projection)
     full_slots, compiler_slots = round_slots(model)
     dp_seconds = 0.0
 
@@ -342,14 +379,11 @@ def synthesize_plan(
             block = func.blocks[block_index]
             records = spans[block_index]
             full_barriers = barrier_indices(block.instructions, model, for_full=True)
-            full_needed = uncovered(
-                [iv for iv in by_block[block_index] if iv.needs_full], full_barriers
-            )
             started = time.perf_counter()
-            _cost, placements = _solve_block(full_needed, backend)
+            _cost, placements = _solve_block(
+                deadlines[block_index], full_slots, full_barriers, backend
+            )
             dp_seconds += time.perf_counter() - started
-            if full_needed:
-                plan.cut_blocks.append((block.label, full_needed))
 
             # Report each fence's kill-set the same way greedy does: a
             # kind some interval at ``lo`` still needs joins the first
@@ -380,6 +414,8 @@ def synthesize_plan(
 
             # Compiler-only intervals cost nothing, so greedy cardinality
             # stabbing (the greedy planner's round 2) is optimal for them.
+            if not compiler_slots:
+                continue
             compiler = stab_spans(
                 records,
                 compiler_slots,

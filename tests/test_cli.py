@@ -122,8 +122,8 @@ def test_simulate_globals_filter(mp_file, capsys):
          "line 2: unexpected character '$'"),
         ("global x;\nfn t() { y = 1; }\nthread t();\n",
          "line 2: undefined variable 'y'"),
-        # Lowering also checks names, sizes, call arities and
-        # global initializers.
+        # Lowering also checks names, sizes, call and thread arities,
+        # callees, thread entries and global initializers.
         ("global x;\nglobal x;\nfn t() { x = 1; }\nthread t();\n",
          "line 2: duplicate global 'x'"),
         ("global x;\nfn t() { x = 1; }\nfn t() { x = 2; }\nthread t();\n",
@@ -136,9 +136,16 @@ def test_simulate_globals_filter(mp_file, capsys):
          "line 4: call to 'f' passes 0 arguments for 1 parameters"),
         ("global p = &q;\nfn t() { p = 0; }\nthread t();\n",
          "line 1: initializer of 'p' takes the address of undeclared global 'q'"),
+        ("global int x;\nfn t(tid) {\n  x = 1;\n  nope();\n}\nthread t(0);\n",
+         "line 4: call to unknown function 'nope'"),
+        ("global int x;\nfn t(tid) { x = 1; }\nthread u();\n",
+         "line 3: thread entry 'u' is not a function"),
+        ("global int x;\nfn t(tid) { x = 1; }\nthread t();\n",
+         "line 3: thread 't' passes 0 arguments for 1 parameters"),
     ],
     ids=["parse", "lex", "lowering", "duplicate-global", "duplicate-fn",
-         "zero-size-global", "zero-size-local", "call-arity", "undeclared-initializer"],
+         "zero-size-global", "zero-size-local", "call-arity", "undeclared-initializer",
+         "unknown-callee", "unknown-thread", "thread-arity"],
 )
 @pytest.mark.parametrize("command", ["analyze", "check", "simulate", "lint"])
 def test_source_errors_exit_2_with_one_line(
@@ -156,20 +163,15 @@ def test_source_errors_exit_2_with_one_line(
     "source, message",
     [
         ("", "program has no functions"),
-        ("global int x;\nfn t(tid) { x = 1; }\nthread u();\n",
-         "thread entry 'u' is not a function"),
-        ("global int x;\nfn t(tid) { x = 1; }\nthread t();\n",
-         "thread t: 0 args for 1 params"),
-        ("global int x;\nfn t(tid) { x = 1; nope(); }\nthread t(0);\n",
-         "t: call to unknown function 'nope'"),
     ],
-    ids=["empty", "unknown-thread", "arity", "unknown-callee"],
+    ids=["empty"],
 )
 @pytest.mark.parametrize("command", ["analyze", "check", "lint"])
 def test_verification_errors_exit_2_with_one_line(
     tmp_path, capsys, command, source, message
 ):
-    # These sources parse and lower, then fail IR verification.
+    # These sources parse and lower, then fail IR verification (lowering
+    # checks every name and arity it knows the line of).
     path = tmp_path / "bad.mc"
     path.write_text(source)
     assert main([command, str(path)]) == 2

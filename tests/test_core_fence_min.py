@@ -4,11 +4,16 @@ import pytest
 
 import _delay_core_oracle as oracle
 from repro.analysis.escape import EscapeInfo
+from repro.arch import get_backend
 from repro.core.fence_min import (
     NO_SPAN,
     apply_plan,
+    barrier_indices,
+    binding_deadlines,
     collect_intervals,
+    deadline_records,
     plan_fences,
+    round_slots,
     span_records,
 )
 from repro.core.machine_models import MODELS, PSO, RMO, SC, X86_TSO, MemoryModel, OrderKind
@@ -18,6 +23,7 @@ from repro.programs import all_programs
 from repro.registry.variants import get_variant
 from repro.frontend import compile_source
 from repro.ir import CFG, Fence, FenceKind
+from repro.synth import synthesize_plan
 
 
 def _plan(src: str, model=X86_TSO, fn: str = "f", entry_fence: bool = False):
@@ -239,7 +245,7 @@ def test_plans_and_intervals_are_memoized_per_input():
     assert plan_fences(func, orderings, PSO) is not plan
     assert plan_fences(func, orderings, X86_TSO, entry_fence=True) is not plan
     assert plan_fences(func, orderings, X86_TSO, projection="target") is not plan
-    for build in (collect_intervals, span_records):
+    for build in (collect_intervals, span_records, deadline_records):
         built = build(func, orderings, X86_TSO)
         assert build(func, orderings, X86_TSO) is built
         assert build(func, orderings, X86_TSO, "source") is built
@@ -248,6 +254,7 @@ def test_plans_and_intervals_are_memoized_per_input():
         assert build(func, orderings, X86_TSO, "target") is not built
         assert build(func, orderings, X86_TSO, "target") is build(func, orderings, X86_TSO, "target")
     assert ("spans", X86_TSO, "source") in orderings.memo
+    assert ("deadlines", X86_TSO, "source") in orderings.memo
 
 
 def test_bad_projection_raises_and_caches_nothing():
@@ -259,6 +266,8 @@ def test_bad_projection_raises_and_caches_nothing():
         collect_intervals(func, orderings, X86_TSO, "diagonal")
     with pytest.raises(ValueError, match="unknown projection"):
         span_records(func, orderings, X86_TSO, "diagonal")
+    with pytest.raises(ValueError, match="unknown projection"):
+        deadline_records(func, orderings, X86_TSO, "diagonal")
     assert orderings.memo == memo
 
 
@@ -274,8 +283,11 @@ def test_another_function_is_planned_but_not_memoized():
     assert span_records(twin, orderings, PSO, "target") is not spans
     intervals = collect_intervals(twin, orderings, PSO)
     assert collect_intervals(twin, orderings, PSO) is not intervals
+    deadlines = deadline_records(twin, orderings, PSO, "target")
+    assert deadline_records(twin, orderings, PSO, "target") is not deadlines
     assert orderings.memo == memo
     assert span_records(func, orderings, PSO, "target") == spans
+    assert deadline_records(func, orderings, PSO, "target") == deadlines
 
 
 @pytest.mark.parametrize("name", sorted(all_programs()))
@@ -296,6 +308,8 @@ def test_memo_hits_equal_a_fresh_set(name):
                     assert collect_intervals(func, fresh, model, projection) == intervals
                     spans = span_records(func, pruned, model, projection)
                     assert span_records(func, fresh, model, projection) == spans
+                    deadlines = deadline_records(func, pruned, model, projection)
+                    assert deadline_records(func, fresh, model, projection) == deadlines
                     assert plan_fences(func, fresh, model, entry, projection) == plan
 
 
@@ -387,3 +401,82 @@ def test_barrier_at_the_destination_does_not_enforce_it():
     assert _covers(src, unlocked) == [
         (4, FenceKind.COMPILER, {OrderKind.RR, OrderKind.RW}),
     ]
+
+
+# --- deadline records --------------------------------------------------------
+
+
+def _widest(by_block):
+    """Per block and ``hi``, the largest ``lo`` of each kind's intervals."""
+    deadlines: dict = {}
+    for block, ivs in by_block.items():
+        for iv in ivs:
+            los = deadlines.setdefault(block, {}).setdefault(iv.hi, [-1] * 4)
+            k = _SLOTS[iv.kind]
+            los[k] = max(los[k], iv.lo)
+    return deadlines
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_deadline_records_are_the_narrowest_intervals_per_end(name):
+    """Every record slot is the largest ``lo`` among the intervals with
+    that block, ``hi`` and kind, under every model and projection, with
+    the expert ``fence;`` placements kept."""
+    program = compile_source(SOURCES[name].source, name, include_manual_fences=True)
+    for variant in ("pensieve", "control", "address+control"):
+        for model in MODELS.values():
+            analysis = get_variant(variant).analyze(program, model)
+            for fa in analysis.functions.values():
+                for projection in ("source", "target"):
+                    by_block = collect_intervals(fa.function, fa.pruned, model, projection)
+                    deadlines = deadline_records(fa.function, fa.pruned, model, projection)
+                    assert deadlines == _widest(by_block), (
+                        fa.function.name, model.name, projection
+                    )
+
+
+def _deadlines(src):
+    func = compile_source(src, "t", include_manual_fences=True).functions["f"]
+    orderings = generate_orderings(func, EscapeInfo(func))
+    records = deadline_records(func, orderings, X86_TSO)[0]
+    full_slots, _compiler_slots = round_slots(X86_TSO)
+    barriers = barrier_indices(func.blocks[0].instructions, X86_TSO, for_full=True)
+    plan = synthesize_plan(func, orderings, X86_TSO, get_backend("x86"))
+    return records, binding_deadlines(records, full_slots, barriers), plan
+
+
+def test_manual_fence_inside_the_narrowest_interval_drops_the_column():
+    # x = 1 and y = 2 both order before r = z (w->r, ending at gap 4):
+    # [1, 4] and [2, 4]. The fence at index 2 is inside both.
+    records, binding, plan = _deadlines(
+        "global x; global y; global z; fn f() { x = 1; y = 2; fence; local r = z; }"
+    )
+    assert records[4] == [-1, -1, 2, -1]
+    assert binding == []
+    assert plan.full_count == 0
+
+
+def test_manual_fence_inside_only_a_wider_interval_keeps_the_column():
+    # Now [1, 4] and [3, 4]: the fence at index 1 is inside the wider
+    # interval only, so the narrower one still binds the DP.
+    records, binding, plan = _deadlines(
+        "global x; global y; global z; fn f() { x = 1; fence; y = 2; local r = z; }"
+    )
+    assert records[4] == [-1, -1, 3, -1]
+    assert binding == [(4, ((2, 3),))]
+    assert [(f.gap, f.flavor) for f in plan.fences if f.kind is FenceKind.FULL] == [
+        (4, "mfence")
+    ]
+    assert plan.mincut_value == plan.cost
+
+
+@pytest.mark.parametrize(
+    "barrier, binds",
+    [(1, True), (2, False), (3, False), (4, True)],
+)
+def test_a_barrier_enforces_a_deadline_only_from_its_lo_to_before_its_hi(barrier, binds):
+    # The narrowest w->r interval ending at gap 4 is [2, 4]; an
+    # instruction at index b enforces it iff 2 <= b <= 3.
+    records = {4: [-1, -1, 2, -1]}
+    expected = [(4, ((2, 2),))] if binds else []
+    assert binding_deadlines(records, (2,), [barrier]) == expected

@@ -116,6 +116,17 @@ def test_corpus_manual_fences_match_the_pairwise_oracle(name):
         check_function(engine, func, VARIANTS, MODEL_NAMES)
 
 
+@pytest.mark.parametrize("model", sorted(SYNTH_ARCH))
+def test_corpus_target_projection_synthesis_matches_the_pairwise_oracle(model):
+    # Optimal synthesis, certificate included, over target-projected
+    # ``[0, iv]`` intervals.
+    for name in sorted(all_programs()):
+        program = all_programs()[name].compile()
+        engine = QueryEngine(program)
+        for func in program.functions.values():
+            check_function(engine, func, VARIANTS, (model,), projections=("target",))
+
+
 def test_corpus_self_pairs_match_the_pairwise_oracle():
     # Self-pair generation and pruning over the looping corpus programs.
     for name in ("fft", "lu-con", "radix"):

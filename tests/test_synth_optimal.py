@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.api import AnalyzeRequest, ProgramSpec, Session
 from repro.arch import backend_keys, get_backend
 from repro.arch.lowering import lower_plan
-from repro.core.fence_min import DelayInterval
+from repro.core.fence_min import DelayInterval, collect_intervals
 from repro.core.machine_models import MODELS, OrderKind
 from repro.memmodel.litmus import LITMUS_TESTS
 from repro.programs import get_program
@@ -42,6 +42,18 @@ def iv(lo: int, hi: int, kind: OrderKind) -> DelayInterval:
     return DelayInterval(
         block_index=0, lo=lo, hi=hi, needs_full=True, kind=kind
     )
+
+
+def solve(intervals, backend):
+    """``_solve_block`` over the deadline records of one block's
+    ``intervals`` (every kind binding, no barriers): per right endpoint
+    and kind, the largest ``lo``."""
+    records: dict[int, list[int]] = {}
+    for interval in intervals:
+        los = records.setdefault(interval.hi, [-1] * len(OrderKind))
+        k = list(OrderKind).index(interval.kind)
+        los[k] = max(los[k], interval.lo)
+    return _solve_block(records, range(len(OrderKind)), [], backend)
 
 
 # --- hand-built multi-cut fixture -------------------------------------------
@@ -77,7 +89,7 @@ def greedy_stab_cost(intervals, backend) -> int:
 
 
 def test_multi_cut_fixture_optimal_strictly_beats_greedy():
-    cost, placements = _solve_block(MULTI_CUT, POWER)
+    cost, placements = solve(MULTI_CUT, POWER)
     assert cost == 105
     assert [(gap, flavor.name) for gap, flavor in placements] == [
         (2, "eieio"),
@@ -95,7 +107,7 @@ def test_multi_cut_fixture_mincut_bounds_the_dp():
     value, gaps = block_cut(MULTI_CUT, POWER)
     assert value == 160 == greedy_stab_cost(MULTI_CUT, POWER)
     assert gaps == [2, 6]
-    dp_cost, _placements = _solve_block(MULTI_CUT, POWER)
+    dp_cost, _placements = solve(MULTI_CUT, POWER)
     assert dp_cost <= value
 
 
@@ -120,7 +132,7 @@ def test_single_cut_families_cost_one_cheapest_fence(spans, arch_key):
     must land exactly there (the greedy plan for a single cut)."""
     backend = get_backend(arch_key)
     intervals = [iv(lo, hi, kind) for lo, hi, kind in spans]
-    cost, _placements = _solve_block(intervals, backend)
+    cost, _placements = solve(intervals, backend)
     union = frozenset(kind for _lo, _hi, kind in spans)
     assert cost == backend.cheapest_flavor(union).cost
 
@@ -197,26 +209,43 @@ def test_matrix_power_exact_costs_pinned():
 
 
 def test_certificate_is_computed_once_on_first_read(monkeypatch):
+    import repro.core.fence_min as fence_min
     import repro.synth.optimal as optimal
 
     calls = []
+    families = []
+    built = []
 
     def counting_block_cut(intervals, backend):
         calls.append(len(intervals))
         return block_cut(intervals, backend)
 
+    def counting_collect_intervals(func, *args):
+        families.append(func.name)
+        return collect_intervals(func, *args)
+
+    def counting_interval(*args):
+        built.append(args)
+        return DelayInterval(*args)
+
     monkeypatch.setattr(optimal, "block_cut", counting_block_cut)
+    monkeypatch.setattr(optimal, "collect_intervals", counting_collect_intervals)
+    monkeypatch.setattr(fence_min, "DelayInterval", counting_interval)
     analysis = get_variant("address+control").analyze(
         get_program("matrix").compile(), MODELS["power"]
     )
     plans, _summary = synthesize_analysis(analysis, POWER)
-    assert calls == []  # synthesis alone never solves a min cut
+    # Synthesis alone never solves a min cut, nor builds an interval.
+    assert calls == [] and families == [] and built == []
     plan = plans["mxx_gather"]
     first = (plan.mincut_value, plan.witness_cut)
     solved = len(calls)
     assert solved > 0
+    assert families == ["mxx_gather"]
+    assert built
     assert (plan.mincut_value, plan.witness_cut) == first
-    assert len(calls) == solved  # the second read is cached
+    # The second read is cached.
+    assert len(calls) == solved and families == ["mxx_gather"]
 
 
 # --- oracle gating ----------------------------------------------------------
