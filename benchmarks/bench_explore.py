@@ -144,17 +144,9 @@ def check_against(baseline: dict, current: dict) -> list[str]:
 # --- pytest-benchmark entry point --------------------------------------------
 
 
-def test_explore_reduction(benchmark, report_sink):
+def test_explore_reduction(benchmark):
     report = benchmark.pedantic(run_suite, rounds=1, iterations=1)
     assert verify(report) == []
-    lines = ["Exploration core, exhaustive vs reduced state counts:"]
-    for e in report["entries"]:
-        lines.append(
-            f"  {e['program']:18s} {e['model']:8s} "
-            f"{e['exhaustive_states']:8d} -> {e['reduced_states']:6d} "
-            f"({e['reduction']:5.1f}x)"
-        )
-    report_sink["explore"] = "\n".join(lines)
 
 
 # --- script entry point ------------------------------------------------------

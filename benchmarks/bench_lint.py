@@ -82,20 +82,11 @@ def run_suite() -> dict:
 # --- pytest-benchmark entry point --------------------------------------------
 
 
-def test_lint_cold_vs_warm(benchmark, report_sink):
+def test_lint_cold_vs_warm(benchmark):
     report = benchmark.pedantic(run_suite, rounds=1, iterations=1)
     totals = report["totals"]
     assert totals["warm_misses"] == 0  # a warm re-lint recomputes nothing
     assert totals["warm_hits"] > 0
-    report_sink.setdefault("lint", "Lint pipeline, 17-program corpus:")
-    report_sink["lint"] += (
-        f"\n  cold : {totals['cold_s'] * 1000:7.1f}ms"
-        f"  ({totals['cold_misses']} computes, "
-        f"{totals['findings']} findings)"
-        f"\n  warm : {totals['warm_s'] * 1000:7.1f}ms"
-        f"  ({totals['warm_hits']} hits, {totals['warm_misses']} computes, "
-        f"{report['warm_speedup']:.0f}x)"
-    )
 
 
 # --- script entry point ------------------------------------------------------

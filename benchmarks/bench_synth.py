@@ -119,17 +119,9 @@ def check_against(baseline: dict, current: dict) -> list[str]:
 # --- pytest-benchmark entry point --------------------------------------------
 
 
-def test_synth_costs(benchmark, report_sink):
+def test_synth_costs(benchmark):
     report = benchmark.pedantic(run_suite, rounds=1, iterations=1)
     assert verify(report) == []
-    lines = ["Fence synthesis, greedy vs optimal lowering cost:"]
-    for arch_key, totals in report["arches"].items():
-        lines.append(
-            f"  {arch_key:6s} greedy {totals['greedy_cost']:6d} -> "
-            f"optimal {totals['optimal_cost']:6d} "
-            f"({totals['strict_cells']} cells strictly cheaper)"
-        )
-    report_sink["synth"] = "\n".join(lines)
 
 
 # --- script entry point ------------------------------------------------------

@@ -30,7 +30,7 @@ class Slicer:
     Listing 2 (which chases only ``potential_writers`` of a load, not
     the load's address operand). It is off by default for faithfulness;
     turning it on gives a strictly more conservative slice and is used
-    by an ablation benchmark.
+    by an ablation test.
     """
 
     def __init__(

@@ -7,7 +7,7 @@ conflict graph — at litmus scale, for three uses:
 
 * the paper's Fig. 2 worked example (5 fences -> 2 after pruning);
 * ground truth in tests (MP, SB, Dekker delay pairs);
-* the ablation benchmark comparing exact vs approximated orderings.
+* the ablation test comparing exact vs approximated orderings.
 
 Critical cycles are enumerated as simple cycles in the combined graph
 with at most two accesses per thread (Shasha & Snir's minimality

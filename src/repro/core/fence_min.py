@@ -64,12 +64,10 @@ largest ``lo`` among the intervals ending at ``hi``
 ``hi`` iff it stabs that narrowest one, and a barrier that enforces
 the narrowest one enforces every wider one too, so the record's
 binding slots (:func:`binding_deadlines`) are all the DP checks there.
-The full interval family (:func:`collect_intervals`) is built only for
-what needs every interval: the min-cut certificate's gap prices, on
-the first read of a synthesized plan's certificate.
+Neither planner ever builds one object per interval.
 
-A function's span and deadline records, intervals and greedy plan are
-pure functions of its ordering set, the model, the projection and (for
+A function's span and deadline records and greedy plan are pure
+functions of its ordering set, the model, the projection and (for
 the plan) the entry fence, so each is memoized in the set's ``memo``:
 the pipeline's plan, optimal synthesis over the same set and the
 greedy plan that synthesis prices all build the delay graph once.
@@ -111,26 +109,6 @@ class PlannedFence:
     gap: int
     kind: FenceKind
     covers: frozenset[OrderKind] = frozenset()
-
-
-@dataclass(slots=True)
-class DelayInterval:
-    """Gap interval [lo, hi] in one block, tagged with its ordering kind.
-
-    The greedy planner below stabs their :func:`span_records`, which
-    keep each ``lo`` and kind's narrowest interval, and the optimal
-    synthesizer (:mod:`repro.synth`) reads their
-    :func:`deadline_records`, which keep each ``hi`` and kind's
-    narrowest one, so their plans differ only in *where* they stab,
-    never in *what* must be stabbed. Every interval is built only for
-    the min-cut certificate, via :func:`collect_intervals`.
-    """
-
-    block_index: int
-    lo: int
-    hi: int
-    needs_full: bool
-    kind: OrderKind
 
 
 @dataclass
@@ -185,25 +163,6 @@ def barrier_indices(
             if model.rmw_is_full_fence or not for_full:
                 indices.append(i)
     return indices
-
-
-def _hits(points: Sequence[int], lo: int, hi: int) -> bool:
-    """Does the sorted list ``points`` hold a value in ``[lo, hi]``?"""
-    k = bisect_left(points, lo)
-    return k < len(points) and points[k] <= hi
-
-
-def uncovered(
-    intervals: list[DelayInterval], barriers: list[int]
-) -> list[DelayInterval]:
-    """The intervals no existing barrier enforces.
-
-    An instruction at index k separates indices < k from indices > k,
-    which covers gap interval [lo, hi] iff lo <= k <= hi - 1.
-    """
-    if not barriers:
-        return intervals
-    return [iv for iv in intervals if not _hits(barriers, iv.lo, iv.hi - 1)]
 
 
 def _acquire_read(access: Access) -> bool:
@@ -276,102 +235,6 @@ def _endpoint_masks(orderings: OrderingSet, model: MemoryModel) -> tuple[int, in
     return locked | layout.mask(_acquire_read), ~(locked | layout.mask(_release_write))
 
 
-def collect_intervals(
-    func: Function,
-    orderings: OrderingSet,
-    model: MemoryModel,
-    projection: str = "source",
-) -> dict[int, list[DelayInterval]]:
-    """Project the surviving orderings onto per-block gap intervals.
-
-    The full delay graph, which the min-cut certificate consumes (the
-    planners read its :func:`span_records` and
-    :func:`deadline_records` instead): RMW-enforced and
-    qualifier-discharged orderings are filtered out and each survivor
-    is projected to a :class:`DelayInterval`, one per distinct span
-    *and* kind. Returns ``{block_index: [intervals]}``, memoized on
-    ``orderings``; callers must not mutate it.
-
-    Projection works per source mask (see :mod:`repro.core.orderings`).
-    A same-block ordering ``u -> v`` with ``v`` later in the block gives
-    ``[iu+1, iv]`` in that block. Every other destination (another
-    block, or a loop wrap-around) projects the same way for one source
-    and kind: onto ``[iu+1, t]`` in u's block, ``t`` its terminator
-    (``"source"``), or onto ``[0, iv]`` in v's block (``"target"``).
-
-    No two intervals produced here share ``(block, lo, hi, kind)``, so
-    none needs merging: one source's forward destinations have distinct
-    indices, none of them the terminator (terminators are never memory
-    accesses); two sources at one index are the halves of an RMW and
-    differ in kind, as do two destinations at one index; target
-    projections start at gap 0 and every other interval at 1 or later.
-    """
-    _check_projection(projection)
-    return _memoized(
-        func,
-        orderings,
-        ("intervals", model, projection),
-        lambda: _collect_intervals(func, orderings, model, projection),
-    )
-
-
-def _collect_intervals(
-    func: Function,
-    orderings: OrderingSet,
-    model: MemoryModel,
-    projection: str,
-) -> dict[int, list[DelayInterval]]:
-    layout = orderings.layout
-    positions, forward, writes = layout.positions, layout.forward, layout.writes
-    skip_sources, keep_dsts = _endpoint_masks(orderings, model)
-    # Per kind index: (needs a full fence, kind). The ordering kind is
-    # kept even where spans coincide — same-span intervals of different
-    # kinds place the same fences but each kind joins the fence's
-    # ``covers`` set.
-    tags = [(model.needs_full_fence(kind), kind) for kind in _KINDS]
-    by_block: dict[int, list[DelayInterval]] = {}
-
-    # Target projection: the other destinations, by source part.
-    elsewhere = [0, 0]
-    for i, dsts in enumerate(orderings.succ):
-        dsts &= keep_dsts
-        if not dsts or skip_sources >> i & 1:
-            continue
-        block, index = positions[i]
-        lo = index + 1
-        src_write = writes >> i & 1
-        ahead = dsts & forward[i]
-        rest = dsts ^ ahead
-        if projection == "target":
-            elsewhere[src_write] |= rest
-            rest = 0
-        if not (ahead or rest):
-            continue
-        out = by_block.setdefault(block, [])
-        for j in bits(ahead):
-            out.append(
-                DelayInterval(
-                    block, lo, positions[j][1], *tags[2 * src_write + (writes >> j & 1)]
-                )
-            )
-        if rest:
-            # Sound, since every path from u to v leaves through the
-            # end of u's block.
-            terminator = len(func.blocks[block].instructions) - 1
-            if rest & ~writes:
-                out.append(DelayInterval(block, lo, terminator, *tags[2 * src_write]))
-            if rest & writes:
-                out.append(DelayInterval(block, lo, terminator, *tags[2 * src_write + 1]))
-    # Equally sound: every path into v enters through its block start.
-    for src_write, dsts in enumerate(elsewhere):
-        for j in bits(dsts):
-            block, index = positions[j]
-            by_block.setdefault(block, []).append(
-                DelayInterval(block, 0, index, *tags[2 * src_write + (writes >> j & 1)])
-            )
-    return by_block
-
-
 def span_records(
     func: Function,
     orderings: OrderingSet,
@@ -381,10 +244,9 @@ def span_records(
     """Per block and gap start ``lo``: the smallest ``hi`` of each kind.
 
     Returns ``{block_index: {lo: his}}`` where ``his[k]`` is the
-    smallest ``hi`` among the :func:`collect_intervals` intervals
-    ``[lo, hi]`` of kind ``_KINDS[k]`` in that block, or
-    :data:`NO_SPAN` if there is none. Memoized on ``orderings``;
-    callers must not mutate it.
+    smallest ``hi`` among the block's delay intervals ``[lo, hi]`` of
+    kind ``_KINDS[k]``, or :data:`NO_SPAN` if there is none. Memoized
+    on ``orderings``; callers must not mutate it.
 
     The records come straight from the masks. Accesses are numbered in
     program order, so the nearest same-block destination of a kind is
@@ -470,11 +332,11 @@ def deadline_records(
     """Per block and gap end ``hi``: the largest ``lo`` of each kind.
 
     Returns ``{block_index: {hi: los}}`` where ``los[k]`` is the
-    largest ``lo`` among the :func:`collect_intervals` intervals
-    ``[lo, hi]`` of kind ``_KINDS[k]`` in that block, or -1 if there
-    is none — the mirror image of :func:`span_records`, and all the
-    optimal DP (:mod:`repro.synth.optimal`) reads of the family.
-    Memoized on ``orderings``; callers must not mutate it.
+    largest ``lo`` among the block's delay intervals ``[lo, hi]`` of
+    kind ``_KINDS[k]``, or -1 if there is none — the mirror image of
+    :func:`span_records`, and all the optimal DP
+    (:mod:`repro.synth.optimal`) reads of the intervals. Memoized on
+    ``orderings``; callers must not mutate it.
 
     The records come straight from the masks, in one reverse
     program-order sweep: the latest source of a part ordered before a
@@ -666,8 +528,8 @@ def plan_fences(
 
     ``projection`` picks which block a cross-block ordering's interval
     lands in: ``"source"`` (Fang-style, the default) or ``"target"`` —
-    both sound; the ablation benchmark compares the static counts.
-    The plan is memoized on ``orderings``; callers must not mutate it.
+    both sound. The plan is memoized on ``orderings``; callers must not
+    mutate it.
     """
     _check_projection(projection)
     return _memoized(

@@ -6,7 +6,7 @@ preserved during the compilation process" (paper Section 2.1), so they
 receive zero-cost compiler directives; the rest need full fences.
 
 The paper evaluates on x86-TSO, where only ``w -> r`` needs a full
-fence; SC, PSO, and RMO are provided for the ablation benchmarks.
+fence; SC, PSO, and RMO are provided for the ablation tests.
 """
 
 from __future__ import annotations

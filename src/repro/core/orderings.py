@@ -28,9 +28,8 @@ from a set's accesses alone lives in its shared :class:`AccessLayout`:
 
 Pruning (:mod:`repro.core.pruning`) intersects ``succ`` with per-source
 keep masks and shares the layout; the delay graph
-(:func:`repro.core.fence_min.span_records`,
-:func:`~repro.core.fence_min.deadline_records` and
-:func:`~repro.core.fence_min.collect_intervals`) splits each
+(:func:`repro.core.fence_min.span_records` and
+:func:`~repro.core.fence_min.deadline_records`) splits each
 ``succ[i]`` into its same-block forward part and the rest, and caches
 what it derives in the set's ``memo``. Accesses are numbered in
 program order, so within a block a lower bit is an earlier access.

@@ -25,8 +25,9 @@ FENCE103   warning  pointer publish without a fence between the
                     on a model that reorders ``w->w``
 FENCE104   note     the greedy count-minimizing fence plan is strictly
                     costlier than the min-cost synthesis on the
-                    requested arch (the finding carries the optimizer's
-                    witness cut)
+                    requested arch (the finding names each fence
+                    where the two plans differ, ``label@gap flavor
+                    (greedy: flavor)``)
 ========== ======== ====================================================
 """
 

@@ -20,8 +20,8 @@ The shipped passes:
   (FENCE103);
 * ``suboptimal-fence-cost`` — the greedy count-minimizing plan is
   strictly costlier than the min-cost synthesis of :mod:`repro.synth`
-  on the requested arch (FENCE104; reports the optimizer's witness
-  cut).
+  on the requested arch (FENCE104; names the fences where the two
+  plans differ).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from repro.registry.core import Registry
 
 if TYPE_CHECKING:  # runtime-lazy: repro.arch itself imports repro.core
     from repro.arch.backend import ArchBackend
+    from repro.arch.lowering import LoweredPlan
 
 
 @dataclass
@@ -377,6 +378,32 @@ def _unfenced_publish(ctx: LintContext) -> Iterable[Finding]:
 # --- FENCE104: greedy plan strictly costlier than optimal ---------------
 
 
+def _differing_fences(optimal: LoweredPlan, greedy: LoweredPlan) -> list[str]:
+    """``label@gap flavor (greedy: flavor)`` for every gap whose
+    flavored fences differ between the two lowered plans, in block and
+    gap order; ``none`` stands for no fence, ``+`` joins fences stacked
+    at one gap. The entry fence is priced alike on both sides and
+    compiler directives cost nothing, so the greedy cost minus the
+    right-hand flavors plus the left-hand ones is the optimal cost."""
+
+    def flavors(plan: LoweredPlan) -> dict[tuple[str, int], str]:
+        by_gap: dict[tuple[str, int], list[str]] = {}
+        for fence in plan.fences:
+            if fence.flavor is not None:
+                by_gap.setdefault((fence.block_label, fence.gap), []).append(fence.flavor)
+        return {key: "+".join(sorted(names)) for key, names in by_gap.items()}
+
+    ours, theirs = flavors(optimal), flavors(greedy)
+    order = {block.label: i for i, block in enumerate(optimal.function.blocks)}
+    gaps = sorted(ours.keys() | theirs.keys(), key=lambda key: (order[key[0]], key[1]))
+    return [
+        f"{label}@{gap} {ours.get((label, gap), 'none')} "
+        f"(greedy: {theirs.get((label, gap), 'none')})"
+        for label, gap in gaps
+        if ours.get((label, gap)) != theirs.get((label, gap))
+    ]
+
+
 @lint_pass(
     "suboptimal-fence-cost",
     ("FENCE104",),
@@ -385,6 +412,7 @@ def _unfenced_publish(ctx: LintContext) -> Iterable[Finding]:
 def _suboptimal_fence_cost(ctx: LintContext) -> Iterable[Finding]:
     if ctx.arch is None or ctx.model is None:
         return ()  # cost is only defined against a flavor catalog
+    from repro.arch.lowering import lower_plan
     from repro.registry.variants import get_variant
     from repro.synth import synthesize_plan
 
@@ -399,9 +427,7 @@ def _suboptimal_fence_cost(ctx: LintContext) -> Iterable[Finding]:
         )
         if plan.cost >= plan.greedy_cost:
             continue
-        cut = ", ".join(
-            f"{label}@{gap}" for label, gap in plan.witness_cut
-        )
+        differing = _differing_fences(plan, lower_plan(fa.plan, ctx.arch))
         findings.append(
             Finding(
                 code="FENCE104",
@@ -410,9 +436,8 @@ def _suboptimal_fence_cost(ctx: LintContext) -> Iterable[Finding]:
                     f"greedy fence plan for '{name}' costs "
                     f"{plan.greedy_cost} cycles on '{ctx.arch.key}'; "
                     f"min-cost synthesis achieves {plan.cost} "
-                    f"({plan.savings} saved"
-                    + (f"; witness cut: {cut}" if cut else "")
-                    + ")"
+                    f"({plan.savings} saved; differing fences: "
+                    f"{', '.join(differing)})"
                 ),
                 pass_id="suboptimal-fence-cost",
             )

@@ -1,25 +1,19 @@
-"""Optimal min-cost fence synthesis (delay-graph min-cut + exact DP).
+"""Optimal min-cost fence synthesis (an exact DP over the delay graph).
 
 The greedy pipeline minimizes fence *count*; this package minimizes
 fence *cost* on flavored ISAs, over the exact same per-block delay
-intervals, and proves it: every plan carries the greedy cost it beats
-and a min-cut certificate value. See :mod:`repro.synth.optimal` for
-the solver and :mod:`repro.synth.mincut` for the pure-python Dinic
-max-flow underneath.
+intervals. Every plan carries the greedy cost it improves on, so the
+saving is explicit. See :mod:`repro.synth.optimal` for the solver.
 """
 
-from repro.synth.mincut import FlowNetwork
 from repro.synth.optimal import (
     SynthesisPlan,
-    block_cut,
     synthesize_analysis,
     synthesize_plan,
 )
 
 __all__ = [
-    "FlowNetwork",
     "SynthesisPlan",
-    "block_cut",
     "synthesize_analysis",
     "synthesize_plan",
 ]

@@ -6,11 +6,10 @@ fence with the cheapest sufficient flavor. On flavored ISAs that
 two-step can lose: splitting one expensive full fence into two cheap
 partial fences (two ``lwsync`` at 66 instead of one ``sync`` at 80)
 is never visible to a cardinality objective. This module minimizes
-*cost* directly, over the same family of
-:class:`~repro.core.fence_min.DelayInterval`s whose span records the
-greedy stabs, so any difference between the two plans is purely
-better stabbing or better flavoring — never a different delay graph.
-The DP reads that family as its deadline records
+*cost* directly, over the same per-block delay intervals whose span
+records the greedy stabs, so any difference between the two plans is
+purely better stabbing or better flavoring — never a different delay
+graph. The DP reads those intervals as their deadline records
 (:func:`~repro.core.fence_min.deadline_records`), built straight from
 the ordering masks; the span and deadline records and the greedy plan
 that synthesis prices are all memoized on the ordering set, so each
@@ -36,20 +35,12 @@ Solver structure, per basic block:
   slots decides it. Dominated states (pointwise older fences, no
   cheaper) are pruned. The greedy plan is one feasible point of this
   program, so the DP result is never costlier than greedy.
-* **Min-cut certificate**: the full interval family builds the
-  :mod:`repro.synth.mincut` delay network; its cut value upper-bounds
-  the DP (equal on laminar families) and its saturated chain edges are
-  the witness placement the ``FENCE104`` lint reports. The plan keeps
-  the ordering set, model and projection it was synthesized from, and
-  builds the family (:func:`~repro.core.fence_min.collect_intervals`)
-  and solves the network only on the first read of ``mincut_value`` or
-  ``witness_cut``, so requests that never read the certificate
-  (``analyze``, batch, serve) build no interval at all. A single
-  min-cut is *not* exact for crossing interval families — it must pay
-  inside every pairwise overlap, which is the reason Alglave et al.
-  (CAV 2014) use an ILP — hence the DP, which handles crossing
-  families in polynomial time because gap costs are
-  position-independent here.
+
+The DP is exact on crossing interval families too, where one min-cut
+over a delay network must pay inside every pairwise overlap (the
+reason Alglave et al., CAV 2014, use an ILP): gap costs do not depend
+on position here, so the per-kind state above is all a placement needs
+to remember.
 
 Compiler-only intervals are stabbed exactly as in the greedy round 2,
 over span records (they cost nothing, so cardinality greedy is already
@@ -62,20 +53,16 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import accumulate
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from repro.arch.backend import ArchBackend, FenceFlavor
 from repro.arch.lowering import LoweredFence, LoweredPlan, lower_plan, summarize_lowerings
 from repro.core.fence_min import (
     KIND_SETS,
-    DelayInterval,
     barrier_indices,
     binding_deadlines,
-    collect_intervals,
     count_discharged,
     deadline_records,
     plan_fences,
@@ -83,7 +70,6 @@ from repro.core.fence_min import (
     span_records,
     stab_spans,
     surviving_spans,
-    uncovered,
 )
 from repro.core.machine_models import MemoryModel, OrderKind
 from repro.core.orderings import OrderingSet
@@ -91,7 +77,6 @@ from repro.ir.function import Function
 from repro.ir.instructions import FenceKind
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.synth.mincut import INF, FlowNetwork
 
 _KINDS = tuple(OrderKind)
 #: Each kind's bit in a 4-bit kind mask (bit ``k`` is ``_KINDS[k]``).
@@ -108,13 +93,6 @@ class SynthesisPlan(LoweredPlan):
     """An optimal lowered placement, comparable field-by-field with the
     greedy :class:`~repro.arch.lowering.LoweredPlan` (it *is* one:
     ``apply_lowered_plan`` and ``summarize_lowerings`` take it as-is).
-
-    The min-cut certificate (``mincut_value``, ``witness_cut``) is not
-    a field: it is computed on first read, from the interval family of
-    the ordering set, model and projection synthesis planned from, and
-    ``==`` does not compare it. That family is built from the
-    function's IR as it is at that read, so read the certificate
-    before inserting the plan into the same function.
     """
 
     #: Cost of the greedy plan lowered on the same backend — the
@@ -123,55 +101,11 @@ class SynthesisPlan(LoweredPlan):
     #: Orderings discharged by C11-style acquire/release qualifiers
     #: before the delay graph was built.
     discharged: int = 0
-    #: The certificate's input: the ordering set, model, projection and
-    #: backend synthesis planned from.
-    cut_input: tuple[OrderingSet, MemoryModel, str, ArchBackend] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def savings(self) -> int:
         """Cycles saved over the greedy placement (>= 0)."""
         return self.greedy_cost - self.cost
-
-    @property
-    def mincut_value(self) -> int:
-        """Value of the per-block min-cut certificates summed over the
-        function, entry fence included (``cost <= mincut_value``; equal
-        on laminar families)."""
-        return self._certificate[0]
-
-    @property
-    def witness_cut(self) -> tuple[tuple[str, int], ...]:
-        """``(block label, gap)`` chain edges of the min cut — the
-        witness placement FENCE104 renders when greedy is strictly
-        costlier."""
-        return self._certificate[1]
-
-    @cached_property
-    def _certificate(self) -> tuple[int, tuple[tuple[str, int], ...]]:
-        started = time.perf_counter()
-        value = self.entry_cost
-        witness: list[tuple[str, int]] = []
-        if self.cut_input is not None:
-            orderings, model, projection, backend = self.cut_input
-            by_block = collect_intervals(self.function, orderings, model, projection)
-            for block_index in sorted(by_block):
-                block = self.function.blocks[block_index]
-                needed = uncovered(
-                    [iv for iv in by_block[block_index] if iv.needs_full],
-                    barrier_indices(block.instructions, model, for_full=True),
-                )
-                if needed:
-                    cut_value, cut_gaps = block_cut(needed, backend)
-                    value += cut_value
-                    witness.extend((block.label, gap) for gap in cut_gaps)
-        obs_metrics.REGISTRY.observe(
-            "repro_synth_mincut_seconds",
-            time.perf_counter() - started,
-            arch=self.arch,
-        )
-        return value, tuple(witness)
 
 
 def _flavor_options(
@@ -296,60 +230,6 @@ def _solve_block(
     return best_cost, placements
 
 
-def block_cut(
-    intervals: list[DelayInterval], backend: ArchBackend
-) -> tuple[int, list[int]]:
-    """Min-cut certificate for one block's full-fence intervals.
-
-    Builds the delay network of :mod:`repro.synth.mincut` — chain
-    edges per gap priced at the cheapest flavor killing every kind
-    crossing the gap, infinite interval bypasses — and returns
-    ``(cut value, cut gaps)``.
-
-    Gap prices come from one sweep per kind over the interval
-    endpoints, O(gaps + intervals). Intervals sharing an endpoint share
-    one bypass edge with their summed capacity: parallel edges add up,
-    so every cut, the max-flow value and the residual source side (and
-    with it the witness) stay those of one edge per interval.
-    """
-    if not intervals:
-        return 0, []
-    lo = min(iv.lo for iv in intervals)
-    span = max(iv.hi for iv in intervals) - lo + 1
-    # Per kind bit: intervals opening minus intervals closed, at each gap.
-    deltas: dict[int, list[int]] = {}
-    for iv in intervals:
-        bit = _KIND_BITS[iv.kind]
-        delta = deltas.get(bit)
-        if delta is None:
-            delta = deltas[bit] = [0] * (span + 1)
-        delta[iv.lo - lo] += 1
-        delta[iv.hi + 1 - lo] -= 1
-    # Bit k of crossing[g] is set when some interval of _KINDS[k]
-    # contains gap lo + g.
-    crossing = [0] * span
-    for bit, delta in deltas.items():
-        for g, depth in enumerate(accumulate(delta[:span])):
-            if depth:
-                crossing[g] |= bit
-    prices = {0: INF}
-    net = FlowNetwork()
-    s, t = net.add_node(), net.add_node()
-    # Node per gap boundary: p[g] sits before gap ``lo + g``.
-    nodes = [net.add_node() for _ in range(span + 1)]
-    for g, kinds in enumerate(crossing):
-        price = prices.get(kinds)
-        if price is None:
-            price = prices[kinds] = backend.cheapest_flavor(KIND_SETS[kinds]).cost
-        net.add_edge(nodes[g], nodes[g + 1], price, tag=lo + g)
-    for start, count in Counter(iv.lo for iv in intervals).items():
-        net.add_edge(s, nodes[start - lo], count * INF)
-    for end, count in Counter(iv.hi for iv in intervals).items():
-        net.add_edge(nodes[end + 1 - lo], t, count * INF)
-    value, tags = net.min_cut(s, t)
-    return value, sorted(tags)
-
-
 def synthesize_plan(
     func: Function,
     orderings: OrderingSet,
@@ -365,7 +245,7 @@ def synthesize_plan(
     ``cost`` is minimal for the delay graph and never exceeds
     ``greedy_cost`` (the greedy plan lowered on the same backend).
     """
-    plan = SynthesisPlan(func, backend.key, cut_input=(orderings, model, projection, backend))
+    plan = SynthesisPlan(func, backend.key)
     plan.discharged = count_discharged(orderings)
     spans = span_records(func, orderings, model, projection)
     deadlines = deadline_records(func, orderings, model, projection)

@@ -3,25 +3,39 @@
 These are the one-object-per-pair versions of ordering generation,
 Table I pruning, delay-interval collection, greedy stabbing and optimal
 synthesis that the bitmask core in :mod:`repro.core.orderings` replaced.
-They are kept verbatim in spirit — nested loops over access pairs,
-per-gap pricing over every interval, one bypass edge per interval — so
-the tests can check the mask core against them field by field.
+They are kept verbatim in spirit — nested loops over access pairs, one
+:class:`DelayInterval` per ordering, list-scan stabbing — so the tests
+can check the mask core against them field by field. The span and
+deadline records the mask core plans from are checked against
+:func:`span_records` and :func:`deadline_records` of these intervals.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.arch.backend import ArchBackend
 from repro.arch.lowering import LoweredFence, lower_plan
-from repro.core.fence_min import DelayInterval, FencePlan, PlannedFence, barrier_indices
+from repro.core.fence_min import NO_SPAN, FencePlan, PlannedFence, barrier_indices
 from repro.core.machine_models import MemoryModel, OrderKind
 from repro.core.orderings import Ordering, logical_accesses
 from repro.ir.function import Function
 from repro.ir.instructions import FenceKind, Load, Store
-from repro.synth.mincut import INF, FlowNetwork
 from repro.synth.optimal import SynthesisPlan, _flavor_options
 
 _KINDS = tuple(OrderKind)
 _KIDX = {kind: i for i, kind in enumerate(_KINDS)}
+
+
+@dataclass(frozen=True)
+class DelayInterval:
+    """Gap interval [lo, hi] in one block, tagged with its ordering kind."""
+
+    block_index: int
+    lo: int
+    hi: int
+    needs_full: bool
+    kind: OrderKind
 
 
 def generate_orderings(func, escape_info, reach, include_self_pairs=False) -> list[Ordering]:
@@ -96,6 +110,28 @@ def collect_intervals(func, orderings, model, projection="source"):
     for iv in unique.values():
         by_block.setdefault(iv.block_index, []).append(iv)
     return by_block
+
+
+def span_records(by_block):
+    """Per block and ``lo``, the smallest ``hi`` of each kind's intervals."""
+    spans: dict = {}
+    for block, ivs in by_block.items():
+        for iv in ivs:
+            his = spans.setdefault(block, {}).setdefault(iv.lo, [NO_SPAN] * 4)
+            k = _KIDX[iv.kind]
+            his[k] = min(his[k], iv.hi)
+    return spans
+
+
+def deadline_records(by_block):
+    """Per block and ``hi``, the largest ``lo`` of each kind's intervals."""
+    deadlines: dict = {}
+    for block, ivs in by_block.items():
+        for iv in ivs:
+            los = deadlines.setdefault(block, {}).setdefault(iv.hi, [-1] * 4)
+            k = _KIDX[iv.kind]
+            los[k] = max(los[k], iv.lo)
+    return deadlines
 
 
 def satisfied_by_instruction(interval: DelayInterval, barrier_index: int) -> bool:
@@ -199,32 +235,6 @@ def solve_block(intervals, backend):
     return best_cost, placements
 
 
-def block_cut(intervals, backend):
-    """Gap prices marked interval by interval; one bypass edge per interval."""
-    if not intervals:
-        return 0, []
-    lo = min(iv.lo for iv in intervals)
-    hi = max(iv.hi for iv in intervals)
-    # Each interval marks every gap it contains.
-    crossing = [0] * (hi - lo + 1)
-    for iv in intervals:
-        bit = 1 << _KIDX[iv.kind]
-        for gap in range(iv.lo - lo, iv.hi - lo + 1):
-            crossing[gap] |= bit
-    net = FlowNetwork()
-    s, t = net.add_node(), net.add_node()
-    nodes = [net.add_node() for _ in range(hi - lo + 2)]
-    for gap in range(lo, hi + 1):
-        kinds = frozenset(k for k in _KINDS if crossing[gap - lo] >> _KIDX[k] & 1)
-        price = backend.cheapest_flavor(kinds).cost if kinds else INF
-        net.add_edge(nodes[gap - lo], nodes[gap - lo + 1], price, tag=gap)
-    for iv in intervals:
-        net.add_edge(s, nodes[iv.lo - lo], INF)
-        net.add_edge(nodes[iv.hi + 1 - lo], t, INF)
-    value, tags = net.min_cut(s, t)
-    return value, sorted(tags)
-
-
 def synthesize_plan(
     func: Function,
     orderings: list[Ordering],
@@ -232,14 +242,11 @@ def synthesize_plan(
     model: MemoryModel,
     backend: ArchBackend,
     greedy: FencePlan,
-) -> tuple[SynthesisPlan, tuple[int, tuple[tuple[str, int], ...]]]:
+) -> SynthesisPlan:
     """Optimal synthesis over ``collect_intervals``'s output; ``greedy``
-    is the greedy plan of the same intervals. Returns the plan and its
-    min-cut certificate ``(mincut_value, witness_cut)``."""
+    is the greedy plan of the same intervals."""
     plan = SynthesisPlan(func, backend.key)
-    mincut_value = 0
     plan.discharged = sum(1 for o in orderings if discharged_by_qualifier(o))
-    witness = []
     for block_index in sorted(by_block):
         block = func.blocks[block_index]
         ivs = by_block[block_index]
@@ -249,9 +256,6 @@ def synthesize_plan(
             if iv.needs_full and not any(satisfied_by_instruction(iv, k) for k in full_barriers)
         ]
         _cost, placements = solve_block(full_needed, backend)
-        cut_value, cut_gaps = block_cut(full_needed, backend)
-        mincut_value += cut_value
-        witness.extend((block.label, gap) for gap in cut_gaps)
         covers: dict[int, set[OrderKind]] = {}
         for gap, flavor in placements:
             covers.setdefault(gap, set())
@@ -284,6 +288,5 @@ def synthesize_plan(
         plan.entry_fence = True
         plan.entry_flavor = full.name
         plan.entry_cost = full.cost
-    mincut_value += plan.entry_cost
     plan.greedy_cost = lower_plan(greedy, backend).cost
-    return plan, (mincut_value, tuple(witness))
+    return plan

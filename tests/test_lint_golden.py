@@ -110,7 +110,7 @@ def test_corpus_lint_matches_golden(session, name):
 @pytest.mark.parametrize("name", sorted(ARCH_GOLDEN["programs"]))
 def test_arch_lint_matches_golden(session, name):
     """Power-backend lint replay: pins FENCE104 suboptimal-greedy
-    findings with their exact cycle costs and witness cuts."""
+    findings with their exact cycle costs and differing fences."""
     report = session.lint(
         LintRequest(
             program=ProgramSpec.corpus(name),
@@ -135,7 +135,7 @@ def test_fence104_pinned_in_arch_golden():
     matrix = " ".join(f["message"] for f in f104["matrix"])
     for cost in ("3249", "3194", "659", "557", "386", "331"):
         assert cost in matrix
-    assert "witness cut" in matrix
+    assert "differing fences" in matrix
 
 
 def test_corpus_noise_floor():

@@ -1,59 +1,139 @@
 """Tests for the optimal min-cost fence synthesizer (repro.synth).
 
-Pins the three claims the synthesizer makes:
+Pins the claims the synthesizer makes:
 
+* the DP is exact: on small blocks its cost equals a brute-force search
+  over every subset of the backend's flavors at every gap;
 * on single-cut interval families (and on functions greedy already
   fences with at most one full fence) the optimal and greedy plans
   cost the same — the greedy stab is a feasible DP point, and one
   cheapest covering flavor cannot be beaten by a split;
 * on a hand-built multi-cut family the count-first greedy stab is
-  strictly costlier (exact cycle costs pinned), with the min-cut
-  certificate agreeing with the DP;
+  strictly costlier (exact cycle costs pinned);
 * optimal placements are sound: they pass the SC-vs-weak differential
   oracle on every explorer model, and never cost more than greedy on
-  any (program, arch) corpus cell.
+  any (program, arch) corpus cell;
+* each FENCE104 note names exactly the fences where the optimal and
+  greedy plans differ, and their catalog costs add up to its figures.
 """
 
 from __future__ import annotations
 
+import re
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import AnalyzeRequest, ProgramSpec, Session
+import _delay_core_oracle as oracle
+from repro.api import AnalyzeRequest, LintRequest, ProgramSpec, Session
 from repro.arch import backend_keys, get_backend
 from repro.arch.lowering import lower_plan
-from repro.core.fence_min import DelayInterval, collect_intervals
 from repro.core.machine_models import MODELS, OrderKind
 from repro.memmodel.litmus import LITMUS_TESTS
-from repro.programs import get_program
+from repro.programs import all_programs, get_program
 from repro.registry.variants import get_variant
-from repro.synth import block_cut, synthesize_analysis
+from repro.synth import synthesize_analysis
 from repro.synth.optimal import _solve_block
 from repro.validate.oracle import EXPLORERS, run_oracle
 
 POWER = get_backend("power")
 WEAK_MODELS = tuple(k for k in sorted(EXPLORERS) if k != "sc")
+_KINDS = list(OrderKind)
 
 
-def iv(lo: int, hi: int, kind: OrderKind) -> DelayInterval:
-    return DelayInterval(
+def iv(lo: int, hi: int, kind: OrderKind) -> oracle.DelayInterval:
+    return oracle.DelayInterval(
         block_index=0, lo=lo, hi=hi, needs_full=True, kind=kind
     )
 
 
-def solve(intervals, backend):
+def solve(intervals, backend, slots=range(len(OrderKind)), barriers=()):
     """``_solve_block`` over the deadline records of one block's
-    ``intervals`` (every kind binding, no barriers): per right endpoint
-    and kind, the largest ``lo``."""
+    ``intervals``: per right endpoint and kind, the largest ``lo``."""
     records: dict[int, list[int]] = {}
     for interval in intervals:
         los = records.setdefault(interval.hi, [-1] * len(OrderKind))
-        k = list(OrderKind).index(interval.kind)
+        k = _KINDS.index(interval.kind)
         los[k] = max(los[k], interval.lo)
-    return _solve_block(records, range(len(OrderKind)), [], backend)
+    return _solve_block(records, slots, list(barriers), backend)
+
+
+# --- exactness against brute force ------------------------------------------
+
+
+def brute_force_cost(intervals, backend, gaps: int) -> int:
+    """The cheapest placement found by trying every subset of the
+    backend's flavors at every gap ``0 .. gaps - 1``; a branch is cut
+    once some interval ending at the current gap is left unstabbed, or
+    once it costs at least the best complete placement so far."""
+    subsets = [
+        (sum(f.cost for f in chosen), frozenset().union(*(f.kills for f in chosen)))
+        for size in range(len(backend.flavors) + 1)
+        for chosen in combinations(backend.flavors, size)
+    ]
+    best = [float("inf")]
+    kills: list[frozenset[OrderKind]] = []
+
+    def place(gap: int, cost: int) -> None:
+        if cost >= best[0]:
+            return
+        if gap == gaps:
+            best[0] = cost
+            return
+        for subset_cost, subset_kills in subsets:
+            kills.append(subset_kills)
+            if all(
+                any(interval.kind in kills[g] for g in range(interval.lo, gap + 1))
+                for interval in intervals
+                if interval.hi == gap
+            ):
+                place(gap + 1, cost + subset_cost)
+            kills.pop()
+
+    place(0, 0)
+    return best[0]
+
+
+@st.composite
+def small_blocks(draw):
+    """``(gaps, intervals, slots, barriers)``: at most 5 gaps, at most
+    6 intervals of random kinds, the kinds needing a fence, and
+    instruction indices already acting as barriers."""
+    gaps = draw(st.integers(1, 5))
+    ends = st.tuples(st.integers(0, gaps - 1), st.integers(0, gaps - 1), st.sampled_from(_KINDS))
+    intervals = [
+        iv(min(a, b), max(a, b), kind)
+        for a, b, kind in draw(st.lists(ends, min_size=1, max_size=6))
+    ]
+    slots = tuple(sorted(draw(st.sets(st.integers(0, 3), min_size=1))))
+    barriers = sorted(draw(st.sets(st.integers(0, gaps - 1), max_size=2)))
+    return gaps, intervals, slots, barriers
+
+
+@pytest.mark.parametrize("arch_key", ["x86", "arm", "power"])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(block=small_blocks())
+def test_dp_cost_equals_brute_force(arch_key, block):
+    gaps, intervals, slots, barriers = block
+    backend = get_backend(arch_key)
+    # An instruction at index b enforces [lo, hi] iff lo <= b <= hi - 1.
+    needed = [
+        interval
+        for interval in intervals
+        if _KINDS.index(interval.kind) in slots
+        and not any(interval.lo <= b < interval.hi for b in barriers)
+    ]
+    cost, placements = solve(intervals, backend, slots, barriers)
+    assert cost == brute_force_cost(needed, backend, gaps)
+    assert cost == sum(flavor.cost for _gap, flavor in placements)
+    for interval in needed:
+        assert any(
+            interval.lo <= gap <= interval.hi and interval.kind in flavor.kills
+            for gap, flavor in placements
+        ), interval
 
 
 # --- hand-built multi-cut fixture -------------------------------------------
@@ -98,19 +178,6 @@ def test_multi_cut_fixture_optimal_strictly_beats_greedy():
     assert greedy_stab_cost(MULTI_CUT, POWER) == 160
 
 
-def test_multi_cut_fixture_mincut_bounds_the_dp():
-    """The flow network prices each gap at the cheapest flavor covering
-    *every* kind crossing it, so on this crossing (non-laminar) family
-    the cut overcharges: it lands on the greedy stab's 160, a sound
-    upper bound the DP beats. The certificate contract is only
-    ``dp <= cut``, with equality on laminar families."""
-    value, gaps = block_cut(MULTI_CUT, POWER)
-    assert value == 160 == greedy_stab_cost(MULTI_CUT, POWER)
-    assert gaps == [2, 6]
-    dp_cost, _placements = solve(MULTI_CUT, POWER)
-    assert dp_cost <= value
-
-
 # --- single-cut property ----------------------------------------------------
 
 KINDS = st.sampled_from(list(OrderKind))
@@ -152,7 +219,6 @@ def test_single_fence_functions_match_greedy(arch_key):
         for fname, plan in plans.items():
             greedy = lower_plan(analysis.functions[fname].plan, backend)
             assert plan.cost <= greedy.cost
-            assert plan.cost <= plan.mincut_value
             if greedy.full_count <= 1:
                 single_cut_seen += 1
                 assert plan.cost == greedy.cost, (name, fname)
@@ -205,47 +271,92 @@ def test_matrix_power_exact_costs_pinned():
     for fname, (greedy, optimal) in pinned.items():
         plan = plans[fname]
         assert (plan.greedy_cost, plan.cost) == (greedy, optimal), fname
-        assert plan.witness_cut  # certificate travels with the plan
 
 
-def test_certificate_is_computed_once_on_first_read(monkeypatch):
-    import repro.core.fence_min as fence_min
-    import repro.synth.optimal as optimal
+# --- FENCE104 notes ---------------------------------------------------------
 
-    calls = []
-    families = []
-    built = []
+_NOTE = re.compile(
+    r"greedy fence plan for '(?P<function>[^']+)' costs (?P<greedy>\d+) cycles on "
+    r"'(?P<arch>[^']+)'; min-cost synthesis achieves (?P<cost>\d+) "
+    r"\((?P<saved>\d+) saved; differing fences: (?P<fences>.+)\)"
+)
+_FENCE = re.compile(r"(?P<label>\S+)@(?P<gap>\d+) (?P<ours>\S+) \(greedy: (?P<theirs>\S+)\)")
 
-    def counting_block_cut(intervals, backend):
-        calls.append(len(intervals))
-        return block_cut(intervals, backend)
 
-    def counting_collect_intervals(func, *args):
-        families.append(func.name)
-        return collect_intervals(func, *args)
+def _gap_flavors(plan) -> dict[tuple[str, int], list[str]]:
+    flavors: dict[tuple[str, int], list[str]] = {}
+    for fence in plan.fences:
+        if fence.flavor is not None:
+            flavors.setdefault((fence.block_label, fence.gap), []).append(fence.flavor)
+    return {key: sorted(names) for key, names in flavors.items()}
 
-    def counting_interval(*args):
-        built.append(args)
-        return DelayInterval(*args)
 
-    monkeypatch.setattr(optimal, "block_cut", counting_block_cut)
-    monkeypatch.setattr(optimal, "collect_intervals", counting_collect_intervals)
-    monkeypatch.setattr(fence_min, "DelayInterval", counting_interval)
-    analysis = get_variant("address+control").analyze(
-        get_program("matrix").compile(), MODELS["power"]
-    )
-    plans, _summary = synthesize_analysis(analysis, POWER)
-    # Synthesis alone never solves a min cut, nor builds an interval.
-    assert calls == [] and families == [] and built == []
-    plan = plans["mxx_gather"]
-    first = (plan.mincut_value, plan.witness_cut)
-    solved = len(calls)
-    assert solved > 0
-    assert families == ["mxx_gather"]
-    assert built
-    assert (plan.mincut_value, plan.witness_cut) == first
-    # The second read is cached.
-    assert len(calls) == solved and families == ["mxx_gather"]
+def _names(rendered: str) -> list[str]:
+    return [] if rendered == "none" else rendered.split("+")
+
+
+@pytest.mark.parametrize("arch_key", ["arm", "power"])
+def test_fence104_notes_name_the_plan_difference_and_add_up(arch_key):
+    backend = get_backend(arch_key)
+    model = MODELS[arch_key]
+    price = {flavor.name: flavor.cost for flavor in backend.flavors}
+    session = Session()
+    notes = 0
+    for name in sorted(all_programs()):
+        report = session.lint(
+            LintRequest(
+                program=ProgramSpec.corpus(name),
+                model=arch_key,
+                arch=arch_key,
+                passes=("suboptimal-fence-cost",),
+                confirm=False,
+            )
+        )
+        parsed = {}
+        for finding in report.findings:
+            assert finding.code == "FENCE104"
+            match = _NOTE.fullmatch(finding.message)
+            assert match, finding.message
+            fences = match["fences"].split(", ")
+            listed = {}
+            for fence in fences:
+                part = _FENCE.fullmatch(fence)
+                assert part, fence
+                listed[(part["label"], int(part["gap"]))] = (
+                    _names(part["ours"]), _names(part["theirs"])
+                )
+            assert len(listed) == len(fences)
+            greedy, cost = int(match["greedy"]), int(match["cost"])
+            assert match["arch"] == arch_key
+            assert int(match["saved"]) == greedy - cost > 0
+            removed = sum(price[f] for _ours, theirs in listed.values() for f in theirs)
+            added = sum(price[f] for ours, _theirs in listed.values() for f in ours)
+            assert greedy - removed + added == cost, finding.message
+            parsed[match["function"]] = (greedy, cost, listed)
+        notes += len(parsed)
+
+        # The plans' difference, computed here from the plans themselves.
+        analysis = get_variant("address+control").analyze(
+            get_program(name).compile(), model
+        )
+        plans, _summary = synthesize_analysis(analysis, backend)
+        expected = {}
+        for fname, plan in plans.items():
+            if plan.cost >= plan.greedy_cost:
+                continue
+            ours = _gap_flavors(plan)
+            theirs = _gap_flavors(lower_plan(analysis.functions[fname].plan, backend))
+            expected[fname] = (
+                plan.greedy_cost,
+                plan.cost,
+                {
+                    key: (ours.get(key, []), theirs.get(key, []))
+                    for key in ours.keys() | theirs.keys()
+                    if ours.get(key) != theirs.get(key)
+                },
+            )
+        assert parsed == expected, name
+    assert notes > 0
 
 
 # --- oracle gating ----------------------------------------------------------
@@ -293,3 +404,30 @@ def test_a_500_access_block_synthesizes_in_seconds():
     elapsed = time.perf_counter() - started
     assert report.fence_cost == report.greedy_cost == 12048
     assert elapsed < 7.0
+
+
+def _long_block(statements: int) -> str:
+    body = "\n".join("  r = r + 1;" for _ in range(statements))
+    return (
+        "global int flag; global int a; global int b;\n"
+        "fn f(tid) {\n  local r = 0;\n  while (flag == 0) { }\n  a = 1;\n"
+        f"{body}\n  b = r;\n}}\nthread f(0);\nthread f(1);\n"
+    )
+
+
+def _arm_optimal(source: str):
+    return Session().analyze(
+        AnalyzeRequest(
+            program=ProgramSpec.inline(source),
+            variant="address+control",
+            model="arm",
+            arch="arm",
+            synthesis="optimal",
+        )
+    )
+
+
+def test_a_2000_statement_block_synthesizes():
+    # The a -> b delay spans every gap of the block.
+    report = _arm_optimal(_long_block(2000))
+    assert report.fence_cost == report.greedy_cost == _arm_optimal(_long_block(1)).fence_cost > 0

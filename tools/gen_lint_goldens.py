@@ -10,7 +10,8 @@ Three goldens pin the static DRF gate's output:
   ``repro lint`` against this file.
 * ``arch_expected.json`` — selected corpus programs linted with a
   Power backend, messages included: pins the FENCE104
-  greedy-vs-optimal cost gaps (exact cycle numbers and witness cuts).
+  greedy-vs-optimal cost gaps (exact cycle numbers and the fences
+  where the two plans differ).
 
 Run ``PYTHONPATH=src python tools/gen_lint_goldens.py`` after a
 deliberate detector/pass change, and review the diff like any golden.
