@@ -8,7 +8,11 @@ stays warm across requests. This client:
 2. pings it and round-trips an :class:`~repro.api.AnalyzeRequest` and a
    :class:`~repro.api.CheckRequest` (with ``id`` correlation);
 3. re-sends the analyze request to show the warm second hit;
-4. asks for server/session stats, then shuts the daemon down cleanly
+4. edits the program over the wire: ``mp`` with one appended function,
+   then a syntax error (answered ``{"ok": false}`` with its line
+   number, the daemon serving on), then ``mp`` again; every report
+   equals a fresh in-process ``Session``'s;
+5. asks for server/session stats, then shuts the daemon down cleanly
    and verifies a zero exit status.
 
 Run:  python examples/serve_client.py
@@ -23,7 +27,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import repro  # noqa: E402
-from repro.api import AnalyzeRequest, CheckRequest, ProgramSpec  # noqa: E402
+from repro.api import AnalyzeRequest, CheckRequest, ProgramSpec, Session  # noqa: E402
 
 SOURCE = """
 global int flag;
@@ -93,8 +97,36 @@ def main() -> int:
     }, "warm re-analysis must match the cold report"
     print("warm re-analysis: byte-identical report")
 
+    # Wire edits: the daemon re-lowers only the functions whose tokens
+    # changed; a source that does not compile is answered with the
+    # error a cold compile raises, and leaves the warm program as it was.
+    edited = ProgramSpec.inline(
+        SOURCE + "fn helper(tid) { local t = tid; t = t + 1; }\n", name="mp"
+    )
+    broken = ProgramSpec.inline(SOURCE + "fn broken(tid) { local = ; }\n", name="mp")
+    broken_line = SOURCE.count("\n") + 1
+    steps = (("one appended function", edited), ("syntax error", broken), ("mp again", spec))
+    for req_id, (label, program) in enumerate(steps, start=4):
+        reply = call(
+            {"id": req_id, "request": AnalyzeRequest(program=program).to_payload()}
+        )
+        assert reply["id"] == req_id, reply
+        if program is broken:
+            assert not reply["ok"], reply
+            assert f"line {broken_line}:" in reply["error"], reply
+            print(f"edit, {label}: {reply['error']}")
+            continue
+        assert reply["ok"], reply
+        fresh = Session().analyze(AnalyzeRequest(program=program)).to_payload()
+        got = {k: v for k, v in reply["report"].items() if k != "cache_stats"}
+        assert got == {k: v for k, v in fresh.items() if k != "cache_stats"}, (
+            "a spliced edit must match a fresh session's report"
+        )
+        print(f"edit, {label}: report matches a fresh session")
+
     stats = call({"op": "stats"})
-    assert stats["ok"] and stats["server"]["served"] == 3, stats
+    assert stats["ok"] and stats["server"]["served"] == 5, stats
+    assert stats["server"]["errors"] == 1, stats
     print(
         f"server stats: {stats['server']['served']} served, "
         f"{stats['session']['query_stats']['hits']} query hits / "

@@ -35,10 +35,15 @@ from typing import NamedTuple
 
 from repro.core.machine_models import MemoryModel
 from repro.core.pipeline import PipelineVariant, ProgramAnalysis
-from repro.frontend import compile_source
-from repro.ir.function import Program
+from repro.frontend import LexError, LoweringError, ParseError, compile_source
+from repro.frontend.lowering import FunctionLowerer, ModuleScope
+from repro.frontend.parser import Parser
+from repro.ir.function import Function, Program
+from repro.ir.instructions import Call
+from repro.ir.verifier import VerificationError, verify_program
 from repro.memmodel.sc import ExplorationResult
-from repro.query.engine import QueryEngine
+from repro.obs import metrics as obs_metrics
+from repro.query.engine import QueryEngine, fingerprint_function
 from repro.registry.models import get_model, weak_explorer_for
 from repro.registry.sources import ProgramSpec, resolve_spec
 from repro.registry.variants import get_variant, pipeline_variant_keys
@@ -65,15 +70,36 @@ from repro.api.reports import (
 )
 
 
+class _Lowered(NamedTuple):
+    """What a splice knows of one function it lowered: the digest of
+    the tokens it came from, the fingerprint of its IR then, and the
+    parameter count of each function it calls."""
+
+    digest: bytes
+    fingerprint: str
+    callees: tuple[tuple[str, int], ...]
+
+
+def _callees(func: Function) -> tuple[tuple[str, int], ...]:
+    """Each function ``func`` calls, with its parameter count."""
+    return tuple(sorted({
+        (inst.callee, len(inst.args))
+        for inst in func.instructions() if type(inst) is Call
+    }))
+
+
 class _Cached(NamedTuple):
     """One session cache entry: a program's query engine, plus the
     ``(name, manual_fences)`` key and source a wire-loaded program was
     compiled from (both ``None`` for an ad-hoc :meth:`Session.context`
-    program)."""
+    program). After a splice, ``lowered`` holds a record per function
+    and ``global_sizes`` the globals they were lowered against."""
 
     engine: QueryEngine
     key: tuple[str, bool] | None = None
     source: str | None = None
+    global_sizes: dict[str, int] | None = None
+    lowered: dict[str, _Lowered] | None = None
 
 
 class Session:
@@ -144,7 +170,14 @@ class Session:
         With ``reuse`` (the default), repeated loads of the same
         program name return the same warm ``Program``: an unchanged
         source is a pure cache hit, an edited one is spliced so only
-        the changed functions lose their facts. Callers about to
+        the changed functions lose their facts. A splice lexes the new
+        source once; a function whose tokens, globals and callees'
+        parameter counts are as when a splice last lowered it keeps
+        its object with no parse or lowering, and only the others are
+        parsed, lowered and verified (see ``_adopt_source``). A source
+        that does not compile raises exactly what a cold compile
+        raises, and leaves the cached program and its facts as they
+        were. Callers about to
         mutate the IR (fence insertion) pass ``reuse=False`` to get a
         private compile that never pollutes the shared cache.
         """
@@ -179,45 +212,105 @@ class Session:
         else:
             entry = self._contexts[program]
             if entry.source != resolved.source:
-                self._adopt_source(entry.engine, program, compile_fresh())
-                entry = entry._replace(source=resolved.source)
+                entry = self._adopt_source(
+                    entry, program, resolved.source, spec.manual_fences
+                )
         return program, self._insert(program, entry), resolved.source
 
     def _adopt_source(
-        self, engine: QueryEngine, cached: Program, fresh: Program
-    ) -> Program:
-        """Splice an edited recompile into the warm ``cached`` program.
+        self, entry: _Cached, cached: Program, source: str, manual_fences: bool
+    ) -> _Cached:
+        """Splice an edited ``source`` into the warm ``cached`` program,
+        in place, so its engine stays bound; returns the updated entry.
 
-        Functions whose printed IR is unchanged keep their *object
-        identity* (so every query memoized for them stays a hit);
-        changed/new functions come from ``fresh``, and the facts of
-        replaced/removed ones are discarded from the engine. Returns
-        ``cached``, mutated in place so its engine stays bound.
+        The source is lexed once and cut into top-level items. A
+        function is kept, with no parse or lowering, when its token
+        digest, every global's name and size, and each callee's
+        parameter count are as in its record, and the cached function's
+        fingerprint is still the recorded one: the engine's, so IR
+        edited in place and refreshed is never papered over (a function
+        no query has fingerprinted yet is printed).
+        Every other function is parsed, lowered and verified; if its
+        printed IR equals the cached function's, the cached object
+        stays all the same. Kept functions keep every memoized query;
+        the facts of replaced and removed ones are discarded. A source
+        with any frontend error goes through ``compile_source``, so the
+        error raised is exactly a cold compile's, before anything
+        changes.
         """
-        from repro.query.engine import fingerprint_function
+        engine = entry.engine
+        records = entry.lowered or {}
 
-        merged: dict[str, object] = {}
-        for name, func in fresh.functions.items():
-            old = cached.functions.get(name)
-            if old is not None:
-                # The engine already fingerprinted every queried
-                # function; only never-queried ones need printing.
-                old_fp = engine.fingerprint_of(old) or fingerprint_function(old)
-                if old_fp == fingerprint_function(func):
+        def fingerprint_of(func: Function) -> str:
+            # The engine already fingerprinted every queried function;
+            # only never-queried ones need printing.
+            return engine.fingerprint_of(func) or fingerprint_function(func)
+
+        merged: dict[str, Function] = {}
+        lowered: dict[str, _Lowered] = {}
+        fresh: list[Function] = []
+        replaced: list[Function] = []
+        try:
+            items = Parser(source).cut()
+            scope = ModuleScope(
+                items.globals, ((f.name, f.arity, f.line) for f in items.functions)
+            )
+            same_globals = scope.global_sizes == entry.global_sizes
+            for item in items.functions:
+                name = item.name
+                old = cached.functions.get(name)
+                record = records.get(name)
+                if (
+                    same_globals
+                    and old is not None
+                    and record is not None
+                    and record.digest == item.digest
+                    and fingerprint_of(old) == record.fingerprint
+                    and all(
+                        scope.arities.get(callee) == arity
+                        for callee, arity in record.callees
+                    )
+                ):
                     merged[name] = old
+                    lowered[name] = record
                     continue
-                engine.discard_input(old)
-            merged[name] = func
+                func = FunctionLowerer(
+                    items.parse_function(item), scope, manual_fences
+                ).lower()
+                fresh.append(func)
+                fingerprint = fingerprint_function(func)
+                lowered[name] = _Lowered(item.digest, fingerprint, _callees(func))
+                if old is not None:
+                    if fingerprint_of(old) == fingerprint:
+                        merged[name] = old
+                        continue
+                    replaced.append(old)
+                merged[name] = func
+            program = Program(cached.name)
+            program.globals = scope.globals
+            program.functions = merged
+            scope.add_threads(program, items.threads)
+            verify_program(program, fresh)
+        except (LexError, ParseError, LoweringError, VerificationError):
+            compile_source(source, cached.name, include_manual_fences=manual_fences)
+            raise  # a cold compile accepts the source: a splice bug
+        for old in replaced:
+            engine.discard_input(old)
         for name, old in cached.functions.items():
             if name not in merged:
                 engine.discard_input(old)
         cached.functions = merged
-        cached.globals = fresh.globals
-        cached.threads = list(fresh.threads)
+        cached.globals = program.globals
+        cached.threads = program.threads
         # Catch structure changes (interprocedural shape) and any
         # in-place drift the fingerprints can see.
         engine.refresh()
-        return cached
+        registry = obs_metrics.REGISTRY
+        registry.inc("repro_session_functions_reused_total", len(merged) - len(fresh))
+        registry.inc("repro_session_functions_relowered_total", len(fresh))
+        return entry._replace(
+            source=source, global_sizes=scope.global_sizes, lowered=lowered
+        )
 
     def context(self, program: Program) -> QueryEngine:
         """The session's shared query engine (memoized facts) for

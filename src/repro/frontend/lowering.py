@@ -11,7 +11,7 @@ backwards slicer (which chases loaded values through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NoReturn, Optional
+from typing import Iterable, NoReturn, Optional, Sequence
 
 from repro.frontend import ast_nodes as ast
 from repro.ir.builder import IRBuilder
@@ -33,19 +33,70 @@ class _LocalSlot:
     size: int
 
 
-class _ModuleScope:
+class ModuleScope:
     """What the functions of one module share while they are lowered:
-    each global's size and its one ``GlobalRef``, each function's
+    each global's variable, size and one ``GlobalRef``, each function's
     parameter count, and one ``Constant`` per value. Operands are
-    immutable values, so instructions share them."""
+    immutable values, so instructions share them.
 
-    __slots__ = ("global_sizes", "global_refs", "arities", "constants")
+    ``functions`` gives each function as ``(name, parameter count,
+    line)``. Building the scope checks the module's header: it raises
+    :class:`LoweringError` on a duplicate global or function, an array
+    of size below 1, or an initializer taking the address of an
+    undeclared global.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("globals", "global_sizes", "global_refs", "arities", "constants")
+
+    def __init__(
+        self,
+        globals_: Sequence[ast.GlobalDecl],
+        functions: Iterable[tuple[str, int, int]],
+    ) -> None:
+        self.globals: dict[str, GlobalVar] = {}
         self.global_sizes: dict[str, int] = {}
         self.global_refs: dict[str, GlobalRef] = {}
         self.arities: dict[str, int] = {}
         self.constants: dict[int, Constant] = {0: Constant(0)}
+        global_sizes = self.global_sizes
+        for g in globals_:
+            if g.name in global_sizes:
+                raise LoweringError(f"line {g.line}: duplicate global {g.name!r}")
+            if g.size < 1:
+                raise LoweringError(
+                    f"line {g.line}: global array {g.name!r} has size {g.size}; "
+                    "sizes must be >= 1"
+                )
+            self.globals[g.name] = GlobalVar(g.name, g.size, tuple(g.init))
+            global_sizes[g.name] = g.size
+            self.global_refs[g.name] = GlobalRef(g.name)
+        for g in globals_:
+            for entry in g.init:
+                if isinstance(entry, tuple) and entry[1] not in global_sizes:
+                    raise LoweringError(
+                        f"line {g.line}: initializer of {g.name!r} takes the address "
+                        f"of undeclared global {entry[1]!r}"
+                    )
+        for name, arity, line in functions:
+            if name in self.arities:
+                raise LoweringError(f"line {line}: duplicate function {name!r}")
+            self.arities[name] = arity
+
+    def add_threads(self, program: Program, threads: Sequence[ast.ThreadDecl]) -> None:
+        """Check each ``thread`` against the functions' parameter counts
+        and add it to ``program``."""
+        for t in threads:
+            arity = self.arities.get(t.func_name)
+            if arity is None:
+                raise LoweringError(
+                    f"line {t.line}: thread entry {t.func_name!r} is not a function"
+                )
+            if arity != len(t.args):
+                raise LoweringError(
+                    f"line {t.line}: thread {t.func_name!r} passes "
+                    f"{len(t.args)} arguments for {arity} parameters"
+                )
+            program.add_thread(t.func_name, t.args)
 
 
 class _LoopContext:
@@ -63,7 +114,7 @@ class FunctionLowerer:
     on the node's class through ``_STMT_RULES`` and ``_EXPR_RULES``."""
 
     def __init__(
-        self, func: ast.FuncDecl, scope: _ModuleScope, include_manual_fences: bool
+        self, func: ast.FuncDecl, scope: ModuleScope, include_manual_fences: bool
     ) -> None:
         self.decl = func
         self.global_sizes = scope.global_sizes
@@ -419,46 +470,15 @@ def lower_module(
     ``thread`` whose argument count differs from the function's
     parameters.
     """
+    scope = ModuleScope(
+        module.globals, ((f.name, len(f.params), f.line) for f in module.functions)
+    )
     program = Program(name)
-    scope = _ModuleScope()
-    global_sizes = scope.global_sizes
-    for g in module.globals:
-        if g.name in global_sizes:
-            raise LoweringError(f"line {g.line}: duplicate global {g.name!r}")
-        if g.size < 1:
-            raise LoweringError(
-                f"line {g.line}: global array {g.name!r} has size {g.size}; "
-                "sizes must be >= 1"
-            )
-        program.add_global(GlobalVar(g.name, g.size, tuple(g.init)))
-        global_sizes[g.name] = g.size
-        scope.global_refs[g.name] = GlobalRef(g.name)
-    for g in module.globals:
-        for entry in g.init:
-            if isinstance(entry, tuple) and entry[1] not in global_sizes:
-                raise LoweringError(
-                    f"line {g.line}: initializer of {g.name!r} takes the address "
-                    f"of undeclared global {entry[1]!r}"
-                )
-    for f in module.functions:
-        if f.name in scope.arities:
-            raise LoweringError(f"line {f.line}: duplicate function {f.name!r}")
-        scope.arities[f.name] = len(f.params)
+    program.globals = scope.globals
     for f in module.functions:
         # ``build`` finalizes each function, so the program needs no
         # ``finalize`` of its own.
         program.add_function(FunctionLowerer(f, scope, include_manual_fences).lower())
-    for t in module.threads:
-        arity = scope.arities.get(t.func_name)
-        if arity is None:
-            raise LoweringError(
-                f"line {t.line}: thread entry {t.func_name!r} is not a function"
-            )
-        if arity != len(t.args):
-            raise LoweringError(
-                f"line {t.line}: thread {t.func_name!r} passes "
-                f"{len(t.args)} arguments for {arity} parameters"
-            )
-        program.add_thread(t.func_name, t.args)
+    scope.add_threads(program, module.threads)
     verify_program(program)
     return program

@@ -26,7 +26,8 @@ and step ``pos`` themselves.
 
 from __future__ import annotations
 
-from typing import NoReturn, Optional
+import hashlib
+from typing import Callable, NamedTuple, NoReturn, Optional, TypeVar
 
 from repro.frontend import ast_nodes as ast
 from repro.frontend.lexer import scan
@@ -34,6 +35,9 @@ from repro.frontend.lexer import scan
 
 class ParseError(Exception):
     """Raised on malformed source."""
+
+
+T = TypeVar("T")
 
 
 #: Deepest nesting of blocks, control statements, parenthesised or
@@ -158,10 +162,65 @@ class Parser:
             elif text == "":
                 return ast.Module(start_line, tuple(globals_), tuple(functions), tuple(threads))
             else:
-                raise ParseError(
-                    f"line {self.lines[self.pos]}: expected global/fn/thread, "
-                    f"got {self.shown(self.pos)!r}"
-                )
+                self._expected_item()
+
+    def _expected_item(self) -> NoReturn:
+        raise ParseError(
+            f"line {self.lines[self.pos]}: expected global/fn/thread, "
+            f"got {self.shown(self.pos)!r}"
+        )
+
+    def cut(self) -> ModuleItems:
+        """The module cut into top-level items on the token stream:
+        globals and threads parsed, each ``fn`` left unparsed as a
+        :class:`FunctionItem`.
+
+        In a module that parses, ``global``, ``fn`` and ``thread`` occur
+        only where an item starts, so the cut is at them. A header item
+        must parse to exactly its span; a function's span is checked
+        only when :meth:`ModuleItems.parse_function` parses it. Raises
+        :class:`ParseError` where the module does not parse, though not
+        always with :func:`parse`'s message.
+        """
+        texts, kinds, lines = self.texts, self.kinds, self.lines
+        starts = [i for i, text in enumerate(texts) if text in _ITEM_KEYWORDS]
+        starts.append(len(texts) - 1)  # the eof token
+        if starts[0] != 0:
+            self._expected_item()
+        globals_: list[ast.GlobalDecl] = []
+        functions: list[FunctionItem] = []
+        threads: list[ast.ThreadDecl] = []
+        for start, end in zip(starts, starts[1:]):
+            text = texts[start]
+            if text == "global":
+                globals_.append(self.parse_item(Parser.parse_global, start, end))
+            elif text == "thread":
+                threads.append(self.parse_item(Parser.parse_thread, start, end))
+            else:
+                # The parameters sit between the name's "(" and the first ")".
+                close = start + 3
+                while close < end and texts[close] != ")":
+                    close += 1
+                # Token texts spell each kind, so they alone say what the
+                # span parses and lowers to; "\n" occurs in none of them.
+                digest = hashlib.blake2b(
+                    "\n".join(texts[start:end]).encode(), digest_size=16
+                ).digest()
+                functions.append(FunctionItem(
+                    texts[start + 1], lines[start],
+                    kinds[start + 3 : close].count("ident"), digest, start, end,
+                ))
+        return ModuleItems(self, tuple(globals_), tuple(functions), tuple(threads))
+
+    def parse_item(self, rule: Callable[[Parser], T], start: int, end: int) -> T:
+        """Parse tokens ``start:end`` with ``rule``, which must consume
+        exactly them."""
+        self.pos = start
+        self.text = self.texts[start]
+        node = rule(self)
+        if self.pos != end:
+            self._expected_item()
+        return node
 
     def parse_global(self) -> ast.GlobalDecl:
         line = self.lines[self.expect("global")]
@@ -515,6 +574,34 @@ _KEYWORD_STATEMENTS = {
     "observe": Parser._parse_observe,
     "atomic_store": Parser._parse_atomic_store,
 }
+
+
+class FunctionItem(NamedTuple):
+    """One ``fn`` of a cut module, not yet parsed: its name, line and
+    parameter count, a digest of its token texts, and its token span.
+    Lines stay out of the digest, as they stay out of the IR."""
+
+    name: str
+    line: int
+    arity: int
+    digest: bytes
+    start: int
+    end: int
+
+
+class ModuleItems(NamedTuple):
+    """A module lexed once and cut into items (see :meth:`Parser.cut`)."""
+
+    parser: Parser
+    globals: tuple[ast.GlobalDecl, ...]
+    functions: tuple[FunctionItem, ...]
+    threads: tuple[ast.ThreadDecl, ...]
+
+    def parse_function(self, item: FunctionItem) -> ast.FuncDecl:
+        return self.parser.parse_item(Parser.parse_function, item.start, item.end)
+
+
+_ITEM_KEYWORDS = frozenset(("global", "fn", "thread"))
 
 
 def parse(source: str) -> ast.Module:

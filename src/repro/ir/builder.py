@@ -81,7 +81,6 @@ class IRBuilder:
             raise ValueError("no current block; call new_block() first")
         if self.terminated:
             raise ValueError(f"block {block.label} already terminated")
-        inst.parent = block
         block.instructions.append(inst)
         return inst
 

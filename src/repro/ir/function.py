@@ -18,24 +18,21 @@ from repro.ir.values import Register
 class BasicBlock:
     """A labeled straight-line instruction sequence ending in a terminator."""
 
-    __slots__ = ("label", "instructions", "parent", "index")
+    __slots__ = ("label", "instructions", "index")
 
     def __init__(self, label: str) -> None:
         self.label = label
         self.instructions: list[Instruction] = []
-        self.parent: Optional["Function"] = None
-        self.index: int = -1  # position within the parent function
+        self.index: int = -1  # position within the function
 
     def append(self, inst: Instruction) -> Instruction:
         if self.is_terminated():
             raise ValueError(f"block {self.label} already terminated")
-        inst.parent = self
         self.instructions.append(inst)
         return inst
 
     def insert(self, pos: int, inst: Instruction) -> Instruction:
         """Insert at ``pos`` (used by fence insertion)."""
-        inst.parent = self
         self.instructions.insert(pos, inst)
         return inst
 
@@ -95,7 +92,6 @@ class Function:
         if label in self._blocks_by_label:
             raise ValueError(f"duplicate block label {label!r} in {self.name}")
         block = BasicBlock(label)
-        block.parent = self
         self.blocks.append(block)
         self._blocks_by_label[label] = block
         return block

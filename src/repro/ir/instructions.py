@@ -52,18 +52,16 @@ STORE_ORDERINGS = ("relaxed", "release")
 class Instruction:
     """Base instruction. Subclasses define ``operands`` and flags.
 
-    ``parent`` (basic block) and ``uid`` (stable per-function id) are
-    assigned when the instruction is appended to a block / the function
-    is finalized. Subclasses call ``Instruction.__init__`` directly:
+    ``uid`` (stable per-function id) is assigned when the function is
+    finalized. Subclasses call ``Instruction.__init__`` directly:
     the hierarchy is one level deep, and lowering builds one
     instruction per IR line, where ``super()`` costs a lookup each.
     """
 
-    __slots__ = ("dest", "parent", "uid")
+    __slots__ = ("dest", "uid")
 
     def __init__(self, dest: Optional[Register] = None) -> None:
         self.dest = dest
-        self.parent = None  # type: ignore[assignment]
         self.uid: int = -1
         if dest is not None:
             if dest.defining_inst is not None:

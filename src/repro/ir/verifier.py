@@ -10,6 +10,8 @@ itself, with a line number; here they guard hand-built IR.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.ir.function import Function, Program
 from repro.ir.instructions import (
     LOAD_ORDERINGS,
@@ -199,10 +201,14 @@ def verify_function(func: Function, program: Program | None = None) -> None:
         raise VerificationError(f"{name}: reference to unknown global @{unknown_global}")
 
 
-def verify_program(program: Program) -> None:
+def verify_program(
+    program: Program, functions: Iterable[Function] | None = None
+) -> None:
+    """Check the program's functions, or only ``functions`` (checked
+    against the program's function and global names), and its threads."""
     if not program.functions:
         raise VerificationError("program has no functions")
-    for func in program.functions.values():
+    for func in program.functions.values() if functions is None else functions:
         verify_function(func, program)
     for thread in program.threads:
         if thread.func_name not in program.functions:

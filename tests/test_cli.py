@@ -239,7 +239,7 @@ thread t(0);
     "command, source, message",
     [
         ("check", RUNAWAY, "thread 0: exceeded 100000 steps"),
-        ("simulate", RUNAWAY, "thread 0: exceeded 5000000 steps"),
+        ("simulate", RUNAWAY, "thread 0: exceeded 1000000 steps"),
         ("check", DIV_ZERO, "division by zero"),
         ("simulate", DIV_ZERO, "division by zero"),
         ("lint", DIV_ZERO, "division by zero"),
