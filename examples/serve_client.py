@@ -9,8 +9,10 @@ stays warm across requests. This client:
    :class:`~repro.api.CheckRequest` (with ``id`` correlation);
 3. re-sends the analyze request to show the warm second hit;
 4. edits the program over the wire: ``mp`` with one appended function,
-   then a syntax error (answered ``{"ok": false}`` with its line
-   number, the daemon serving on), then ``mp`` again; every report
+   then lines added mid-source (every later line number shifts), then
+   a block comment opened and never closed, and a syntax error (both
+   answered ``{"ok": false}`` with a cold compile's ``line N:``
+   message, the daemon serving on), then ``mp`` again; every report
    equals a fresh in-process ``Session``'s;
 5. asks for server/session stats, then shuts the daemon down cleanly
    and verifies a zero exit status.
@@ -28,6 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import repro  # noqa: E402
 from repro.api import AnalyzeRequest, CheckRequest, ProgramSpec, Session  # noqa: E402
+from repro.frontend import compile_source  # noqa: E402
 
 SOURCE = """
 global int flag;
@@ -44,6 +47,15 @@ fn consumer(tid) {
 thread producer(0);
 thread consumer(1);
 """
+
+
+def cold_error(source: str) -> str:
+    """The message a cold compile of ``source`` fails with."""
+    try:
+        compile_source(source, "mp")
+    except Exception as exc:  # noqa: BLE001 - the message is compared
+        return str(exc)
+    raise AssertionError("the source compiles")
 
 
 def main() -> int:
@@ -97,23 +109,34 @@ def main() -> int:
     }, "warm re-analysis must match the cold report"
     print("warm re-analysis: byte-identical report")
 
-    # Wire edits: the daemon re-lowers only the functions whose tokens
-    # changed; a source that does not compile is answered with the
-    # error a cold compile raises, and leaves the warm program as it was.
-    edited = ProgramSpec.inline(
-        SOURCE + "fn helper(tid) { local t = tid; t = t + 1; }\n", name="mp"
+    # Wire edits: the daemon re-lexes only the edited span and re-lowers
+    # only the functions whose tokens changed; a source that does not
+    # compile is answered with the error a cold compile raises, and
+    # leaves the warm program as it was.
+    appended = SOURCE + "fn helper(tid) { local t = tid; t = t + 1; }\n"
+    shifted = appended.replace(
+        "  local r = 0;\n", "  local r = 0;\n  // two lines more\n  local w = 1;\n"
     )
-    broken = ProgramSpec.inline(SOURCE + "fn broken(tid) { local = ; }\n", name="mp")
-    broken_line = SOURCE.count("\n") + 1
-    steps = (("one appended function", edited), ("syntax error", broken), ("mp again", spec))
-    for req_id, (label, program) in enumerate(steps, start=4):
+    opened = shifted.replace("fn helper(", "/* fn helper(")
+    broken = SOURCE + "fn broken(tid) { local = ; }\n"
+    steps = (
+        ("one appended function", appended),
+        ("lines added mid-source", shifted),
+        ("an unterminated block comment", opened),
+        ("syntax error", broken),
+        ("mp again", SOURCE),
+    )
+    for req_id, (label, source) in enumerate(steps, start=4):
+        program = ProgramSpec.inline(source, name="mp")
         reply = call(
             {"id": req_id, "request": AnalyzeRequest(program=program).to_payload()}
         )
         assert reply["id"] == req_id, reply
-        if program is broken:
+        if source in (opened, broken):
+            cold = cold_error(source)
+            assert cold.startswith("line "), cold
             assert not reply["ok"], reply
-            assert f"line {broken_line}:" in reply["error"], reply
+            assert cold in reply["error"], (cold, reply)
             print(f"edit, {label}: {reply['error']}")
             continue
         assert reply["ok"], reply
@@ -125,8 +148,8 @@ def main() -> int:
         print(f"edit, {label}: report matches a fresh session")
 
     stats = call({"op": "stats"})
-    assert stats["ok"] and stats["server"]["served"] == 5, stats
-    assert stats["server"]["errors"] == 1, stats
+    assert stats["ok"] and stats["server"]["served"] == 6, stats
+    assert stats["server"]["errors"] == 2, stats
     print(
         f"server stats: {stats['server']['served']} served, "
         f"{stats['session']['query_stats']['hits']} query hits / "

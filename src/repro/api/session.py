@@ -36,6 +36,7 @@ from typing import NamedTuple
 from repro.core.machine_models import MemoryModel
 from repro.core.pipeline import PipelineVariant, ProgramAnalysis
 from repro.frontend import LexError, LoweringError, ParseError, compile_source
+from repro.frontend.lexer import Tokens, rescan
 from repro.frontend.lowering import FunctionLowerer, ModuleScope
 from repro.frontend.parser import Parser
 from repro.ir.function import Function, Program
@@ -92,14 +93,16 @@ class _Cached(NamedTuple):
     """One session cache entry: a program's query engine, plus the
     ``(name, manual_fences)`` key and source a wire-loaded program was
     compiled from (both ``None`` for an ad-hoc :meth:`Session.context`
-    program). After a splice, ``lowered`` holds a record per function
-    and ``global_sizes`` the globals they were lowered against."""
+    program). After a splice, ``tokens`` holds the source's tokens,
+    ``lowered`` a record per function and ``global_sizes`` the globals
+    they were lowered against."""
 
     engine: QueryEngine
     key: tuple[str, bool] | None = None
     source: str | None = None
     global_sizes: dict[str, int] | None = None
     lowered: dict[str, _Lowered] | None = None
+    tokens: Tokens | None = None
 
 
 class Session:
@@ -170,8 +173,9 @@ class Session:
         With ``reuse`` (the default), repeated loads of the same
         program name return the same warm ``Program``: an unchanged
         source is a pure cache hit, an edited one is spliced so only
-        the changed functions lose their facts. A splice lexes the new
-        source once; a function whose tokens, globals and callees'
+        the changed functions lose their facts. A splice re-lexes only
+        the edited span of the source (the first splice of a program
+        lexes all of it); a function whose tokens, globals and callees'
         parameter counts are as when a splice last lowered it keeps
         its object with no parse or lowering, and only the others are
         parsed, lowered and verified (see ``_adopt_source``). A source
@@ -223,20 +227,27 @@ class Session:
         """Splice an edited ``source`` into the warm ``cached`` program,
         in place, so its engine stays bound; returns the updated entry.
 
-        The source is lexed once and cut into top-level items. A
-        function is kept, with no parse or lowering, when its token
-        digest, every global's name and size, and each callee's
-        parameter count are as in its record, and the cached function's
-        fingerprint is still the recorded one: the engine's, so IR
-        edited in place and refreshed is never papered over (a function
-        no query has fingerprinted yet is printed).
+        The source is lexed from the previous splice's tokens
+        (``entry.tokens``) by :func:`~repro.frontend.lexer.rescan`: only
+        from the last old token before the first changed character up
+        to the first new token that starts in the unchanged suffix at
+        an old token's start; the rest are the old tokens, shifted.
+        That equals a full scan, since a token depends only on the text
+        from its start onward. With no tokens kept (a program's first
+        splice) the whole source is lexed. The tokens are cut into
+        top-level items. A function is kept, with no parse or
+        lowering, when its token digest, every global's name and size,
+        and each callee's parameter count are as in its record, and the
+        cached function's fingerprint is still the recorded one: the
+        engine's, so IR edited in place and refreshed is never papered
+        over (a function no query has fingerprinted yet is printed).
         Every other function is parsed, lowered and verified; if its
         printed IR equals the cached function's, the cached object
         stays all the same. Kept functions keep every memoized query;
         the facts of replaced and removed ones are discarded. A source
         with any frontend error goes through ``compile_source``, so the
         error raised is exactly a cold compile's, before anything
-        changes.
+        changes (the kept tokens included).
         """
         engine = entry.engine
         records = entry.lowered or {}
@@ -251,7 +262,8 @@ class Session:
         fresh: list[Function] = []
         replaced: list[Function] = []
         try:
-            items = Parser(source).cut()
+            tokens, relexed = rescan(source, entry.tokens)
+            items = Parser(tokens.kinds, tokens.texts, tokens.lines).cut()
             scope = ModuleScope(
                 items.globals, ((f.name, f.arity, f.line) for f in items.functions)
             )
@@ -308,8 +320,11 @@ class Session:
         registry = obs_metrics.REGISTRY
         registry.inc("repro_session_functions_reused_total", len(merged) - len(fresh))
         registry.inc("repro_session_functions_relowered_total", len(fresh))
+        registry.inc("repro_session_tokens_relexed_total", relexed)
+        registry.inc("repro_session_tokens_reused_total", len(tokens.kinds) - relexed)
         return entry._replace(
-            source=source, global_sizes=scope.global_sizes, lowered=lowered
+            source=source, global_sizes=scope.global_sizes, lowered=lowered,
+            tokens=tokens,
         )
 
     def context(self, program: Program) -> QueryEngine:

@@ -16,11 +16,24 @@ line numbers) ending in an ``eof`` token; the parser reads them by
 index, so parsing allocates no object per token. ``tokenize`` returns
 the same tokens as :class:`Token` tuples (a string literal's text
 without its quotes).
+
+``rescan`` gives the same lists as :class:`Tokens`, with each token's
+start offset. Given an earlier source's tokens, it lexes only the
+edited span: from the last old token before the first changed
+character to the first new token that starts in the unchanged suffix
+where an old token started; the old tokens after it are reused,
+shifted. That is exact because a match depends only on the text from
+its start onward. A wire edit's splice (``Session._adopt_source``)
+rescans from the tokens of the previous one; a program's first splice
+has none and scans in full.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_left
+from sys import intern, maxsize
 from typing import NamedTuple
 
 KEYWORDS = {
@@ -120,6 +133,18 @@ _SCANNER = re.compile(
 _HEX_LETTERS = "xXabcdefABCDEF"
 
 
+class Tokens(NamedTuple):
+    """A source's tokens as :func:`rescan` keeps them for the next
+    edit: ``scan``'s three lists plus each token's start offset (the
+    ``eof`` token's is ``len(source)``)."""
+
+    source: str
+    kinds: list[str]
+    texts: list[str]
+    lines: list[int]
+    starts: array | None  # None: not kept (``scan``)
+
+
 def scan(source: str) -> tuple[list[str], list[str], list[int]]:
     """The tokens of ``source`` as three parallel lists: kinds, texts
     and line numbers, ending in one ``eof`` token with text ``""``.
@@ -128,12 +153,85 @@ def scan(source: str) -> tuple[list[str], list[str], list[int]]:
     kind wherever it is an operator or keyword: no other token can
     spell ``(``, ``+`` or ``while``. The parser relies on that.
     """
-    kinds: list[str] = []
-    texts: list[str] = []
-    lines: list[int] = []
+    tokens = Tokens(source, [], [], [], None)
+    _lex(tokens, 0, 1)
+    return tokens.kinds, tokens.texts, tokens.lines
+
+
+def rescan(source: str, old: Tokens | None = None) -> tuple[Tokens, int]:
+    """The tokens of ``source`` (``scan``'s, with their starts) and how
+    many of them were lexed; the tokens of an earlier source ``old``
+    are reused outside the edited span.
+
+    The scan resumes at the last old token that starts before the
+    first changed character, on that token's line. It stops after the
+    first token it lexes that starts in the unchanged suffix at an old
+    token's start, shifted by the length difference, and appends the
+    old tokens after that one with their lines and starts shifted.
+
+    Both ends are exact because a match of ``_SCANNER`` depends only on
+    the text from its start onward. Every old match before the resume
+    point is decided by unchanged text, so the new scan makes it too.
+    (A blank-and-comment run can reach past the resume point if the
+    edit opens a comment right after it; it yields no token, so
+    matching that comment on its own changes no token or line.) From
+    the stop token on, the text is the old text from an old token
+    start, where the old scan matched too.
+    """
+    if old is None:
+        tokens = Tokens(source, [], [], [], array("l"))
+        keep, taken = 0, _lex(tokens, 0, 1)
+    else:
+        same_head = _common_length(source, old.source, False)
+        same_tail = _common_length(source, old.source, True)
+        # The last old token starting before the first changed character.
+        keep = bisect_left(old.starts, same_head) - 1
+        if keep < 0:
+            keep, pos, line = 0, 0, 1
+        else:
+            pos, line = old.starts[keep], old.lines[keep]
+        tokens = Tokens(
+            source, old.kinds[:keep], old.texts[:keep], old.lines[:keep], old.starts[:keep]
+        )
+        taken = _lex(tokens, pos, line, old, len(source) - same_tail)
+    lexed = slice(keep, len(tokens.texts) - taken)
+    # One string per distinct text across every source's kept tokens.
+    tokens.texts[lexed] = map(intern, tokens.texts[lexed])
+    return tokens, lexed.stop - keep
+
+
+def _common_length(a: str, b: str, tail: bool) -> int:
+    """Length of the longest common prefix (``tail``: suffix) of ``a``
+    and ``b``, by bisection over slice comparisons."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        same = a.endswith(b[len(b) - mid :]) if tail else a.startswith(b[:mid])
+        if same:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _lex(
+    tokens: Tokens, pos: int, line: int, old: Tokens | None = None, stop_from: int = maxsize
+) -> int:
+    """Append the tokens of ``tokens.source`` from ``pos`` (on line
+    ``line``) to ``tokens``, ending in ``eof``; the number of them taken
+    from ``old``.
+
+    With ``tokens.starts`` (not ``None``), each token's start is
+    appended there too. The scan stops after a token that
+    starts at or after ``stop_from``, where the source ends as
+    ``old.source`` does, at an old token's start shifted by the
+    length difference; the old tokens after it are appended, shifted.
+    """
+    source, kinds, texts, lines, starts = tokens
     add_kind, add_text, add_line = kinds.append, texts.append, lines.append
-    line = 1
-    pos = 0
+    track = starts is not None
+    if track:
+        add_start = starts.append
     while True:
         for m in _SCANNER.finditer(source, pos):
             kind = m.lastgroup
@@ -173,18 +271,45 @@ def scan(source: str) -> tuple[list[str], list[str], list[int]]:
             else:
                 raise LexError(f"line {line}: unexpected character {m.group(kind)!r}")
             add_line(line)
+            if track:
+                start = m.start()
+                add_start(start)
+                if start >= stop_from:
+                    shift = len(source) - len(old.source)
+                    at = bisect_left(old.starts, start - shift)
+                    if old.starts[at] == start - shift:
+                        return _append_shifted(
+                            tokens, old, at + 1, line - old.lines[at], shift
+                        )
         else:
             add_kind("eof")
             add_text("")
             add_line(line)
-            return kinds, texts, lines
+            if track:
+                add_start(len(source))
+            return 0
         # A number that runs on through non-decimal digits: take it
         # whole and scan on after it.
         end = _number_end(source, pos)
         add_kind("num")
         add_text(source[pos:end])
         add_line(line)
+        if track:
+            add_start(pos)
         pos = end
+
+
+def _append_shifted(
+    tokens: Tokens, old: Tokens, at: int, line_shift: int, shift: int
+) -> int:
+    """Append ``old``'s tokens from ``at`` on to ``tokens``, their lines
+    moved by ``line_shift`` and their starts by ``shift``; their number."""
+    _, kinds, texts, lines, starts = tokens
+    kinds += old.kinds[at:]
+    texts += old.texts[at:]
+    lines += map(line_shift.__add__, old.lines[at:]) if line_shift else old.lines[at:]
+    starts += array("l", map(shift.__add__, old.starts[at:])) if shift else old.starts[at:]
+    return len(old.kinds) - at
 
 
 def tokenize(source: str) -> list[Token]:

@@ -80,11 +80,11 @@ class Parser:
 
     ``text`` is the one lookahead slot: always ``texts[pos]``. The
     lists end in an ``eof`` token (text ``""``) that no rule consumes,
-    so ``pos`` never runs past it.
+    so ``pos`` never runs past it. The parser never changes the lists.
     """
 
-    def __init__(self, source: str) -> None:
-        self.kinds, self.texts, self.lines = scan(source)
+    def __init__(self, kinds: list[str], texts: list[str], lines: list[int]) -> None:
+        self.kinds, self.texts, self.lines = kinds, texts, lines
         self.pos = 0
         self.text = self.texts[0]
         self.depth = 0  # current nesting, bounded by MAX_NESTING
@@ -606,4 +606,4 @@ _ITEM_KEYWORDS = frozenset(("global", "fn", "thread"))
 
 def parse(source: str) -> ast.Module:
     """Parse mini-C source text into a module AST."""
-    return Parser(source).parse_module()
+    return Parser(*scan(source)).parse_module()

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from typing import Optional, Sequence
+from weakref import ref
 
 from repro.ir.values import Constant, GlobalRef, Register, Value
 
@@ -58,15 +59,15 @@ class Instruction:
     instruction per IR line, where ``super()`` costs a lookup each.
     """
 
-    __slots__ = ("dest", "uid")
+    __slots__ = ("dest", "uid", "__weakref__")
 
     def __init__(self, dest: Optional[Register] = None) -> None:
         self.dest = dest
         self.uid: int = -1
         if dest is not None:
-            if dest.defining_inst is not None:
+            if dest._definer is not None:
                 raise ValueError(f"register {dest} already defined")
-            dest.defining_inst = self
+            dest._definer = ref(self)
 
     # --- operand access -------------------------------------------------
     @property

@@ -12,6 +12,7 @@ stores, which is exactly the shape the paper's backwards slicer
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
+from weakref import ref
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ir.instructions import Instruction
@@ -49,15 +50,23 @@ class Constant(Value):
 class Register(Value):
     """A virtual register; written by exactly one defining instruction.
 
-    ``defining_inst`` is set when the instruction is attached to a
-    block, and is what the paper's ``get_def(operand)`` returns.
+    ``defining_inst`` is set when the defining instruction is built,
+    and is what the paper's ``get_def(operand)`` returns. The link does
+    not own the instruction (its block does), so the IR holds no
+    reference cycle and a program is freed as soon as it is dropped.
     """
 
-    __slots__ = ("name", "defining_inst")
+    __slots__ = ("name", "_definer")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.defining_inst: Optional["Instruction"] = None
+        # Set by ``Instruction.__init__``, once.
+        self._definer: Optional[ref["Instruction"]] = None
+
+    @property
+    def defining_inst(self) -> Optional["Instruction"]:
+        definer = self._definer
+        return None if definer is None else definer()
 
     def __repr__(self) -> str:
         return f"Register(%{self.name})"

@@ -1,10 +1,19 @@
 """Unit tests for the mini-C lexer and parser."""
 
-import pytest
+import json
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _frontend_golden
 from repro.frontend import ast_nodes as ast
-from repro.frontend.lexer import LexError, tokenize
+from repro.frontend.lexer import LexError, rescan, scan, tokenize
 from repro.frontend.parser import ParseError, parse
+from repro.memmodel.litmus import LITMUS_TESTS
+from repro.programs import get_program
+from tests.conftest import MP_SOURCE
 
 
 # --- lexer -----------------------------------------------------------------
@@ -100,6 +109,81 @@ def test_tokenize_error_messages_exact(source, message):
 
 def test_token_repr():
     assert repr(tokenize("x")[0]) == "Token(ident, 'x', line 1)"
+
+
+# --- resumable scan ----------------------------------------------------------
+
+_RESCAN_BASES = [
+    MP_SOURCE,
+    LITMUS_TESTS["dekker"].source,
+    get_program("lu-con").source,
+    'global int x = 0x1F; // hex\n/* a\n block */ fn f(t) {\n'
+    '  local y² = 3;\n  observe("s", x + 0XaB);\n}\nthread f(0);\n',
+]
+#: Edit pieces: comment and string delimiters, newlines, a non-decimal
+#: digit, hex numbers and identifier characters.
+_PIECES = ["/*", "*/", "//", '"', "\n", "²", "0x1f", "9", "ab", "_", " ", ";", "<", "="]
+
+
+def _lexed(source, old=None):
+    """``scan``'s lists (from ``rescan`` when ``old`` is given) or the
+    LexError text."""
+    try:
+        if old is None:
+            return scan(source)
+        tokens, _ = rescan(source, old)
+        return tokens.kinds, tokens.texts, tokens.lines
+    except LexError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_rescan_after_edits_equals_scan(data):
+    """A chain of edits at token boundaries, each rescanned from the
+    last tokens that lexed: exactly ``scan``'s tokens or error."""
+    old, _ = rescan(data.draw(st.sampled_from(_RESCAN_BASES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        source = old.source
+        ends = (start + len(text) for start, text in zip(old.starts, old.texts))
+        at = data.draw(st.sampled_from(sorted({*old.starts, *ends})))
+        cut = data.draw(st.integers(0, 12))
+        insert = "".join(data.draw(st.lists(st.sampled_from(_PIECES), max_size=4)))
+        new = source[:at] + insert + source[at + cut :]
+        expected = _lexed(new)
+        assert _lexed(new, old) == expected, (source[at - 10 : at + cut + 10], insert)
+        if not isinstance(expected, str):
+            old, relexed = rescan(new, old)
+            assert list(old.starts) == list(rescan(new)[0].starts)
+            assert 0 < relexed <= len(old.kinds)
+
+
+def test_rescan_of_every_frontend_mutant_equals_scan():
+    """Each pinned one-token-deletion mutant, rescanned from the tokens
+    of its unmutated rendering."""
+    mutants = json.loads(
+        (Path(__file__).parent / "data" / "ir" / "frontend_mutants.json").read_text()
+    )["programs"]
+    checked = 0
+    for key, (_, source) in _frontend_golden.sources().items():
+        tokens = tokenize(source)
+        original, _ = rescan(_frontend_golden.render_without(tokens, -1))
+        for i in mutants[key]:
+            mutant = _frontend_golden.render_without(tokens, int(i))
+            assert _lexed(mutant, original) == _lexed(mutant), f"{key} without token {i}"
+            checked += 1
+    assert checked == sum(len(m) for m in mutants.values())
+
+
+def test_rescan_reuses_the_tokens_outside_the_edit():
+    source = get_program("lu-con").source
+    old, relexed = rescan(source)
+    assert relexed == len(old.kinds)
+    at = source.index("fn ")
+    new, relexed = rescan(source[:at] + "// one more line\n" + source[at:], old)
+    assert relexed <= 2
+    assert new.lines[-1] == old.lines[-1] + 1
+    assert new.starts[-1] == old.starts[-1] + len("// one more line\n")
 
 
 # --- parser ------------------------------------------------------------------

@@ -174,13 +174,13 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_incremental_splice_matches_full_recompile(name):
-    source = CASES[name]
+def _compare_with_oracle(name: str, source: str, steps) -> None:
+    """Drive ``steps`` (see :func:`edit_steps`) through a session and
+    the oracle, comparing them and a cold compile after each."""
     session, oracle = Session(), OracleSession()
     programs = {}
     fenced = None  # the session's function with a fence inserted in place
-    for label, action in edit_steps(source):
+    for label, action in steps:
         where = f"{name}: {label}"
         if isinstance(action, tuple):
             _, refresh = action
@@ -229,6 +229,48 @@ def test_incremental_splice_matches_full_recompile(name):
         assert _payload(report, False) == _payload(fresh, False), where
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_incremental_splice_matches_full_recompile(name):
+    source = CASES[name]
+    _compare_with_oracle(name, source, edit_steps(source))
+
+
+def relex_steps(source: str) -> list[tuple[str, str]]:
+    """Edits whose lexing reuses the tokens kept by the first splice:
+    a line above the first ``fn``, the middle of a function, and a block
+    comment opened over the rest of the file, then closed."""
+    first = source.index("fn ")
+    seeded = source[:first] + EXTRA.lstrip("\n") + source[first:]
+    above = seeded[:first] + "// one line down\n" + seeded[first:]
+    start, end = fn_span(above, entry_of(above))
+    middle = above.index(";", (start + end) // 2) + 1
+    edited = above[:middle] + " local zz_mid = 2;" + above[middle:]
+    extra = edited.index("fn zz_extra(")
+    opened = edited[:extra] + "/* " + edited[extra:]
+    _, extra_end = fn_span(edited, "zz_extra")
+    closed = opened[: extra_end + 3] + " */" + opened[extra_end + 3 :]
+    return [
+        ("load", source),
+        ("seed the tokens", seeded),
+        ("a line above the first fn", above),
+        ("edit the middle of a function", edited),
+        ("open a block comment", opened),
+        ("close it", closed),
+        ("uncomment", edited),
+        ("switch back to the source", source),
+    ]
+
+
+@pytest.mark.parametrize("name", ["mp", "lu-con"])
+def test_relexed_splices_match_full_recompile(name):
+    source = CASES[name]
+    steps = relex_steps(source)
+    opened = dict(steps)["open a block comment"]
+    with pytest.raises(Exception, match="unterminated block comment"):
+        compile_source(opened, name)
+    _compare_with_oracle(name, source, steps)
+
+
 def _counter(name: str) -> float:
     return obs_metrics.REGISTRY.to_payload()["counters"].get(name, 0)
 
@@ -247,19 +289,38 @@ def test_appending_one_function_relowers_exactly_one(name):
     assert _counter("repro_session_functions_reused_total") - reused == functions
 
 
+_SPLICE_COUNTERS = (
+    "repro_session_functions_reused_total",
+    "repro_session_functions_relowered_total",
+    "repro_session_tokens_relexed_total",
+    "repro_session_tokens_reused_total",
+)
+
+
 def test_a_failed_edit_counts_nothing():
     session = Session()
     session.load(ProgramSpec.inline(MP_SOURCE, name="mp"))
-    before = (
-        _counter("repro_session_functions_reused_total"),
-        _counter("repro_session_functions_relowered_total"),
-    )
+    before = [_counter(name) for name in _SPLICE_COUNTERS]
     with pytest.raises(Exception, match="line"):
         session.load(ProgramSpec.inline(MP_SOURCE + "fn (", name="mp"))
-    assert before == (
-        _counter("repro_session_functions_reused_total"),
-        _counter("repro_session_functions_relowered_total"),
-    )
+    assert before == [_counter(name) for name in _SPLICE_COUNTERS]
+
+
+def test_only_the_first_splice_lexes_the_whole_source():
+    source = get_program("lu-con").source
+    tokens = len(tokenize(source))
+    session = Session()
+    session.load(ProgramSpec.inline(source, name="lu-con"))
+    relexed, reused = (_counter(name) for name in _SPLICE_COUNTERS[2:])
+    session.load(ProgramSpec.inline(source + EXTRA, name="lu-con"))
+    extra = len(tokenize(source + EXTRA)) - tokens
+    assert _counter("repro_session_tokens_relexed_total") - relexed == tokens + extra
+    assert _counter("repro_session_tokens_reused_total") == reused
+    relexed, reused = (_counter(name) for name in _SPLICE_COUNTERS[2:])
+    session.load(ProgramSpec.inline(source, name="lu-con"))
+    # The token before the appended function is lexed again, and eof.
+    assert _counter("repro_session_tokens_relexed_total") - relexed == 2
+    assert _counter("repro_session_tokens_reused_total") - reused == tokens - 2
 
 
 def _mutant_sources(group: str):
