@@ -3,7 +3,8 @@
 Measures what the demand-driven engine buys on the 17-program corpus:
 
 * **cold** — first analysis, every fact computed;
-* **warm** — re-analysis with nothing changed, pure memo hits;
+* **warm** — re-analysis with nothing changed: pure memo hits, and
+  every function's orderings, pruned set and plan reused;
 * **edited** — re-analysis after a single-function in-place edit plus
   ``refresh()``: only the edited function's query subgraph recomputes.
 

@@ -36,24 +36,25 @@ class EscapeInfo:
                 self.local.add(inst)
             else:
                 self.escaping.add(inst)
+        #: Potentially thread-escaping reads (loads and RMWs). Like
+        #: every set here, built once and read-only to every caller.
+        self.escaping_reads: OrderedSet[Instruction] = OrderedSet(
+            i for i in self.escaping if i.reads_memory()
+        )
+        #: Potentially thread-escaping writes (stores and RMWs). The
+        #: paper treats *every* escaping write as a release (Section
+        #: 1.3: "as in Pensieve, conservatively consider every shared
+        #: write (escaping write) to be a release").
+        self.escaping_writes: OrderedSet[Instruction] = OrderedSet(
+            i for i in self.escaping if i.writes_memory()
+        )
+        #: The fence pipeline's last result for this function, kept by
+        #: :meth:`repro.core.pipeline.FencePlacer.analyze_function`; it
+        #: is dropped with these facts.
+        self.pipeline_memo: object = None
 
     def is_escaping(self, inst: Instruction) -> bool:
         return inst in self.escaping
-
-    @property
-    def escaping_reads(self) -> OrderedSet[Instruction]:
-        """Potentially thread-escaping reads (loads and RMWs)."""
-        return OrderedSet(i for i in self.escaping if i.reads_memory())
-
-    @property
-    def escaping_writes(self) -> OrderedSet[Instruction]:
-        """Potentially thread-escaping writes (stores and RMWs).
-
-        The paper treats *every* escaping write as a release
-        (Section 1.3: "as in Pensieve, conservatively consider every
-        shared write (escaping write) to be a release").
-        """
-        return OrderedSet(i for i in self.escaping if i.writes_memory())
 
     def summary(self) -> dict[str, int]:
         return {

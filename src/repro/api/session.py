@@ -181,9 +181,15 @@ class Session:
         parsed, lowered and verified (see ``_adopt_source``). A source
         that does not compile raises exactly what a cold compile
         raises, and leaves the cached program and its facts as they
-        were. Callers about to
-        mutate the IR (fence insertion) pass ``reuse=False`` to get a
-        private compile that never pollutes the shared cache.
+        were. A kept function also keeps the fence pipeline's last
+        orderings, pruned set and plan, which ride on its
+        ``escape_info`` fact (see
+        :meth:`~repro.core.pipeline.FencePlacer.analyze_function`):
+        replacing or removing the function, refreshing it after an
+        in-place edit, or the LRU dropping the program discards them
+        with the facts. Callers about to mutate the IR (fence
+        insertion) pass ``reuse=False`` to get a private compile that
+        never pollutes the shared cache.
         """
         if isinstance(program, Program):
             return program

@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.analysis.aliasing import PointsTo
 from repro.analysis.escape import EscapeInfo
+from repro.analysis.reachability import ReachabilityTable
 from repro.core.fence_min import FencePlan, apply_plan, plan_fences
 from repro.core.machine_models import X86_TSO, MemoryModel, OrderKind
 from repro.core.orderings import OrderingSet, generate_orderings
@@ -31,6 +33,7 @@ from repro.core.pruning import PruneStats, aggregate_surviving_fraction, prune_o
 from repro.core.signatures import Variant
 from repro.ir.function import Function, Program
 from repro.ir.instructions import Instruction
+from repro.obs import metrics as obs_metrics
 from repro.query.engine import QueryEngine
 from repro.util.orderedset import OrderedSet
 
@@ -50,6 +53,22 @@ class FunctionAnalysis:
     function: Function
     points_to: PointsTo
     escape_info: EscapeInfo
+    sync_reads: OrderedSet[Instruction]
+    orderings: OrderingSet
+    pruned: OrderingSet
+    prune_stats: PruneStats
+    plan: FencePlan
+
+
+class _Derived(NamedTuple):
+    """What :meth:`FencePlacer.analyze_function` derived for one
+    function under ``model``, with the facts it was derived from. Kept
+    on the function's ``EscapeInfo``; it holds no reference back to
+    it."""
+
+    model: MemoryModel
+    points_to: PointsTo
+    reach: ReachabilityTable
     sync_reads: OrderedSet[Instruction]
     orderings: OrderingSet
     pruned: OrderingSet
@@ -220,7 +239,23 @@ class FencePlacer:
         context: QueryEngine | None = None,
     ) -> FunctionAnalysis:
         """Analyze one function; facts come from the query engine
-        ``context`` (a private one is created when none is supplied)."""
+        ``context`` (a private one is created when none is supplied).
+
+        The orderings, pruned set, prune statistics and plan are kept
+        on the function's ``EscapeInfo``, one slot per function for the
+        last variant and model it was analyzed under. They depend on
+        nothing else, so a later call under the same model reuses them
+        when the engine hands back the very same ``points_to``,
+        ``escape_info``, ``reachability`` and sync-read objects; each
+        variant's sync reads are an object of their own (PENSIEVE's are
+        ``escape_info.escaping_reads``). The engine rebuilds those facts
+        after an edit (``refresh``, ``invalidate_function``,
+        ``discard_input``) or when the session drops the program, so a
+        slot never outlives them. The four engine lookups happen
+        either way. A ``sync_reads_override`` (the null detector, the
+        interprocedural acquires) is never stored in the slot, so it
+        leaves the variant's own result in place.
+        """
         engine = context if context is not None else QueryEngine()
         points_to = engine.get("points_to", func)
         escape_info = engine.get("escape_info", func)
@@ -236,22 +271,37 @@ class FencePlacer:
                 "acquires", (func, self._detector_variant())
             ).sync_reads
 
-        orderings = generate_orderings(func, escape_info, reach)
-        pruned, stats = prune_orderings(orderings, sync_reads)
-
-        # Entry fence: enforces interprocedural w->r orderings ending in
-        # this function; pointless if the hardware orders w->r itself.
-        entry_fence = bool(sync_reads) and self.model.needs_full_fence(OrderKind.WR)
-        plan = plan_fences(func, pruned, self.model, entry_fence=entry_fence)
+        derived = escape_info.pipeline_memo
+        if (
+            derived is not None
+            and derived.model == self.model
+            and derived.points_to is points_to
+            and derived.reach is reach
+            and derived.sync_reads is sync_reads
+        ):
+            obs_metrics.REGISTRY.inc("repro_pipeline_functions_reused_total")
+        else:
+            orderings = generate_orderings(func, escape_info, reach)
+            pruned, stats = prune_orderings(orderings, sync_reads)
+            # Entry fence: enforces interprocedural w->r orderings ending in
+            # this function; pointless if the hardware orders w->r itself.
+            entry_fence = bool(sync_reads) and self.model.needs_full_fence(OrderKind.WR)
+            plan = plan_fences(func, pruned, self.model, entry_fence=entry_fence)
+            derived = _Derived(
+                self.model, points_to, reach, sync_reads, orderings, pruned, stats, plan
+            )
+            if sync_reads_override is None:
+                escape_info.pipeline_memo = derived
+            obs_metrics.REGISTRY.inc("repro_pipeline_functions_analyzed_total")
         return FunctionAnalysis(
             function=func,
             points_to=points_to,
             escape_info=escape_info,
             sync_reads=sync_reads,
-            orderings=orderings,
-            pruned=pruned,
-            prune_stats=stats,
-            plan=plan,
+            orderings=derived.orderings,
+            pruned=derived.pruned,
+            prune_stats=derived.prune_stats,
+            plan=derived.plan,
         )
 
     # --- whole program ------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import LintReport, LintRequest, ProgramSpec, Session
 from repro.cli import main
+from repro.programs import all_programs
 from repro.serve import ServeDispatcher
 from repro.validate.seeds import clear_seeds, seed_count
 
@@ -150,6 +151,16 @@ def test_lint_warm_rerun_is_all_hits(session):
     warm = session.lint(LintRequest(program=spec, stats=True))
     assert warm.cache_stats.misses == 0
     assert warm.cache_stats.hits > 0
+
+
+def test_lint_warm_rerun_over_the_corpus_recomputes_nothing(session):
+    for name in sorted(all_programs()):
+        request = LintRequest(program=ProgramSpec.corpus(name), confirm=False, stats=True)
+        cold = session.lint(request)
+        warm = session.lint(request)
+        assert warm.cache_stats.misses == 0, name
+        assert warm.cache_stats.hits > 0, name
+        assert warm.findings == cold.findings, name
 
 
 STAGES = """
