@@ -187,9 +187,12 @@ class Session:
         :meth:`~repro.core.pipeline.FencePlacer.analyze_function`):
         replacing or removing the function, refreshing it after an
         in-place edit, or the LRU dropping the program discards them
-        with the facts. Callers about to mutate the IR (fence
-        insertion) pass ``reuse=False`` to get a private compile that
-        never pollutes the shared cache.
+        with the facts. An in-place edit of the cached IR counts once
+        the edited function is finalized (``Function.finalize()``): a
+        splice, like :meth:`refresh`, re-prints only functions
+        finalized since the engine fingerprinted them. Callers about to
+        mutate the IR (fence insertion) pass ``reuse=False`` to get a
+        private compile that never pollutes the shared cache.
         """
         if isinstance(program, Program):
             return program
@@ -320,8 +323,9 @@ class Session:
         cached.functions = merged
         cached.globals = program.globals
         cached.threads = program.threads
-        # Catch structure changes (interprocedural shape) and any
-        # in-place drift the fingerprints can see.
+        # Catch structure changes (interprocedural shape) and in-place
+        # edits of kept functions: only functions finalized since the
+        # engine fingerprinted them are printed again.
         engine.refresh()
         registry = obs_metrics.REGISTRY
         registry.inc("repro_session_functions_reused_total", len(merged) - len(fresh))
@@ -362,9 +366,11 @@ class Session:
         self._contexts.pop(program, None)
 
     def refresh(self, program: Program) -> tuple[str, ...]:
-        """Revalidate ``program``'s facts after in-place IR edits: the
-        query engine evicts exactly the changed functions' subgraphs
-        (see :meth:`repro.query.engine.QueryEngine.refresh`)."""
+        """Revalidate ``program``'s facts after in-place IR edits, each
+        ended by the edited function's ``finalize()``: the query engine
+        re-prints only re-finalized functions and evicts exactly the
+        changed ones' subgraphs (see
+        :meth:`repro.query.engine.QueryEngine.refresh`)."""
         return self.context(program).refresh()
 
     def stats(self) -> dict:

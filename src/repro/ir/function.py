@@ -9,6 +9,7 @@ keep the memory-model explorers finite.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.ir.instructions import Instruction, Jump, Br, Ret
@@ -65,15 +66,25 @@ class BasicBlock:
         return f"<BasicBlock {self.label} ({len(self.instructions)} insts)>"
 
 
+#: Source of :attr:`Function.generation` values, shared by every function.
+_generations = itertools.count(1)
+
+
 class Function:
     """A function: parameters (registers) and an ordered list of blocks.
 
     ``finalize()`` assigns stable instruction uids and block indices;
-    analyses require a finalized function. Mutating passes (fence
-    insertion) call ``finalize()`` again after editing.
+    analyses require a finalized function. An edit to a function's IR
+    is followed by ``finalize()`` (fence insertion does this), which
+    also gives it a fresh ``generation``: a query engine re-prints and
+    re-fingerprints only functions whose generation moved, so it sees
+    an in-place edit once the function is finalized, not before.
     """
 
-    __slots__ = ("name", "params", "blocks", "_blocks_by_label", "_positions")
+    __slots__ = (
+        "name", "params", "blocks", "_blocks_by_label", "_positions",
+        "generation",
+    )
 
     def __init__(self, name: str, params: Sequence[Register] = ()) -> None:
         self.name = name
@@ -81,6 +92,8 @@ class Function:
         self.blocks: list[BasicBlock] = []
         self._blocks_by_label: dict[str, BasicBlock] = {}
         self._positions: dict[int, tuple[int, int]] = {}
+        #: Distinct after every ``finalize()`` (0 before the first).
+        self.generation = 0
 
     @property
     def entry(self) -> BasicBlock:
@@ -103,7 +116,9 @@ class Function:
         return label in self._blocks_by_label
 
     def finalize(self) -> "Function":
-        """Assign block indices and instruction uids/positions."""
+        """Assign block indices and instruction uids/positions, and a
+        fresh :attr:`generation`."""
+        self.generation = next(_generations)
         self._positions.clear()
         uid = 0
         for bi, block in enumerate(self.blocks):

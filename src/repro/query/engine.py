@@ -14,8 +14,10 @@ not:
   the engine knows the exact derivation graph it actually used;
 * **function-granularity invalidation** — inputs (IR functions) carry
   content fingerprints; :meth:`QueryEngine.refresh` re-fingerprints
-  them and evicts precisely the query entries reachable from the
-  changed inputs, leaving sibling functions' facts cached;
+  those re-finalized since it last looked (an edit to a function's IR
+  ends with ``Function.finalize()``, which moves its ``generation``)
+  and evicts precisely the query entries reachable from the changed
+  inputs, leaving sibling functions' facts cached;
 * **optional persistence** — a query that declares an encode/decode
   pair is written through to a :class:`~repro.util.store.BlobStore`
   keyed by its input fingerprint, so a *new* engine (even a new
@@ -40,6 +42,7 @@ from typing import Any, Callable, Hashable
 
 from repro.ir.function import Function, Program
 from repro.ir.printer import format_function
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.registry.core import Registry
 from repro.util.store import BlobStore
@@ -54,6 +57,7 @@ Node = tuple
 
 def fingerprint_function(func: Function) -> str:
     """Content fingerprint of one IR function (its printed form)."""
+    obs_metrics.REGISTRY.inc("repro_query_fingerprints_total")
     return hashlib.sha256(format_function(func).encode("utf-8")).hexdigest()
 
 
@@ -237,6 +241,8 @@ class QueryEngine:
         self._deps: dict[tuple, frozenset] = {}
         self._rdeps: dict[Node, set] = {}
         self._fingerprints: dict[Function, str] = {}
+        #: Each fingerprinted function's generation when last printed.
+        self._generations: dict[Function, int] = {}
         self._shape: str | None = None
 
     # --- dependency frames ------------------------------------------------
@@ -248,8 +254,14 @@ class QueryEngine:
         """Record that the in-flight query read ``func``'s content,
         fingerprinting it on first sight."""
         if func not in self._fingerprints:
-            self._fingerprints[func] = fingerprint_function(func)
+            self._fingerprint(func)
         self._note(("fn", func))
+
+    def _fingerprint(self, func: Function) -> str:
+        """Print and store ``func``'s fingerprint at its generation."""
+        self._generations[func] = func.generation
+        fingerprint = self._fingerprints[func] = fingerprint_function(func)
+        return fingerprint
 
     def touch_shape(self) -> None:
         """Record a read of the program's cross-function structure."""
@@ -366,15 +378,21 @@ class QueryEngine:
 
     # --- invalidation -----------------------------------------------------
     def refresh(self) -> tuple[str, ...]:
-        """Re-fingerprint every known input; evict the query subgraph
-        of each changed one. Returns the changed functions' names
-        (``"<program>"`` for a structure change)."""
+        """Re-fingerprint every known input finalized since it was last
+        fingerprinted, and the program's structure; evict the query
+        subgraph of each changed one. Returns the changed functions'
+        names (``"<program>"`` for a structure change).
+
+        An in-place IR edit is seen once the function is finalized: a
+        function whose ``generation`` is as when it was fingerprinted
+        is not printed again, and a re-finalized one is evicted only if
+        its printed form changed."""
         dirty: list[Node] = []
         changed: list[str] = []
         for func, old in list(self._fingerprints.items()):
-            new = fingerprint_function(func)
-            if new != old:
-                self._fingerprints[func] = new
+            if func.generation == self._generations[func]:
+                continue
+            if self._fingerprint(func) != old:
                 dirty.append(("fn", func))
                 changed.append(func.name)
         if self._shape is not None and self.program is not None:
@@ -390,13 +408,14 @@ class QueryEngine:
         """Force-evict everything derived from ``func`` (and refresh
         its stored fingerprint)."""
         if func in self._fingerprints:
-            self._fingerprints[func] = fingerprint_function(func)
+            self._fingerprint(func)
         self._evict_from([("fn", func)])
 
     def discard_input(self, func: Function) -> None:
         """Drop ``func`` as an input entirely: evict its subgraph and
         forget its fingerprint (the function left the program)."""
         self._fingerprints.pop(func, None)
+        self._generations.pop(func, None)
         self._evict_from([("fn", func)])
         self._rdeps.pop(("fn", func), None)
 
@@ -407,6 +426,7 @@ class QueryEngine:
         self._deps.clear()
         self._rdeps.clear()
         self._fingerprints.clear()
+        self._generations.clear()
         self._shape = None
 
     def _evict_from(self, dirty: list[Node]) -> None:

@@ -3,10 +3,12 @@
 
 import pytest
 
+from repro.api import ProgramSpec, Session
 from repro.core.signatures import Variant
 from repro.frontend import compile_source
 from repro.ir.instructions import Observe
 from repro.ir.values import Constant
+from repro.obs import metrics as obs_metrics
 from repro.query import (
     QUERIES,
     QueryEngine,
@@ -74,6 +76,30 @@ def test_refresh_without_edit_evicts_nothing(program):
     assert engine.refresh() == ()
     assert engine.stats.evictions == 0
     assert engine.get("points_to", consumer) is fact
+
+
+def _fingerprints_printed() -> float:
+    return obs_metrics.REGISTRY.to_payload()["counters"].get(
+        "repro_query_fingerprints_total", 0
+    )
+
+
+def test_refinalizing_an_unchanged_function_evicts_nothing(program):
+    engine = QueryEngine(program)
+    consumer = program.functions["consumer"]
+    producer = program.functions["producer"]
+    fact = engine.get("points_to", consumer)
+    engine.get("points_to", producer)
+    consumer.finalize()
+    printed = _fingerprints_printed()
+    assert engine.refresh() == ()
+    # Only the re-finalized function is printed again.
+    assert _fingerprints_printed() - printed == 1
+    assert engine.stats.evictions == 0
+    assert engine.get("points_to", consumer) is fact
+    printed = _fingerprints_printed()
+    assert engine.refresh() == ()
+    assert _fingerprints_printed() == printed
 
 
 def test_single_function_edit_invalidates_only_its_subgraph(program):
@@ -212,3 +238,47 @@ def test_engine_len_and_known_functions(program):
     engine.get("points_to", consumer)
     assert len(engine) == 1
     assert consumer in engine.known_functions()
+
+
+EXTRA = "\nfn extra(tid) { local t = tid; }\n"
+
+
+def _warm_session():
+    """A session with the ``qe`` program loaded and the per-function
+    facts of both its functions memoized."""
+    session = Session()
+    program = session.load(ProgramSpec.inline(SRC, name="qe"))
+    engine = session.context(program)
+    for func in program.functions.values():
+        engine.get("escape_info", func)
+        engine.get("acquires", (func, Variant.CONTROL))
+    return session, program, engine
+
+
+def test_a_finalized_edit_is_evicted_by_the_next_splice():
+    """An edit finalized but not refreshed is caught by the next wire
+    splice: exactly the edited function's subgraph is evicted."""
+    session, program, engine = _warm_session()
+    consumer = program.functions["consumer"]
+    before = set(engine._values)
+    edit_in_place(consumer)
+    assert session.load(ProgramSpec.inline(SRC + EXTRA, name="qe")) is program
+    assert program.functions["consumer"] is consumer
+    subgraph = {
+        node for node in before
+        if node[1] is consumer or (isinstance(node[1], tuple) and consumer in node[1])
+    }
+    assert subgraph
+    assert set(engine._values) == before - subgraph
+    assert engine.fingerprint_of(consumer) == fingerprint_function(consumer)
+
+
+def test_alternating_splices_keep_one_generation_per_fingerprint():
+    session, program, engine = _warm_session()
+    for i in range(50):
+        source = SRC + EXTRA if i % 2 == 0 else SRC
+        session.load(ProgramSpec.inline(source, name="qe"))
+        for func in program.functions.values():
+            engine.get("points_to", func)
+        assert engine._generations.keys() == engine._fingerprints.keys()
+        assert set(engine._fingerprints) == set(program.functions.values())

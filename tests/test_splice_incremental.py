@@ -289,6 +289,25 @@ def test_appending_one_function_relowers_exactly_one(name):
     assert _counter("repro_session_functions_reused_total") - reused == functions
 
 
+def test_an_edit_prints_only_what_it_relowers():
+    """After the first switch, adding or removing a function prints no
+    more functions for fingerprints than the splice re-lowers, plus the
+    new function's first query: unchanged functions are not printed."""
+    source = get_program("lu-con").source
+    session = Session()
+    for text in (source, source + EXTRA):  # the first switch lowers all
+        session.analyze(AnalyzeRequest(program=ProgramSpec.inline(text, name="lu-con")))
+    for step in range(6):
+        added = step % 2 == 1
+        spec = ProgramSpec.inline(source + EXTRA if added else source, name="lu-con")
+        printed = _counter("repro_query_fingerprints_total")
+        relowered = _counter("repro_session_functions_relowered_total")
+        session.analyze(AnalyzeRequest(program=spec))
+        relowered = _counter("repro_session_functions_relowered_total") - relowered
+        assert relowered == int(added)
+        assert _counter("repro_query_fingerprints_total") - printed <= relowered + int(added)
+
+
 _SPLICE_COUNTERS = (
     "repro_session_functions_reused_total",
     "repro_session_functions_relowered_total",

@@ -4,9 +4,11 @@
 Drives a warm :class:`~repro.api.Session` through the very same
 :class:`~repro.serve.server.ServeDispatcher` the daemon uses — one
 analyze (with optimal synthesis, so the synthesis histograms fill),
-one model check, one deliberate schema error — then prints the
-``metrics`` op's text exposition to stdout. CI pipes it into
-``tools/check_prom_format.py``::
+the same program again with one function appended to its source, sent
+inline under the same name (a wire edit, so the splice and fingerprint
+counters appear), one model check, one deliberate schema error — then
+prints the ``metrics`` op's text exposition to stdout. CI pipes it
+into ``tools/check_prom_format.py``::
 
     PYTHONPATH=src python tools/metrics_smoke.py \
         | python tools/check_prom_format.py
@@ -24,6 +26,7 @@ from repro.api import ProgramSpec  # noqa: E402
 from repro.api.reports import AnalyzeRequest, CheckRequest  # noqa: E402
 from repro.api.session import Session  # noqa: E402
 from repro.obs import metrics as obs_metrics  # noqa: E402
+from repro.programs import get_program  # noqa: E402
 from repro.serve.server import ServeDispatcher  # noqa: E402
 
 
@@ -34,6 +37,12 @@ def main() -> int:
         AnalyzeRequest(
             program=ProgramSpec.corpus("matrix"),
             arch="x86", synthesis="optimal",
+        ).to_payload(),
+        AnalyzeRequest(
+            program=ProgramSpec.inline(
+                get_program("matrix").source + "\nfn smoke_extra(tid) { }\n",
+                name="matrix",
+            ),
         ).to_payload(),
         CheckRequest(program=ProgramSpec.litmus("mp")).to_payload(),
         {"kind": "analyze-request"},  # schema error: counts ok="false"
