@@ -1,20 +1,25 @@
-"""Drive the `repro serve` daemon end to end over stdio.
+"""Drive the `repro serve` daemon end to end, over both transports.
 
 The daemon speaks JSON lines: one schema-versioned request envelope in,
-one response out, against a single long-lived session whose query cache
-stays warm across requests. This client:
+one response out, against a long-lived session whose query cache stays
+warm across requests. Both transports decode a line with the same
+function and answer a request with the same dispatcher, so this client
+runs one asserted script twice: over ``repro serve --stdio --serial``
+(stdin/stdout), then over the socket of a one-worker cluster
+(``repro serve --workers 1``, whose port is read from the JSON line the
+server announces on stdout). The script:
 
-1. spawns ``repro serve --stdio`` as a subprocess;
-2. pings it and round-trips an :class:`~repro.api.AnalyzeRequest` and a
+1. pings the daemon and round-trips an
+   :class:`~repro.api.AnalyzeRequest` and a
    :class:`~repro.api.CheckRequest` (with ``id`` correlation);
-3. re-sends the analyze request to show the warm second hit;
-4. edits the program over the wire: ``mp`` with one appended function,
+2. re-sends the analyze request to show the warm second hit;
+3. edits the program over the wire: ``mp`` with one appended function,
    then lines added mid-source (every later line number shifts), then
    a block comment opened and never closed, and a syntax error (both
    answered ``{"ok": false}`` with a cold compile's ``line N:``
    message, the daemon serving on), then ``mp`` again; every report
    equals a fresh in-process ``Session``'s;
-5. asks for server/session stats, then shuts the daemon down cleanly
+4. asks for server/session stats, then shuts the daemon down cleanly
    and verifies a zero exit status.
 
 Run:  python examples/serve_client.py
@@ -22,6 +27,7 @@ Run:  python examples/serve_client.py
 
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -58,31 +64,38 @@ def cold_error(source: str) -> str:
     raise AssertionError("the source compiles")
 
 
-def main() -> int:
-    # Make the subprocess import the same repro tree as this script.
+def spawn(args: list[str]) -> subprocess.Popen:
+    """Start ``python -m repro serve ARGS`` on the same repro tree as
+    this script, with pipes on stdin and stdout."""
     env = dict(os.environ)
     src_dir = str(Path(repro.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src_dir, env.get("PYTHONPATH")) if p
     )
-    daemon = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--stdio", "--serial"],
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", *args],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         text=True,
         env=env,
     )
 
-    def call(payload: dict) -> dict:
-        daemon.stdin.write(json.dumps(payload) + "\n")
-        daemon.stdin.flush()
-        return json.loads(daemon.stdout.readline())
 
+def session_stats(stats: dict) -> list[dict]:
+    """The session block of each dispatcher behind a ``stats`` reply:
+    the stdio daemon's own, or one per cluster worker."""
+    if "session" in stats:
+        return [stats["session"]]
+    return [row["session"] for row in stats["cluster"]["workers"]]
+
+
+def exercise(label: str, call) -> None:
+    """The asserted script, over one transport's ``call``."""
     spec = ProgramSpec.inline(SOURCE, name="mp")
 
     pong = call({"op": "ping"})
     assert pong["ok"] and pong["pong"], pong
-    print(f"daemon up (repro {pong['version']})")
+    print(f"[{label}] daemon up (repro {pong['version']})")
 
     analyze = call(
         {"id": 1, "request": AnalyzeRequest(program=spec, stats=True).to_payload()}
@@ -90,8 +103,8 @@ def main() -> int:
     assert analyze["ok"] and analyze["id"] == 1, analyze
     report = analyze["report"]
     print(
-        f"analyze: {report['sync_reads']}/{report['escaping_reads']} reads "
-        f"marked acquire, {report['full_fences']} full fences "
+        f"[{label}] analyze: {report['sync_reads']}/{report['escaping_reads']} "
+        f"reads marked acquire, {report['full_fences']} full fences "
         f"(cold: {report['cache_stats']['misses']} fact misses)"
     )
 
@@ -100,14 +113,14 @@ def main() -> int:
     )
     assert check["ok"] and check["id"] == 2, check
     verdicts = {v["variant"]: v["restored_sc"] for v in check["report"]["variants"]}
-    print(f"check on x86-tso: SC restored per variant -> {verdicts}")
+    print(f"[{label}] check on x86-tso: SC restored per variant -> {verdicts}")
 
     again = call({"id": 3, "request": AnalyzeRequest(program=spec).to_payload()})
     assert again["ok"], again
     assert {k: v for k, v in again["report"].items() if k != "cache_stats"} == {
         k: v for k, v in report.items() if k != "cache_stats"
     }, "warm re-analysis must match the cold report"
-    print("warm re-analysis: byte-identical report")
+    print(f"[{label}] warm re-analysis: byte-identical report")
 
     # Wire edits: the daemon re-lexes only the edited span and re-lowers
     # only the functions whose tokens changed; a source that does not
@@ -126,7 +139,7 @@ def main() -> int:
         ("syntax error", broken),
         ("mp again", SOURCE),
     )
-    for req_id, (label, source) in enumerate(steps, start=4):
+    for req_id, (edit, source) in enumerate(steps, start=4):
         program = ProgramSpec.inline(source, name="mp")
         reply = call(
             {"id": req_id, "request": AnalyzeRequest(program=program).to_payload()}
@@ -137,7 +150,7 @@ def main() -> int:
             assert cold.startswith("line "), cold
             assert not reply["ok"], reply
             assert cold in reply["error"], (cold, reply)
-            print(f"edit, {label}: {reply['error']}")
+            print(f"[{label}] edit, {edit}: {reply['error']}")
             continue
         assert reply["ok"], reply
         fresh = Session().analyze(AnalyzeRequest(program=program)).to_payload()
@@ -145,23 +158,62 @@ def main() -> int:
         assert got == {k: v for k, v in fresh.items() if k != "cache_stats"}, (
             "a spliced edit must match a fresh session's report"
         )
-        print(f"edit, {label}: report matches a fresh session")
+        print(f"[{label}] edit, {edit}: report matches a fresh session")
 
     stats = call({"op": "stats"})
     assert stats["ok"] and stats["server"]["served"] == 6, stats
     assert stats["server"]["errors"] == 2, stats
+    query_stats = [session["query_stats"] for session in session_stats(stats)]
     print(
-        f"server stats: {stats['server']['served']} served, "
-        f"{stats['session']['query_stats']['hits']} query hits / "
-        f"{stats['session']['query_stats']['computes']} computes"
+        f"[{label}] server stats: {stats['server']['served']} served, "
+        f"{sum(q['hits'] for q in query_stats)} query hits / "
+        f"{sum(q['computes'] for q in query_stats)} computes"
     )
 
     bye = call({"op": "shutdown"})
     assert bye["ok"] and bye["bye"], bye
+
+
+def over_stdio() -> None:
+    daemon = spawn(["--stdio", "--serial"])
+
+    def call(payload: dict) -> dict:
+        daemon.stdin.write(json.dumps(payload) + "\n")
+        daemon.stdin.flush()
+        return json.loads(daemon.stdout.readline())
+
+    exercise("stdio", call)
     daemon.stdin.close()
     returncode = daemon.wait(timeout=30)
     assert returncode == 0, f"daemon exited with {returncode}"
-    print("daemon shut down cleanly")
+    print("[stdio] daemon shut down cleanly")
+
+
+def over_socket() -> None:
+    daemon = spawn(["--workers", "1", "--serial"])
+    announce = json.loads(daemon.stdout.readline())
+    assert announce["ok"] and announce["serving"]["workers"] == 1, announce
+    where = (announce["serving"]["host"], announce["serving"]["port"])
+    with socket.create_connection(where, timeout=120) as sock:
+        stream = sock.makefile("rw", encoding="utf-8")
+
+        def call(payload: dict) -> dict:
+            stream.write(json.dumps(payload) + "\n")
+            stream.flush()
+            return json.loads(stream.readline())
+
+        exercise("socket", call)
+        stream.close()
+    daemon.stdin.close()
+    returncode = daemon.wait(timeout=60)
+    daemon.stdout.close()
+    assert returncode == 0, f"daemon exited with {returncode}"
+    print("[socket] daemon shut down cleanly")
+
+
+def main() -> int:
+    over_stdio()
+    over_socket()
     return 0
 
 

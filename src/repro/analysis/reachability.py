@@ -39,6 +39,3 @@ class ReachabilityTable:
         if u_block == v_block and u_index < v_index:
             return True
         return self.cfg.reaches(u_label, v_label)
-
-    def block_reaches(self, src_label: str, dst_label: str) -> bool:
-        return self.cfg.reaches(src_label, dst_label)

@@ -34,7 +34,7 @@ import time
 from typing import NamedTuple
 
 from repro.core.machine_models import MemoryModel
-from repro.core.pipeline import PipelineVariant, ProgramAnalysis
+from repro.core.pipeline import PipelineVariant, ProgramAnalysis, _check_synthesis
 from repro.frontend import LexError, LoweringError, ParseError, compile_source
 from repro.frontend.lexer import Tokens, rescan
 from repro.frontend.lowering import FunctionLowerer, ModuleScope
@@ -72,12 +72,12 @@ from repro.api.reports import (
 
 
 class _Lowered(NamedTuple):
-    """What a splice knows of one function it lowered: the digest of
-    the tokens it came from, the fingerprint of its IR then, and the
-    parameter count of each function it calls."""
+    """What a splice knows of one function it kept or lowered: the
+    digest of the tokens it came from, the function's ``generation``
+    then, and the parameter count of each function it calls."""
 
     digest: bytes
-    fingerprint: str
+    generation: int
     callees: tuple[tuple[str, int], ...]
 
 
@@ -188,9 +188,9 @@ class Session:
         replacing or removing the function, refreshing it after an
         in-place edit, or the LRU dropping the program discards them
         with the facts. An in-place edit of the cached IR counts once
-        the edited function is finalized (``Function.finalize()``): a
-        splice, like :meth:`refresh`, re-prints only functions
-        finalized since the engine fingerprinted them. Callers about to
+        the edited function is finalized (``Function.finalize()``),
+        refreshed or not: a splice re-lowers every function finalized
+        since the splice that kept or lowered it. Callers about to
         mutate the IR (fence insertion) pass ``reuse=False`` to get a
         private compile that never pollutes the shared cache.
         """
@@ -247,12 +247,14 @@ class Session:
         top-level items. A function is kept, with no parse or
         lowering, when its token digest, every global's name and size,
         and each callee's parameter count are as in its record, and the
-        cached function's fingerprint is still the recorded one: the
-        engine's, so IR edited in place and refreshed is never papered
-        over (a function no query has fingerprinted yet is printed).
-        Every other function is parsed, lowered and verified; if its
-        printed IR equals the cached function's, the cached object
-        stays all the same. Kept functions keep every memoized query;
+        cached function's ``generation`` is still the recorded one, so
+        IR edited in place and finalized is never papered over. Every
+        other function is parsed, lowered and verified; if it replaces
+        a cached function whose printed IR equals its own, the cached
+        object stays all the same. A recorded function is compared by
+        its current print; one with no record (a program's first
+        splice) by the engine's print, which the ``refresh`` ending the
+        splice re-checks. Kept functions keep every memoized query;
         the facts of replaced and removed ones are discarded. A source
         with any frontend error goes through ``compile_source``, so the
         error raised is exactly a cold compile's, before anything
@@ -261,10 +263,15 @@ class Session:
         engine = entry.engine
         records = entry.lowered or {}
 
-        def fingerprint_of(func: Function) -> str:
-            # The engine already fingerprinted every queried function;
-            # only never-queried ones need printing.
-            return engine.fingerprint_of(func) or fingerprint_function(func)
+        def fingerprint_of(func: Function, record: _Lowered | None) -> str:
+            # Each splice ends with a refresh, so the engine's print of a
+            # function still at its recorded generation is current; one
+            # finalized since, or never queried, is printed.
+            if record is None or func.generation == record.generation:
+                fingerprint = engine.fingerprint_of(func)
+                if fingerprint is not None:
+                    return fingerprint
+            return fingerprint_function(func)
 
         merged: dict[str, Function] = {}
         lowered: dict[str, _Lowered] = {}
@@ -286,7 +293,7 @@ class Session:
                     and old is not None
                     and record is not None
                     and record.digest == item.digest
-                    and fingerprint_of(old) == record.fingerprint
+                    and old.generation == record.generation
                     and all(
                         scope.arities.get(callee) == arity
                         for callee, arity in record.callees
@@ -299,14 +306,16 @@ class Session:
                     items.parse_function(item), scope, manual_fences
                 ).lower()
                 fresh.append(func)
-                fingerprint = fingerprint_function(func)
-                lowered[name] = _Lowered(item.digest, fingerprint, _callees(func))
                 if old is not None:
-                    if fingerprint_of(old) == fingerprint:
+                    if fingerprint_of(old, record) == fingerprint_function(func):
                         merged[name] = old
+                        lowered[name] = _Lowered(
+                            item.digest, old.generation, _callees(old)
+                        )
                         continue
                     replaced.append(old)
                 merged[name] = func
+                lowered[name] = _Lowered(item.digest, func.generation, _callees(func))
             program = Program(cached.name)
             program.globals = scope.globals
             program.functions = merged
@@ -516,21 +525,10 @@ class Session:
 
         return get_backend(arch)
 
-    @staticmethod
-    def _check_synthesis(synthesis: str) -> str:
-        from repro.core.pipeline import SYNTHESIS_MODES
-
-        if synthesis not in SYNTHESIS_MODES:
-            raise ValueError(
-                f"unknown synthesis {synthesis!r}; "
-                f"known: {', '.join(SYNTHESIS_MODES)}"
-            )
-        return synthesis
-
     def analyze(self, request: AnalyzeRequest) -> AnalyzeReport:
         self._count("analyze")
         backend = self._backend(request.arch)
-        synthesis = self._check_synthesis(request.synthesis)
+        synthesis = _check_synthesis(request.synthesis)
         interprocedural = (
             request.interprocedural
             if request.interprocedural is not None
@@ -700,7 +698,7 @@ class Session:
         from repro.registry.models import check_backend_for_model
 
         backend = check_backend_for_model(request.model)
-        synthesis = self._check_synthesis(request.synthesis)
+        synthesis = _check_synthesis(request.synthesis)
         if request.arch is not None:
             self._backend(request.arch)  # unknown arch: KeyError early
             if backend is None or backend.key != request.arch:
@@ -803,7 +801,7 @@ class Session:
     def simulate(self, request: SimulateRequest) -> SimulateReport:
         self._count("simulate")
         backend = self._backend(request.arch)
-        synthesis = self._check_synthesis(request.synthesis)
+        synthesis = _check_synthesis(request.synthesis)
         resolved = resolve_spec(request.program)
         manual = request.placement == "manual" or request.program.manual_fences
         program = compile_source(
@@ -859,7 +857,7 @@ class Session:
         runner = self._batch_runner
         if request.arch is not None:
             self._backend(request.arch)  # unknown arch: KeyError early
-        synthesis = self._check_synthesis(request.synthesis)
+        synthesis = _check_synthesis(request.synthesis)
         start = time.perf_counter()
         results = runner.run_matrix(
             programs, variants, models, arch=request.arch,

@@ -23,15 +23,17 @@ schema-versioned ``*Request`` envelopes, unchanged), and a pool of
   closes the worker links (EOF is the workers' shutdown signal), and
   exits 0.
 
-Responses are byte-identical to ``repro serve --stdio`` and the
-one-shot CLI: workers run the very same ``ServeDispatcher``.
+Client lines are decoded by :func:`~repro.serve.server.decode_line`,
+the decoder ``repro serve --stdio`` uses, and each request object is
+answered by a worker's ``ServeDispatcher.answer``, so responses are
+byte-identical to ``repro serve --stdio`` and the one-shot CLI. Only
+the top-level ops are the frontend's own: they answer for the fleet.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import os
 import random
 import secrets
@@ -53,6 +55,7 @@ from repro.cluster.router import HashRing, routing_key
 from repro.cluster.worker import spawn_worker
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.serve.server import WireError, decode_line, encode_response
 from repro.util.store import BlobStore
 
 
@@ -633,9 +636,7 @@ class ClusterServer:
 
     async def _send(self, writer, response: dict) -> bool:
         try:
-            writer.write(
-                (json.dumps(response, sort_keys=True) + "\n").encode("utf-8")
-            )
+            writer.write((encode_response(response) + "\n").encode("utf-8"))
             await writer.drain()
         except (ConnectionError, OSError):
             return False
@@ -647,28 +648,12 @@ class ClusterServer:
 
     async def _dispatch_line(self, text: str) -> tuple[dict, bool]:
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            return (
-                self._client_error(f"request line is not valid JSON: {exc}", None),
-                False,
-            )
-        if not isinstance(payload, dict):
-            return (
-                self._client_error("request line must be a JSON object", None),
-                False,
-            )
-        if "op" in payload:
-            return await self._handle_op(payload)
-        req_id = None
-        if "request" in payload:
-            req_id = payload.get("id")
-            payload = payload["request"]
-            if not isinstance(payload, dict):
-                return (
-                    self._client_error("'request' must be a JSON object", req_id),
-                    False,
-                )
+            decoded = decode_line(text)
+        except WireError as exc:
+            return self._client_error(str(exc), exc.req_id), False
+        if decoded.op:
+            return await self._handle_op(decoded.payload)
+        payload, req_id = decoded.payload, decoded.req_id
         key = routing_key(payload)
         if key is not None:
             self._note_key(key)
@@ -739,9 +724,7 @@ class ClusterServer:
                 "session": None,
             }
             if isinstance(probe, dict) and probe.get("ok"):
-                row["served"] = probe.get("served")
-                row["errors"] = probe.get("errors")
-                row["session"] = probe.get("session")
+                row.update(probe["server"], session=probe["session"])
             rows.append(row)
         # Slots mid-restart have no handle yet; surface them instead of
         # silently shrinking the table.

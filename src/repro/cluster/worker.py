@@ -7,11 +7,17 @@ FIFO response matching, and a single-threaded loop per process is the
 whole point: the GIL stops costing anything once every worker has its
 own interpreter.
 
-Request frames carry the exact JSON-lines payloads clients send, and
-responses are produced by the same
-:class:`~repro.serve.server.ServeDispatcher` that ``repro serve
---stdio`` drives — so cluster-path reports are byte-identical to
-one-shot CLI reports by construction, not by re-implementation.
+The frontend decodes each client line with
+:func:`~repro.serve.server.decode_line` and ships the request object
+as a ``req`` frame's ``payload``; the worker hands that dict straight
+to :meth:`ServeDispatcher.answer
+<repro.serve.server.ServeDispatcher.answer>`, the request path
+``repro serve --stdio`` drives too — so cluster-path reports are
+byte-identical to one-shot CLI reports by construction, not by
+re-implementation. ``op`` frames (``ping``, ``stats``, ``metrics``)
+are answered by the same dispatcher's op code, with the worker's id
+and pid added; a worker refuses ``shutdown``, since EOF on its link is
+its one shutdown signal.
 
 Every worker's session config names the same ``query_cache_dir``
 (the frontend resolves it, to a temporary directory it owns when none
@@ -31,14 +37,12 @@ thin subprocess entry around it.
 from __future__ import annotations
 
 import contextlib
-import json
 import multiprocessing
 import os
 import signal
 import socket
 from typing import Any
 
-import repro
 from repro.cluster.protocol import (
     MAX_FRAME,
     FrameDecodeError,
@@ -92,7 +96,7 @@ class WorkerLoop:
         """Answer one decoded frame with one response frame."""
         kind = frame.get("t")
         if kind == "op":
-            return {"t": "res", "payload": self._handle_op(frame)}
+            return {"t": "res", "payload": self._answer_op(frame)}
         if kind == "req":
             payload = frame.get("payload")
             trace_id = frame.get("trace")
@@ -105,9 +109,7 @@ class WorkerLoop:
                 if not isinstance(payload, dict):
                     response = _error_response("'payload' must be a JSON object")
                 else:
-                    response, _stop = self.dispatcher.handle_line(
-                        json.dumps(payload)
-                    )
+                    response = self.dispatcher.answer(payload)
             out = {"t": "res", "payload": response}
             tracer = obs_trace.active()
             if tracer is not None:
@@ -120,47 +122,13 @@ class WorkerLoop:
             "payload": _error_response(f"unknown frame type {kind!r}"),
         }
 
-    def _handle_op(self, frame: dict) -> dict:
-        op = frame.get("op")
-        if op == "ping":
-            return {
-                "ok": True,
-                "pong": True,
-                "worker": self.worker_id,
-                "pid": os.getpid(),
-                "version": repro.__version__,
-            }
-        if op == "stats":
-            try:
-                session_stats = self.dispatcher.session.stats()
-            except Exception as exc:  # noqa: BLE001 - same daemon
-                # boundary as the dispatcher: stats must never kill the
-                # worker loop.
-                detail = exc.args[0] if exc.args else exc
-                return _error_response(f"{type(exc).__name__}: {detail}")
-            return {
-                "ok": True,
-                "worker": self.worker_id,
-                "pid": os.getpid(),
-                "served": self.dispatcher.served,
-                "errors": self.dispatcher.errors,
-                "session": session_stats,
-            }
-        if op == "metrics":
-            try:
-                metrics = self.dispatcher.metrics_payload()
-            except Exception as exc:  # noqa: BLE001 - same daemon
-                # boundary: a metrics scrape must never kill the loop.
-                detail = exc.args[0] if exc.args else exc
-                return _error_response(f"{type(exc).__name__}: {detail}")
-            return {
-                "ok": True,
-                "worker": self.worker_id,
-                "pid": os.getpid(),
-                "metrics": metrics,
-                "slow_queries": obs_trace.SLOW_QUERIES.entries(),
-            }
-        return _error_response(f"unknown worker op {op!r}")
+    def _answer_op(self, frame: dict) -> dict:
+        if frame.get("op") == "shutdown":
+            return _error_response("a worker shuts down only when its link closes")
+        response, _stop = self.dispatcher.handle_op(frame)
+        if response["ok"]:
+            response.update(worker=self.worker_id, pid=os.getpid())
+        return response
 
     def serve(self, sock: socket.socket) -> int:
         """Serve frames until EOF (the frontend closing the link is the

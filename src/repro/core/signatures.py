@@ -52,9 +52,6 @@ class AcquireResult:
     sync_reads: OrderedSet[Instruction]
     seen: set[Instruction] = field(default_factory=set)
 
-    def is_acquire(self, inst: Instruction) -> bool:
-        return inst in self.sync_reads
-
 
 def detect_control_acquires(
     func: Function,

@@ -30,7 +30,7 @@ from repro.ir.instructions import (
     Ret,
     Store,
 )
-from repro.ir.values import Constant, GlobalRef, Register, Value
+from repro.ir.values import Constant, Register, Value
 
 
 class IRBuilder:
@@ -92,10 +92,6 @@ class IRBuilder:
     @staticmethod
     def const(value: int) -> Constant:
         return Constant(value)
-
-    @staticmethod
-    def global_addr(name: str) -> GlobalRef:
-        return GlobalRef(name)
 
     # --- instructions -------------------------------------------------------
     def alloca(self, size: int = 1, var_name: str = "") -> Register:

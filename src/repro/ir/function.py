@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
-from repro.ir.instructions import Instruction, Jump, Br, Ret
+from repro.ir.instructions import Instruction, Jump, Br
 from repro.ir.values import Register
 
 
@@ -112,9 +112,6 @@ class Function:
     def block(self, label: str) -> BasicBlock:
         return self._blocks_by_label[label]
 
-    def has_block(self, label: str) -> bool:
-        return label in self._blocks_by_label
-
     def finalize(self) -> "Function":
         """Assign block indices and instruction uids/positions, and a
         fresh :attr:`generation`."""
@@ -145,12 +142,6 @@ class Function:
     def memory_accesses(self) -> list[Instruction]:
         """All loads, stores, and RMWs in block/statement order."""
         return [i for i in self.instructions() if i.is_memory_access()]
-
-    def returns_value(self) -> bool:
-        return any(
-            isinstance(inst, Ret) and inst.value is not None
-            for inst in self.instructions()
-        )
 
     def __repr__(self) -> str:
         return f"<Function {self.name} ({len(self.blocks)} blocks)>"

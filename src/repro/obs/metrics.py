@@ -248,10 +248,6 @@ def query_engine_counters(session_stats: dict) -> dict[str, float]:
 
 
 # --- Prometheus text exposition (format v0) -------------------------------
-def _metric_type(name: str) -> str:
-    return "counter" if name.endswith("_total") else "gauge"
-
-
 def render_prometheus(payload: dict) -> str:
     """Text format v0 for a metrics payload (own or merged)."""
     families: dict[str, list[str]] = {}

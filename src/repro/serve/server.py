@@ -1,24 +1,31 @@
-"""The request dispatcher behind ``repro serve``.
+"""The request dispatcher behind ``repro serve``, and its wire decoder.
 
-A :class:`ServeDispatcher` answers one request line at a time against
-one warm :class:`~repro.api.session.Session`, so the query cache stays
-hot across requests: re-analyzing an edited program touches only the
+A :class:`ServeDispatcher` answers requests against one warm
+:class:`~repro.api.session.Session`, so the query cache stays hot
+across requests: re-analyzing an edited program touches only the
 changed functions' query subgraph. The wire protocol is JSON lines —
 one request per line, one response per line:
 
 * a bare schema-versioned request payload (any ``*-request`` kind from
   :mod:`repro.api.reports`), or an envelope ``{"id": ..., "request":
   {...}}`` when the client wants responses correlated;
-* control operations ``{"op": "ping"}``, ``{"op": "stats"}`` and
-  ``{"op": "shutdown"}``;
+* control operations ``{"op": "ping"}``, ``{"op": "stats"}``,
+  ``{"op": "metrics"}`` and ``{"op": "shutdown"}``, recognized only at
+  the top level of a line (inside ``request`` an op is just a payload
+  without a servable kind);
 * responses are ``{"ok": true, "id": ..., "report": <payload>}`` with
   the *identical* payload the one-shot CLI would serialize, or
   ``{"ok": false, "id": ..., "error": "..."}``.
 
-Two transports drive the dispatcher, both single-threaded: each
-:mod:`repro.cluster` worker process runs one behind its framed link
-(``repro serve --workers N``), and :func:`serve_stdio` runs one
-in-process for subprocess embedding (``repro serve --stdio``).
+:func:`decode_line` is the one decoder of a client line, used by both
+transports: :func:`serve_stdio` runs a dispatcher in-process for
+subprocess embedding (``repro serve --stdio``) and feeds it whole lines
+(:meth:`ServeDispatcher.handle_line`); the :mod:`repro.cluster`
+frontend (``repro serve --workers N``) decodes each line itself,
+answers ops from fleet-wide state and forwards the request dict to a
+worker process, whose dispatcher answers it with
+:meth:`ServeDispatcher.answer` — no re-encoding on the way. Both are
+single-threaded per dispatcher.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from typing import IO
+from typing import IO, Any, NamedTuple
 
 import repro
 from repro.api.reports import (
@@ -59,8 +66,55 @@ def encode_response(response: dict) -> str:
     return json.dumps(response, sort_keys=True)
 
 
+class WireError(ValueError):
+    """A client line that is not a request; ``req_id`` is the envelope's
+    ``id`` when the line got that far."""
+
+    def __init__(self, message: str, req_id: Any = None) -> None:
+        super().__init__(message)
+        self.req_id = req_id
+
+
+class ClientLine(NamedTuple):
+    """One decoded client line: a control op (``payload`` is the whole
+    line object) or a request (``payload`` is the request object)."""
+
+    payload: dict
+    req_id: Any = None
+    op: bool = False
+
+
+def decode_line(line: str) -> ClientLine:
+    """Decode one client line; raises :class:`WireError` for a line
+    that is not valid JSON, not an object, or whose ``request`` is not
+    an object."""
+    try:
+        payload = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise WireError(f"request line is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise WireError("request line must be a JSON object")
+    if "op" in payload:
+        return ClientLine(payload, payload.get("id"), op=True)
+    if "request" not in payload:
+        return ClientLine(payload)
+    req_id = payload.get("id")
+    request = payload["request"]
+    if not isinstance(request, dict):
+        raise WireError("'request' must be a JSON object", req_id)
+    return ClientLine(request, req_id)
+
+
+def _describe_exception(exc: Exception) -> str:
+    """The error a daemon answers for an exception it caught: a bad
+    request (e.g. type-confused field values that pass the name-level
+    schema gate) answers ``{"ok": false}``, never kills the loop."""
+    detail = exc.args[0] if exc.args else exc
+    return f"{type(exc).__name__}: {detail}"
+
+
 class ServeDispatcher:
-    """Maps one decoded request line to one response dict.
+    """Answers decoded requests and ops with response dicts.
 
     Stateless apart from served/error counters; like its session, it
     belongs to one thread.
@@ -71,53 +125,43 @@ class ServeDispatcher:
         self.served = 0
         self.errors = 0
 
-    def _error(self, message: str, req_id=None) -> dict:
+    def _error(self, message: str, req_id: Any = None) -> dict:
         self.errors += 1
         return {"ok": False, "id": req_id, "error": message}
 
     def handle_line(self, line: str) -> tuple[dict, bool]:
         """Answer one request line; returns ``(response, shutdown)``."""
         try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return self._error(f"request line is not valid JSON: {exc}"), False
-        if not isinstance(payload, dict):
-            return self._error("request line must be a JSON object"), False
+            decoded = decode_line(line)
+        except WireError as exc:
+            return self._error(str(exc), exc.req_id), False
+        if decoded.op:
+            return self.handle_op(decoded.payload)
+        return self.answer(decoded.payload, decoded.req_id), False
 
-        if "op" in payload:
-            return self._handle_op(payload)
-
-        req_id = None
-        if "request" in payload:
-            req_id = payload.get("id")
-            payload = payload["request"]
-            if not isinstance(payload, dict):
-                return self._error("'request' must be a JSON object", req_id), False
-
+    def answer(self, payload: dict, req_id: Any = None) -> dict:
+        """Answer one request payload (no op detection: an op here is a
+        payload without a servable kind)."""
         kind = payload.get("kind")
         method = REQUEST_DISPATCH.get(kind)
         if method is None:
             known = ", ".join(sorted(REQUEST_DISPATCH))
             return self._error(
                 f"not a servable request kind: {kind!r}; known: {known}", req_id
-            ), False
+            )
         started = time.perf_counter()
         request_span = obs_trace.span("serve.request", cat="serve", kind=kind)
         with obs_trace.request_scope(), request_span:
             try:
                 request = REPORT_KINDS.get(kind).from_payload(payload)
                 report = getattr(self.session, method)(request)
-            except Exception as exc:  # noqa: BLE001 - daemon boundary: a
-                # bad request (e.g. type-confused field values that pass
-                # the name-level schema gate) must answer {"ok": false},
-                # never kill the worker or the stdio loop.
+            except Exception as exc:  # noqa: BLE001 - daemon boundary
                 request_span.set(ok=False)
                 self._observe_request(kind, started, ok=False)
-                detail = exc.args[0] if exc.args else exc
-                return self._error(f"{type(exc).__name__}: {detail}", req_id), False
+                return self._error(_describe_exception(exc), req_id)
         self.served += 1
         self._observe_request(kind, started, ok=True)
-        return {"ok": True, "id": req_id, "report": report.to_payload()}, False
+        return {"ok": True, "id": req_id, "report": report.to_payload()}
 
     @staticmethod
     def _observe_request(kind: str, started: float, ok: bool) -> None:
@@ -139,7 +183,8 @@ class ServeDispatcher:
         )
         return payload
 
-    def _handle_op(self, payload: dict) -> tuple[dict, bool]:
+    def handle_op(self, payload: dict) -> tuple[dict, bool]:
+        """Answer one control op; returns ``(response, shutdown)``."""
         op = payload.get("op")
         req_id = payload.get("id")
         if op == "ping":
@@ -147,35 +192,26 @@ class ServeDispatcher:
                 "ok": True, "id": req_id, "pong": True,
                 "version": repro.__version__,
             }, False
-        if op == "stats":
-            counters = {"served": self.served, "errors": self.errors}
-            try:
-                session_stats = self.session.stats()
-            except Exception as exc:  # noqa: BLE001 - same daemon
-                # boundary as the request path: never kill the loop.
-                detail = exc.args[0] if exc.args else exc
-                return self._error(f"{type(exc).__name__}: {detail}", req_id), False
-            return {
-                "ok": True, "id": req_id,
-                "server": counters,
-                "session": session_stats,
-            }, False
-        if op == "metrics":
-            try:
-                metrics = self.metrics_payload()
-            except Exception as exc:  # noqa: BLE001 - same daemon
-                # boundary as the request path: never kill the loop.
-                detail = exc.args[0] if exc.args else exc
-                return self._error(f"{type(exc).__name__}: {detail}", req_id), False
-            return {
-                "ok": True, "id": req_id,
-                "metrics": metrics,
-                "text": obs_metrics.render_prometheus(metrics),
-                "slow_queries": obs_trace.SLOW_QUERIES.entries(),
-            }, False
         if op == "shutdown":
             return {"ok": True, "id": req_id, "bye": True}, True
-        return self._error(f"unknown op {op!r}", req_id), False
+        if op not in ("stats", "metrics"):
+            return self._error(f"unknown op {op!r}", req_id), False
+        try:
+            if op == "stats":
+                response = {
+                    "server": {"served": self.served, "errors": self.errors},
+                    "session": self.session.stats(),
+                }
+            else:
+                metrics = self.metrics_payload()
+                response = {
+                    "metrics": metrics,
+                    "text": obs_metrics.render_prometheus(metrics),
+                    "slow_queries": obs_trace.SLOW_QUERIES.entries(),
+                }
+        except Exception as exc:  # noqa: BLE001 - daemon boundary
+            return self._error(_describe_exception(exc), req_id), False
+        return {"ok": True, "id": req_id, **response}, False
 
 
 def serve_stdio(

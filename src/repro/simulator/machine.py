@@ -71,9 +71,6 @@ class _Buffer:
         self.entries = [e for e in self.entries if e[0] > now]
         return ready
 
-    def drain_all_time(self) -> int:
-        return self.last_visible if self.entries else 0
-
 
 class TSOSimulator:
     """Runs one program to completion under the timed TSO model.

@@ -2,7 +2,9 @@
 splices became incremental.
 
 The whole new source is compiled; a cached function whose printed IR
-equals the fresh one's keeps its object, every other one is replaced,
+equals the fresh one's keeps its object (an in-place edit finalized
+since the engine printed the function is printed afresh, refreshed or
+not), every other one is replaced,
 and the facts of replaced and removed functions are discarded.
 ``OracleSession`` is a :class:`~repro.api.session.Session` that splices
 this way, so a test can drive the same requests through both and
@@ -23,8 +25,7 @@ def adopt_source(engine: QueryEngine, cached: Program, fresh: Program) -> Progra
     for name, func in fresh.functions.items():
         old = cached.functions.get(name)
         if old is not None:
-            old_fp = engine.fingerprint_of(old) or fingerprint_function(old)
-            if old_fp == fingerprint_function(func):
+            if fingerprint_function(old) == fingerprint_function(func):
                 merged[name] = old
                 continue
             engine.discard_input(old)

@@ -1,6 +1,7 @@
 """Tests for the sharded multi-process analysis service (repro.cluster)."""
 
 import asyncio
+import io
 import json
 import os
 import signal
@@ -28,6 +29,7 @@ from repro.cluster import (
     send_frame,
 )
 from repro.cluster.frontend import _Pending, _WorkerHandle
+from repro.serve import serve_stdio
 from repro.util.store import SUFFIX, BlobStore
 
 MP = """
@@ -212,7 +214,8 @@ def test_worker_answers_ops_and_requests(worker_link, tmp_path):
 
     send_frame(sock, {"t": "op", "op": "stats"})
     stats = recv_frame(sock)["payload"]
-    assert stats["ok"] and stats["served"] == 1 and stats["errors"] == 0
+    assert stats["ok"] and stats["server"] == {"served": 1, "errors": 0}
+    assert stats["worker"] == 7 and stats["pid"] == os.getpid()
     assert stats["session"]["query_cache"]["computes"] > 0
     # The worker's persistent cache landed in the shared store dir.
     assert list((tmp_path / "store").glob(f"*{SUFFIX}"))
@@ -229,7 +232,10 @@ def test_worker_survives_recoverable_frames(worker_link):
     send_frame(sock, {"t": "mystery"})
     assert "unknown frame type" in recv_frame(sock)["payload"]["error"]
     send_frame(sock, {"t": "op", "op": "mystery"})
-    assert "unknown worker op" in recv_frame(sock)["payload"]["error"]
+    assert recv_frame(sock)["payload"]["error"] == "unknown op 'mystery'"
+    # EOF on the link is a worker's only shutdown signal.
+    send_frame(sock, {"t": "op", "op": "shutdown"})
+    assert "link closes" in recv_frame(sock)["payload"]["error"]
     send_frame(sock, {"t": "req", "payload": "not-a-dict"})
     assert "JSON object" in recv_frame(sock)["payload"]["error"]
     # After all that abuse the worker still answers real work.
@@ -541,6 +547,46 @@ def test_cluster_answers_errors_without_dropping_the_connection(cluster):
     assert "not a servable request kind" in responses[4]["error"]
     # The stream stayed in sync through all of it.
     assert responses[5]["ok"] and responses[5]["pong"]
+
+
+_bonus = AnalyzeRequest(program=SPEC).to_payload()
+_bonus["bonus"] = 1
+
+#: One line of each kind the two transports must answer alike.
+PARITY_LINES = [
+    "{nope",
+    "[1, 2]",
+    '{"id": 7, "request": [1]}',
+    '{"id": 8, "request": {"kind": "mystery-request"}}',
+    '{"id": 9, "op": "dance"}',
+    json.dumps({"id": 10, "request": _bonus}),
+    # An op inside ``request`` is a payload without a servable kind.
+    '{"id": 11, "request": {"op": "shutdown"}}',
+    '{"request": {"op": "stats"}}',
+    '{"id": 12, "op": "ping"}',
+]
+
+
+def test_stdio_and_cluster_answer_every_line_alike():
+    stdin = io.BytesIO("".join(line + "\n" for line in PARITY_LINES).encode())
+    stdout = io.StringIO()
+    assert serve_stdio(Session(parallel=False), stdin, stdout) == 0
+    stdio = [json.loads(line) for line in stdout.getvalue().splitlines()]
+    server = ClusterServer(
+        config=ClusterConfig(workers=1, session={"parallel": False})
+    )
+    server.start_in_thread()
+    try:
+        clustered = _roundtrip(server, PARITY_LINES)
+    finally:
+        server.stop_threaded()
+    assert len(stdio) == len(clustered) == len(PARITY_LINES)
+    for line, alone, fleet in zip(PARITY_LINES, stdio, clustered):
+        assert fleet.pop("workers", 1) == 1, line
+        assert alone == fleet, line
+    assert [r["ok"] for r in stdio] == [False] * 8 + [True]
+    assert stdio[6]["error"].startswith("not a servable request kind: None")
+    assert stdio[7]["error"] == stdio[6]["error"]
 
 
 def test_cluster_half_closed_client_still_gets_its_answer(cluster):

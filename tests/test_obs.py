@@ -255,7 +255,7 @@ def test_metrics_op_matches_session_stats_exactly():
     dispatcher.handle_line(json.dumps(request))
     dispatcher.handle_line(json.dumps(request))  # warm pass: hits
 
-    response, stop = dispatcher._handle_op({"op": "metrics"})
+    response, stop = dispatcher.handle_op({"op": "metrics"})
     assert response["ok"] and not stop
     counters = response["metrics"]["counters"]
     query_stats = dispatcher.session.stats()["query_stats"]

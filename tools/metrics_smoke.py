@@ -49,7 +49,7 @@ def main() -> int:
     ]
     for request in requests:
         dispatcher.handle_line(json.dumps(request))
-    response, _stop = dispatcher._handle_op({"op": "metrics"})
+    response, _stop = dispatcher.handle_op({"op": "metrics"})
     if not response.get("ok"):
         print(f"metrics op failed: {response.get('error')}", file=sys.stderr)
         return 1
