@@ -17,7 +17,9 @@ server announces on stdout). The script:
    then lines added mid-source (every later line number shifts), then
    a block comment opened and never closed, and a syntax error (both
    answered ``{"ok": false}`` with a cold compile's ``line N:``
-   message, the daemon serving on), then ``mp`` again; every report
+   message, the daemon serving on), then ``mp`` again; then edits that
+   cross item boundaries: a global added and deleted, a function split
+   in two, and a global inserted before the first token; every report
    equals a fresh in-process ``Session``'s;
 4. asks for server/session stats, then shuts the daemon down cleanly
    and verifies a zero exit status.
@@ -132,12 +134,20 @@ def exercise(label: str, call) -> None:
     )
     opened = shifted.replace("fn helper(", "/* fn helper(")
     broken = SOURCE + "fn broken(tid) { local = ; }\n"
+    spare = SOURCE.replace("global int data;\n", "global int data;\nglobal int spare;\n")
+    split = SOURCE.replace(
+        "data = 1; flag = 1; }", "data = 1; }\nfn producer_flag(tid) { flag = 1; }"
+    )
     steps = (
         ("one appended function", appended),
         ("lines added mid-source", shifted),
         ("an unterminated block comment", opened),
         ("syntax error", broken),
         ("mp again", SOURCE),
+        ("a global added", spare),
+        ("a global deleted", SOURCE),
+        ("a function split in two", split),
+        ("a global before the first token", "global int zeroth;" + split),
     )
     for req_id, (edit, source) in enumerate(steps, start=4):
         program = ProgramSpec.inline(source, name="mp")
@@ -161,7 +171,7 @@ def exercise(label: str, call) -> None:
         print(f"[{label}] edit, {edit}: report matches a fresh session")
 
     stats = call({"op": "stats"})
-    assert stats["ok"] and stats["server"]["served"] == 6, stats
+    assert stats["ok"] and stats["server"]["served"] == 10, stats
     assert stats["server"]["errors"] == 2, stats
     query_stats = [session["query_stats"] for session in session_stats(stats)]
     print(

@@ -47,14 +47,27 @@ def register_report(cls: type) -> type:
     return cls
 
 
+class _FieldNames(dict):
+    """Each class's dataclass field names, looked up once per class
+    (``None`` for a class that is not a dataclass)."""
+
+    def __missing__(self, cls: type) -> tuple[str, ...] | None:
+        names = None
+        if dataclasses.is_dataclass(cls):
+            names = tuple(f.name for f in dataclasses.fields(cls))
+        self[cls] = names
+        return names
+
+
+_FIELD_NAMES = _FieldNames()
+
+
 def _encode(value: Any) -> Any:
     if isinstance(value, ProgramSpec):
         return value.to_payload()
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _encode(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
+    names = _FIELD_NAMES[type(value)]
+    if names is not None:
+        return {name: _encode(getattr(value, name)) for name in names}
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
     if isinstance(value, dict):
@@ -158,8 +171,8 @@ class WirePayload:
             "kind": self.KIND,
             "schema_version": self.SCHEMA_VERSION,
         }
-        for f in dataclasses.fields(self):
-            payload[f.name] = _encode(getattr(self, f.name))
+        for name in _FIELD_NAMES[type(self)]:
+            payload[name] = _encode(getattr(self, name))
         return payload
 
     def to_json(self) -> str:
@@ -183,7 +196,7 @@ class WirePayload:
     @classmethod
     def from_payload(cls, payload: Mapping):
         cls.check_envelope(payload)
-        names = {f.name for f in dataclasses.fields(cls)}
+        names = set(_FIELD_NAMES[cls])
         data = {k: v for k, v in payload.items() if k not in ("kind", "schema_version")}
         unknown = sorted(set(data) - names)
         if unknown:

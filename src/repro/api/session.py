@@ -38,7 +38,7 @@ from repro.core.pipeline import PipelineVariant, ProgramAnalysis, _check_synthes
 from repro.frontend import LexError, LoweringError, ParseError, compile_source
 from repro.frontend.lexer import Tokens, rescan
 from repro.frontend.lowering import FunctionLowerer, ModuleScope
-from repro.frontend.parser import Parser
+from repro.frontend.parser import ModuleItems, Parser
 from repro.ir.function import Function, Program
 from repro.ir.instructions import Call
 from repro.ir.verifier import VerificationError, verify_program
@@ -94,15 +94,16 @@ class _Cached(NamedTuple):
     ``(name, manual_fences)`` key and source a wire-loaded program was
     compiled from (both ``None`` for an ad-hoc :meth:`Session.context`
     program). After a splice, ``tokens`` holds the source's tokens,
-    ``lowered`` a record per function and ``global_sizes`` the globals
-    they were lowered against."""
+    ``items`` their cut, ``lowered`` a record per function and ``scope``
+    the module scope they were lowered in."""
 
     engine: QueryEngine
     key: tuple[str, bool] | None = None
     source: str | None = None
-    global_sizes: dict[str, int] | None = None
+    scope: ModuleScope | None = None
     lowered: dict[str, _Lowered] | None = None
     tokens: Tokens | None = None
+    items: ModuleItems | None = None
 
 
 class Session:
@@ -174,8 +175,9 @@ class Session:
         program name return the same warm ``Program``: an unchanged
         source is a pure cache hit, an edited one is spliced so only
         the changed functions lose their facts. A splice re-lexes only
-        the edited span of the source (the first splice of a program
-        lexes all of it); a function whose tokens, globals and callees'
+        the edited span of the source and re-cuts only the top-level
+        items it touches (the first splice of a program lexes and cuts
+        all of it); a function whose tokens, globals and callees'
         parameter counts are as when a splice last lowered it keeps
         its object with no parse or lowering, and only the others are
         parsed, lowered and verified (see ``_adopt_source``). A source
@@ -242,48 +244,47 @@ class Session:
         to the first new token that starts in the unchanged suffix at
         an old token's start; the rest are the old tokens, shifted.
         That equals a full scan, since a token depends only on the text
-        from its start onward. With no tokens kept (a program's first
-        splice) the whole source is lexed. The tokens are cut into
-        top-level items. A function is kept, with no parse or
-        lowering, when its token digest, every global's name and size,
-        and each callee's parameter count are as in its record, and the
-        cached function's ``generation`` is still the recorded one, so
-        IR edited in place and finalized is never papered over. Every
-        other function is parsed, lowered and verified; if it replaces
-        a cached function whose printed IR equals its own, the cached
-        object stays all the same. A recorded function is compared by
-        its current print; one with no record (a program's first
-        splice) by the engine's print, which the ``refresh`` ending the
-        splice re-checks. Kept functions keep every memoized query;
-        the facts of replaced and removed ones are discarded. A source
-        with any frontend error goes through ``compile_source``, so the
-        error raised is exactly a cold compile's, before anything
-        changes (the kept tokens included).
+        from its start onward. The tokens are cut into top-level items
+        from the previous splice's cut (``entry.items``): only the items
+        overlapping the lexed window are cut again, the others are
+        reused, moved. When every global was reused, so is the previous
+        module scope's global part. With no tokens kept (a program's
+        first splice) the whole source is lexed and cut. A function is
+        kept, with no parse or lowering, when its token digest, every
+        global's name and size, and each callee's parameter count are
+        as in its record, and the cached function's ``generation`` is
+        still the recorded one, so IR edited in place and finalized is
+        never papered over. Every other function is parsed, lowered and
+        verified; if it replaces a cached function whose printed IR
+        equals its own, the cached object stays all the same. The
+        cached function's print is the engine's while the engine
+        printed it at its current generation, else a fresh one, so an
+        in-place edit counts on a program's first splice as on later
+        ones. Kept functions keep every memoized query; the facts of
+        replaced and removed ones are discarded. A source with any
+        frontend error goes through ``compile_source``, so the error
+        raised is exactly a cold compile's, before anything changes
+        (the kept tokens and cut included).
         """
         engine = entry.engine
         records = entry.lowered or {}
-
-        def fingerprint_of(func: Function, record: _Lowered | None) -> str:
-            # Each splice ends with a refresh, so the engine's print of a
-            # function still at its recorded generation is current; one
-            # finalized since, or never queried, is printed.
-            if record is None or func.generation == record.generation:
-                fingerprint = engine.fingerprint_of(func)
-                if fingerprint is not None:
-                    return fingerprint
-            return fingerprint_function(func)
-
         merged: dict[str, Function] = {}
         lowered: dict[str, _Lowered] = {}
         fresh: list[Function] = []
         replaced: list[Function] = []
         try:
-            tokens, relexed = rescan(source, entry.tokens)
-            items = Parser(tokens.kinds, tokens.texts, tokens.lines).cut()
-            scope = ModuleScope(
-                items.globals, ((f.name, f.arity, f.line) for f in items.functions)
+            tokens, window = rescan(source, entry.tokens)
+            items = Parser(tokens.kinds, tokens.texts, tokens.lines).cut(
+                entry.items, window
             )
-            same_globals = scope.global_sizes == entry.global_sizes
+            scope = ModuleScope(
+                items.globals,
+                ((f.name, f.arity, f.line) for f in items.functions),
+                entry.scope if items.reused_globals else None,
+            )
+            same_globals = (
+                entry.scope is not None and scope.global_sizes == entry.scope.global_sizes
+            )
             for item in items.functions:
                 name = item.name
                 old = cached.functions.get(name)
@@ -307,7 +308,8 @@ class Session:
                 ).lower()
                 fresh.append(func)
                 if old is not None:
-                    if fingerprint_of(old, record) == fingerprint_function(func):
+                    printed = engine.fingerprint_of(old) or fingerprint_function(old)
+                    if printed == fingerprint_function(func):
                         merged[name] = old
                         lowered[name] = _Lowered(
                             item.digest, old.generation, _callees(old)
@@ -317,7 +319,8 @@ class Session:
                 merged[name] = func
                 lowered[name] = _Lowered(item.digest, func.generation, _callees(func))
             program = Program(cached.name)
-            program.globals = scope.globals
+            # A copy: the scope's entries may be shared with the next splice.
+            program.globals = dict(scope.globals)
             program.functions = merged
             scope.add_threads(program, items.threads)
             verify_program(program, fresh)
@@ -339,11 +342,14 @@ class Session:
         registry = obs_metrics.REGISTRY
         registry.inc("repro_session_functions_reused_total", len(merged) - len(fresh))
         registry.inc("repro_session_functions_relowered_total", len(fresh))
-        registry.inc("repro_session_tokens_relexed_total", relexed)
-        registry.inc("repro_session_tokens_reused_total", len(tokens.kinds) - relexed)
+        registry.inc("repro_session_tokens_relexed_total", window.relexed)
+        registry.inc(
+            "repro_session_tokens_reused_total", len(tokens.kinds) - window.relexed
+        )
+        registry.inc("repro_session_items_recut_total", items.recut)
+        registry.inc("repro_session_items_reused_total", len(items.items) - items.recut)
         return entry._replace(
-            source=source, global_sizes=scope.global_sizes, lowered=lowered,
-            tokens=tokens,
+            source=source, scope=scope, lowered=lowered, tokens=tokens, items=items
         )
 
     def context(self, program: Program) -> QueryEngine:

@@ -79,6 +79,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from repro.core.machine_models import MemoryModel, OrderKind
@@ -113,7 +114,10 @@ class PlannedFence:
 
 @dataclass
 class FencePlan:
-    """The minimized fence placement for one function."""
+    """The minimized fence placement for one function.
+
+    A planner builds a plan in full before returning it; its fence
+    counts are taken once, on first read, and kept."""
 
     function: Function
     fences: list[PlannedFence] = field(default_factory=list)
@@ -127,14 +131,20 @@ class FencePlan:
     def compiler_fences(self) -> list[PlannedFence]:
         return [f for f in self.fences if f.kind is FenceKind.COMPILER]
 
+    @cached_property
+    def _counts(self) -> tuple[int, int]:
+        """Full fences (the entry fence included) and compiler fences."""
+        kinds = [f.kind for f in self.fences]
+        return kinds.count(FenceKind.FULL) + self.entry_fence, kinds.count(FenceKind.COMPILER)
+
     @property
     def full_count(self) -> int:
         """Full fences including the function-entry fence, if any."""
-        return len(self.full_fences) + (1 if self.entry_fence else 0)
+        return self._counts[0]
 
     @property
     def compiler_count(self) -> int:
-        return len(self.compiler_fences)
+        return self._counts[1]
 
 
 def barrier_indices(

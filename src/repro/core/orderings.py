@@ -182,6 +182,7 @@ class OrderingSet:
         self.accesses = layout.accesses
         self.succ = succ
         self._counts: dict[OrderKind, int] | None = None
+        self._size: int | None = None
         self._orderings: list[Ordering] | None = None
         #: Results derived from this set alone, keyed by their other
         #: inputs (:mod:`repro.core.fence_min`): span records
@@ -231,7 +232,10 @@ class OrderingSet:
         return self._orderings
 
     def __len__(self) -> int:
-        return sum(self._kind_counts().values())
+        size = self._size
+        if size is None:
+            size = self._size = sum(self._kind_counts().values())
+        return size
 
     def __iter__(self) -> Iterator[Ordering]:
         return iter(self.orderings)

@@ -117,7 +117,7 @@ class ProgramAnalysis:
 
     @property
     def total_orderings(self) -> int:
-        return sum(self.ordering_counts(pruned=True).values())
+        return sum(len(fa.pruned) for fa in self.functions.values())
 
     @property
     def full_fence_count(self) -> int:

@@ -23,7 +23,9 @@ edited span: from the last old token before the first changed
 character to the first new token that starts in the unchanged suffix
 where an old token started; the old tokens after it are reused,
 shifted. That is exact because a match depends only on the text from
-its start onward. A wire edit's splice (``Session._adopt_source``)
+its start onward. It reports that span as a :class:`Window`, from which
+the parser re-cuts only the items the edit touched
+(``Parser.cut``). A wire edit's splice (``Session._adopt_source``)
 rescans from the tokens of the previous one; a program's first splice
 has none and scans in full.
 """
@@ -145,6 +147,24 @@ class Tokens(NamedTuple):
     starts: array | None  # None: not kept (``scan``)
 
 
+class Window(NamedTuple):
+    """The tokens a :func:`rescan` lexed: new tokens ``start:stop``
+    stand where old tokens ``start:old_stop`` stood. The new tokens
+    before ``start`` are the old ones; those from ``stop`` on are the old
+    ones from ``old_stop`` on, ``lines`` lines further down. Where the
+    edit repeats the text around it, ``old_stop`` can fall below
+    ``start``: old tokens there are reused on both sides."""
+
+    start: int
+    stop: int
+    old_stop: int
+    lines: int
+
+    @property
+    def relexed(self) -> int:
+        return self.stop - self.start
+
+
 def scan(source: str) -> tuple[list[str], list[str], list[int]]:
     """The tokens of ``source`` as three parallel lists: kinds, texts
     and line numbers, ending in one ``eof`` token with text ``""``.
@@ -158,10 +178,11 @@ def scan(source: str) -> tuple[list[str], list[str], list[int]]:
     return tokens.kinds, tokens.texts, tokens.lines
 
 
-def rescan(source: str, old: Tokens | None = None) -> tuple[Tokens, int]:
-    """The tokens of ``source`` (``scan``'s, with their starts) and how
-    many of them were lexed; the tokens of an earlier source ``old``
-    are reused outside the edited span.
+def rescan(source: str, old: Tokens | None = None) -> tuple[Tokens, Window]:
+    """The tokens of ``source`` (``scan``'s, with their starts) and the
+    window of them that was lexed; the tokens of an earlier source
+    ``old`` are reused outside it. Without ``old`` the window is every
+    token.
 
     The scan resumes at the last old token that starts before the
     first changed character, on that token's line. It stops after the
@@ -181,6 +202,7 @@ def rescan(source: str, old: Tokens | None = None) -> tuple[Tokens, int]:
     if old is None:
         tokens = Tokens(source, [], [], [], array("l"))
         keep, taken = 0, _lex(tokens, 0, 1)
+        old_stop = lines = 0
     else:
         same_head = _common_length(source, old.source, False)
         same_tail = _common_length(source, old.source, True)
@@ -194,10 +216,12 @@ def rescan(source: str, old: Tokens | None = None) -> tuple[Tokens, int]:
             source, old.kinds[:keep], old.texts[:keep], old.lines[:keep], old.starts[:keep]
         )
         taken = _lex(tokens, pos, line, old, len(source) - same_tail)
+        old_stop = len(old.texts) - taken
+        lines = tokens.lines[-1] - old.lines[-1] if taken else 0
     lexed = slice(keep, len(tokens.texts) - taken)
     # One string per distinct text across every source's kept tokens.
     tokens.texts[lexed] = map(intern, tokens.texts[lexed])
-    return tokens, lexed.stop - keep
+    return tokens, Window(keep, lexed.stop, old_stop, lines)
 
 
 def _common_length(a: str, b: str, tail: bool) -> int:

@@ -44,6 +44,11 @@ class ModuleScope:
     :class:`LoweringError` on a duplicate global or function, an array
     of size below 1, or an initializer taking the address of an
     undeclared global.
+
+    ``header`` is a scope built from the same globals (their lines
+    aside): its global entries and constants are shared, and only the
+    parameter counts are taken from ``functions``. The globals were
+    checked when it was built.
     """
 
     __slots__ = ("globals", "global_sizes", "global_refs", "arities", "constants")
@@ -52,11 +57,26 @@ class ModuleScope:
         self,
         globals_: Sequence[ast.GlobalDecl],
         functions: Iterable[tuple[str, int, int]],
+        header: ModuleScope | None = None,
     ) -> None:
+        if header is None:
+            self._build_globals(globals_)
+        else:
+            self.globals = header.globals
+            self.global_sizes = header.global_sizes
+            self.global_refs = header.global_refs
+            self.constants = header.constants
+        self.arities: dict[str, int] = {}
+        for name, arity, line in functions:
+            if name in self.arities:
+                raise LoweringError(f"line {line}: duplicate function {name!r}")
+            self.arities[name] = arity
+
+    def _build_globals(self, globals_: Sequence[ast.GlobalDecl]) -> None:
+        """Build and check the entries of ``globals_``."""
         self.globals: dict[str, GlobalVar] = {}
         self.global_sizes: dict[str, int] = {}
         self.global_refs: dict[str, GlobalRef] = {}
-        self.arities: dict[str, int] = {}
         self.constants: dict[int, Constant] = {0: Constant(0)}
         global_sizes = self.global_sizes
         for g in globals_:
@@ -77,10 +97,6 @@ class ModuleScope:
                         f"line {g.line}: initializer of {g.name!r} takes the address "
                         f"of undeclared global {entry[1]!r}"
                     )
-        for name, arity, line in functions:
-            if name in self.arities:
-                raise LoweringError(f"line {line}: duplicate function {name!r}")
-            self.arities[name] = arity
 
     def add_threads(self, program: Program, threads: Sequence[ast.ThreadDecl]) -> None:
         """Check each ``thread`` against the functions' parameter counts

@@ -27,10 +27,11 @@ and step ``pos`` themselves.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, bisect_right
 from typing import Callable, NamedTuple, NoReturn, Optional, TypeVar
 
 from repro.frontend import ast_nodes as ast
-from repro.frontend.lexer import scan
+from repro.frontend.lexer import Window, scan
 
 
 class ParseError(Exception):
@@ -170,7 +171,9 @@ class Parser:
             f"got {self.shown(self.pos)!r}"
         )
 
-    def cut(self) -> ModuleItems:
+    def cut(
+        self, previous: ModuleItems | None = None, window: Window | None = None
+    ) -> ModuleItems:
         """The module cut into top-level items on the token stream:
         globals and threads parsed, each ``fn`` left unparsed as a
         :class:`FunctionItem`.
@@ -181,36 +184,79 @@ class Parser:
         only when :meth:`ModuleItems.parse_function` parses it. Raises
         :class:`ParseError` where the module does not parse, though not
         always with :func:`parse`'s message.
+
+        ``previous`` is the cut of the tokens these were rescanned from
+        and ``window`` the rescan's (:func:`~repro.frontend.lexer.rescan`).
+        Only the items that overlap the window, counting the token that
+        ends each item, are cut again: an item ending before the window
+        is taken as it is, one starting after it with its span and lines
+        moved. Their tokens did not change, so neither did their digests.
+        With no ``previous`` every item is cut.
         """
-        texts, kinds, lines = self.texts, self.kinds, self.lines
-        starts = [i for i, text in enumerate(texts) if text in _ITEM_KEYWORDS]
-        starts.append(len(texts) - 1)  # the eof token
-        if starts[0] != 0:
+        texts = self.texts
+        lo, hi = 0, len(texts) - 1  # the eof token ends the last item
+        head: tuple[Item, ...] = ()
+        tail: tuple[Item, ...] = ()
+        head_starts: tuple[int, ...] = ()
+        tail_starts: tuple[int, ...] = ()
+        if previous is not None and previous.starts:
+            starts, items = previous.starts, previous.items
+            # The item holding the token before the window: its end may
+            # be the window's first token.
+            first = max(bisect_right(starts, window.start - 1) - 1, 0)
+            after = bisect_left(starts, window.old_stop)
+            shift = window.stop - window.old_stop
+            lo = starts[first]
+            head, head_starts = items[:first], starts[:first]
+            if after < len(starts):
+                hi = starts[after] + shift
+                tail = tuple(_moved(item, window.lines, shift) for item in items[after:])
+                tail_starts = tuple(start + shift for start in starts[after:])
+        region = [i for i, text in enumerate(texts[lo:hi], lo) if text in _ITEM_KEYWORDS]
+        region.append(hi)
+        if region[0] != lo:  # only where ``lo`` is token 0: others start an old item
             self._expected_item()
-        globals_: list[ast.GlobalDecl] = []
-        functions: list[FunctionItem] = []
-        threads: list[ast.ThreadDecl] = []
-        for start, end in zip(starts, starts[1:]):
-            text = texts[start]
-            if text == "global":
-                globals_.append(self.parse_item(Parser.parse_global, start, end))
-            elif text == "thread":
-                threads.append(self.parse_item(Parser.parse_thread, start, end))
-            else:
-                # The parameters sit between the name's "(" and the first ")".
-                close = start + 3
-                while close < end and texts[close] != ")":
-                    close += 1
-                # Token texts spell each kind, so they alone say what the
-                # span parses and lowers to; "\n" occurs in none of them.
-                digest = hashlib.blake2b(
-                    "\n".join(texts[start:end]).encode(), digest_size=16
-                ).digest()
-                functions.append(FunctionItem(
-                    texts[start + 1], lines[start],
-                    kinds[start + 3 : close].count("ident"), digest, start, end,
-                ))
-        return ModuleItems(self, tuple(globals_), tuple(functions), tuple(threads))
+        fresh = tuple(self._item(start, end) for start, end in zip(region, region[1:]))
+        items = head + fresh + tail
+        globals_ = tuple(item for item in items if type(item) is ast.GlobalDecl)
+        reused_globals = (
+            previous is not None
+            and len(globals_) == len(previous.globals)
+            and not any(type(item) is ast.GlobalDecl for item in fresh)
+        )
+        return ModuleItems(
+            self,
+            globals_,
+            tuple(item for item in items if type(item) is FunctionItem),
+            tuple(item for item in items if type(item) is ast.ThreadDecl),
+            head_starts + tuple(region[:-1]) + tail_starts,
+            items,
+            len(fresh),
+            reused_globals,
+        )
+
+    def _item(self, start: int, end: int) -> Item:
+        """The item of tokens ``start:end``, which start with an item
+        keyword."""
+        texts = self.texts
+        text = texts[start]
+        if text == "global":
+            return self.parse_item(Parser.parse_global, start, end)
+        if text == "thread":
+            return self.parse_item(Parser.parse_thread, start, end)
+        # The parameters sit between the name's "(" and the first ")".
+        close = start + 3
+        while close < end and texts[close] != ")":
+            close += 1
+        # Token texts spell each kind, so they alone say what the
+        # span parses and lowers to; "\n" occurs in none of them.
+        digest = hashlib.blake2b(
+            "\n".join(texts[start:end]).encode(), digest_size=16
+        ).digest()
+        return FunctionItem(
+            texts[start + 1], self.lines[start],
+            self.kinds[start + 3 : close].count("ident"), digest, start, end,
+        )
 
     def parse_item(self, rule: Callable[[Parser], T], start: int, end: int) -> T:
         """Parse tokens ``start:end`` with ``rule``, which must consume
@@ -589,13 +635,39 @@ class FunctionItem(NamedTuple):
     end: int
 
 
+#: A top-level item of a cut module.
+Item = ast.GlobalDecl | FunctionItem | ast.ThreadDecl
+
+
+def _moved(item: Item, lines: int, shift: int) -> Item:
+    """``item`` ``lines`` lines and ``shift`` tokens further on."""
+    if type(item) is FunctionItem:
+        if not (lines or shift):
+            return item
+        return item._replace(
+            line=item.line + lines, start=item.start + shift, end=item.end + shift
+        )
+    if not lines:
+        return item
+    return type(item)(item.line + lines, *item[1:])
+
+
 class ModuleItems(NamedTuple):
-    """A module lexed once and cut into items (see :meth:`Parser.cut`)."""
+    """A module lexed once and cut into items (see :meth:`Parser.cut`):
+    its globals, functions and threads, and every item in source order
+    with the token it starts at. ``recut`` items were cut afresh (the
+    rest were reused from the previous cut), and ``reused_globals``
+    says the globals are the previous cut's, in order (their lines may
+    have moved)."""
 
     parser: Parser
     globals: tuple[ast.GlobalDecl, ...]
     functions: tuple[FunctionItem, ...]
     threads: tuple[ast.ThreadDecl, ...]
+    starts: tuple[int, ...]
+    items: tuple[Item, ...]
+    recut: int
+    reused_globals: bool
 
     def parse_function(self, item: FunctionItem) -> ast.FuncDecl:
         return self.parser.parse_item(Parser.parse_function, item.start, item.end)

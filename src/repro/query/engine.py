@@ -188,17 +188,16 @@ class QueryStats:
         """What was recorded after ``before`` (an earlier
         :meth:`snapshot`): one request's own counters, with zero
         entries dropped from the per-kind maps."""
-        delta: dict[str, Any] = {}
-        for f in fields(self):
-            now, then = getattr(self, f.name), getattr(before, f.name)
-            if isinstance(now, dict):
-                delta[f.name] = {
-                    kind: count - then.get(kind, 0)
-                    for kind, count in now.items()
-                    if count != then.get(kind, 0)
-                }
-            else:
-                delta[f.name] = now - then
+        delta: dict[str, Any] = {
+            name: getattr(self, name) - getattr(before, name) for name in _STAT_COUNTERS
+        }
+        for name in _STAT_MAPS:
+            now, then = getattr(self, name), getattr(before, name)
+            delta[name] = {
+                kind: count - then.get(kind, 0)
+                for kind, count in now.items()
+                if count != then.get(kind, 0)
+            }
         return QueryStats(**delta)
 
     def to_payload(self) -> dict:
@@ -214,6 +213,12 @@ class QueryStats:
             "by_query_misses": dict(self.by_query_misses),
             "by_query_evictions": dict(self.by_query_evictions),
         }
+
+
+#: :class:`QueryStats`' field names, read once: its counters and its
+#: per-kind maps.
+_STAT_MAPS = tuple(f.name for f in fields(QueryStats) if f.default_factory is dict)
+_STAT_COUNTERS = tuple(f.name for f in fields(QueryStats) if f.name not in _STAT_MAPS)
 
 
 class QueryEngine:
@@ -370,8 +375,11 @@ class QueryEngine:
         return tuple(self._fingerprints)
 
     def fingerprint_of(self, func: Function) -> str | None:
-        """The stored input fingerprint, if ``func`` has been queried."""
-        return self._fingerprints.get(func)
+        """The stored input fingerprint, if ``func`` has been queried
+        and not finalized since it was printed."""
+        if self._generations.get(func) != func.generation:
+            return None
+        return self._fingerprints[func]
 
     def __len__(self) -> int:
         return len(self._values)

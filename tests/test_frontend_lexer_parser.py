@@ -153,9 +153,9 @@ def test_rescan_after_edits_equals_scan(data):
         expected = _lexed(new)
         assert _lexed(new, old) == expected, (source[at - 10 : at + cut + 10], insert)
         if not isinstance(expected, str):
-            old, relexed = rescan(new, old)
+            old, window = rescan(new, old)
             assert list(old.starts) == list(rescan(new)[0].starts)
-            assert 0 < relexed <= len(old.kinds)
+            assert 0 < window.relexed <= len(old.kinds)
 
 
 def test_rescan_of_every_frontend_mutant_equals_scan():
@@ -177,11 +177,12 @@ def test_rescan_of_every_frontend_mutant_equals_scan():
 
 def test_rescan_reuses_the_tokens_outside_the_edit():
     source = get_program("lu-con").source
-    old, relexed = rescan(source)
-    assert relexed == len(old.kinds)
+    old, window = rescan(source)
+    assert window.relexed == len(old.kinds)
     at = source.index("fn ")
-    new, relexed = rescan(source[:at] + "// one more line\n" + source[at:], old)
-    assert relexed <= 2
+    new, window = rescan(source[:at] + "// one more line\n" + source[at:], old)
+    assert window.relexed <= 2
+    assert window.lines == 1
     assert new.lines[-1] == old.lines[-1] + 1
     assert new.starts[-1] == old.starts[-1] + len("// one more line\n")
 

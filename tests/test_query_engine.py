@@ -256,21 +256,26 @@ def _warm_session():
 
 
 def test_a_finalized_edit_is_evicted_by_the_next_splice():
-    """An edit finalized but not refreshed is caught by the next wire
-    splice: exactly the edited function's subgraph is evicted."""
+    """An edit finalized but not refreshed, before the program's first
+    splice, is caught by that splice as by any later one: the edited
+    function is replaced by one lowered from the source, and exactly its
+    subgraph is evicted."""
     session, program, engine = _warm_session()
     consumer = program.functions["consumer"]
     before = set(engine._values)
     edit_in_place(consumer)
+    assert engine.fingerprint_of(consumer) is None  # printed before the edit
     assert session.load(ProgramSpec.inline(SRC + EXTRA, name="qe")) is program
-    assert program.functions["consumer"] is consumer
+    assert program.functions["consumer"] is not consumer
+    fresh = compile_source(SRC + EXTRA, "qe").functions["consumer"]
+    assert fingerprint_function(program.functions["consumer"]) == fingerprint_function(fresh)
     subgraph = {
         node for node in before
         if node[1] is consumer or (isinstance(node[1], tuple) and consumer in node[1])
     }
     assert subgraph
     assert set(engine._values) == before - subgraph
-    assert engine.fingerprint_of(consumer) == fingerprint_function(consumer)
+    assert engine.fingerprint_of(consumer) is None
 
 
 def test_alternating_splices_keep_one_generation_per_fingerprint():

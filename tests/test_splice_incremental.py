@@ -23,6 +23,7 @@ import _frontend_golden
 from _splice_oracle import OracleSession
 from repro.api import AnalyzeRequest, ProgramSpec, Session
 from repro.frontend import compile_source, tokenize
+from repro.frontend.parser import Parser
 from repro.ir.instructions import Fence, FenceKind, FenceOrigin
 from repro.ir.printer import format_function, format_program
 from repro.obs import metrics as obs_metrics
@@ -166,6 +167,19 @@ def _call(func, *args):
         return None, (type(exc).__name__, str(exc))
 
 
+def _assert_cut_is_full(session: Session, program, where: str) -> None:
+    """The cut a splice kept, built from the one before it, equals a
+    full cut of its tokens, field for field."""
+    entry = session._contexts[program]
+    if entry.items is None:
+        return  # not spliced yet: a cold compile keeps no cut
+    tokens = entry.tokens
+    full = Parser(tokens.kinds, tokens.texts, tokens.lines).cut()
+    fields = ("globals", "functions", "threads", "starts", "items")
+    for field in fields:
+        assert getattr(entry.items, field) == getattr(full, field), f"{where}: {field}"
+
+
 CASES = {
     "mp": MP_SOURCE,
     "lu-con": get_program("lu-con").source,
@@ -206,6 +220,7 @@ def _compare_with_oracle(name: str, source: str, steps) -> None:
             for s in programs:
                 assert _snapshot(s, programs[s]) == befores[s], where
             continue
+        _assert_cut_is_full(session, programs[session], where)
         new, old = _snapshot(session, programs[session]), _snapshot(oracle, programs[oracle])
         for key in ("ir", "globals", "threads", "nodes", "fingerprints"):
             assert new[key] == old[key], f"{where}: {key}"
@@ -332,6 +347,8 @@ _SPLICE_COUNTERS = (
     "repro_session_functions_relowered_total",
     "repro_session_tokens_relexed_total",
     "repro_session_tokens_reused_total",
+    "repro_session_items_recut_total",
+    "repro_session_items_reused_total",
 )
 
 
@@ -349,16 +366,37 @@ def test_only_the_first_splice_lexes_the_whole_source():
     tokens = len(tokenize(source))
     session = Session()
     session.load(ProgramSpec.inline(source, name="lu-con"))
-    relexed, reused = (_counter(name) for name in _SPLICE_COUNTERS[2:])
+    relexed, reused = (_counter(name) for name in _SPLICE_COUNTERS[2:4])
     session.load(ProgramSpec.inline(source + EXTRA, name="lu-con"))
     extra = len(tokenize(source + EXTRA)) - tokens
     assert _counter("repro_session_tokens_relexed_total") - relexed == tokens + extra
     assert _counter("repro_session_tokens_reused_total") == reused
-    relexed, reused = (_counter(name) for name in _SPLICE_COUNTERS[2:])
+    relexed, reused = (_counter(name) for name in _SPLICE_COUNTERS[2:4])
     session.load(ProgramSpec.inline(source, name="lu-con"))
     # The token before the appended function is lexed again, and eof.
     assert _counter("repro_session_tokens_relexed_total") - relexed == 2
     assert _counter("repro_session_tokens_reused_total") - reused == tokens - 2
+
+
+def test_appending_a_function_recuts_the_items_meeting_the_window():
+    """The first splice cuts every item; appending a function then
+    cuts again only the last item (its final token is lexed again)
+    and the new function, and removing it only the last item."""
+    source = get_program("lu-con").source
+    program = compile_source(source, "lu-con")
+    items = len(program.globals) + len(program.functions) + len(program.threads)
+    session = Session()
+    session.load(ProgramSpec.inline(source, name="lu-con"))
+    for text, recut, reused in (
+        (source + "\n", items, 0),
+        (source + EXTRA, 2, items - 1),
+        (source, 1, items - 1),
+        (source + EXTRA, 2, items - 1),
+    ):
+        before = [_counter(name) for name in _SPLICE_COUNTERS[4:]]
+        session.load(ProgramSpec.inline(text, name="lu-con"))
+        after = [_counter(name) for name in _SPLICE_COUNTERS[4:]]
+        assert [a - b for a, b in zip(after, before)] == [recut, reused], text[-40:]
 
 
 def _mutant_sources(group: str):
