@@ -42,12 +42,22 @@ Explorer states are immutable once placed on the DFS stack: a step
 builds a new state tuple and shares every part it did not change.
 That lets each object carry its derived facts and compute them once:
 a :class:`~repro.memmodel.interpreter.ThreadState` caches its key,
-symmetry key, future footprint and probe (its next visible action),
-and a :class:`SharedMap` (memory, the relaxed previous-value map)
-caches its sorted items. A :class:`Transition` carries a builder
-rather than its successor states, so only the transitions the DFS
-takes — the safe singleton, or the ones sleep sets leave explorable —
-build a state tuple. Building one steps a thread through
+symmetry key, future footprint, probe (its next visible action) and
+interned id, and a :class:`SharedMap` (memory, the relaxed
+previous-value map) caches its sorted items.
+
+Transitions do not depend on memory. A :class:`Transition` carries a
+builder that takes the state it fires from and returns its successor
+states, so one transition serves every state it is enabled in, and only
+the transitions the DFS takes — the safe singleton, or the ones sleep
+sets leave explorable — build a state tuple. Each explorer makes a
+thread's step transition once per distinct thread state (by interned
+id) and a buffer's drain transitions once per ``(tid, buffer)``. The
+DFS expands each *control configuration* — the thread states plus the
+buffers (:meth:`CoreExplorer.buffers_of`) — once: its transition list
+and its persistent singletons are kept and reused whenever the same
+configuration recurs with other memory contents. Building a step
+advances a thread through
 :meth:`~repro.memmodel.interpreter.ThreadExecutor.step`, which
 memoizes the committed successor on the probe's ready state: a thread
 taking the same step (same load result) from different explorer states
@@ -163,27 +173,46 @@ class SharedMap(dict):
 
 @dataclass(slots=True)
 class Transition:
-    """One enabled transition: identity key, owning thread, footprint,
-    and a zero-argument ``build`` returning its successor states
-    (several for a relaxed load with a stale-value choice). Only the
-    transitions the DFS explores are built."""
+    """One transition: identity key, owning thread, footprint, and a
+    ``build(state)`` returning its successor states from ``state``
+    (several for a relaxed load with a stale-value choice). A
+    transition holds no state, so it is made once and reused in every
+    state of its control configuration; only the transitions the DFS
+    explores are built. ``wait`` is a step's blocking condition on its
+    own store buffer, ``None`` when it never blocks (see
+    :func:`repro.memmodel.storebuf.blocks`)."""
 
     key: tuple
     tid: int
     is_step: bool  # thread step (program-ordered) vs buffer flush
     fp: Footprint
-    build: Callable[[], tuple]
+    build: Callable[[tuple], tuple]
+    wait: Optional[int] = None
 
 
-# One sleep entry: (key, tid, is_step, footprint) of an explored sibling.
-_SleepEntry = tuple[tuple, int, bool, Footprint]
+def advance(
+    executor: ThreadExecutor,
+    threads: tuple[ThreadState, ...],
+    i: int,
+    ready: ThreadState,
+    pending: Optional[PendingAction],
+    load_result: Optional[int] = None,
+) -> tuple[ThreadState, ...]:
+    """``threads`` after thread ``i`` performs ``pending`` from its
+    probe's ``ready`` state: the memoized committed successor, or, for
+    a finished thread, the ready state itself. Siblings are shared.
+    Step builders call it with the executor rather than the explorer,
+    so a memoized transition holds no reference back to its explorer."""
+    if pending is not None:
+        ready = executor.step(ready, pending, load_result)
+    return threads[:i] + (ready,) + threads[i + 1 :]
 
 
-def _dependent(entry: _SleepEntry, t: Transition) -> bool:
-    _key, tid, is_step, fp = entry
-    if is_step and t.is_step and tid == t.tid:
+def _dependent(slept: Transition, t: Transition) -> bool:
+    """Does ``t`` wake ``slept``, an explored sibling in the sleep set?"""
+    if slept.is_step and t.is_step and slept.tid == t.tid:
         return True  # program order
-    return footprints_conflict(fp, t.fp)
+    return footprints_conflict(slept.fp, t.fp)
 
 
 # --- static future footprints (for persistent singleton selection) ------
@@ -520,9 +549,15 @@ class CoreExplorer:
     Subclasses supply the operational semantics:
 
     * ``initial_state()`` — the root state;
-    * ``transitions(state)`` — enabled :class:`Transition`\\ s;
-    * ``threads_of(state)`` / ``state_parts(state)`` /
-      ``buffered_addrs(state, tid)`` — state decomposition;
+    * ``transitions(state)`` — enabled :class:`Transition`\\ s, a
+      function of the state's *control configuration* alone: its
+      threads and ``buffers_of(state)``. The DFS calls it once per
+      configuration and reuses the list (the builders take the state);
+      :meth:`_thread_step` memoizes a thread's step transition, made by
+      ``make_step(ts)``, per distinct thread state;
+    * ``threads_of(state)`` / ``buffers_of(state)`` /
+      ``state_parts(state)`` / ``buffered_addrs(state, tid)`` — state
+      decomposition;
     * ``outcome_of(state)`` / ``check_final(state)`` — terminal states.
 
     ``reduction=False`` restores exhaustive interleaving enumeration
@@ -565,7 +600,17 @@ class CoreExplorer:
         self.sleep_blocked = 0
         self.pruned_transitions = 0
         self.successors_built = 0
+        self.expansions = 0
         self._fp_memo: dict[tuple[int, bool, bool], Footprint] = {}
+        # Memos for the explorer's lifetime. They hold transitions, whose
+        # builders reference the executor but never the explorer, so
+        # they form no reference cycle with it.
+        #: ``ThreadState.key()`` -> interned id (cached on the state).
+        self._ids: dict[tuple, int] = {}
+        #: Interned thread id -> that thread state's step transition.
+        self._steps: dict[int, Transition] = {}
+        #: Control configuration -> (transitions, persistent singletons).
+        self._expansions: dict[tuple, tuple[list[Transition], tuple[Transition, ...]]] = {}
 
     # --- semantics hooks (subclass responsibility) -----------------------
     def initial_state(self) -> tuple:
@@ -574,7 +619,17 @@ class CoreExplorer:
     def transitions(self, state: tuple) -> list[Transition]:
         raise NotImplementedError
 
+    def make_step(self, ts: ThreadState) -> Transition:
+        """Thread state ``ts``'s next step as a transition, whatever the
+        rest of the state (see :meth:`_thread_step`)."""
+        raise NotImplementedError
+
     def threads_of(self, state: tuple) -> tuple[ThreadState, ...]:
+        raise NotImplementedError
+
+    def buffers_of(self, state: tuple) -> tuple:
+        """The state's store buffers: with its threads, what its
+        transitions depend on (``()`` without buffers)."""
         raise NotImplementedError
 
     def state_parts(self, state: tuple) -> tuple[tuple, tuple]:
@@ -607,21 +662,28 @@ class CoreExplorer:
             self._fp_memo[memo_key] = fp
         return fp
 
-    def _commit(
-        self,
-        threads: tuple[ThreadState, ...],
-        i: int,
-        ready: ThreadState,
-        pending: Optional[PendingAction],
-        load_result: Optional[int] = None,
-    ) -> tuple[ThreadState, ...]:
-        """``threads`` after thread ``i`` performs ``pending`` from its
-        probe's ``ready`` state: the memoized committed successor, or,
-        for a finished thread, the ready state itself. Siblings are
-        shared."""
-        if pending is not None:
-            ready = self.executor.step(ready, pending, load_result)
-        return threads[:i] + (ready,) + threads[i + 1 :]
+    def _thread_ids(self, threads: tuple[ThreadState, ...]) -> tuple[int, ...]:
+        """One small integer per distinct ``ThreadState.key()``, interned
+        per explorer and cached on the state: equal ids mean equal
+        keys. A thread state only ever meets the explorer whose
+        executor made it."""
+        out = []
+        for ts in threads:
+            n = ts._id
+            if n is None:
+                ids = self._ids
+                n = ts._id = ids.setdefault(ts.key(), len(ids))
+            out.append(n)
+        return tuple(out)
+
+    def _thread_step(self, ts: ThreadState) -> Transition:
+        """``make_step(ts)``, made once per distinct thread state: equal
+        thread states share one probe and one transition."""
+        (n,) = self._thread_ids((ts,))
+        t = self._steps.get(n)
+        if t is None:
+            t = self._steps[n] = self.make_step(ts)
+        return t
 
     # --- exploration ------------------------------------------------------
     def explore(self) -> "ExplorationResult":
@@ -636,6 +698,7 @@ class CoreExplorer:
         self.sleep_blocked = 0
         self.pruned_transitions = 0
         self.successors_built = 0
+        self.expansions = 0
         self.executor.probes = 0
 
         with obs_trace.span(
@@ -685,6 +748,10 @@ class CoreExplorer:
             self.successors_built, model=self.MODEL_KEY,
         )
         registry.inc(
+            "repro_explore_expansions_total",
+            self.expansions, model=self.MODEL_KEY,
+        )
+        registry.inc(
             "repro_explore_probes_total",
             self.executor.probes, model=self.MODEL_KEY,
         )
@@ -700,23 +767,28 @@ class CoreExplorer:
         )
 
     def _canon_key(
-        self, state: tuple, classes: tuple[tuple[int, ...], ...]
+        self,
+        state: tuple,
+        classes: tuple[tuple[int, ...], ...],
+        ids: tuple[int, ...],
     ) -> tuple[tuple, Optional[list[int]]]:
+        """The state's visited-set key, with the thread permutation it
+        applied (None for the raw key, which carries the interned
+        thread ``ids``)."""
         shared, parts = self.state_parts(state)
-        threads = self.threads_of(state)
         if classes:
-            norm = [_norm_thread_key(ts) for ts in threads]
+            norm = [_norm_thread_key(ts) for ts in self.threads_of(state)]
             if None in norm:
                 classes = ()
         if not classes:
-            return ("raw", shared, tuple([ts.key() for ts in threads]), parts), None
-        entries = [(norm[i], parts[i]) for i in range(len(threads))]
-        perm = list(range(len(threads)))
+            return ("raw", shared, ids, parts), None
+        entries = list(zip(norm, parts))
+        perm = list(range(len(ids)))
         for cls in classes:
             ranked = sorted(cls, key=lambda i: repr(entries[i]))
             for slot, orig in zip(cls, ranked):
                 perm[orig] = slot
-        arranged: list = [None] * len(threads)
+        arranged: list = [None] * len(ids)
         for orig, slot in enumerate(perm):
             arranged[slot] = entries[orig]
         return ("sym", shared, tuple(arranged)), perm
@@ -727,53 +799,82 @@ class CoreExplorer:
             return key
         return (key[0], perm[key[1]]) + key[2:]
 
-    def _pick_safe(
+    def _expand(
         self,
         state: tuple,
-        explorable: list[Transition],
+        ids: tuple[int, ...],
+        oracle: Optional[FutureFootprints],
+    ) -> tuple[list[Transition], tuple[Transition, ...]]:
+        """``state``'s transitions and persistent singletons, computed
+        once per control configuration (thread ids and buffers)."""
+        config = (ids, self.buffers_of(state))
+        entry = self._expansions.get(config)
+        if entry is None:
+            trans = self.transitions(state)
+            singles = (
+                self._singletons(state, trans, oracle) if oracle is not None else ()
+            )
+            entry = self._expansions[config] = (trans, singles)
+            self.expansions += 1
+        return entry
+
+    def _singletons(
+        self,
+        state: tuple,
+        trans: list[Transition],
         oracle: FutureFootprints,
-    ) -> Optional[Transition]:
-        """A transition forming a persistent set of size one, if any."""
-        for t in explorable:
-            if t.fp.local and t.is_step:
-                return t  # invisible: commutes with everything
-        threads = self.threads_of(state)
-        pending_addrs: dict[int, frozenset[int]] = {}
-        for t in explorable:
-            fp = t.fp
-            if fp.top or fp.local:
-                continue
-            ok = True
-            for j, ts in enumerate(threads):
-                if j == t.tid:
-                    continue
-                pend = pending_addrs.get(j)
-                if pend is None:
-                    pend = pending_addrs[j] = self.buffered_addrs(state, j)
-                fut = oracle.thread_future(ts)
-                if fut is None:
-                    ok = False
-                    break
-                future_reads, future_writes = fut
+    ) -> tuple[Transition, ...]:
+        """The transitions forming a persistent set of size one, in the
+        order the DFS prefers them: invisible steps (they commute with
+        everything), then those no other thread's future accesses or
+        buffered stores can conflict with. The DFS takes the first one
+        its sleep set leaves explorable."""
+        invisible = tuple(t for t in trans if t.fp.local and t.is_step)
+        visible = [t for t in trans if not (t.fp.top or t.fp.local)]
+        if not visible:
+            return invisible
+        futures: list[Optional[tuple]] = []
+        for j, ts in enumerate(self.threads_of(state)):
+            fut = oracle.thread_future(ts)
+            if fut is not None:
+                pend = self.buffered_addrs(state, j)
                 if pend:
-                    future_writes = future_writes | pend
-                if fp.global_read:
-                    if future_writes:
-                        ok = False
-                        break
-                    continue
-                if (fp.reads | fp.writes) & future_writes or fp.writes & future_reads:
-                    ok = False
-                    break
-            if ok:
-                return t
-        return None
+                    fut = (fut[0], fut[1] | pend)
+            futures.append(fut)
+        # tid -> (reads, writes) every *other* thread may still perform.
+        rivals: dict[int, Optional[tuple]] = {}
+        isolated = []
+        for t in visible:
+            if t.tid not in rivals:
+                acc: Optional[tuple] = (_EMPTY, _EMPTY)
+                for j, fut in enumerate(futures):
+                    if j != t.tid:
+                        acc = _merge(acc, fut)
+                rivals[t.tid] = acc
+            rival = rivals[t.tid]
+            if rival is None:
+                continue
+            future_reads, future_writes = rival
+            fp = t.fp
+            if fp.global_read:
+                if not future_writes:
+                    isolated.append(t)
+            elif not (
+                (fp.reads | fp.writes) & future_writes or fp.writes & future_reads
+            ):
+                isolated.append(t)
+        return invisible + tuple(isolated)
 
     def _push(
-        self, stack: list, t: Transition, sleep: tuple[_SleepEntry, ...], depth: int
+        self,
+        stack: list,
+        t: Transition,
+        state: tuple,
+        sleep: tuple[Transition, ...],
+        depth: int,
     ) -> None:
-        """Build ``t``'s successor states and push them for the DFS."""
-        succs = t.build()
+        """Build ``t``'s successors of ``state`` and push them for the DFS."""
+        succs = t.build(state)
         self.successors_built += len(succs)
         for succ in succs:
             stack.append((succ, sleep, depth))
@@ -791,7 +892,7 @@ class CoreExplorer:
         # much) at no greater depth (had at least our remaining depth
         # budget).
         visited: dict[tuple, list[tuple[frozenset, int]]] = {}
-        stack: list[tuple[tuple, tuple[_SleepEntry, ...], int]] = [
+        stack: list[tuple[tuple, tuple[Transition, ...], int]] = [
             (self.initial_state(), (), 0)
         ]
         states = 0
@@ -800,26 +901,25 @@ class CoreExplorer:
 
         while stack:
             state, sleep, depth = stack.pop()
-            key, perm = self._canon_key(state, classes)
-            sleep_keys = frozenset(
-                self._canon_tkey(e[0], perm) for e in sleep
+            ids = self._thread_ids(self.threads_of(state))
+            key, perm = self._canon_key(state, classes, ids)
+            asleep = frozenset([t.key for t in sleep])
+            sleep_keys = asleep if perm is None else frozenset(
+                [self._canon_tkey(k, perm) for k in asleep]
             )
-            records = visited.get(key)
-            if records is not None and any(
+            records = visited.setdefault(key, [])
+            if any(
                 recorded <= sleep_keys and rdepth <= depth
                 for recorded, rdepth in records
             ):
                 continue
-            if records is None:
-                visited[key] = [(sleep_keys, depth)]
-            else:
-                records.append((sleep_keys, depth))
+            records.append((sleep_keys, depth))
             states += 1
             if states > self.max_states:
                 hit_states = True
                 break
 
-            trans = self.transitions(state)
+            trans, singles = self._expand(state, ids, oracle)
             if not trans:
                 self.check_final(state)
                 outcomes.add(self.outcome_of(state))
@@ -829,32 +929,32 @@ class CoreExplorer:
                 continue
 
             if sleep:
-                asleep = {e[0] for e in sleep}
                 explorable = [t for t in trans if t.key not in asleep]
                 self.pruned_transitions += len(trans) - len(explorable)
                 if not explorable:
                     self.sleep_blocked += 1
                     continue  # everything here was explored from a sibling
+                safe = next((t for t in singles if t.key not in asleep), None)
             else:
                 explorable = trans
+                safe = singles[0] if singles else None
             ndepth = depth + 1
 
             if oracle is None:
                 for t in explorable:
-                    self._push(stack, t, (), ndepth)
+                    self._push(stack, t, state, (), ndepth)
                 continue
 
-            safe = self._pick_safe(state, explorable, oracle)
             if safe is not None:
                 self.pruned_transitions += len(explorable) - 1
                 new_sleep = tuple(e for e in sleep if not _dependent(e, safe))
-                self._push(stack, safe, new_sleep, ndepth)
+                self._push(stack, safe, state, new_sleep, ndepth)
                 continue
 
             slept = list(sleep)
             for t in explorable:
                 new_sleep = tuple(e for e in slept if not _dependent(e, t))
-                self._push(stack, t, new_sleep, ndepth)
-                slept.append((t.key, t.tid, t.is_step, t.fp))
+                self._push(stack, t, state, new_sleep, ndepth)
+                slept.append(t)
 
         return outcomes, states, hit_states, hit_depth

@@ -17,9 +17,10 @@ protocol:
 
 The explorers add one invariant on top: a :class:`ThreadState` placed
 in an explorer state is immutable. Siblings share it, and it carries
-its derived facts — its key, its symmetry key, its future footprint and
+its derived facts — its key, its symmetry key, its future footprint,
 its *probe* (a clone run to the next visible action, see
-:meth:`ThreadExecutor.probe`) — computed at most once, on first use.
+:meth:`ThreadExecutor.probe`) and its explorer-interned key id —
+computed at most once, on first use.
 A step never touches a placed state either: :meth:`ThreadExecutor.step`
 commits on a fresh clone of the probe's ready state and memoizes that
 successor on the ready state by load result, so every explorer state
@@ -205,6 +206,8 @@ class ThreadState:
     #: Future footprint (``repro.memmodel.explore.FutureFootprints``).
     _future: object = field(default=None, init=False, repr=False, compare=False)
     _probe: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    #: Interned key id (``repro.memmodel.explore.CoreExplorer``).
+    _id: Optional[int] = field(default=None, init=False, repr=False, compare=False)
     #: Committed successors of this (ready) state, by load result
     #: (:meth:`ThreadExecutor.step`).
     _next: Optional[dict[Optional[int], "ThreadState"]] = field(

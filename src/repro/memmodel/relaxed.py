@@ -54,14 +54,8 @@ from repro.core.machine_models import OrderKind
 from repro.ir.function import Program
 from repro.ir.instructions import Fence, FenceKind
 from repro.memmodel import storebuf
-from repro.memmodel.explore import (
-    LOCAL_FP,
-    CoreExplorer,
-    Footprint,
-    SharedMap,
-    Transition,
-)
-from repro.memmodel.interpreter import ExecutionError, PendingAction, ThreadState
+from repro.memmodel.explore import LOCAL_FP, Footprint, SharedMap, Transition, advance
+from repro.memmodel.interpreter import ExecutionError, PendingAction, ThreadExecutor, ThreadState
 from repro.memmodel.sc import Outcome, make_outcome
 
 #: A thread's has-seen-current marks: the addresses it has observed at
@@ -86,7 +80,7 @@ def _replace(parts: tuple, i: int, part) -> tuple:
     return parts[:i] + (part,) + parts[i + 1 :]
 
 
-class RelaxedExplorer(CoreExplorer):
+class RelaxedExplorer(storebuf.BufferedExplorer):
     """DPOR DFS over the relaxed state graph for one arch backend.
 
     State = (memory, prev, threads, buffers, fresh)."""
@@ -153,16 +147,12 @@ class RelaxedExplorer(CoreExplorer):
         memory, prev, _threads, buffers, fresh = state
         return (memory.sorted_items(), prev.sorted_items()), tuple(zip(buffers, fresh))
 
-    def buffered_addrs(self, state: tuple, tid: int) -> frozenset[int]:
-        return storebuf.addresses(state[3][tid])
+    def buffers_of(self, state: tuple) -> tuple:
+        return state[3]
 
     def outcome_of(self, state: tuple) -> Outcome:
         memory, _prev, threads, _buffers, _fresh = state
         return make_outcome(self.layout, memory, threads, self.observe_globals)
-
-    def check_final(self, state: tuple) -> None:
-        if not all(storebuf.empty(b) for b in state[3]):  # pragma: no cover
-            raise ExecutionError("deadlock with non-empty buffer")
 
     @staticmethod
     def _publish(
@@ -190,46 +180,23 @@ class RelaxedExplorer(CoreExplorer):
         return prev, memory, fresh
 
     # --- transitions ------------------------------------------------------
-    def transitions(self, state: tuple) -> list[Transition]:
-        threads, buffers = state[2], state[3]
-        out: list[Transition] = []
-
-        # (a) drains: addresses drain independently (PSO-style),
-        # groups in order (store-fence seals).
-        for i, buffer in enumerate(buffers):
-            for addr, value, after in storebuf.drains(buffer):
-                out.append(
-                    Transition(
-                        ("f", i, addr),
-                        i,
-                        False,
-                        self._addr_fp(addr, writes=True),
-                        partial(self._drain, state, i, addr, value, after),
-                    )
-                )
-
-        # (b) thread steps.
-        for i, ts in enumerate(threads):
-            if ts.done:
-                continue
-            t = self._step(state, i)
-            if t is not None:
-                out.append(t)
-        return out
-
+    @staticmethod
     def _drain(
-        self, state: tuple, i: int, addr: int, value: int, after: storebuf.Buffer
+        i: int, addr: int, value: int, after: storebuf.Buffer, state: tuple
     ) -> tuple:
+        """Drains publish: addresses drain independently (PSO-style),
+        groups in order (store-fence seals)."""
         memory, prev, threads, buffers, fresh = state
-        prev, memory, fresh = self._publish(prev, memory, fresh, i, addr, value)
+        prev, memory, fresh = RelaxedExplorer._publish(prev, memory, fresh, i, addr, value)
         return ((memory, prev, threads, _replace(buffers, i, after), fresh),)
 
-    def _step(self, state: tuple, i: int) -> Optional[Transition]:
-        """Thread ``i``'s next action as one transition (several
-        successors for a load with a stale-value choice); None when
-        blocked (RMW/full fence waiting on the buffer)."""
-        ready, pending = self.executor.probe(state[2][i], self.max_steps)
-        buffer = state[3][i]
+    def make_step(self, ts: ThreadState) -> Transition:
+        """Thread ``ts``'s next action as one transition (several
+        successors for a load with a stale-value choice), waiting on
+        the buffer for an RMW or full fence."""
+        ready, pending = self.executor.probe(ts, self.max_steps)
+        wait: Optional[int] = None
+        kills: frozenset[OrderKind] = frozenset()
         if pending is None:
             fp = LOCAL_FP
         elif pending.kind == "load":
@@ -248,13 +215,12 @@ class RelaxedExplorer(CoreExplorer):
             # LL/SC-style: needs the coherent current value, so own
             # buffered stores to this address must drain first — but no
             # implicit barrier: the rest of the buffer stays put.
-            if storebuf.holds(buffer, pending.addr):
-                return None
+            wait = pending.addr
             fp = self._addr_fp(pending.addr, reads=True, writes=True)
         elif pending.kind == "fence":
             kills = self._fence_kills(pending.inst)  # type: ignore[arg-type]
-            if OrderKind.WR in kills and not storebuf.empty(buffer):
-                return None  # full fence: wait for the buffer to drain
+            if OrderKind.WR in kills:
+                wait = storebuf.ALL  # full fence: wait for the buffer to drain
             # A stale-killing fence observes the whole previous-value
             # map, so it orders against every publish; a seal-only or
             # no-op fence is invisible to other threads.
@@ -262,22 +228,28 @@ class RelaxedExplorer(CoreExplorer):
             fp = Footprint(global_read=True) if stale_kill else LOCAL_FP
         else:  # pragma: no cover
             raise ExecutionError(f"unknown action {pending.kind}")
+        i = ts.tid
         return Transition(
-            ("t", i), i, True, fp, partial(self._successors, state, i, ready, pending)
+            ("t", i), i, True, fp,
+            partial(self._successors, self.executor, kills, i, ready, pending),
+            wait,
         )
 
+    @staticmethod
     def _successors(
-        self,
-        state: tuple,
+        executor: ThreadExecutor,
+        kills: frozenset[OrderKind],
         i: int,
         ready: ThreadState,
         pending: Optional[PendingAction],
+        state: tuple,
     ) -> tuple:
         """Thread ``i``'s step builder: the states after it performs
-        ``pending`` from its probe's ``ready`` state."""
+        ``pending`` from its probe's ``ready`` state in ``state``
+        (``kills``: a fence's kill-set, empty for other actions)."""
         memory, prev, threads, buffers, fresh = state
         if pending is None:
-            return ((memory, prev, self._commit(threads, i, ready, None), buffers, fresh),)
+            return ((memory, prev, advance(executor, threads, i, ready, None), buffers, fresh),)
 
         if pending.kind == "load":
             addr = pending.addr
@@ -307,7 +279,7 @@ class RelaxedExplorer(CoreExplorer):
                     (
                         memory,
                         prev,
-                        self._commit(threads, i, ready, pending, value),
+                        advance(executor, threads, i, ready, pending, value),
                         buffers,
                         _replace(fresh, i, marks),
                     )
@@ -330,7 +302,7 @@ class RelaxedExplorer(CoreExplorer):
                 (
                     memory,
                     prev,
-                    self._commit(threads, i, ready, pending),
+                    advance(executor, threads, i, ready, pending),
                     _replace(buffers, i, buffer),
                     fresh,
                 ),
@@ -339,21 +311,20 @@ class RelaxedExplorer(CoreExplorer):
         if pending.kind == "rmw":
             result, new = pending.rmw_result(memory.get(pending.addr, 0))
             if new is not None:
-                prev, memory, fresh = self._publish(
+                prev, memory, fresh = RelaxedExplorer._publish(
                     prev, memory, fresh, i, pending.addr, new
                 )
             else:
                 fresh = _replace(fresh, i, _mark(fresh[i], (pending.addr,)))
-            return ((memory, prev, self._commit(threads, i, ready, pending, result), buffers, fresh),)
+            return ((memory, prev, advance(executor, threads, i, ready, pending, result), buffers, fresh),)
 
         # fence
-        kills = self._fence_kills(pending.inst)  # type: ignore[arg-type]
         if OrderKind.WW in kills and OrderKind.WR not in kills:
             buffers = _replace(buffers, i, storebuf.seal(buffers[i]))
         if OrderKind.RR in kills or OrderKind.RW in kills:
             # No pre-fence read may be satisfied stale anymore.
             fresh = _replace(fresh, i, _mark(fresh[i], prev))
-        return ((memory, prev, self._commit(threads, i, ready, pending), buffers, fresh),)
+        return ((memory, prev, advance(executor, threads, i, ready, pending), buffers, fresh),)
 
 
 class ARMExplorer(RelaxedExplorer):

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional
 
 from repro.ir.function import Program
 from repro.ir.instructions import Instruction
-from repro.memmodel.explore import LOCAL_FP, CoreExplorer, SharedMap, Transition
+from repro.memmodel.explore import LOCAL_FP, CoreExplorer, SharedMap, Transition, advance
 from repro.memmodel.interpreter import (
     ExecutionError,
     GlobalLayout,
@@ -108,46 +108,47 @@ class SCExplorer(CoreExplorer):
         memory, threads = state
         return make_outcome(self.layout, memory, threads, self.observe_globals)
 
-    def transitions(self, state: tuple) -> list[Transition]:
-        out: list[Transition] = []
-        for i, ts in enumerate(state[1]):
-            if ts.done:
-                continue
-            ready, pending = self.executor.probe(ts, self.max_steps)
-            if pending is None or pending.kind == "fence":
-                # A finished thread, or a fence (no-op under SC).
-                fp = LOCAL_FP
-            elif pending.kind == "load":
-                fp = self._addr_fp(pending.addr, reads=True)
-            elif pending.kind == "store":
-                fp = self._addr_fp(pending.addr, writes=True)
-            elif pending.kind == "rmw":
-                fp = self._addr_fp(pending.addr, reads=True, writes=True)
-            else:  # pragma: no cover
-                raise ExecutionError(f"unknown action {pending.kind}")
-            out.append(
-                Transition(
-                    ("t", i), i, True, fp,
-                    partial(self._successors, state, i, ready, pending),
-                )
-            )
-        return out
+    def buffers_of(self, state: tuple) -> tuple:
+        return ()
 
+    def transitions(self, state: tuple) -> list[Transition]:
+        return [self._thread_step(ts) for ts in state[1] if not ts.done]
+
+    def make_step(self, ts: ThreadState) -> Transition:
+        ready, pending = self.executor.probe(ts, self.max_steps)
+        if pending is None or pending.kind == "fence":
+            # A finished thread, or a fence (no-op under SC).
+            fp = LOCAL_FP
+        elif pending.kind == "load":
+            fp = self._addr_fp(pending.addr, reads=True)
+        elif pending.kind == "store":
+            fp = self._addr_fp(pending.addr, writes=True)
+        elif pending.kind == "rmw":
+            fp = self._addr_fp(pending.addr, reads=True, writes=True)
+        else:  # pragma: no cover
+            raise ExecutionError(f"unknown action {pending.kind}")
+        i = ts.tid
+        return Transition(
+            ("t", i), i, True, fp,
+            partial(self._successors, self.executor, i, ready, pending),
+        )
+
+    @staticmethod
     def _successors(
-        self,
-        state: tuple,
+        executor: ThreadExecutor,
         i: int,
         ready: ThreadState,
         pending: Optional[PendingAction],
+        state: tuple,
     ) -> tuple:
-        """Thread ``i``'s step builder: the state after it performs
-        ``pending`` from its probe's ``ready`` state."""
+        """Thread ``i``'s step builder: ``state`` after the thread
+        performs ``pending`` from its probe's ``ready`` state."""
         memory, threads = state
         if pending is None or pending.kind == "fence":
-            return ((memory, self._commit(threads, i, ready, pending)),)
+            return ((memory, advance(executor, threads, i, ready, pending)),)
         if pending.kind == "load":
             value = memory.get(pending.addr, 0)
-            return ((memory, self._commit(threads, i, ready, pending, value)),)
+            return ((memory, advance(executor, threads, i, ready, pending, value)),)
         if pending.kind == "store":
             result, new = None, pending.value
         else:
@@ -155,7 +156,7 @@ class SCExplorer(CoreExplorer):
         if new is not None:
             memory = SharedMap(memory)
             memory[pending.addr] = new
-        return ((memory, self._commit(threads, i, ready, pending, result)),)
+        return ((memory, advance(executor, threads, i, ready, pending, result)),)
 
 
 # --- bounded trace enumeration (no state merging) ----------------------------

@@ -47,8 +47,8 @@ from typing import Iterator, Optional
 
 from repro.ir.function import Program
 from repro.ir.instructions import FenceKind
-from repro.memmodel.explore import LOCAL_FP, CoreExplorer, SharedMap, Transition
-from repro.memmodel.interpreter import ExecutionError, PendingAction, ThreadState
+from repro.memmodel.explore import LOCAL_FP, CoreExplorer, SharedMap, Transition, advance
+from repro.memmodel.interpreter import ExecutionError, PendingAction, ThreadExecutor, ThreadState
 from repro.memmodel.sc import Outcome, SCExplorer, make_outcome
 
 #: One group: address -> FIFO of pending values, sorted by address.
@@ -112,6 +112,20 @@ def addresses(buffer: Buffer) -> frozenset[int]:
     return frozenset(addr for group in buffer for addr, _values in group)
 
 
+#: A step's ``wait`` (:class:`~repro.memmodel.explore.Transition`) for
+#: an empty buffer; otherwise it names the one address whose buffered
+#: stores must drain first, or is None.
+ALL = -1
+
+
+def blocks(buffer: Buffer, wait: Optional[int]) -> bool:
+    """Must a step with blocking condition ``wait`` wait for ``buffer``
+    to drain (all of it, or the stores to one address)?"""
+    if wait is None or not buffer:
+        return False
+    return wait == ALL or holds(buffer, wait)
+
+
 def drains(buffer: Buffer) -> Iterator[tuple[int, int, Buffer]]:
     """Every enabled drain as ``(addr, value, buffer_after)``: the
     oldest value of each address in the oldest group, in address
@@ -129,7 +143,60 @@ def drains(buffer: Buffer) -> Iterator[tuple[int, int, Buffer]]:
         yield addr, values[0], after
 
 
-class StoreBufferExplorer(CoreExplorer):
+class BufferedExplorer(CoreExplorer):
+    """The transitions of every store-buffer machine: each buffer's
+    drains, then each running thread's step unless its blocking
+    condition (``Transition.wait``) holds on its own buffer.
+    Subclasses make the steps (``make_step``) and the drain builder
+    (the static ``_drain``); drain transitions are made once per
+    ``(tid, buffer)``."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._drains: dict[tuple[int, Buffer], list[Transition]] = {}
+
+    def buffered_addrs(self, state: tuple, tid: int) -> frozenset[int]:
+        return addresses(self.buffers_of(state)[tid])
+
+    def check_final(self, state: tuple) -> None:
+        if not all(empty(b) for b in self.buffers_of(state)):  # pragma: no cover
+            raise ExecutionError("deadlock with non-empty buffer")
+
+    def transitions(self, state: tuple) -> list[Transition]:
+        buffers = self.buffers_of(state)
+        out: list[Transition] = []
+        for i, buffer in enumerate(buffers):
+            if buffer:
+                out += self._drains_of(i, buffer)
+        for ts in self.threads_of(state):
+            if not ts.done:
+                t = self._thread_step(ts)
+                if not blocks(buffers[ts.tid], t.wait):
+                    out.append(t)
+        return out
+
+    def _drains_of(self, i: int, buffer: Buffer) -> list[Transition]:
+        memo_key = (i, buffer)
+        out = self._drains.get(memo_key)
+        if out is None:
+            out = self._drains[memo_key] = [
+                Transition(
+                    ("f", i, addr), i, False,
+                    self._addr_fp(addr, writes=True),
+                    partial(self._drain, i, addr, value, after),
+                )
+                for addr, value, after in drains(buffer)
+            ]
+        return out
+
+    @staticmethod
+    def _drain(i: int, addr: int, value: int, after: Buffer, state: tuple) -> tuple:
+        """``state`` after thread ``i`` drains ``value`` to ``addr``,
+        leaving ``after`` in its buffer."""
+        raise NotImplementedError
+
+
+class StoreBufferExplorer(BufferedExplorer):
     """DPOR DFS over a store-buffer machine (threads x buffers x
     memory). State = (memory, threads, buffers)."""
 
@@ -149,121 +216,99 @@ class StoreBufferExplorer(CoreExplorer):
     def threads_of(self, state: tuple) -> tuple[ThreadState, ...]:
         return state[1]
 
+    def buffers_of(self, state: tuple) -> tuple:
+        return state[2]
+
     def state_parts(self, state: tuple) -> tuple[tuple, tuple]:
         memory, _threads, buffers = state
         return memory.sorted_items(), buffers
-
-    def buffered_addrs(self, state: tuple, tid: int) -> frozenset[int]:
-        return addresses(state[2][tid])
 
     def outcome_of(self, state: tuple) -> Outcome:
         memory, threads, _buffers = state
         return make_outcome(self.layout, memory, threads, self.observe_globals)
 
-    def check_final(self, state: tuple) -> None:
-        if not all(empty(b) for b in state[2]):  # pragma: no cover
-            raise ExecutionError("deadlock with non-empty buffer")
-
-    def transitions(self, state: tuple) -> list[Transition]:
-        _memory, threads, buffers = state
-        out: list[Transition] = []
-
-        # (a) buffer drains.
-        for i, buffer in enumerate(buffers):
-            for addr, value, after in drains(buffer):
-                out.append(
-                    Transition(
-                        ("f", i, addr),
-                        i,
-                        False,
-                        self._addr_fp(addr, writes=True),
-                        partial(self._drain, state, i, addr, value, after),
-                    )
-                )
-
-        # (b) thread steps.
-        for i, ts in enumerate(threads):
-            if ts.done:
-                continue
-            ready, pending = self.executor.probe(ts, self.max_steps)
-            buffer = buffers[i]
-            if pending is None:
-                fp = LOCAL_FP
-            elif pending.kind == "load":
-                # A forwarded load is still a shared-memory read for
-                # reduction purposes: whether it forwards depends on the
-                # own drain having happened, so treating it as invisible
-                # would let a rival drain slip between "own drain; load"
-                # unseen.
-                fp = self._addr_fp(pending.addr, reads=True)
-            elif pending.kind == "store":
-                if (
-                    self.RELEASE_DRAINS
-                    and getattr(pending.inst, "ordering", None) == "release"
-                    and not empty(buffer)
-                ):
-                    continue
-                fp = LOCAL_FP  # buffered: invisible until drained
-            elif pending.kind == "rmw":
-                if not empty(buffer):
-                    continue  # LOCK-prefixed: drains the buffer first
-                fp = self._addr_fp(pending.addr, reads=True, writes=True)
-            elif pending.kind == "fence":
-                if pending.fence_kind is FenceKind.FULL and not empty(buffer):
-                    continue  # mfence waits for the buffer to drain
-                fp = LOCAL_FP
-            else:  # pragma: no cover
-                raise ExecutionError(f"unknown action {pending.kind}")
-            out.append(
-                Transition(
-                    ("t", i), i, True, fp,
-                    partial(self._successors, state, i, ready, pending),
-                )
-            )
-        return out
+    def make_step(self, ts: ThreadState) -> Transition:
+        ready, pending = self.executor.probe(ts, self.max_steps)
+        wait: Optional[int] = None
+        if pending is None:
+            fp = LOCAL_FP
+        elif pending.kind == "load":
+            # A forwarded load is still a shared-memory read for
+            # reduction purposes: whether it forwards depends on the
+            # own drain having happened, so treating it as invisible
+            # would let a rival drain slip between "own drain; load"
+            # unseen.
+            fp = self._addr_fp(pending.addr, reads=True)
+        elif pending.kind == "store":
+            if (
+                self.RELEASE_DRAINS
+                and getattr(pending.inst, "ordering", None) == "release"
+            ):
+                wait = ALL
+            fp = LOCAL_FP  # buffered: invisible until drained
+        elif pending.kind == "rmw":
+            wait = ALL  # LOCK-prefixed: drains the buffer first
+            fp = self._addr_fp(pending.addr, reads=True, writes=True)
+        elif pending.kind == "fence":
+            if pending.fence_kind is FenceKind.FULL:
+                wait = ALL  # mfence waits for the buffer to drain
+            fp = LOCAL_FP
+        else:  # pragma: no cover
+            raise ExecutionError(f"unknown action {pending.kind}")
+        i = ts.tid
+        return Transition(
+            ("t", i), i, True, fp,
+            partial(
+                self._successors, self.executor, self.SEAL_EACH_STORE,
+                i, ready, pending,
+            ),
+            wait,
+        )
 
     @staticmethod
-    def _drain(
-        state: tuple, i: int, addr: int, value: int, after: Buffer
-    ) -> tuple:
+    def _drain(i: int, addr: int, value: int, after: Buffer, state: tuple) -> tuple:
         memory, threads, buffers = state
         new_memory = SharedMap(memory)
         new_memory[addr] = value
         return ((new_memory, threads, buffers[:i] + (after,) + buffers[i + 1 :]),)
 
+    @staticmethod
     def _successors(
-        self,
-        state: tuple,
+        executor: ThreadExecutor,
+        seal_each_store: bool,
         i: int,
         ready: ThreadState,
         pending: Optional[PendingAction],
+        state: tuple,
     ) -> tuple:
-        """Thread ``i``'s step builder: the state after it performs
-        ``pending`` from its probe's ``ready`` state."""
+        """Thread ``i``'s step builder: ``state`` after the thread
+        performs ``pending`` from its probe's ``ready`` state."""
         memory, threads, buffers = state
         if pending is None or pending.kind == "fence":
-            return ((memory, self._commit(threads, i, ready, pending), buffers),)
+            return ((memory, advance(executor, threads, i, ready, pending), buffers),)
         buffer = buffers[i]
         if pending.kind == "load":
             value = forward(buffer, pending.addr)
             if value is None:
                 value = memory.get(pending.addr, 0)
-            return ((memory, self._commit(threads, i, ready, pending, value), buffers),)
+            return (
+                (memory, advance(executor, threads, i, ready, pending, value), buffers),
+            )
         if pending.kind == "store":
-            if self.SEAL_EACH_STORE:
+            if seal_each_store:
                 buffer = seal(buffer)
             new_buffers = (
                 buffers[:i]
                 + (append(buffer, pending.addr, pending.value),)
                 + buffers[i + 1 :]
             )
-            return ((memory, self._commit(threads, i, ready, pending), new_buffers),)
+            return ((memory, advance(executor, threads, i, ready, pending), new_buffers),)
         # rmw, on an empty buffer
         result, new = pending.rmw_result(memory.get(pending.addr, 0))
         if new is not None:
             memory = SharedMap(memory)
             memory[pending.addr] = new
-        return ((memory, self._commit(threads, i, ready, pending, result), buffers),)
+        return ((memory, advance(executor, threads, i, ready, pending, result), buffers),)
 
 
 class TSOExplorer(StoreBufferExplorer):

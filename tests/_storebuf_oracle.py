@@ -10,10 +10,15 @@ the same outcomes.
 
 The explorers build their successor states eagerly, through a thread
 advance the shared core no longer has (it probes each thread state
-once and builds successors lazily). The small adapter below restores
-both for this file: ``Transition`` takes the successor tuple and wraps
-it in the core's builder, and ``CoreExplorer`` adds the old
-``_advance``. Neither changes what the explorers compute.
+once and builds successors lazily, from the state a builder is handed).
+The small adapter below restores both for this file: ``Transition``
+takes the successor tuple and wraps it in a builder that ignores the
+state it is given, and ``CoreExplorer`` adds the old ``_advance``. The
+core expands each control configuration once and reuses its
+transitions; eager successors depend on the whole state, so the
+adapter's ``buffers_of`` returns the whole state (memory included) and
+the control key is the whole raw state key. None of this changes what
+the explorers compute.
 """
 
 from __future__ import annotations
@@ -29,10 +34,15 @@ from repro.memmodel.sc import Outcome, make_outcome
 
 def Transition(key: tuple, tid: int, is_step: bool, fp, successors: tuple):
     """An eager transition: its builder returns the ready-made states."""
-    return explore.Transition(key, tid, is_step, fp, lambda: successors)
+    return explore.Transition(key, tid, is_step, fp, lambda _state: successors)
 
 
 class CoreExplorer(explore.CoreExplorer):
+    def buffers_of(self, state: tuple) -> tuple:
+        """The whole state but the threads: eager transitions depend
+        on all of it."""
+        return self.state_parts(state)
+
     def _advance(self, threads: tuple[ThreadState, ...], i: int):
         """Clone thread ``i`` only and run it to its next visible
         action; siblings are shared structurally (states never mutate

@@ -1,20 +1,28 @@
 """Cached explorer facts never go stale.
 
 A thread state placed in an explorer state caches its key, symmetry
-key, future footprint and probe, a probe's ready state memoizes its
-committed successors (``ThreadExecutor.step``), and a ``SharedMap``
-caches its sorted items. All are sound only because placed objects are
-never mutated afterwards. These tests recompute every cached fact from
-scratch at each state the DFS pops and require equality, on every
-litmus entry under every explorer model, and check that sharing
-memoized steps leaves every work count and outcome of the DFS as it
-was with a fresh clone per step.
+key, future footprint, probe and interned key id, a probe's ready
+state memoizes its committed successors (``ThreadExecutor.step``), and
+a ``SharedMap`` caches its sorted items. All are sound only because
+placed objects are never mutated afterwards. The explorer memoizes a
+step transition per distinct thread state, drain transitions per
+buffer, and the transitions and persistent singletons of each control
+configuration (threads plus buffers); those are sound only because a
+transition depends on nothing else. These tests recompute every cached
+fact and every memoized expansion from scratch at each state the DFS
+pops and require equality, on every litmus entry under every explorer
+model, check that sharing memoized steps leaves every work count and
+outcome of the DFS as it was with a fresh clone per step, and check
+that an exploration leaves no cyclic garbage behind.
 """
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
+from repro.api import CheckRequest, ProgramSpec, Session
 from repro.frontend import compile_source
 from repro.memmodel.explore import (
     FutureFootprints,
@@ -36,11 +44,12 @@ def _checking(explorer_cls):
 
         checked = 0
 
-        def _canon_key(self, state, classes):
-            key = super()._canon_key(state, classes)  # fills the caches
+        def _canon_key(self, state, classes, ids):
+            key = super()._canon_key(state, classes, ids)  # fills the caches
             fresh_oracle = FutureFootprints(self.program, self.layout)
-            for ts in self.threads_of(state):
+            for n, ts in zip(ids, self.threads_of(state)):
                 assert ts.key() == ts._compute_key()
+                assert self._ids[ts.key()] == ts._id == n
                 if ts._norm is not None:
                     try:
                         fresh_norm = _compute_norm_key(ts)
@@ -88,16 +97,18 @@ def test_clone_drops_every_cache():
         " thread f(0); thread f(1);",
         "t",
     )
-    executor = ThreadExecutor(program)
+    explorer = get_model("sc").explorer_cls()(program)
+    executor = explorer.executor
     ts = executor.start_all()[0]
     ts.key()
     _norm_thread_key(ts)
     FutureFootprints(program, executor.layout).thread_future(ts)
+    explorer._thread_ids((ts,))
     ready, pending = executor.probe(ts)
     executor.step(ready, pending)
-    assert None not in (ts._key, ts._norm, ts._future, ts._probe, ready._next)
+    assert None not in (ts._key, ts._norm, ts._future, ts._probe, ts._id, ready._next)
     clone = ts.clone()
-    assert (clone._key, clone._norm, clone._future, clone._probe) == (None,) * 4
+    assert (clone._key, clone._norm, clone._future, clone._probe, clone._id) == (None,) * 5
     assert clone == ts  # caches are not compared
     ready_clone = ready.clone()
     assert ready_clone._next is None
@@ -145,11 +156,16 @@ def _clone_per_step(explorer_cls):
     class ClonePerStep(explorer_cls):
         """Commits every step on a fresh clone: the unmemoized reference."""
 
-        def _commit(self, threads, i, ready, pending, load_result=None):
-            if pending is not None:
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            executor = self.executor
+
+            def step(ready, pending, load_result=None):
                 ready = ready.clone()
-                self.executor.commit(ready, pending, load_result)
-            return threads[:i] + (ready,) + threads[i + 1 :]
+                executor.commit(ready, pending, load_result)
+                return ready
+
+            executor.step = step
 
     return ClonePerStep
 
@@ -182,3 +198,108 @@ def test_shared_map_caches_sorted_items():
     copy[0] = 5
     assert copy.sorted_items() == ((0, 5), (1, 2), (3, 1))
     assert shared.sorted_items() == ((1, 2), (3, 1))
+
+
+def _pick_safe(explorer, state, explorable, oracle):
+    """The persistent singleton the DFS took before expansions were
+    memoized: recomputed from the explorable transitions alone."""
+    for t in explorable:
+        if t.fp.local and t.is_step:
+            return t
+    threads = explorer.threads_of(state)
+    for t in explorable:
+        fp = t.fp
+        if fp.top or fp.local:
+            continue
+        ok = True
+        for j, ts in enumerate(threads):
+            if j == t.tid:
+                continue
+            fut = oracle.thread_future(ts)
+            if fut is None:
+                ok = False
+                break
+            future_reads, future_writes = fut
+            future_writes = future_writes | explorer.buffered_addrs(state, j)
+            if fp.global_read:
+                if future_writes:
+                    ok = False
+                    break
+                continue
+            if (fp.reads | fp.writes) & future_writes or fp.writes & future_reads:
+                ok = False
+                break
+        if ok:
+            return t
+    return None
+
+
+def _successor_keys(explorer, succs):
+    return [
+        (explorer.state_parts(s), [ts.key() for ts in explorer.threads_of(s)])
+        for s in succs
+    ]
+
+
+def _checking_expansions(explorer_cls):
+    class CheckingExpansions(explorer_cls):
+        """Recomputes each popped state's transitions and safe choice
+        with no memo and compares them with the memoized expansion."""
+
+        checked = 0
+
+        def _expand(self, state, ids, oracle):
+            trans, singles = super()._expand(state, ids, oracle)
+            fresh = explorer_cls(self.program).transitions(state)
+            assert [(t.key, t.tid, t.is_step, t.fp, t.wait) for t in trans] == [
+                (t.key, t.tid, t.is_step, t.fp, t.wait) for t in fresh
+            ]
+            for t, f in zip(trans, fresh):
+                assert _successor_keys(self, t.build(state)) == _successor_keys(
+                    self, f.build(state)
+                )
+            if oracle is not None:
+                # The memoized preference order is the order in which
+                # the fresh choice picks them as earlier picks fall
+                # asleep, so every sleep set gets the fresh choice.
+                fresh_oracle = FutureFootprints(self.program, self.layout)
+                left, picks = list(fresh), []
+                while (pick := _pick_safe(self, state, left, fresh_oracle)) is not None:
+                    picks.append(pick.key)
+                    left.remove(pick)
+                assert [t.key for t in singles] == picks
+            type(self).checked += 1
+            return trans, singles
+
+    return CheckingExpansions
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("name", sorted(LITMUS_TESTS))
+def test_memoized_expansions_match_fresh_ones(name, model):
+    explorer_cls = _checking_expansions(get_model(model).explorer_cls())
+    explorer = explorer_cls(LITMUS_TESTS[name].compile())
+    result = explorer.explore()
+    assert result.complete
+    assert explorer_cls.checked >= result.states_explored > 0
+    # Control configurations recur: fewer expansions than states.
+    assert 0 < explorer.expansions <= result.states_explored
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_exploration_leaves_no_cyclic_garbage(model):
+    """Memoized transitions hold the executor, never the explorer, so
+    an exploration and a check free everything by reference counting."""
+    program = LITMUS_TESTS["mp-chain"].compile()
+    session = Session()
+    gc.collect()
+    gc.disable()
+    try:
+        get_model(model).explorer_cls()(program).explore()
+        if model != "sc":  # a check explores SC and one weak model
+            session.check(
+                CheckRequest(program=ProgramSpec.litmus("mp-chain"), model=model)
+            )
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -300,15 +300,19 @@ def test_explorer_counters_flush_per_model():
     assert 'repro_explore_sleep_blocked_total{model="sc"}' in payload["counters"]
     assert 'repro_explore_pruned_total{model="sc"}' in payload["counters"]
     assert 'repro_explore_successors_total{model="sc"}' in payload["counters"]
+    assert 'repro_explore_expansions_total{model="sc"}' in payload["counters"]
     assert 'repro_explore_probes_total{model="sc"}' in payload["counters"]
 
 
 def test_explorer_work_counters_pinned_for_one_cell():
-    """Successor states built and thread probes run, for the litmus MP
-    cell on ARM: both are deterministic work counts of the DFS. Probes
-    count distinct thread states probed: a step taken from the same
-    ready state with the same load result reuses one memoized successor
-    (``ThreadExecutor.step``), so its probe runs once."""
+    """Successor states built, control configurations expanded and
+    thread probes run, for the litmus MP cell on ARM: all are
+    deterministic work counts of the DFS. The 42 states share 24
+    control configurations (threads plus buffers), whose transitions
+    are computed once each. Probes count distinct thread states
+    probed: equal thread states share one step transition, and a step
+    taken from the same ready state with the same load result reuses
+    one memoized successor (``ThreadExecutor.step``)."""
     from repro.memmodel.litmus import LITMUS_TESTS
     from repro.memmodel.relaxed import ARMExplorer
 
@@ -317,7 +321,8 @@ def test_explorer_work_counters_pinned_for_one_cell():
     assert result.states_explored == 42
     assert counters['repro_explore_states_total{model="arm"}'] == 42
     assert counters['repro_explore_successors_total{model="arm"}'] == 55
-    assert counters['repro_explore_probes_total{model="arm"}'] == 15
+    assert counters['repro_explore_expansions_total{model="arm"}'] == 24
+    assert counters['repro_explore_probes_total{model="arm"}'] == 10
 
 
 # --- top renderings -------------------------------------------------------
