@@ -921,7 +921,7 @@ class FuzzViolation:
     shape: str
     model: str
     variant: str
-    source: str
+    source: str  # shrunk (or original, when shrinking is disabled)
     source_lines: int
     snippet: str
     shrink_checks: int
@@ -941,7 +941,8 @@ class FuzzProblem:
 @register_report
 @dataclass(frozen=True)
 class FuzzReport(WirePayload):
-    """A fuzzing run's aggregate verdicts as a wire artifact.
+    """A fuzzing run's aggregate verdicts as a wire artifact, built
+    directly by :func:`repro.validate.runner.run_fuzz`.
 
     The payload keeps the historical ``config`` / ``summary`` /
     ``violations`` / ``cases`` layout of ``repro fuzz --json`` (now
@@ -975,10 +976,6 @@ class FuzzReport(WirePayload):
         return self.errors + self.incomplete
 
     def to_payload(self) -> dict:
-        # This layout mirrors repro.validate.runner.FuzzReport
-        # .to_payload (the pre-facade ``fuzz --json`` shape); the
-        # parity test in tests/test_api_session.py guards the two
-        # against drifting apart.
         return {
             "kind": self.KIND,
             "schema_version": self.SCHEMA_VERSION,

@@ -45,7 +45,7 @@ from repro.ir.verifier import VerificationError, verify_program
 from repro.memmodel.sc import ExplorationResult
 from repro.obs import metrics as obs_metrics
 from repro.query.engine import QueryEngine, fingerprint_function
-from repro.registry.models import get_model, weak_explorer_for
+from repro.registry.models import get_model
 from repro.registry.sources import ProgramSpec, resolve_spec
 from repro.registry.variants import get_variant, pipeline_variant_keys
 from repro.util.store import BlobStore
@@ -59,10 +59,8 @@ from repro.api.reports import (
     CheckReport,
     CheckRequest,
     FunctionFences,
-    FuzzProblem,
     FuzzReport,
     FuzzRequest,
-    FuzzViolation,
     LintReport,
     LintRequest,
     SimulateReport,
@@ -690,22 +688,24 @@ class Session:
         )
 
     def check(self, request: CheckRequest) -> CheckReport:
+        from repro.validate.oracle import DifferentialCheck
+
         self._count("check")
         resolved = resolve_spec(request.program)
-        explorer_cls, machine = weak_explorer_for(request.model)
-        # Placements are lowered through an arch backend only when the
-        # model's explorer honors flavor kill-sets (arm/power) — those
-        # checks then exercise the flavored fences they would ship.
-        # Flavor-blind explorers (TSO/PSO) keep generic FULL, and an
-        # explicit request.arch naming any *other* catalog is refused:
-        # the explorer would give foreign/unmodeled flavors full-fence
-        # strength, stamping the report as validating a flavor
-        # selection it cannot actually model.
-        from repro.registry.models import check_backend_for_model
-
-        backend = check_backend_for_model(request.model)
+        bound = (
+            request.max_states
+            if request.max_states is not None
+            else self.max_states
+        )
+        check = DifferentialCheck(request.model, bound)
+        backend = check.backend
         synthesis = _check_synthesis(request.synthesis)
         if request.arch is not None:
+            # An explicit arch naming any catalog but the one the
+            # model's explorer honors is refused: the explorer would
+            # give foreign/unmodeled flavors full-fence strength,
+            # stamping the report as validating a flavor selection it
+            # cannot actually model.
             self._backend(request.arch)  # unknown arch: KeyError early
             if backend is None or backend.key != request.arch:
                 raise ValueError(
@@ -717,11 +717,6 @@ class Session:
                         else f"honors the {backend.key!r} flavor catalog"
                     )
                 )
-        bound = (
-            request.max_states
-            if request.max_states is not None
-            else self.max_states
-        )
 
         def fresh() -> Program:
             # The spec describes the baseline program: with
@@ -732,27 +727,22 @@ class Session:
                 include_manual_fences=request.program.manual_fences,
             )
 
-        def skipped(reason: str) -> CheckReport:
+        arch = backend.key if backend is not None else None
+        _, sc, weak = check.explore_unfenced(fresh)
+        if weak is None or not weak.complete:
             return CheckReport(
                 program=resolved.name,
                 model=request.model,
                 max_states=bound,
                 complete=False,
-                skipped=reason,
+                skipped="state space exceeded max_states",
                 sc_outcomes=0,
                 weak_outcomes_unfenced=0,
                 weak_breaks_unfenced=False,
                 variants=(),
-                arch=backend.key if backend is not None else None,
+                arch=arch,
                 synthesis=synthesis,
             )
-
-        from repro.registry.models import EXPLORERS
-
-        sc = EXPLORERS.get("sc")(fresh(), max_states=bound).explore()
-        weak = explorer_cls(fresh(), max_states=bound).explore()
-        if not (sc.complete and weak.complete):
-            return skipped("state space exceeded max_states")
         sc_obs = sc.observation_sets()
         weak_obs = weak.observation_sets()
 
@@ -761,22 +751,13 @@ class Session:
             if request.interprocedural is not None
             else self.interprocedural
         )
-        variant_keys = request.variants or pipeline_variant_keys()
         verdicts = []
-        for key in variant_keys:
-            entry = get_variant(key)
-            fenced = fresh()
-            analysis = entry.place(
-                fenced, machine, interprocedural=interprocedural,
-                backend=backend, synthesis=synthesis,
+        for key in request.variants or pipeline_variant_keys():
+            full_fences, _, fenced_weak = check.explore_variant(
+                fresh, key, synthesis=synthesis,
+                interprocedural=interprocedural,
             )
-            if synthesis == "optimal" and analysis.lowered_plans is not None:
-                full_fences = sum(
-                    p.full_count for p in analysis.lowered_plans.values()
-                )
-            else:
-                full_fences = analysis.full_fence_count
-            fenced_weak = explorer_cls(fenced, max_states=bound).explore()
+            fenced_obs = fenced_weak.observation_sets()
             # A bounded fenced exploration proves nothing: comparing a
             # truncated outcome set against sc_obs could claim (or
             # deny) restoration on evidence that isn't there.
@@ -784,9 +765,8 @@ class Session:
                 VariantCheck(
                     variant=key,
                     full_fences=full_fences,
-                    weak_outcomes=len(fenced_weak.observation_sets()),
-                    restored_sc=fenced_weak.complete
-                    and fenced_weak.observation_sets() == sc_obs,
+                    weak_outcomes=len(fenced_obs),
+                    restored_sc=fenced_weak.complete and fenced_obs == sc_obs,
                     complete=fenced_weak.complete,
                 )
             )
@@ -800,7 +780,7 @@ class Session:
             weak_outcomes_unfenced=len(weak_obs),
             weak_breaks_unfenced=weak_obs != sc_obs,
             variants=tuple(verdicts),
-            arch=backend.key if backend is not None else None,
+            arch=arch,
             synthesis=synthesis,
         )
 
@@ -922,8 +902,6 @@ class Session:
         )
 
     def fuzz(self, request: FuzzRequest) -> FuzzReport:
-        from dataclasses import asdict
-
         self._count("fuzz")
 
         from repro.registry.variants import trusted_variant_keys
@@ -935,7 +913,7 @@ class Session:
             tuple(request.variants) if request.variants
             else trusted_variant_keys()
         )
-        raw = run_fuzz(
+        return run_fuzz(
             seeds=request.seeds,
             shapes=shapes,
             variants=variants,
@@ -949,37 +927,4 @@ class Session:
                 if request.max_states is not None
                 else self.max_states
             ),
-        )
-        problems = tuple(
-            [
-                FuzzProblem("error", c.shape, c.seed, c.model, c.error or "")
-                for c in raw.errors
-            ]
-            + [
-                FuzzProblem(
-                    "incomplete", c.shape, c.seed, c.model,
-                    (c.report.skipped if c.report is not None else None) or "",
-                )
-                for c in raw.incomplete
-            ]
-        )
-        return FuzzReport(
-            seeds=raw.seeds,
-            shapes=tuple(raw.shapes),
-            variants=tuple(raw.variants),
-            models=tuple(raw.models),
-            budget=raw.budget,
-            cases_run=len(raw.cases),
-            cases_skipped=raw.cases_skipped,
-            errors=len(raw.errors),
-            incomplete=len(raw.incomplete),
-            budget_exhausted=raw.budget_exhausted,
-            used_pool=raw.used_pool,
-            wall=raw.wall,
-            variant_summary=raw.variant_summary(),
-            violations=tuple(
-                FuzzViolation(**asdict(v)) for v in raw.violations
-            ),
-            problems=problems,
-            cases=tuple(c.to_payload() for c in raw.cases),
         )

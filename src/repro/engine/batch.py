@@ -164,20 +164,6 @@ class BatchResult:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
-    def to_payload(self) -> dict:
-        """Fields plus every aggregate — the machine-readable surface
-        (``batch --json``). New aggregates belong here, not in the CLI."""
-        return {
-            **asdict(self),
-            "escaping_reads": self.escaping_reads,
-            "sync_reads": self.sync_reads,
-            "orderings": self.orderings,
-            "pruned_orderings": self.pruned_orderings,
-            "surviving_fraction": self.surviving_fraction,
-            "full_fences": self.full_fences,
-            "compiler_fences": self.compiler_fences,
-        }
-
     @staticmethod
     def from_json(text: str) -> "BatchResult":
         data = json.loads(text)

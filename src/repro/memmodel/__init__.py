@@ -31,11 +31,7 @@ from repro.memmodel.sc import (
     TraceAction,
     enumerate_sc_traces,
 )
-from repro.memmodel.storebuf import (
-    PSOExplorer,
-    TSOExplorer,
-    tso_equals_sc_for_observations,
-)
+from repro.memmodel.storebuf import PSOExplorer, TSOExplorer
 
 __all__ = [
     "DRFReport",
@@ -62,5 +58,4 @@ __all__ = [
     "find_races",
     "sync_from_instructions",
     "sync_marking_for",
-    "tso_equals_sc_for_observations",
 ]

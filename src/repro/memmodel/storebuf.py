@@ -35,7 +35,8 @@ drains of different addresses commute unless some thread may still
 access them, so the interleaving blowup collapses to the orderings that
 conflict. Final outcomes (all threads done, all
 buffers drained) are comparable with :class:`repro.memmodel.sc.SCExplorer`
-outcomes — the paper's correctness criterion: a fence placement is good
+outcomes — the paper's correctness criterion (checked by
+:class:`repro.validate.oracle.DifferentialCheck`): a fence placement is good
 if the weak outcome set of the fenced program equals the SC outcome set
 of the original for the data reads.
 """
@@ -45,11 +46,10 @@ from __future__ import annotations
 from functools import partial
 from typing import Iterator, Optional
 
-from repro.ir.function import Program
 from repro.ir.instructions import FenceKind
 from repro.memmodel.explore import LOCAL_FP, CoreExplorer, SharedMap, Transition, advance
 from repro.memmodel.interpreter import ExecutionError, PendingAction, ThreadExecutor, ThreadState
-from repro.memmodel.sc import Outcome, SCExplorer, make_outcome
+from repro.memmodel.sc import Outcome, make_outcome
 
 #: One group: address -> FIFO of pending values, sorted by address.
 AddrFifoMap = tuple[tuple[int, tuple[int, ...]], ...]
@@ -326,20 +326,3 @@ class PSOExplorer(StoreBufferExplorer):
     MODEL_KEY = "pso"
     SEAL_EACH_STORE = False
     RELEASE_DRAINS = True
-
-
-def tso_equals_sc_for_observations(
-    program_unfenced: Program,
-    program_fenced: Program,
-    max_states: int = 1_000_000,
-) -> tuple[bool, set, set]:
-    """Compare observation sets: SC of the original program vs TSO of
-    the fenced program (the paper's correctness criterion for data
-    reads). Returns (equal, sc_only, tso_only)."""
-    sc = SCExplorer(program_unfenced, max_states=max_states).explore()
-    tso = TSOExplorer(program_fenced, max_states=max_states).explore()
-    if not (sc.complete and tso.complete):
-        raise ExecutionError("state-space bound hit; raise max_states")
-    sc_obs = sc.observation_sets()
-    tso_obs = tso.observation_sets()
-    return sc_obs == tso_obs, sc_obs - tso_obs, tso_obs - sc_obs

@@ -11,54 +11,54 @@ oracle:
   (flag handoff, pointer publish, Dekker-style mutual exclusion,
   sense-reversing barrier, work-stealing deque) mixed with
   stream/gather/guarded compute kernels;
-* :mod:`repro.validate.oracle` — the differential check: SC outcomes of
-  the unfenced program vs weak-memory outcomes under no fences, each
-  detection variant's fences, and the every-delay full placement;
+* :mod:`repro.validate.oracle` — the differential check, the one
+  implementation of the paper's Section 5 criterion behind both
+  ``repro check`` and ``repro fuzz``: SC outcomes of the unfenced
+  program vs weak-memory outcomes under no fences, each detection
+  variant's fences, and the every-delay full placement;
 * :mod:`repro.validate.shrink` — greedy delta-debugging of any
   counterexample down to a paste-ready ``LitmusTest`` snippet;
 * :mod:`repro.validate.runner` — fans the {seed x shape x variant x
   model} matrix over the batch engine's process pool with a wall-clock
-  budget; surfaced as ``python -m repro fuzz``.
+  budget into the wire :class:`repro.api.FuzzReport`; surfaced as
+  ``python -m repro fuzz``.
+
+The submodules load on first use of a name exported here, so
+``repro check`` (which needs only the oracle) never imports the
+generator, the shrinker or the process pool.
 """
 
 from __future__ import annotations
 
-from repro.validate.generator import SHAPES, GeneratedProgram, generate_program
-from repro.validate.oracle import (
-    OracleReport,
-    VariantVerdict,
-    place_detected_fences,
-    place_every_delay,
-    run_oracle,
-)
-from repro.validate.runner import FuzzCase, FuzzReport, execute_fuzz_case, run_fuzz
-from repro.validate.shrink import shrink_counterexample, to_litmus_snippet
+import importlib
+
+_EXPORTS = {
+    "SHAPES": "generator",
+    "GeneratedProgram": "generator",
+    "generate_program": "generator",
+    "DifferentialCheck": "oracle",
+    "OracleReport": "oracle",
+    "VariantVerdict": "oracle",
+    "place_detected_fences": "oracle",
+    "place_every_delay": "oracle",
+    "run_oracle": "oracle",
+    # Live registry views (see repro.validate.oracle.__getattr__): an
+    # eager re-export would freeze the variant list at import time.
+    "DETECTION_VARIANTS": "oracle",
+    "TRUSTED_VARIANTS": "oracle",
+    "FuzzCase": "runner",
+    "execute_fuzz_case": "runner",
+    "run_fuzz": "runner",
+    "shrink_counterexample": "shrink",
+    "to_litmus_snippet": "shrink",
+}
 
 
 def __getattr__(name: str):
-    # Live registry views (see repro.validate.oracle.__getattr__): an
-    # eager re-export would freeze the variant list at import time.
-    if name in ("DETECTION_VARIANTS", "TRUSTED_VARIANTS"):
-        from repro.validate import oracle
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
 
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-__all__ = [
-    "DETECTION_VARIANTS",
-    "TRUSTED_VARIANTS",
-    "FuzzCase",
-    "FuzzReport",
-    "GeneratedProgram",
-    "OracleReport",
-    "SHAPES",
-    "VariantVerdict",
-    "execute_fuzz_case",
-    "generate_program",
-    "place_detected_fences",
-    "place_every_delay",
-    "run_fuzz",
-    "run_oracle",
-    "shrink_counterexample",
-    "to_litmus_snippet",
-]
+__all__ = sorted(_EXPORTS)

@@ -1,21 +1,25 @@
-"""The differential fence-validation oracle.
-
-For one program the oracle compares, on a weak machine model:
-
-* the **unfenced** program — does the weak model show observations SC
-  cannot produce at all?
-* the **every-delay** placement (a full fence before every access, see
-  :func:`repro.core.fence_min.plan_every_delay_fences`) — the
-  conservative upper bound. If even this cannot restore SC, no
-  placement can, and the program is outside any placement's contract.
-* each requested **detection variant's** placement.
+"""The differential fence-validation oracle: the one Section 5 check.
 
 The soundness criterion is the paper's own (Section 5): a placement is
 good when the weak-model observation set of the fenced program equals
-the SC observation set of the original. A *violation* is recorded when
-the program is well-synchronized under its intended marking (the
-legacy-DRF precondition), the every-delay placement restores SC, but a
-variant's placement does not.
+the SC observation set of the original. :class:`DifferentialCheck`
+implements it once, for one weak model, and both user surfaces run it:
+``repro check`` (:meth:`repro.api.Session.check`) on one program and
+every pipeline variant, and ``repro fuzz`` (:func:`run_oracle`, fanned
+out by :mod:`repro.validate.runner`) on generated programs. It explores
+
+* the **unfenced** program under SC and under the weak model — does
+  the weak model show observations SC cannot produce at all?
+* each requested **variant's** placement, on a freshly compiled copy.
+
+:func:`run_oracle` adds two inputs to the verdict: a DRF trace check
+of the program under its intended marking (the legacy-DRF
+precondition) and the **every-delay** placement (a full fence before
+every access, see :func:`repro.core.fence_min.plan_every_delay_fences`)
+— the conservative upper bound. If even that cannot restore SC, no
+placement can, and the program is outside any placement's contract. A
+*violation* is recorded when the program is well-synchronized, the
+every-delay placement restores SC, but a variant's placement does not.
 
 ``vanilla`` is the deliberately-disabled detector — no acquires at all,
 so every ordering that is not into a write is pruned. It exists to
@@ -26,6 +30,7 @@ indistinguishable from a broken one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.fence_min import apply_plan, plan_every_delay_fences
 from repro.core.machine_models import MemoryModel
@@ -33,7 +38,12 @@ from repro.frontend import compile_source
 from repro.ir.function import Program
 from repro.memmodel.drf import check_drf
 from repro.memmodel.litmus import sync_marking_for_globals
-from repro.registry.models import EXPLORERS, weak_explorer_for
+from repro.memmodel.sc import ExplorationResult
+from repro.registry.models import (
+    EXPLORERS,
+    check_backend_for_model,
+    weak_explorer_for,
+)
 from repro.registry.variants import (
     detection_variant_keys,
     get_variant,
@@ -67,10 +77,9 @@ def tso_breaks_unfenced(
     model) need not break the same way the original did. Returns None
     when either exploration blows the state bound.
     """
-    sc_cls, tso_cls = EXPLORERS.get("sc"), EXPLORERS.get("x86-tso")
-    sc = sc_cls(compile_source(source, name), max_states=max_states).explore()
-    tso = tso_cls(compile_source(source, name), max_states=max_states).explore()
-    if not (sc.complete and tso.complete):
+    check = DifferentialCheck("x86-tso", max_states)
+    _, sc, tso = check.explore_unfenced(lambda: compile_source(source, name))
+    if tso is None or not tso.complete:
         return None
     return tso.observation_sets() != sc.observation_sets()
 
@@ -91,6 +100,7 @@ def place_detected_fences(
     model: MemoryModel,
     backend=None,
     synthesis: str = "greedy",
+    interprocedural: bool = False,
 ) -> tuple[int, int]:
     """Insert ``variant``'s placement; returns (full, compiler) counts.
 
@@ -107,7 +117,8 @@ def place_detected_fences(
     oracle's soundness contract.
     """
     analysis = get_variant(variant).place(
-        program, model, backend=backend, synthesis=synthesis
+        program, model, interprocedural=interprocedural,
+        backend=backend, synthesis=synthesis,
     )
     if synthesis == "optimal" and analysis.lowered_plans is not None:
         # The greedy FencePlans no longer describe what went in; count
@@ -118,6 +129,60 @@ def place_detected_fences(
             sum(p.compiler_count for p in plans),
         )
     return analysis.full_fence_count, analysis.compiler_fence_count
+
+
+class DifferentialCheck:
+    """The Section 5 check on one weak model, bounded by ``max_states``.
+
+    Every exploration runs on its own copy from the caller's ``fresh``
+    factory: fence insertion mutates IR, and no exploration may see
+    another placement's fences.
+    """
+
+    def __init__(self, model: str, max_states: int) -> None:
+        self.max_states = max_states
+        self.explorer_cls, self.machine = weak_explorer_for(model)
+        # Placements are lowered through the model's arch backend only
+        # when its explorer honors flavor kill-sets (arm/power): there
+        # a too-weak flavor choice surfaces as a failure to restore SC.
+        # Flavor-blind explorers (TSO/PSO) keep generic-FULL
+        # placements — exploring e.g. an sfence as if it were an
+        # mfence would validate flavor selections the explorer cannot
+        # model.
+        self.backend = check_backend_for_model(model)
+
+    def explore(self, program: Program) -> ExplorationResult:
+        """``program``'s weak-model exploration."""
+        return self.explorer_cls(program, max_states=self.max_states).explore()
+
+    def explore_unfenced(
+        self, fresh: Callable[[], Program], weak: bool = True
+    ) -> tuple[Program, ExplorationResult, ExplorationResult | None]:
+        """(SC copy, SC exploration, weak exploration) of the unfenced
+        program; the SC copy stays unfenced for the caller to reuse.
+        The weak side is None when ``weak`` is False, or when the SC
+        exploration blew the bound and there is nothing to compare."""
+        program = fresh()
+        sc = EXPLORERS.get("sc")(program, max_states=self.max_states).explore()
+        if not (weak and sc.complete):
+            return program, sc, None
+        return program, sc, self.explore(fresh())
+
+    def explore_variant(
+        self,
+        fresh: Callable[[], Program],
+        variant: str,
+        synthesis: str = "greedy",
+        interprocedural: bool = False,
+    ) -> tuple[int, int, ExplorationResult]:
+        """(full, compiler, exploration) of ``variant``'s placement in
+        a fresh copy, inserted by :func:`place_detected_fences`."""
+        program = fresh()
+        full, compiler = place_detected_fences(
+            program, variant, self.machine, self.backend,
+            synthesis=synthesis, interprocedural=interprocedural,
+        )
+        return full, compiler, self.explore(program)
 
 
 @dataclass(frozen=True)
@@ -207,42 +272,31 @@ def run_oracle(
     """
     if variants is None:  # default: the live trusted set
         variants = trusted_variant_keys()
-    explorer_cls, machine = weak_explorer_for(model)
-    # Lower variant placements through the model's arch backend only
-    # when its explorer honors flavors (arm/power): there a too-weak
-    # flavor choice surfaces as a soundness violation. Flavor-blind
-    # explorers (TSO/PSO) keep generic-FULL placements — exploring
-    # e.g. an sfence as if it were an mfence would validate flavor
-    # selections the explorer cannot model. The every-delay upper
-    # bound stays generic-FULL by design.
-    from repro.registry.models import check_backend_for_model
+    check = DifferentialCheck(model, max_states)
 
-    backend = check_backend_for_model(model)
+    def fresh() -> Program:
+        return compile_source(source, name)
 
-    unfenced = compile_source(source, name)
-    sc = EXPLORERS.get("sc")(unfenced, max_states=max_states).explore()
+    unfenced, sc, weak = check.explore_unfenced(fresh, weak=explore_unfenced)
     if not sc.complete:
         return _skipped(name, model, "SC state space exceeded max_states")
     sc_obs = sc.observation_sets()
-
-    if explore_unfenced:
-        weak = explorer_cls(
-            compile_source(source, name), max_states=max_states
-        ).explore()
-        if not weak.complete:
-            return _skipped(name, model, "weak state space exceeded max_states")
-        weak_obs = weak.observation_sets()
-    else:
+    if weak is None:
         weak_obs = sc_obs
+    elif not weak.complete:
+        return _skipped(name, model, "weak state space exceeded max_states")
+    else:
+        weak_obs = weak.observation_sets()
 
     marking = sync_marking_for_globals(
         unfenced, sync_globals & set(unfenced.globals)
     )
     drf = check_drf(unfenced, marking, max_traces=drf_max_traces)
 
-    full_fenced = compile_source(source, name)
+    # The every-delay upper bound stays generic-FULL by design.
+    full_fenced = fresh()
     every_delay_fences, _ = place_every_delay(full_fenced)
-    full_weak = explorer_cls(full_fenced, max_states=max_states).explore()
+    full_weak = check.explore(full_fenced)
     if not full_weak.complete:
         return _skipped(name, model, "fenced state space exceeded max_states")
     full_restores = full_weak.observation_sets() == sc_obs
@@ -250,11 +304,9 @@ def run_oracle(
     contract = drf.is_race_free and full_restores
     verdicts = []
     for variant in variants:
-        fenced = compile_source(source, name)
-        full, compiler = place_detected_fences(
-            fenced, variant, machine, backend, synthesis=synthesis
+        full, compiler, fenced_weak = check.explore_variant(
+            fresh, variant, synthesis=synthesis
         )
-        fenced_weak = explorer_cls(fenced, max_states=max_states).explore()
         if not fenced_weak.complete:
             return _skipped(
                 name, model, f"{variant} fenced state space exceeded max_states"

@@ -7,14 +7,17 @@ crosses the process boundary in either direction. Cases fan out over
 is checked between chunks, so ``--budget`` bounds a run without
 tearing down mid-case work.
 
-Surfaced as ``python -m repro fuzz`` (see :mod:`repro.cli`).
+:func:`run_fuzz` aggregates the cases straight into the wire
+:class:`repro.api.FuzzReport`, the one fuzz report type; surfaced as
+``python -m repro fuzz`` (see :mod:`repro.cli`).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
+from repro.api.reports import FuzzProblem, FuzzReport, FuzzViolation
 from repro.engine.batch import budgeted_parallel_map
 from repro.validate.generator import SHAPES, generate_program
 from repro.registry.models import weak_model_keys
@@ -41,20 +44,6 @@ class FuzzCase:
 
 
 @dataclass(frozen=True)
-class ViolationRecord:
-    """One soundness violation, shrunk and ready to promote."""
-
-    seed: int
-    shape: str
-    model: str
-    variant: str
-    source: str  # shrunk (or original, when shrinking is disabled)
-    source_lines: int
-    snippet: str
-    shrink_checks: int
-
-
-@dataclass(frozen=True)
 class FuzzCaseResult:
     """Everything one case produced, reduced to plain data."""
 
@@ -66,7 +55,7 @@ class FuzzCaseResult:
     source_lines: int
     elapsed: float
     report: OracleReport | None = None
-    violations: tuple[ViolationRecord, ...] = ()
+    violations: tuple[FuzzViolation, ...] = ()
     error: str | None = None
 
     def to_payload(self) -> dict:
@@ -124,7 +113,7 @@ def execute_fuzz_case(case: FuzzCase) -> FuzzCaseResult:
                 source, program.name, case.max_states
             )
             violations.append(
-                ViolationRecord(
+                FuzzViolation(
                     seed=case.seed,
                     shape=case.shape,
                     model=case.model,
@@ -174,89 +163,35 @@ def execute_fuzz_case(case: FuzzCase) -> FuzzCaseResult:
         )
 
 
-@dataclass
-class FuzzReport:
-    """Aggregate result of one fuzzing run."""
-
-    seeds: int
-    shapes: tuple[str, ...]
-    variants: tuple[str, ...]
-    models: tuple[str, ...]
-    budget: float | None
-    cases: list[FuzzCaseResult] = field(default_factory=list)
-    cases_skipped: int = 0  # budget ran out before these were dispatched
-    budget_exhausted: bool = False
-    used_pool: bool = False
-    wall: float = 0.0
-
-    @property
-    def violations(self) -> list[ViolationRecord]:
-        return [v for case in self.cases for v in case.violations]
-
-    @property
-    def errors(self) -> list[FuzzCaseResult]:
-        return [case for case in self.cases if case.error is not None]
-
-    @property
-    def incomplete(self) -> list[FuzzCaseResult]:
-        return [
-            case
-            for case in self.cases
-            if case.report is not None and not case.report.complete
-        ]
-
-    def variant_summary(self) -> dict[str, dict]:
-        """Per-variant soundness and precision aggregates."""
-        summary: dict[str, dict] = {
-            v: {
-                "checked": 0,
-                "violations": 0,
-                "restored_sc": 0,
-                "full_fences": 0,
-                "fences_saved": 0,
-            }
-            for v in self.variants
+def _variant_summary(
+    variants: tuple[str, ...], results: list[FuzzCaseResult]
+) -> dict[str, dict]:
+    """Per-variant soundness and precision aggregates."""
+    summary: dict[str, dict] = {
+        v: {
+            "checked": 0,
+            "violations": 0,
+            "restored_sc": 0,
+            "full_fences": 0,
+            "fences_saved": 0,
         }
-        for case in self.cases:
-            if case.report is None:
-                continue
-            for verdict in case.report.verdicts:
-                row = summary[verdict.variant]
-                row["checked"] += 1
-                row["violations"] += 1 if verdict.violation else 0
-                row["restored_sc"] += 1 if verdict.restores_sc else 0
-                row["full_fences"] += verdict.full_fences
-                row["fences_saved"] += verdict.fences_saved
-        for row in summary.values():
-            row["mean_fences_saved"] = (
-                row["fences_saved"] / row["checked"] if row["checked"] else 0.0
-            )
-        return summary
-
-    def to_payload(self) -> dict:
-        """The machine-readable surface (``fuzz --json``)."""
-        return {
-            "config": {
-                "seeds": self.seeds,
-                "shapes": list(self.shapes),
-                "variants": list(self.variants),
-                "models": list(self.models),
-                "budget": self.budget,
-            },
-            "summary": {
-                "cases_run": len(self.cases),
-                "cases_skipped_for_budget": self.cases_skipped,
-                "errors": len(self.errors),
-                "incomplete": len(self.incomplete),
-                "budget_exhausted": self.budget_exhausted,
-                "used_pool": self.used_pool,
-                "wall_seconds": self.wall,
-                "violations": len(self.violations),
-                "variants": self.variant_summary(),
-            },
-            "violations": [asdict(v) for v in self.violations],
-            "cases": [case.to_payload() for case in self.cases],
-        }
+        for v in variants
+    }
+    for case in results:
+        if case.report is None:
+            continue
+        for verdict in case.report.verdicts:
+            row = summary[verdict.variant]
+            row["checked"] += 1
+            row["violations"] += 1 if verdict.violation else 0
+            row["restored_sc"] += 1 if verdict.restores_sc else 0
+            row["full_fences"] += verdict.full_fences
+            row["fences_saved"] += verdict.fences_saved
+    for row in summary.values():
+        row["mean_fences_saved"] = (
+            row["fences_saved"] / row["checked"] if row["checked"] else 0.0
+        )
+    return summary
 
 
 def run_fuzz(
@@ -318,15 +253,39 @@ def run_fuzz(
         max_workers=jobs,
         parallel=parallel,
     )
+    wall = time.perf_counter() - start
+    errors = [case for case in results if case.error is not None]
+    incomplete = [
+        case
+        for case in results
+        if case.report is not None and not case.report.complete
+    ]
     return FuzzReport(
         seeds=seeds,
         shapes=tuple(shapes),
         variants=tuple(variants),
         models=tuple(models),
         budget=budget,
-        cases=results,
+        cases_run=len(results),
         cases_skipped=len(cases) - len(results),
+        errors=len(errors),
+        incomplete=len(incomplete),
         budget_exhausted=exhausted,
         used_pool=used_pool,
-        wall=time.perf_counter() - start,
+        wall=wall,
+        variant_summary=_variant_summary(tuple(variants), results),
+        violations=tuple(v for case in results for v in case.violations),
+        problems=tuple(
+            [
+                FuzzProblem("error", c.shape, c.seed, c.model, c.error or "")
+                for c in errors
+            ]
+            + [
+                FuzzProblem(
+                    "incomplete", c.shape, c.seed, c.model, c.report.skipped or ""
+                )
+                for c in incomplete
+            ]
+        ),
+        cases=tuple(case.to_payload() for case in results),
     )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import load_report
 from repro.cli import main
 
 MP = """
@@ -365,11 +366,15 @@ def test_fuzz_json_report(capsys):
         "fuzz", "--seeds", "1", "--shapes", "publish", "--serial",
         "--json",
     ]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     assert payload["summary"]["cases_run"] == 1
     assert payload["summary"]["violations"] == 0
     assert payload["config"]["seeds"] == 1
     assert payload["cases"][0]["report"]["well_synchronized"] is True
+    # The artifact CI uploads reads back through the one FuzzReport
+    # reader byte for byte.
+    assert load_report(out).to_json() + "\n" == out
 
 
 def test_fuzz_unknown_shape_exits_two(capsys):
@@ -422,8 +427,10 @@ def test_simulate_model_flag_changes_placement(mp_file, capsys):
 
 def test_report_renders_saved_artifact(mp_file, tmp_path, capsys):
     assert main(["check", mp_file, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert load_report(out).to_json() + "\n" == out
     saved = tmp_path / "check.json"
-    saved.write_text(capsys.readouterr().out)
+    saved.write_text(out)
     assert main(["report", str(saved)]) == 0
     out = capsys.readouterr().out
     assert "SC outcomes: " in out

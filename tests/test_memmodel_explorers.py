@@ -6,7 +6,7 @@ from repro.core.pipeline import PipelineVariant, place_fences
 from repro.frontend import compile_source
 from repro.memmodel.litmus import LITMUS_TESTS
 from repro.memmodel.sc import SCExplorer, enumerate_sc_traces
-from repro.memmodel.storebuf import TSOExplorer, tso_equals_sc_for_observations
+from repro.memmodel.storebuf import TSOExplorer
 
 
 def _obs(result):
@@ -59,10 +59,10 @@ def test_litmus_tso_breaks_flags_match():
 
 def test_tso_mp_safe_without_fences():
     # TSO preserves w->w and r->r: MP cannot read stale data.
-    equal, sc_only, tso_only = tso_equals_sc_for_observations(
-        LITMUS_TESTS["mp"].compile(), LITMUS_TESTS["mp"].compile()
-    )
-    assert equal
+    sc = SCExplorer(LITMUS_TESTS["mp"].compile()).explore()
+    tso = TSOExplorer(LITMUS_TESTS["mp"].compile()).explore()
+    assert sc.complete and tso.complete
+    assert sc.observation_sets() == tso.observation_sets()
 
 
 def test_lb_identical_under_tso():
@@ -75,18 +75,21 @@ def test_dekker_fenced_restores_sc():
     test = LITMUS_TESTS["dekker"]
     fenced = test.compile()
     place_fences(fenced, PipelineVariant.CONTROL)
-    equal, sc_only, tso_only = tso_equals_sc_for_observations(
-        test.compile(), fenced
-    )
-    assert equal, (sc_only, tso_only)
+    sc = SCExplorer(test.compile()).explore()
+    tso = TSOExplorer(fenced).explore()
+    assert sc.complete and tso.complete
+    sc_obs, tso_obs = sc.observation_sets(), tso.observation_sets()
+    assert sc_obs == tso_obs, (sc_obs - tso_obs, tso_obs - sc_obs)
 
 
 def test_sb_fenced_by_pensieve_restores_sc():
     test = LITMUS_TESTS["sb"]
     fenced = test.compile()
     place_fences(fenced, PipelineVariant.PENSIEVE)
-    equal, _, _ = tso_equals_sc_for_observations(test.compile(), fenced)
-    assert equal
+    sc = SCExplorer(test.compile()).explore()
+    tso = TSOExplorer(fenced).explore()
+    assert sc.complete and tso.complete
+    assert sc.observation_sets() == tso.observation_sets()
 
 
 def test_sb_not_fixed_by_control_by_design():

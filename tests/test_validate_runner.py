@@ -1,4 +1,4 @@
-"""Tests for the budgeted fuzz runner."""
+"""Tests for the budgeted fuzz runner and the wire report it returns."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ def test_run_fuzz_serial_matrix_and_payload():
         variants=("vanilla", "address+control"),
         parallel=False,
     )
-    assert len(report.cases) == 4
+    assert len(report.cases) == report.cases_run == 4
     assert report.cases_skipped == 0
     assert not report.budget_exhausted
     # dekker trips vanilla on every seed; address+control never trips.
@@ -26,7 +26,7 @@ def test_run_fuzz_serial_matrix_and_payload():
     assert all(v.source_lines < 25 for v in report.violations)
     assert all("LitmusTest(" in v.snippet for v in report.violations)
 
-    summary = report.variant_summary()
+    summary = report.variant_summary
     assert summary["address+control"]["violations"] == 0
     assert summary["vanilla"]["violations"] == len(report.violations)
     assert summary["address+control"]["checked"] == 4
@@ -52,7 +52,7 @@ def test_run_fuzz_budget_cuts_the_tail():
     assert report.cases_skipped > 0
     assert len(report.cases) + report.cases_skipped == 20
     # The completed prefix is deterministic: seeds in order from 0.
-    assert [case.seed for case in report.cases] == list(
+    assert [case["seed"] for case in report.cases] == list(
         range(len(report.cases))
     )
 
