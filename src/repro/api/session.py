@@ -42,7 +42,7 @@ from repro.frontend.parser import ModuleItems, Parser
 from repro.ir.function import Function, Program
 from repro.ir.instructions import Call
 from repro.ir.verifier import VerificationError, verify_program
-from repro.memmodel.sc import ExplorationResult
+from repro.memmodel.explore import ExplorationResult
 from repro.obs import metrics as obs_metrics
 from repro.query.engine import QueryEngine, fingerprint_function
 from repro.registry.models import get_model

@@ -8,6 +8,7 @@ races, and the DRF checker validates markings.
 """
 
 from repro.memmodel.drf import DRFReport, check_drf, check_drf_with_detected_acquires
+from repro.memmodel.explore import ExplorationResult, Outcome
 from repro.memmodel.hb import (
     HappensBefore,
     Race,
@@ -23,14 +24,7 @@ from repro.memmodel.interpreter import (
     ThreadState,
 )
 from repro.memmodel.litmus import LITMUS_TESTS, LitmusTest, sync_marking_for
-from repro.memmodel.sc import (
-    ExplorationResult,
-    Outcome,
-    SCExplorer,
-    Trace,
-    TraceAction,
-    enumerate_sc_traces,
-)
+from repro.memmodel.sc import SCExplorer, Trace, TraceAction, enumerate_sc_traces
 from repro.memmodel.storebuf import PSOExplorer, TSOExplorer
 
 __all__ = [

@@ -1,6 +1,6 @@
 """Shared dynamic partial-order-reduction core for the explorers.
 
-The SC, store-buffer (TSO/PSO), and relaxed (ARM/POWER) explorers
+The store-buffer (SC, TSO, PSO) and relaxed (ARM/POWER) explorers
 all walk the same shape of state graph: per-state they enumerate
 *transitions* (thread steps and store-buffer flushes) and DFS with
 memoization. Historically
@@ -64,13 +64,10 @@ taking the same step (same load result) from different explorer states
 pays one clone and one commit in all, and the shared successor's key,
 symmetry key, footprint and probe are computed once.
 
-Budgets are explicit: plain mode stops at ``max_states`` exactly like
-the pre-DPOR explorers, and the opt-in *iterative deepening* mode
-re-runs with a doubling depth limit until a pass finishes inside both
-the depth and state budgets, so the returned
-:class:`~repro.memmodel.sc.ExplorationResult` carries a principled
-``verdict`` ("complete", "bounded:max-states", "bounded:depth")
-instead of silently truncating.
+Budgets are explicit: one bounded DFS stops at ``max_states`` exactly
+like the pre-DPOR explorers, and the returned
+:class:`ExplorationResult` says so in a ``verdict`` ("complete" or
+"bounded:max-states") instead of silently truncating.
 
 Every reduction is differentially tested against exhaustive
 exploration (``reduction=False, canonicalize=False``) over the litmus
@@ -83,7 +80,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.analysis.aliasing import UNKNOWN, AllocaObj, GlobalObj, PointsTo
 from repro.ir.function import Program
@@ -109,15 +106,67 @@ from repro.memmodel.interpreter import (
     stack_range,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.memmodel.sc import ExplorationResult, Outcome
-
 
 _EMPTY: frozenset[int] = frozenset()
 
 #: Orbit cap: symmetry closure enumerates every class permutation, so
 #: refuse classes whose combined orbit exceeds 6! mappings.
 _MAX_ORBIT = 720
+
+
+# --- outcomes --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """A final program outcome: observations plus (scalar) global values."""
+
+    observations: tuple[tuple[int, str, int], ...]  # (tid, label, value), sorted
+    final_globals: tuple[tuple[str, int], ...]  # sorted name/value pairs
+
+    def observation_dict(self) -> dict[str, int]:
+        return {f"{tid}:{label}": value for tid, label, value in self.observations}
+
+    def globals_dict(self) -> dict[str, int]:
+        return dict(self.final_globals)
+
+
+@dataclass
+class ExplorationResult:
+    outcomes: set[Outcome]
+    states_explored: int
+    complete: bool
+    #: "complete" | "bounded:max-states" — why the exploration stopped
+    #: (principled truncation reporting).
+    verdict: str = "complete"
+    #: Whether partial-order reduction was active for this run.
+    reduced: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.complete and self.verdict == "complete":
+            self.verdict = "bounded:max-states"
+
+    def observation_sets(self) -> set[tuple[tuple[int, str, int], ...]]:
+        return {o.observations for o in self.outcomes}
+
+
+def make_outcome(
+    layout: GlobalLayout,
+    memory: dict[int, int],
+    threads: Iterable[ThreadState],
+    observe_globals: Optional[list[str]] = None,
+) -> Outcome:
+    observations = tuple(
+        sorted(
+            (ts.tid, label, value)
+            for ts in threads
+            for label, value in ts.observations
+        )
+    )
+    final = layout.final_globals(memory)
+    if observe_globals is not None:
+        final = {k: v for k, v in final.items() if k in observe_globals}
+    return Outcome(observations, tuple(sorted(final.items())))
 
 
 @dataclass(frozen=True)
@@ -516,12 +565,10 @@ def _compute_norm_key(ts: ThreadState) -> tuple:
 
 
 def close_outcomes(
-    outcomes: set["Outcome"], classes: tuple[tuple[int, ...], ...]
-) -> set["Outcome"]:
+    outcomes: set[Outcome], classes: tuple[tuple[int, ...], ...]
+) -> set[Outcome]:
     """Orbit closure: re-attribute observations under every class
     permutation (final globals are permutation-invariant)."""
-    from repro.memmodel.sc import Outcome
-
     maps: list[dict[int, int]] = [{}]
     for cls in classes:
         maps = [
@@ -543,8 +590,8 @@ def close_outcomes(
 
 
 class CoreExplorer:
-    """Model-generic DFS with sleep sets, persistent singleton steps,
-    canonical hashing, and budget-aware deepening.
+    """Model-generic bounded DFS with sleep sets, persistent singleton
+    steps and canonical hashing.
 
     Subclasses supply the operational semantics:
 
@@ -562,9 +609,7 @@ class CoreExplorer:
 
     ``reduction=False`` restores exhaustive interleaving enumeration
     (the differential-testing baseline); ``canonicalize=False``
-    disables symmetry normalization; ``deepening=True`` switches the
-    single bounded DFS for iterative deepening with a doubling depth
-    limit and a principled verdict.
+    disables symmetry normalization.
     """
 
     DEFAULT_MAX_STATES = 1_000_000
@@ -582,8 +627,6 @@ class CoreExplorer:
         *,
         reduction: bool = True,
         canonicalize: bool = True,
-        deepening: bool = False,
-        initial_depth: int = 64,
     ) -> None:
         self.program = program
         self.executor = ThreadExecutor(program)
@@ -595,8 +638,6 @@ class CoreExplorer:
         self.observe_globals = observe_globals
         self.reduction = reduction
         self.canonicalize = canonicalize
-        self.deepening = deepening
-        self.initial_depth = initial_depth
         self.sleep_blocked = 0
         self.pruned_transitions = 0
         self.successors_built = 0
@@ -639,7 +680,7 @@ class CoreExplorer:
     def buffered_addrs(self, state: tuple, tid: int) -> frozenset[int]:
         return _EMPTY
 
-    def outcome_of(self, state: tuple) -> "Outcome":
+    def outcome_of(self, state: tuple) -> Outcome:
         raise NotImplementedError
 
     def check_final(self, state: tuple) -> None:
@@ -686,9 +727,7 @@ class CoreExplorer:
         return t
 
     # --- exploration ------------------------------------------------------
-    def explore(self) -> "ExplorationResult":
-        from repro.memmodel.sc import ExplorationResult
-
+    def explore(self) -> ExplorationResult:
         oracle = (
             FutureFootprints(self.program, self.layout) if self.reduction else None
         )
@@ -705,35 +744,12 @@ class CoreExplorer:
             "explore.run", cat="explore",
             model=self.MODEL_KEY, program=self.program.name,
         ) as sp:
-            if not self.deepening:
-                outcomes, states, hit_states, _ = self._run(
-                    oracle, classes, None
-                )
-                visited = states
-                complete = not hit_states
-                verdict = "complete" if complete else "bounded:max-states"
-                rounds = 1
-            else:
-                depth = max(1, self.initial_depth)
-                rounds = 0
-                visited = 0
-                while True:
-                    rounds += 1
-                    outcomes, states, hit_states, hit_depth = self._run(
-                        oracle, classes, depth
-                    )
-                    visited += states
-                    if hit_states:
-                        complete, verdict = False, "bounded:max-states"
-                        break
-                    if not hit_depth:
-                        complete, verdict = True, "complete"
-                        break
-                    depth *= 2
-            sp.set(states=visited, verdict=verdict, rounds=rounds)
+            outcomes, states, complete = self._run(oracle, classes)
+            verdict = "complete" if complete else "bounded:max-states"
+            sp.set(states=states, verdict=verdict)
         registry = obs_metrics.REGISTRY
         registry.inc(
-            "repro_explore_states_total", visited, model=self.MODEL_KEY
+            "repro_explore_states_total", states, model=self.MODEL_KEY
         )
         registry.inc(
             "repro_explore_sleep_blocked_total",
@@ -763,7 +779,6 @@ class CoreExplorer:
             complete,
             verdict=verdict,
             reduced=self.reduction,
-            rounds=rounds,
         )
 
     def _canon_key(
@@ -883,21 +898,20 @@ class CoreExplorer:
         self,
         oracle: Optional[FutureFootprints],
         classes: tuple[tuple[int, ...], ...],
-        depth_limit: Optional[int],
-    ) -> tuple[set, int, bool, bool]:
+    ) -> tuple[set, int, bool]:
+        """The DFS: (outcomes, states visited, finished inside
+        ``max_states``)."""
         outcomes: set = set()
         # state key -> antichain of (sleep keyset, entry depth) already
         # explored there. A prior visit covers this one only if it
         # slept on a subset of our sleep set (explored at least as
-        # much) at no greater depth (had at least our remaining depth
-        # budget).
+        # much) at no greater depth.
+        # No bound needs the depth; it stays so recorded state counts hold.
         visited: dict[tuple, list[tuple[frozenset, int]]] = {}
         stack: list[tuple[tuple, tuple[Transition, ...], int]] = [
             (self.initial_state(), (), 0)
         ]
         states = 0
-        hit_states = False
-        hit_depth = False
 
         while stack:
             state, sleep, depth = stack.pop()
@@ -916,16 +930,12 @@ class CoreExplorer:
             records.append((sleep_keys, depth))
             states += 1
             if states > self.max_states:
-                hit_states = True
-                break
+                return outcomes, states, False
 
             trans, singles = self._expand(state, ids, oracle)
             if not trans:
                 self.check_final(state)
                 outcomes.add(self.outcome_of(state))
-                continue
-            if depth_limit is not None and depth >= depth_limit:
-                hit_depth = True
                 continue
 
             if sleep:
@@ -957,4 +967,4 @@ class CoreExplorer:
                 self._push(stack, t, state, new_sleep, ndepth)
                 slept.append(t)
 
-        return outcomes, states, hit_states, hit_depth
+        return outcomes, states, True

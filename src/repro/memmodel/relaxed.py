@@ -54,9 +54,16 @@ from repro.core.machine_models import OrderKind
 from repro.ir.function import Program
 from repro.ir.instructions import Fence, FenceKind
 from repro.memmodel import storebuf
-from repro.memmodel.explore import LOCAL_FP, Footprint, SharedMap, Transition, advance
+from repro.memmodel.explore import (
+    LOCAL_FP,
+    Footprint,
+    Outcome,
+    SharedMap,
+    Transition,
+    advance,
+    make_outcome,
+)
 from repro.memmodel.interpreter import ExecutionError, PendingAction, ThreadExecutor, ThreadState
-from repro.memmodel.sc import Outcome, make_outcome
 
 #: A thread's has-seen-current marks: the addresses it has observed at
 #: their current version, kept sorted so the tuple is its state-key part.

@@ -1,8 +1,10 @@
 """Sequentially-consistent execution exploration.
 
-Explores interleavings of visible actions (with dynamic partial-order
-reduction and state-key memoization via
-:class:`repro.memmodel.explore.CoreExplorer`, so spin loops terminate
+:class:`SCExplorer` is the store-buffer machine of
+:mod:`repro.memmodel.storebuf` with buffering switched off: a store
+writes memory when it executes, so the machine interleaves visible
+actions only. It explores them through the shared DPOR core
+(:class:`repro.memmodel.explore.CoreExplorer`, so spin loops terminate
 and commuting actions are explored once) and collects the set of final
 outcomes. This defines the paper's reference behaviour: "the intended
 behavior of the program [is] the set of data read actions of any
@@ -16,147 +18,22 @@ the happens-before/race machinery consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from repro.ir.function import Program
 from repro.ir.instructions import Instruction
-from repro.memmodel.explore import LOCAL_FP, CoreExplorer, SharedMap, Transition, advance
-from repro.memmodel.interpreter import (
-    ExecutionError,
-    GlobalLayout,
-    PendingAction,
-    ThreadExecutor,
-    ThreadState,
-)
+from repro.memmodel.explore import Outcome, make_outcome
+from repro.memmodel.interpreter import ThreadExecutor, ThreadState
+from repro.memmodel.storebuf import StoreBufferExplorer
 
 
-@dataclass(frozen=True)
-class Outcome:
-    """A final program outcome: observations plus (scalar) global values."""
-
-    observations: tuple[tuple[int, str, int], ...]  # (tid, label, value), sorted
-    final_globals: tuple[tuple[str, int], ...]  # sorted name/value pairs
-
-    def observation_dict(self) -> dict[str, int]:
-        return {f"{tid}:{label}": value for tid, label, value in self.observations}
-
-    def globals_dict(self) -> dict[str, int]:
-        return dict(self.final_globals)
-
-
-@dataclass
-class ExplorationResult:
-    outcomes: set[Outcome]
-    states_explored: int
-    complete: bool
-    #: "complete" | "bounded:max-states" | "bounded:depth" — why the
-    #: exploration stopped (principled truncation reporting).
-    verdict: str = "complete"
-    #: Whether partial-order reduction was active for this run.
-    reduced: bool = False
-    #: Iterative-deepening passes taken (1 for a plain bounded DFS).
-    rounds: int = 1
-
-    def __post_init__(self) -> None:
-        if not self.complete and self.verdict == "complete":
-            self.verdict = "bounded:max-states"
-
-    def observation_sets(self) -> set[tuple[tuple[int, str, int], ...]]:
-        return {o.observations for o in self.outcomes}
-
-
-def make_outcome(
-    layout: GlobalLayout,
-    memory: dict[int, int],
-    threads: Iterable[ThreadState],
-    observe_globals: Optional[list[str]] = None,
-) -> Outcome:
-    observations = tuple(
-        sorted(
-            (ts.tid, label, value)
-            for ts in threads
-            for label, value in ts.observations
-        )
-    )
-    final = layout.final_globals(memory)
-    if observe_globals is not None:
-        final = {k: v for k, v in final.items() if k in observe_globals}
-    return Outcome(observations, tuple(sorted(final.items())))
-
-
-class SCExplorer(CoreExplorer):
-    """DPOR DFS over the SC state graph. State = (memory, threads)."""
+class SCExplorer(StoreBufferExplorer):
+    """SC: the store-buffer machine that never buffers. A store writes
+    memory at once, so every buffer stays empty and no step waits."""
 
     MODEL_KEY = "sc"
     DEFAULT_MAX_STATES = 500_000
-
-    def initial_state(self) -> tuple:
-        return (
-            SharedMap(self.layout.initial_memory()),
-            tuple(self.executor.start_all()),
-        )
-
-    def threads_of(self, state: tuple) -> tuple[ThreadState, ...]:
-        return state[1]
-
-    def state_parts(self, state: tuple) -> tuple[tuple, tuple]:
-        memory, threads = state
-        return memory.sorted_items(), ((),) * len(threads)
-
-    def outcome_of(self, state: tuple) -> Outcome:
-        memory, threads = state
-        return make_outcome(self.layout, memory, threads, self.observe_globals)
-
-    def buffers_of(self, state: tuple) -> tuple:
-        return ()
-
-    def transitions(self, state: tuple) -> list[Transition]:
-        return [self._thread_step(ts) for ts in state[1] if not ts.done]
-
-    def make_step(self, ts: ThreadState) -> Transition:
-        ready, pending = self.executor.probe(ts, self.max_steps)
-        if pending is None or pending.kind == "fence":
-            # A finished thread, or a fence (no-op under SC).
-            fp = LOCAL_FP
-        elif pending.kind == "load":
-            fp = self._addr_fp(pending.addr, reads=True)
-        elif pending.kind == "store":
-            fp = self._addr_fp(pending.addr, writes=True)
-        elif pending.kind == "rmw":
-            fp = self._addr_fp(pending.addr, reads=True, writes=True)
-        else:  # pragma: no cover
-            raise ExecutionError(f"unknown action {pending.kind}")
-        i = ts.tid
-        return Transition(
-            ("t", i), i, True, fp,
-            partial(self._successors, self.executor, i, ready, pending),
-        )
-
-    @staticmethod
-    def _successors(
-        executor: ThreadExecutor,
-        i: int,
-        ready: ThreadState,
-        pending: Optional[PendingAction],
-        state: tuple,
-    ) -> tuple:
-        """Thread ``i``'s step builder: ``state`` after the thread
-        performs ``pending`` from its probe's ``ready`` state."""
-        memory, threads = state
-        if pending is None or pending.kind == "fence":
-            return ((memory, advance(executor, threads, i, ready, pending)),)
-        if pending.kind == "load":
-            value = memory.get(pending.addr, 0)
-            return ((memory, advance(executor, threads, i, ready, pending, value)),)
-        if pending.kind == "store":
-            result, new = None, pending.value
-        else:
-            result, new = pending.rmw_result(memory.get(pending.addr, 0))
-        if new is not None:
-            memory = SharedMap(memory)
-            memory[pending.addr] = new
-        return ((memory, advance(executor, threads, i, ready, pending, result)),)
+    BUFFERS_STORES = False
 
 
 # --- bounded trace enumeration (no state merging) ----------------------------
@@ -178,7 +55,7 @@ class TraceAction:
 class Trace:
     actions: list[TraceAction]
     outcome: Outcome
-    complete: bool  # False if truncated by the depth bound
+    complete: bool  # False if truncated at ``max_actions``
 
 
 class _Node:
@@ -214,7 +91,6 @@ def enumerate_sc_traces(
     max_traces: int = 2_000,
     max_actions: int = 200,
     max_steps_per_thread: int = 100_000,
-    schedule_filter: Optional[Callable[[int], bool]] = None,
 ) -> list[Trace]:
     """Enumerate SC traces by DFS (no state merging), at most ``max_traces``.
 
@@ -251,7 +127,7 @@ def enumerate_sc_traces(
             i = node.next
             node.next += 1
             ts = threads[i]
-            if ts.done or (schedule_filter is not None and not schedule_filter(i)):
+            if ts.done:
                 continue
             ready, pending = executor.probe(ts, max_steps_per_thread)
             if pending is not None and len(actions) >= max_actions:

@@ -1,4 +1,4 @@
-"""Store buffers for the weak-model explorers, and the TSO/PSO explorer.
+"""Store buffers for the explorers, and the SC/TSO/PSO explorer.
 
 Every weak explorer buffers a thread's stores in one format: a tuple of
 *groups*, oldest first, where each group is a sorted, hashable
@@ -8,8 +8,10 @@ each address drains on its own. The module owns every operation on that
 format — forwarding, appending, sealing, the emptiness and address
 queries, and the drain iterator — so no explorer indexes into a buffer.
 
-Where a machine seals decides what it reorders:
+Whether and where a machine seals decides what it reorders:
 
+* never buffering writes each store to memory when it executes, so
+  nothing reorders — SC (:mod:`repro.memmodel.sc`);
 * sealing before every store leaves one store per group, so the buffer
   drains as a single FIFO — x86-TSO;
 * never sealing leaves one group, so differently-addressed stores drain
@@ -18,9 +20,9 @@ Where a machine seals decides what it reorders:
   grouped buffers of the relaxed ARM/POWER explorer
   (:mod:`repro.memmodel.relaxed`).
 
-:class:`StoreBufferExplorer` is the operational TSO/PSO machine:
+:class:`StoreBufferExplorer` is the operational SC/TSO/PSO machine:
 
-* stores enqueue into the own buffer;
+* stores enqueue into the own buffer (on SC they write memory);
 * loads forward from the newest own buffered value, else read memory;
 * buffered values drain to memory nondeterministically (see above);
 * ``mfence`` and atomic RMWs (LOCK-prefixed on x86) execute only with
@@ -34,7 +36,7 @@ Exploration runs through the shared DPOR core
 drains of different addresses commute unless some thread may still
 access them, so the interleaving blowup collapses to the orderings that
 conflict. Final outcomes (all threads done, all
-buffers drained) are comparable with :class:`repro.memmodel.sc.SCExplorer`
+buffers drained) are comparable with the SC machine's
 outcomes — the paper's correctness criterion (checked by
 :class:`repro.validate.oracle.DifferentialCheck`): a fence placement is good
 if the weak outcome set of the fenced program equals the SC outcome set
@@ -47,9 +49,16 @@ from functools import partial
 from typing import Iterator, Optional
 
 from repro.ir.instructions import FenceKind
-from repro.memmodel.explore import LOCAL_FP, CoreExplorer, SharedMap, Transition, advance
+from repro.memmodel.explore import (
+    LOCAL_FP,
+    CoreExplorer,
+    Outcome,
+    SharedMap,
+    Transition,
+    advance,
+    make_outcome,
+)
 from repro.memmodel.interpreter import ExecutionError, PendingAction, ThreadExecutor, ThreadState
-from repro.memmodel.sc import Outcome, make_outcome
 
 #: One group: address -> FIFO of pending values, sorted by address.
 AddrFifoMap = tuple[tuple[int, tuple[int, ...]], ...]
@@ -200,6 +209,8 @@ class StoreBufferExplorer(BufferedExplorer):
     """DPOR DFS over a store-buffer machine (threads x buffers x
     memory). State = (memory, threads, buffers)."""
 
+    #: Buffer stores; when False a store writes memory at once (SC).
+    BUFFERS_STORES = True
     #: Seal before every store, so the buffer is one FIFO (TSO).
     SEAL_EACH_STORE = True
     #: A release store waits for an empty buffer (PSO).
@@ -239,6 +250,8 @@ class StoreBufferExplorer(BufferedExplorer):
             # would let a rival drain slip between "own drain; load"
             # unseen.
             fp = self._addr_fp(pending.addr, reads=True)
+        elif pending.kind == "store" and not self.BUFFERS_STORES:
+            fp = self._addr_fp(pending.addr, writes=True)
         elif pending.kind == "store":
             if (
                 self.RELEASE_DRAINS
@@ -259,8 +272,8 @@ class StoreBufferExplorer(BufferedExplorer):
         return Transition(
             ("t", i), i, True, fp,
             partial(
-                self._successors, self.executor, self.SEAL_EACH_STORE,
-                i, ready, pending,
+                self._successors, self.executor, self.BUFFERS_STORES,
+                self.SEAL_EACH_STORE, i, ready, pending,
             ),
             wait,
         )
@@ -275,6 +288,7 @@ class StoreBufferExplorer(BufferedExplorer):
     @staticmethod
     def _successors(
         executor: ThreadExecutor,
+        buffers_stores: bool,
         seal_each_store: bool,
         i: int,
         ready: ThreadState,
@@ -294,7 +308,7 @@ class StoreBufferExplorer(BufferedExplorer):
             return (
                 (memory, advance(executor, threads, i, ready, pending, value), buffers),
             )
-        if pending.kind == "store":
+        if pending.kind == "store" and buffers_stores:
             if seal_each_store:
                 buffer = seal(buffer)
             new_buffers = (
@@ -303,8 +317,11 @@ class StoreBufferExplorer(BufferedExplorer):
                 + buffers[i + 1 :]
             )
             return ((memory, advance(executor, threads, i, ready, pending), new_buffers),)
-        # rmw, on an empty buffer
-        result, new = pending.rmw_result(memory.get(pending.addr, 0))
+        # An unbuffered store, or an rmw on an empty buffer.
+        if pending.kind == "store":
+            result, new = None, pending.value
+        else:
+            result, new = pending.rmw_result(memory.get(pending.addr, 0))
         if new is not None:
             memory = SharedMap(memory)
             memory[pending.addr] = new

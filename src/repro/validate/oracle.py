@@ -37,8 +37,8 @@ from repro.core.machine_models import MemoryModel
 from repro.frontend import compile_source
 from repro.ir.function import Program
 from repro.memmodel.drf import check_drf
+from repro.memmodel.explore import ExplorationResult
 from repro.memmodel.litmus import sync_marking_for_globals
-from repro.memmodel.sc import ExplorationResult
 from repro.registry.models import (
     EXPLORERS,
     check_backend_for_model,

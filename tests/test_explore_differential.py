@@ -94,7 +94,7 @@ def test_fuzzed_programs_reduced_agrees_with_exhaustive(seed, shape, model):
     )
 
 
-# --- opt-out and deepening behaviour -----------------------------------------
+# --- opt-out and budget behaviour --------------------------------------------
 
 
 def test_reduction_off_reproduces_legacy_counts():
@@ -118,15 +118,3 @@ def test_bounded_exploration_reports_principled_verdict():
     ).explore()
     assert not result.complete
     assert result.verdict == "bounded:max-states"
-
-
-def test_iterative_deepening_converges_to_complete():
-    cls = EXPLORERS.get("x86-tso")
-    deep = cls(
-        LITMUS_TESTS["dekker"].compile(), deepening=True, initial_depth=4
-    ).explore()
-    flat = cls(LITMUS_TESTS["dekker"].compile()).explore()
-    assert deep.complete
-    assert deep.verdict == "complete"
-    assert deep.rounds > 1  # depth 4 cannot finish dekker in one pass
-    assert deep.outcomes == flat.outcomes

@@ -294,9 +294,8 @@ def test_explorer_counters_flush_per_model():
     result = explorer.explore()
     payload = metrics.REGISTRY.to_payload()
     states = payload["counters"]['repro_explore_states_total{model="sc"}']
-    # The counter accumulates across deepening rounds; the result holds
-    # the final round's count.
-    assert states >= result.states_explored > 0
+    # The registry was reset before this one exploration.
+    assert states == result.states_explored > 0
     assert 'repro_explore_sleep_blocked_total{model="sc"}' in payload["counters"]
     assert 'repro_explore_pruned_total{model="sc"}' in payload["counters"]
     assert 'repro_explore_successors_total{model="sc"}' in payload["counters"]

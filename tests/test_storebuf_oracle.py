@@ -5,10 +5,11 @@ and PSO (address -> FIFO map) explorers. The merged
 :class:`~repro.memmodel.storebuf.StoreBufferExplorer` must visit the
 same number of states, reach the same verdict and produce the same
 observations on every litmus entry, reduced and exhaustive, unfenced
-and with the pipeline's fences, plus a deepening run and a sweep of
-generated programs. The relaxed ARM/POWER explorer now drains through
-the same buffer code; its state counts are pinned to the values the
-old hand-written buffers gave.
+and with the pipeline's fences, plus a sweep of generated programs.
+The relaxed ARM/POWER explorer now drains through the same buffer
+code; its state counts are pinned to the values the old hand-written
+buffers gave. SC is the same machine with buffering off; its state
+counts are pinned to the values its own explorer class gave.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.core.pipeline import PipelineVariant, place_fences
 from repro.frontend import compile_source
 from repro.memmodel.litmus import LITMUS_TESTS
 from repro.memmodel.relaxed import ARMExplorer, POWERExplorer
+from repro.memmodel.sc import SCExplorer
 from repro.memmodel.storebuf import PSOExplorer, StoreBufferExplorer, TSOExplorer
 from repro.validate.generator import SHAPES, generate_program
 
@@ -108,6 +110,24 @@ RELAXED_COUNTS = {
     "fenced-sb": {"arm": (104, 398), "power": (216, 656)},
 }
 
+#: (reduced, exhaustive) SC state counts on the same programs, as the
+#: separate SC explorer class explored them.
+SC_COUNTS = {
+    "benign-races": (18, 28),
+    "dekker": (22, 44),
+    "dekker-scoreboard": (26, 67),
+    "iriw": (121, 652),
+    "lb": (18, 28),
+    "mp": (21, 30),
+    "mp-chain": (111, 279),
+    "mp-pointers": (15, 22),
+    "mp-stale": (11, 18),
+    "sb": (18, 28),
+    "release-publish": (31, 45),
+    "fenced-sb": (69, 152),
+}
+
+
 def _same(model, factory, **opts):
     new_cls, ref_cls, _machine = CELLS[model]
     got = new_cls(factory(), **opts).explore()
@@ -132,12 +152,24 @@ def _extra(name):
     return lambda: compile_source(EXTRA[name], name, include_manual_fences=True)
 
 
+def _constants(cls):
+    return set(vars(cls)) - {"__module__", "__doc__", "__qualname__"}
+
+
 def test_tso_and_pso_differ_only_in_class_constants():
     for cls in (TSOExplorer, PSOExplorer):
         assert cls.__bases__ == (StoreBufferExplorer,)
-        assert set(vars(cls)) - {"__module__", "__doc__", "__qualname__"} == {
+        assert _constants(cls) == {
             "MODEL_KEY", "SEAL_EACH_STORE", "RELEASE_DRAINS",
         }
+
+
+def test_sc_is_the_store_buffer_machine_without_buffering():
+    assert SCExplorer.__bases__ == (StoreBufferExplorer,)
+    assert _constants(SCExplorer) == {
+        "MODEL_KEY", "DEFAULT_MAX_STATES", "BUFFERS_STORES",
+    }
+    assert StoreBufferExplorer.BUFFERS_STORES and not SCExplorer.BUFFERS_STORES
 
 
 @pytest.mark.parametrize("mode", ["reduced", "exhaustive"])
@@ -157,14 +189,6 @@ def test_buffer_paths_match_reference(name, model, mode):
 
 
 @pytest.mark.parametrize("model", sorted(CELLS))
-def test_deepening_matches_reference(model):
-    _same(
-        model, LITMUS_TESTS["dekker-scoreboard"].compile,
-        deepening=True, initial_depth=4,
-    )
-
-
-@pytest.mark.parametrize("model", sorted(CELLS))
 @pytest.mark.parametrize("shape", SHAPES)
 def test_generated_programs_match_reference(shape, model):
     for seed in range(4):
@@ -176,17 +200,26 @@ def test_generated_programs_match_reference(shape, model):
         _same(model, _fenced(model, factory))
 
 
-@pytest.mark.parametrize("cls", [ARMExplorer, POWERExplorer])
-def test_relaxed_state_counts_are_unchanged(cls):
+def _state_counts(cls):
+    """(reduced, exhaustive) states ``cls`` explores per litmus entry
+    and extra program."""
     factories = {name: test.compile for name, test in LITMUS_TESTS.items()}
     factories.update({name: _extra(name) for name in EXTRA})
-    counts = {
+    return {
         name: (
             cls(factory()).explore().states_explored,
             cls(factory(), **EXHAUSTIVE).explore().states_explored,
         )
         for name, factory in factories.items()
     }
-    assert counts == {
+
+
+@pytest.mark.parametrize("cls", [ARMExplorer, POWERExplorer])
+def test_relaxed_state_counts_are_unchanged(cls):
+    assert _state_counts(cls) == {
         name: pins[cls.MODEL_KEY] for name, pins in RELAXED_COUNTS.items()
     }
+
+
+def test_sc_state_counts_are_unchanged():
+    assert _state_counts(SCExplorer) == SC_COUNTS
